@@ -207,7 +207,9 @@ class UnitDisc(Domain):
         self.check_interior(x)
         self.check_interior(y)
         q = self._q(x, y)
-        assert q > 0.0, "q must be positive for interior points"
+        if not q > 0.0:
+            raise DomainViolationError(
+                f"q(x, y) = {q:.3e} is not positive at {x}, {y}")
         return -np.log(q) / FOUR_PI
 
     def grad_regular(self, x, y):

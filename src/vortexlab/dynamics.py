@@ -10,7 +10,8 @@ offending pair or vortex.
 
 Orbit-level work should integrate the rescaled system, whose period is
 O(1); the plain system covers the same orbit only with a step-size
-spread of order r^2.  Both are accepted here through one adapter.
+spread of order r^2.  Both implement the FlowSystem protocol the
+integrators are written against.
 
 No structural energy conservation: drift is recorded, and an optional
 post-step projection back onto the initial energy level can be enabled
@@ -21,7 +22,7 @@ projected state).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Protocol
 
 import numpy as np
 from scipy.integrate import RK45
@@ -29,8 +30,9 @@ from scipy.optimize import brentq
 
 from .errors import (BoundaryEventError, CollisionError, ConstraintViolationError,
                      ConvergenceError)
-from .linalg import as_state, pairs
-from .systems import RescaledSystem, VortexSystem
+from .domains import Domain
+from .linalg import as_state, closest_pair
+from .systems import COLLISION_TOL, RescaledSystem, VortexSystem
 
 #: dense-output screening points per accepted step
 GUARD_SAMPLES = 8
@@ -54,88 +56,54 @@ class IntegratorSettings:
             raise ConstraintViolationError("guard thresholds must be >= 0")
 
 
-class _Flow:
-    """Uniform view of VortexSystem / RescaledSystem for the driver."""
+class FlowSystem(Protocol):
+    """What the integrators need from a system, in its own coordinates;
+    VortexSystem and RescaledSystem implement it."""
 
-    def __init__(self, system):
-        self.system = system
-        if isinstance(system, RescaledSystem):
-            self.field = system.rescaled_field
-            self.jacobian = system.rescaled_field_jacobian
-            self.energy = system.rescaled_hamiltonian
-            self.validate = system.validate_state
-            self.domain = system.base.domain
-            self.gradient = system.rescaled_gradient
-            self._rescaled = True
-        elif isinstance(system, VortexSystem):
-            self.field = system.vector_field
-            self.jacobian = system.field_jacobian
-            self.energy = system.hamiltonian
-            self.validate = system.validate_state
-            self.domain = system.domain
-            self.gradient = system.gradient
-            self._rescaled = False
-        else:
-            raise TypeError(f"cannot integrate {type(system).__name__}")
+    domain: Domain
 
-    def guard_geometry(self, y):
+    def vector_field(self, y) -> np.ndarray: ...
+    def field_and_jacobian(self, y) -> tuple: ...
+    def hamiltonian(self, y) -> float: ...
+    def gradient(self, y) -> np.ndarray: ...
+    def validate_state(self, y, time=None, collision_tol=COLLISION_TOL): ...
+
+    def guard_geometry(self, y) -> tuple:
         """(positions to guard, pair mask or None, check_boundary)."""
-        if not self._rescaled:
-            return pairs(y), None, True
-        if self.system.scale > 0.0:
-            return pairs(self.system.to_physical(y)), None, True
-        intra, _ = self.system._masks()
-        return pairs(y), intra, False
 
 
-def _min_separation(p: np.ndarray, mask):
-    """(min distance, pair) over allowed pairs; (inf, None) if none."""
-    n = p.shape[0]
-    if n < 2:
-        return np.inf, None
-    diff = p[:, None, :] - p[None, :, :]
-    d = np.sqrt(np.einsum("ijd,ijd->ij", diff, diff))
-    d[np.eye(n, dtype=bool)] = np.inf
-    if mask is not None:
-        d[~mask] = np.inf
-    i, j = np.unravel_index(np.argmin(d), d.shape)
-    if not np.isfinite(d[i, j]):
-        return np.inf, None
-    return float(d[i, j]), (int(i), int(j))
-
-
-def _min_clearance(flow: _Flow, p: np.ndarray):
-    vals = [flow.domain.boundary_clearance(x) for x in p]
+def _min_clearance(system: FlowSystem, p: np.ndarray):
+    vals = [system.domain.boundary_clearance(x) for x in p]
     k = int(np.argmin(vals))
     return float(vals[k]), k
 
 
-def _guard_state(flow: _Flow, y, settings: IntegratorSettings):
+def _guard_state(system: FlowSystem, y, settings: IntegratorSettings):
     """None if y is admissible, else an un-refined event description."""
-    p, mask, check_boundary = flow.guard_geometry(y)
-    sep, pair = _min_separation(p, mask)
+    p, mask, check_boundary = system.guard_geometry(y)
+    sep, pair = closest_pair(p, mask)
     if sep <= settings.collision_tol:
         return ("collision", pair, sep)
     if check_boundary:
-        clear, idx = _min_clearance(flow, p)
+        clear, idx = _min_clearance(system, p)
         if clear <= settings.boundary_margin:
             return ("boundary", idx, clear)
     return None
 
 
-def _refine_and_raise(flow, interp, t_ok, t_bad, event, settings):
+def _refine_and_raise(system, interp, t_ok, t_bad, event, settings):
     kind, who, _ = event
 
     if kind == "collision":
         i, j = who
 
         def f(t):
-            p, _, _ = flow.guard_geometry(interp(t))
+            p, _, _ = system.guard_geometry(interp(t))
             return float(np.linalg.norm(p[i] - p[j])) - settings.collision_tol
     else:
         def f(t):
-            p, _, _ = flow.guard_geometry(interp(t))
-            return _min_clearance(flow, p)[0] - settings.boundary_margin
+            p, _, _ = system.guard_geometry(interp(t))
+            return _min_clearance(system, p)[0] - settings.boundary_margin
 
     if f(t_ok) > 0.0 > f(t_bad):
         t_star = float(brentq(f, t_ok, t_bad, xtol=1e-14, rtol=1e-14))
@@ -144,7 +112,7 @@ def _refine_and_raise(flow, interp, t_ok, t_bad, event, settings):
 
     if kind == "collision":
         i, j = who
-        p, _, _ = flow.guard_geometry(interp(t_star))
+        p, _, _ = system.guard_geometry(interp(t_star))
         raise CollisionError(
             f"vortices {i} and {j} collide at t = {t_star:.9g}",
             pair=(i, j), distance=float(np.linalg.norm(p[i] - p[j])),
@@ -223,40 +191,39 @@ class Trajectory:
                 fh.write(text)
 
 
-def _project_energy(flow: _Flow, y: np.ndarray, h_target: float) -> np.ndarray:
-    g = flow.gradient(y)
+def _project_energy(system: FlowSystem, y, h_target: float) -> np.ndarray:
+    g = system.gradient(y)
     gg = float(g @ g)
     if gg == 0.0:
         return y
-    return y + (h_target - flow.energy(y)) / gg * g
+    return y + (h_target - system.hamiltonian(y)) / gg * g
 
 
-def integrate(system, z0, t_span, settings: Optional[IntegratorSettings] = None
-              ) -> Trajectory:
+def integrate(system: FlowSystem, z0, t_span,
+              settings: Optional[IntegratorSettings] = None) -> Trajectory:
     """Integrate from z0 over t_span = (t0, t1); t1 < t0 runs backward.
 
     Raises CollisionError / BoundaryEventError when a guard trips (time
     and offender attached), ConvergenceError on step-size underflow.
     """
     settings = settings or IntegratorSettings()
-    flow = _Flow(system)
     y0 = as_state(z0).copy()
     t0, t1 = (float(t_span[0]), float(t_span[1]))
-    flow.validate(y0, time=t0, collision_tol=settings.collision_tol)
+    system.validate_state(y0, time=t0, collision_tol=settings.collision_tol)
 
     times = [t0]
     states = [y0.copy()]
-    energies = [flow.energy(y0)]
+    energies = [system.hamiltonian(y0)]
     segments = []
-    p0, mask0, _ = flow.guard_geometry(y0)
-    min_sep = _min_separation(p0, mask0)[0]
+    p0, mask0, _ = system.guard_geometry(y0)
+    min_sep = closest_pair(p0, mask0)[0]
     h_ref = energies[0]
 
     if t1 == t0:
         return Trajectory(np.array(times), np.array(states),
                           np.array(energies), float(min_sep), segments)
 
-    stepper = RK45(lambda t, y: flow.field(y), t0, y0, t_bound=t1,
+    stepper = RK45(lambda t, y: system.vector_field(y), t0, y0, t_bound=t1,
                    rtol=settings.rtol, atol=settings.atol,
                    max_step=settings.max_step)
     while stepper.status == "running":
@@ -275,51 +242,51 @@ def integrate(system, z0, t_span, settings: Optional[IntegratorSettings] = None
         t_ok = t_prev
         for tg in grid:
             yg = interp(tg)
-            pg, maskg, _ = flow.guard_geometry(yg)
-            sep = _min_separation(pg, maskg)[0]
+            pg, maskg, _ = system.guard_geometry(yg)
+            sep = closest_pair(pg, maskg)[0]
             min_sep = min(min_sep, sep)
-            event = _guard_state(flow, yg, settings)
+            event = _guard_state(system, yg, settings)
             if event is not None:
-                _refine_and_raise(flow, interp, t_ok, tg, event, settings)
+                _refine_and_raise(system, interp, t_ok, tg, event, settings)
             t_ok = tg
         y_now = stepper.y.copy()
         if settings.energy_projection:
-            y_proj = _project_energy(flow, y_now, h_ref)
-            if not np.array_equal(y_proj, y_now):
-                y_now = y_proj
-                stepper = RK45(lambda t, y: flow.field(y), stepper.t, y_now,
-                               t_bound=t1, rtol=settings.rtol,
+            y_proj = _project_energy(system, y_now, h_ref)
+            # a stepper restarted at t1 would step again from there, and
+            # roundoff-sized projections could repeat that forever
+            if stepper.status == "running" and not np.array_equal(y_proj, y_now):
+                stepper = RK45(lambda t, y: system.vector_field(y), stepper.t,
+                               y_proj, t_bound=t1, rtol=settings.rtol,
                                atol=settings.atol, max_step=settings.max_step)
+            y_now = y_proj
         times.append(stepper.t)
         states.append(y_now)
-        energies.append(flow.energy(y_now))
+        energies.append(system.hamiltonian(y_now))
         segments.append(interp)
 
     return Trajectory(np.array(times), np.array(states), np.array(energies),
                       float(min_sep), segments)
 
 
-def flow_with_jacobian(system, z0, t_end: float,
+def flow_with_jacobian(system: FlowSystem, z0, t_end: float,
                        settings: Optional[IntegratorSettings] = None):
     """Flow map and its state derivative at time t_end.
 
     Co-integrates the matrix variational equation W' = Df(z(t)) W,
     W(0) = I, through one shared step sequence with the base state, so
-    the pair (phi_t(z0), Dphi_t(z0)) is internally consistent.
+    the pair (phi_t(z0), Dphi_t(z0)) is internally consistent.  Each
+    right-hand side takes the field and its Jacobian from one assembly.
     """
     settings = settings or IntegratorSettings()
-    flow = _Flow(system)
     y0 = as_state(z0).copy()
     d = y0.size
-    flow.validate(y0, time=0.0, collision_tol=settings.collision_tol)
+    system.validate_state(y0, time=0.0, collision_tol=settings.collision_tol)
     if t_end == 0.0:
         return y0, np.eye(d)
 
     def rhs(t, aug):
-        z = aug[:d]
-        W = aug[d:].reshape(d, d)
-        return np.concatenate([flow.field(z),
-                               (flow.jacobian(z) @ W).reshape(-1)])
+        f, J = system.field_and_jacobian(aug[:d])
+        return np.concatenate([f, (J @ aug[d:].reshape(d, d)).reshape(-1)])
 
     aug0 = np.concatenate([y0, np.eye(d).reshape(-1)])
     stepper = RK45(rhs, 0.0, aug0, t_bound=float(t_end),
@@ -340,9 +307,9 @@ def flow_with_jacobian(system, z0, t_end: float,
         t_ok = t_prev
         state_interp = lambda t: interp(t)[:d]
         for tg in grid:
-            event = _guard_state(flow, interp(tg)[:d], settings)
+            event = _guard_state(system, interp(tg)[:d], settings)
             if event is not None:
-                _refine_and_raise(flow, state_interp, t_ok, tg, event,
+                _refine_and_raise(system, state_interp, t_ok, tg, event,
                                   settings)
             t_ok = tg
 

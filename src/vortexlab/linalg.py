@@ -39,23 +39,45 @@ def perp(z) -> np.ndarray:
     return out.reshape(np.shape(np.asarray(z)))
 
 
-def rotate_all(z, theta: float) -> np.ndarray:
-    """Rotate every (x, y) pair counterclockwise by theta."""
+def rotate_all(z, theta) -> np.ndarray:
+    """Rotate every (x, y) pair counterclockwise by theta.
+
+    An array of angles gives one rotated copy of z per angle, stacked
+    along leading axes of the angles' shape.
+    """
     p = pairs(z)
-    c, s = np.cos(theta), np.sin(theta)
-    out = np.empty_like(p)
-    out[:, 0] = c * p[:, 0] - s * p[:, 1]
-    out[:, 1] = s * p[:, 0] + c * p[:, 1]
-    return out.reshape(np.shape(np.asarray(z)))
+    th = np.asarray(theta, dtype=float)[..., None]
+    c, s = np.cos(th), np.sin(th)
+    out = np.empty(th.shape[:-1] + p.shape)
+    out[..., 0] = c * p[:, 0] - s * p[:, 1]
+    out[..., 1] = s * p[:, 0] + c * p[:, 1]
+    return out.reshape(th.shape[:-1] + np.shape(np.asarray(z)))
 
 
-def spin(z, omega: float, t: float) -> np.ndarray:
+def spin(z, omega: float, t) -> np.ndarray:
     """Rigid rotation flow exp(omega*t*perp) applied to a state.
 
     With the clockwise generator, spin(z, omega, t) is a counterclockwise
-    rotation by -omega*t.
+    rotation by -omega*t; an array of times stacks as in rotate_all.
     """
-    return rotate_all(z, -omega * t)
+    return rotate_all(z, -omega * np.asarray(t, dtype=float))
+
+
+def closest_pair(p: np.ndarray, mask=None):
+    """(distance, (i, j)) of the closest pair of the (N, 2) points p.
+
+    mask: optional (N, N) boolean array of the pairs to consider.
+    Returns (inf, None) when no pair is allowed.
+    """
+    diff = p[:, None, :] - p[None, :, :]
+    d2 = np.einsum("ijd,ijd->ij", diff, diff)
+    np.fill_diagonal(d2, np.inf)
+    if mask is not None:
+        d2[~mask] = np.inf
+    i, j = np.unravel_index(np.argmin(d2), d2.shape)
+    if not np.isfinite(d2[i, j]):
+        return np.inf, None
+    return float(np.sqrt(d2[i, j])), (int(i), int(j))
 
 
 def rot2(theta: float) -> np.ndarray:

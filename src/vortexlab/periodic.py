@@ -44,9 +44,9 @@ from .domains import Domain, SymmetryClass
 from .dynamics import IntegratorSettings, Trajectory, flow_with_jacobian, integrate
 from .equilibria import RelativeEquilibrium, certify
 from .errors import (ConstraintViolationError, ConvergenceError,
-                     ScaleTooLargeError)
+                     ScaleTooLargeError, VortexError)
 from .linalg import (TWO_PI, aligned_distance, as_state, permutation_matrix,
-                     permutation_order, rotate_all, spin, truncated_svd_solve)
+                     permutation_order, perp, spin, truncated_svd_solve)
 from .stationary import GRADIENT_TOL, StationaryPoint
 from .systems import RescaledSystem, VortexSystem
 
@@ -58,7 +58,6 @@ SYMMETRY_DEFECT_TOL = 1e-8
 IDENTIFICATION_TOL = 1e-6
 STRENGTH_MATCH_TOL = 1e-12
 GRID_SAMPLES = 256
-COARSE_PHASE_POINTS = 32
 
 _THREADS_ENV = "VORTEXLAB_THREADS"
 
@@ -210,10 +209,8 @@ class SuperpositionSpec:
             if eq.is_trivial:
                 cols.append(np.zeros((times.size, 2)))
             else:
-                block = np.array([
-                    spin(eq.flat(), eq.angular_velocity, t + full[k])
-                    for t in times])
-                cols.append(block.reshape(times.size, -1))
+                cols.append(spin(eq.flat(), eq.angular_velocity,
+                                 times + full[k]))
         return np.concatenate(cols, axis=1)
 
     def replace(self, **changes) -> "SuperpositionSpec":
@@ -249,7 +246,7 @@ def _scale_is_admissible(spec: SuperpositionSpec, u0, r: float) -> bool:
     try:
         spec.rescaled(r).validate_state(u0)
         return True
-    except Exception:
+    except VortexError:
         return False
 
 
@@ -437,11 +434,6 @@ def _spectral_derivative(samples: np.ndarray, period: float) -> np.ndarray:
     return np.real(np.fft.ifft(factor[:, None] * spec_hat, axis=0))
 
 
-def _h1_mismatch(u, du, v, dv, weight):
-    """Squared discrete H^1 distance via the periodic trapezoid rule."""
-    return weight * float(np.sum((u - v) ** 2) + np.sum((du - dv) ** 2))
-
-
 def distance_to_M(spec: SuperpositionSpec, u,
                   n_samples: int = GRID_SAMPLES) -> float:
     """Discrete H^1 distance from a periodic loop to the phase torus.
@@ -449,10 +441,9 @@ def distance_to_M(spec: SuperpositionSpec, u,
     `u` is a Trajectory over one rescaled period or an (n_samples, 2N)
     array sampled uniformly on [0, tau).  Derivatives are spectral, the
     quadrature is the periodic trapezoid rule.  The phase minimization
-    runs a coarse scan (32 points per phase) and then refines each
-    cluster's phase in closed form: per cluster, the objective depends
-    on its phase only through a global rotation of the cluster block, so
-    the optimum is a two-coefficient Fourier fit, exact up to roundoff.
+    is closed-form per cluster: the objective depends on a cluster's
+    phase only through a global rotation of its block, so the optimum is
+    a two-coefficient Fourier fit, exact up to roundoff.
     """
     tau = spec.tau
     if isinstance(u, Trajectory):
@@ -477,35 +468,19 @@ def distance_to_M(spec: SuperpositionSpec, u,
         sl = blocks[k]
         uk, duk = samples[:, sl], du[:, sl]
         if eq.is_trivial:
-            total += _h1_mismatch(uk, duk, 0.0, 0.0, weight)
-            continue
-        zk = np.array([spin(eq.flat(), eq.angular_velocity, t) for t in ts])
+            zk = np.zeros_like(uk)
+        else:
+            zk = spin(eq.flat(), eq.angular_velocity, ts)
         dzk = _spectral_derivative(zk, tau)
 
-        def mismatch(theta):
-            a = -eq.angular_velocity * theta  # phase acts as block rotation
-            v = np.array([rotate_all(row, a) for row in zk])
-            dv = np.array([rotate_all(row, a) for row in dzk])
-            return _h1_mismatch(uk, duk, v, dv, weight)
-
-        thetas = np.linspace(0.0, eq.period, COARSE_PHASE_POINTS,
-                             endpoint=False)
-        coarse = min(mismatch(t) for t in thetas)
-
-        # exact refinement: with a = -omega*theta the mismatch is
-        # c0 - 2(P cos a + Q sin a), minimized at hypot(P, Q)
-        ccw_z = np.empty_like(zk)
-        ccw_z[:, 0::2] = -zk[:, 1::2]
-        ccw_z[:, 1::2] = zk[:, 0::2]
-        ccw_dz = np.empty_like(dzk)
-        ccw_dz[:, 0::2] = -dzk[:, 1::2]
-        ccw_dz[:, 1::2] = dzk[:, 0::2]
+        # a phase theta rotates the block by a = -omega*theta, and the
+        # mismatch is c0 - 2(P cos a + Q sin a), minimized at hypot(P, Q);
+        # Q pairs u with the quarter turn of z, whose sign hypot ignores
         P = float(np.sum(uk * zk) + np.sum(duk * dzk))
-        Q = float(np.sum(uk * ccw_z) + np.sum(duk * ccw_dz))
+        Q = float(np.sum(uk * perp(zk)) + np.sum(duk * perp(dzk)))
         const = float(np.sum(uk**2) + np.sum(duk**2)
                       + np.sum(zk**2) + np.sum(dzk**2))
-        exact = max(weight * (const - 2.0 * np.hypot(P, Q)), 0.0)
-        total += min(coarse, exact)
+        total += max(weight * (const - 2.0 * np.hypot(P, Q)), 0.0)
 
     return float(np.sqrt(max(total, 0.0)))
 

@@ -15,9 +15,12 @@ g.  Choosing the coefficient matrices recovers:
   B = 0, evaluated with the plane kernel regardless of the ambient domain.
 * coupling term F:         positions shifted by the anchor, A on cross-cluster
   pairs, B = -Gamma Gamma^T (full).
+* rescaled energy E_r:     the full Hamiltonian's coefficients, read in the
+  rescaled system's frame (see RescaledSystem), so one assembly gives the
+  value, or the field together with its Jacobian.
 
-`assemble_interaction` evaluates value/gradient/Hessian of that shape in
-closed form (no finite differences anywhere outside the tests).
+`assemble_interaction` evaluates the value or the gradient/Hessian of that
+shape in closed form (no finite differences anywhere outside the tests).
 
 States are flat float64 vectors (x1, y1, ..., xN, yN).  The equations of
 motion are  M ż = P ∇H(z)  with M = diag(Gamma_i I_2) and P the blockwise
@@ -32,7 +35,7 @@ import numpy as np
 
 from .domains import Domain, WholePlane
 from .errors import CollisionError, ConstraintViolationError
-from .linalg import TWO_PI, as_state, pairs
+from .linalg import TWO_PI, as_state, closest_pair, pairs
 
 COLLISION_TOL = 1e-8
 
@@ -42,13 +45,19 @@ COLLISION_TOL = 1e-8
 # ---------------------------------------------------------------------------
 
 def assemble_interaction(positions, A, B=None, domain: Domain | None = None,
-                         order: int = 2):
-    """Evaluate the generic pairwise energy and its derivatives.
+                         order: int = 2, frame=None):
+    """Evaluate the generic pairwise energy or its derivatives.
 
     positions: (N, 2).  A: (N, N) symmetric, diagonal ignored.  B: (N, N)
     symmetric or None; requires `domain` for its regular part g.  order:
-    0 value, 1 +gradient, 2 +Hessian.  Returns (value, grad, hess) with
-    None placeholders for orders not requested.
+    0 value, 1 gradient, 2 gradient and Hessian.  Returns (value, grad,
+    hess) with None for what was not requested: the value, and with it g
+    itself, is only evaluated at order 0.
+
+    frame: None, or (S, C, s, b) to evaluate the energy in affine
+    variables x = positions.  The kernel then reads the pair differences
+    S_ij (x_i - x_j) + C_ij, the regular part reads the points s*x + b,
+    and derivatives are taken with respect to x.
     """
     p = np.asarray(positions, dtype=float)
     n = p.shape[0]
@@ -56,46 +65,52 @@ def assemble_interaction(positions, A, B=None, domain: Domain | None = None,
     off = ~np.eye(n, dtype=bool)
 
     diff = p[:, None, :] - p[None, :, :]
+    S = s = 1.0
+    if frame is not None:
+        S, C, s, b = frame
+        diff = S[:, :, None] * diff + C
+        p = s * p + b
     d2 = np.einsum("ijd,ijd->ij", diff, diff)
     Aoff = np.where(off, A, 0.0)
     # the kernel is only read where A is nonzero; pad the rest (diagonal,
     # masked-out pairs, possibly coincident) to keep log/division finite
     d2s = np.where(Aoff != 0.0, d2, 1.0)
-
-    value = 0.0
-    k = -0.5 * np.log(d2s) / TWO_PI
-    value += float(np.sum(Aoff * k))
-
     use_g = B is not None
     if use_g:
         B = np.asarray(B, dtype=float)
-        g = domain.regular_part_many(p, p)
-        value += float(np.sum(B * g))
 
-    grad = hess = None
+    value = grad = hess = None
+    if order == 0:
+        value = float(np.sum(Aoff * (-0.5 * np.log(d2s) / TWO_PI)))
+        if use_g:
+            value += float(np.sum(B * domain.regular_part_many(p, p)))
+
+    # derivatives in x carry the chain factor S per kernel pair, s for g
     if order >= 1:
         k1 = -diff / (TWO_PI * d2s[:, :, None])  # d_x k at (x_i, x_j)
-        grad = 2.0 * np.einsum("ij,ija->ia", Aoff, k1)
+        grad = 2.0 * np.einsum("ij,ija->ia", Aoff * S, k1)
         if use_g:
             g1 = domain.grad_regular_many(p, p)
-            grad = grad + 2.0 * np.einsum("ij,ija->ia", B, g1)
+            grad = grad + 2.0 * np.einsum("ij,ija->ia", s * B, g1)
         grad = grad.reshape(-1)
 
     if order >= 2:
+        A2 = Aoff * S * S
         I2 = np.eye(2)
         dd = d2s[:, :, None, None]
         k11 = -(I2 / dd - 2.0 * np.einsum("ija,ijb->ijab", diff, diff)
                 / dd**2) / TWO_PI
         # d_y d_x k = -d_x^2 k for the log kernel
-        blocks = 2.0 * (-k11) * Aoff[:, :, None, None]
-        diag = 2.0 * np.einsum("ij,ijab->iab", Aoff, k11)
+        blocks = 2.0 * (-k11) * A2[:, :, None, None]
+        diag = 2.0 * np.einsum("ij,ijab->iab", A2, k11)
         if use_g:
             g11, g21 = domain.hess_regular_many(p, p)
-            Boff = np.where(off, B, 0.0)
+            B2 = s * s * B
+            Boff = np.where(off, B2, 0.0)
             blocks = blocks + 2.0 * g21 * Boff[:, :, None, None]
             diag = diag + 2.0 * np.einsum("ij,ijab->iab", Boff, g11)
             # self term B_ii g(x_i, x_i): full derivative of x -> g(x, x)
-            bdiag = np.diagonal(B)
+            bdiag = np.diagonal(B2)
             ii = np.arange(n)
             diag = diag + 2.0 * bdiag[:, None, None] * (g11[ii, ii] + g21[ii, ii])
         blocks[np.arange(n), np.arange(n)] = diag
@@ -105,7 +120,7 @@ def assemble_interaction(positions, A, B=None, domain: Domain | None = None,
 
 
 def _weighted_perp_rows(mat: np.ndarray, strengths: np.ndarray) -> np.ndarray:
-    """Rows of M^{-1} P applied to a (2N, k) matrix (pairwise row mix)."""
+    """Rows of M^{-1} P applied to a (2N,) vector or a (2N, k) matrix."""
     n = strengths.size
     H = mat.reshape(n, 2, -1)
     out = np.empty_like(H)
@@ -185,13 +200,7 @@ class VortexSystem:
 
     # -- state validation -------------------------------------------------
     def min_separation(self, z) -> float:
-        p = pairs(z)
-        if p.shape[0] < 2:
-            return np.inf
-        diff = p[:, None, :] - p[None, :, :]
-        d = np.sqrt(np.einsum("ijd,ijd->ij", diff, diff))
-        d[np.eye(p.shape[0], dtype=bool)] = np.inf
-        return float(d.min())
+        return closest_pair(pairs(z))[0]
 
     def validate_state(self, z, time=None, collision_tol: float = COLLISION_TOL):
         p = pairs(z)
@@ -200,16 +209,17 @@ class VortexSystem:
                 f"state has {p.shape[0]} positions, system has {self.n}")
         for i, x in enumerate(p):
             self.domain.check_interior(x, index=i)
-        if self.n >= 2:
-            diff = p[:, None, :] - p[None, :, :]
-            d = np.sqrt(np.einsum("ijd,ijd->ij", diff, diff))
-            d[np.eye(self.n, dtype=bool)] = np.inf
-            i, j = np.unravel_index(np.argmin(d), d.shape)
-            if d[i, j] <= collision_tol:
-                raise CollisionError(
-                    f"vortices {i} and {j} are {d[i, j]:.3e} apart "
-                    f"(tolerance {collision_tol:.1e})",
-                    pair=(int(i), int(j)), distance=float(d[i, j]), time=time)
+        d, pair = closest_pair(p)
+        if d <= collision_tol:
+            i, j = pair
+            raise CollisionError(
+                f"vortices {i} and {j} are {d:.3e} apart "
+                f"(tolerance {collision_tol:.1e})",
+                pair=pair, distance=d, time=time)
+
+    def guard_geometry(self, z):
+        """(positions to guard, pair mask or None, check_boundary)."""
+        return pairs(z), None, True
 
     # -- energies ----------------------------------------------------------
     def hamiltonian(self, z) -> float:
@@ -232,10 +242,17 @@ class VortexSystem:
 
     # -- dynamics ----------------------------------------------------------
     def vector_field(self, z) -> np.ndarray:
-        return _weighted_perp_rows(self.gradient(z)[:, None], self.gamma)[:, 0]
+        return _weighted_perp_rows(self.gradient(z), self.gamma)
 
     def field_jacobian(self, z) -> np.ndarray:
         return _weighted_perp_rows(self.hessian(z), self.gamma)
+
+    def field_and_jacobian(self, z):
+        """(vector field, its Jacobian) from one order-2 assembly."""
+        A = self._coeff()
+        _, g, H = assemble_interaction(pairs(z), A, -A, self.domain, order=2)
+        return (_weighted_perp_rows(g, self.gamma),
+                _weighted_perp_rows(H, self.gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +270,15 @@ class RescaledSystem:
 
     whose gradient satisfies  grad E_r(u) = r * grad H(r*u + anchor_hat),
     so trajectories map to physical ones by z(t) = r*u(t/r^2) + anchor_hat.
+
+    Coefficients, masks and anchor offsets are fixed at construction.
+    Each energy, gradient or Hessian is one assembly in the frame
+    u -> (pair differences, physical points): cross-cluster pairs read
+    r*(u_i - u_j) + (anchor_hat_i - anchor_hat_j) and the regular part g
+    reads r*u + anchor_hat.  Intra-cluster pairs read u_i - u_j, i.e.
+    r*(u_i - u_j) with the factor r divided out of the log kernel's
+    derivatives; they keep full relative precision at small r, and r = 0
+    is the decoupled limit.
     """
 
     base: VortexSystem
@@ -269,60 +295,55 @@ class RescaledSystem:
             raise ConstraintViolationError("scale r must be >= 0")
         for k, x in enumerate(a):
             self.base.domain.check_interior(x, index=k)
-        if a.shape[0] >= 2:
-            diff = a[:, None, :] - a[None, :, :]
-            d = np.sqrt(np.einsum("ijd,ijd->ij", diff, diff))
-            d[np.eye(a.shape[0], dtype=bool)] = np.inf
-            if d.min() <= COLLISION_TOL:
-                raise CollisionError("anchor points coincide")
+        if closest_pair(a)[0] <= COLLISION_TOL:
+            raise CollisionError("anchor points coincide")
+        r = float(self.scale)
         object.__setattr__(self, "anchor", a)
-        object.__setattr__(self, "scale", float(self.scale))
+        object.__setattr__(self, "scale", r)
         sk = VortexSystem(tuple(self.base.cluster_strengths),
                           (1,) * self.base.n_clusters, self.base.domain)
-        object.__setattr__(self, "_skeleton_value",
-                           sk.hamiltonian(a.reshape(-1)))
+        ci = self.base.cluster_index
+        intra = ci[:, None] == ci[None, :]
+        A = self.base._coeff()
+        ahat = np.repeat(a, self.base.cluster_sizes, axis=0)
+        frame = (np.where(intra, 1.0, r), ahat[:, None, :] - ahat[None, :, :],
+                 r, ahat)
+        ahat.flags.writeable = False
+        for name, value in (("_skeleton_value", sk.hamiltonian(a.reshape(-1))),
+                            ("_intra", intra), ("_A", A),
+                            ("_A_intra", np.where(intra, A, 0.0)),
+                            ("_A_cross", np.where(intra, 0.0, A)),
+                            ("_ahat", ahat), ("_frame", frame)):
+            object.__setattr__(self, name, value)
 
     # -- layout helpers ----------------------------------------------------
     @property
+    def domain(self) -> Domain:
+        return self.base.domain
+
+    @property
     def anchor_hat(self) -> np.ndarray:
         """Flat (2N,) vector repeating each anchor for its cluster."""
-        return np.repeat(self.anchor, self.base.cluster_sizes, axis=0).reshape(-1)
+        return self._ahat.reshape(-1)
 
     def to_physical(self, u) -> np.ndarray:
         return self.scale * as_state(u) + self.anchor_hat
-
-    def _masks(self):
-        ci = self.base.cluster_index
-        intra = ci[:, None] == ci[None, :]
-        return intra, ~intra
 
     def skeleton_energy(self) -> float:
         """Energy of the anchor skeleton (one vortex of the summed
         strength per cluster); cached at construction."""
         return self._skeleton_value
 
-    # -- cluster energy (whole-plane, intra pairs only) ---------------------
-    def _cluster_coeff(self) -> np.ndarray:
-        A = self.base._coeff().copy()
-        intra, _ = self._masks()
-        A[~intra] = 0.0
-        return A
-
     def cluster_energy(self, u) -> float:
         """Decoupled whole-plane energy of the clusters in relative
         coordinates (the r = 0 limit of the rescaled energy plus the
         skeleton constant)."""
-        v, _, _ = assemble_interaction(pairs(u), self._cluster_coeff(),
-                                       None, None, order=0)
-        return v
+        return assemble_interaction(pairs(u), self._A_intra, order=0)[0]
 
     # -- coupling term F -----------------------------------------------------
     def _coupling_parts(self, w, order: int):
-        p = pairs(w) + self.anchor_hat.reshape(-1, 2)
-        A = self.base._coeff()
-        intra, cross = self._masks()
-        Ac = np.where(cross, A, 0.0)
-        return assemble_interaction(p, Ac, -A, self.base.domain, order=order)
+        return assemble_interaction(pairs(w) + self._ahat, self._A_cross,
+                                    -self._A, self.domain, order=order)
 
     def coupling(self, w) -> float:
         return self._coupling_parts(w, 0)[0]
@@ -334,31 +355,49 @@ class RescaledSystem:
         return self._coupling_parts(w, 2)[2]
 
     # -- rescaled energy and field -------------------------------------------
+    def _assemble(self, u, order: int):
+        return assemble_interaction(pairs(u), self._A, -self._A, self.domain,
+                                    order=order, frame=self._frame)
+
     def rescaled_hamiltonian(self, u) -> float:
-        u = as_state(u)
-        return (self.cluster_energy(u)
-                + self.coupling(self.scale * u) - self.skeleton_energy())
+        return self._assemble(u, 0)[0] - self._skeleton_value
 
     def rescaled_gradient(self, u) -> np.ndarray:
-        u = as_state(u)
-        _, g0, _ = assemble_interaction(pairs(u), self._cluster_coeff(),
-                                        None, None, order=1)
-        return g0 + self.scale * self.coupling_grad(self.scale * u)
+        return self._assemble(u, 1)[1]
 
     def rescaled_hessian(self, u) -> np.ndarray:
-        u = as_state(u)
-        _, _, H0 = assemble_interaction(pairs(u), self._cluster_coeff(),
-                                        None, None, order=2)
-        return H0 + self.scale**2 * self.coupling_hess(self.scale * u)
+        return self._assemble(u, 2)[2]
 
     def rescaled_field(self, u) -> np.ndarray:
-        return _weighted_perp_rows(self.rescaled_gradient(u)[:, None],
-                                   self.base.gamma)[:, 0]
+        return _weighted_perp_rows(self.rescaled_gradient(u), self.base.gamma)
 
     def rescaled_field_jacobian(self, u) -> np.ndarray:
-        return _weighted_perp_rows(self.rescaled_hessian(u), self.base.gamma)
+        return self.field_and_jacobian(u)[1]
+
+    def field_and_jacobian(self, u):
+        """(rescaled field, its Jacobian) from one order-2 assembly."""
+        _, g, H = self._assemble(u, 2)
+        gam = self.base.gamma
+        return _weighted_perp_rows(g, gam), _weighted_perp_rows(H, gam)
+
+    # names shared with VortexSystem, for the integrators
+    def vector_field(self, u) -> np.ndarray:
+        return self.rescaled_field(u)
+
+    def hamiltonian(self, u) -> float:
+        return self.rescaled_hamiltonian(u)
+
+    def gradient(self, u) -> np.ndarray:
+        return self.rescaled_gradient(u)
 
     # -- validation ------------------------------------------------------------
+    def guard_geometry(self, u):
+        """(positions to guard, pair mask or None, check_boundary): the
+        physical state for r > 0; at r = 0 the intra-cluster pairs of u."""
+        if self.scale > 0.0:
+            return pairs(self.to_physical(u)), None, True
+        return pairs(u), self._intra, False
+
     def validate_state(self, u, time=None, collision_tol: float = COLLISION_TOL):
         """Admissibility of u: physical state for r > 0; at r = 0 only the
         intra-cluster separations constrain u."""
@@ -367,15 +406,9 @@ class RescaledSystem:
             self.base.validate_state(self.to_physical(u), time=time,
                                      collision_tol=collision_tol)
             return
-        p = pairs(u)
-        intra, _ = self._masks()
-        n = p.shape[0]
-        diff = p[:, None, :] - p[None, :, :]
-        d = np.sqrt(np.einsum("ijd,ijd->ij", diff, diff))
-        d[~intra] = np.inf
-        d[np.eye(n, dtype=bool)] = np.inf
-        i, j = np.unravel_index(np.argmin(d), d.shape)
-        if d[i, j] <= collision_tol:
+        d, pair = closest_pair(pairs(u), self._intra)
+        if d <= collision_tol:
+            i, j = pair
             raise CollisionError(
                 f"cluster members {i} and {j} collide in relative coordinates",
-                pair=(int(i), int(j)), distance=float(d[i, j]), time=time)
+                pair=pair, distance=d, time=time)

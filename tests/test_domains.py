@@ -253,3 +253,12 @@ def test_domain_factory():
     assert pd.epsilon == pytest.approx(3e-2)
     with pytest.raises(ValueError):
         make_domain("annulus")
+
+
+def test_regular_part_raises_typed_error_for_nonpositive_q():
+    # a negative margin admits points on the circle, where q(x, x) = 0;
+    # the check must hold under `python -O` too, so it is not an assert
+    disc = UnitDisc()
+    disc.interior_margin = -1.0
+    with pytest.raises(DomainViolationError):
+        disc.regular_part([1.0, 0.0], [1.0, 0.0])

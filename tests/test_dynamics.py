@@ -4,12 +4,16 @@ import io
 
 import numpy as np
 import pytest
+from scipy.integrate import RK45
 
 from vortexlab import (BoundaryEventError, CollisionError,
                        ConstraintViolationError, IntegratorSettings,
-                       VortexSystem, WholePlane, check_rescaling_equivalence,
-                       flow_with_jacobian, integrate, make_pair, rotate_all,
-                       spin)
+                       RescaledSystem, VortexSystem, WholePlane,
+                       check_rescaling_equivalence, flow_with_jacobian,
+                       integrate, make_pair, rotate_all, spin)
+from vortexlab import dynamics, systems
+
+from conftest import MU
 
 TWO_PI = 2.0 * np.pi
 
@@ -95,6 +99,9 @@ def test_energy_projection_pins_the_samples_to_the_level_set(disc_pair):
     traj = integrate(system, z0, (0.0, 10.0),
                      IntegratorSettings(energy_projection=True))
     assert traj.energy_drift() <= 1e-12
+    # no zero-length step after the stepper reaches the end of the span
+    assert traj.t_end == 10.0
+    assert np.all(np.diff(traj.times) > 0.0)
 
 
 def test_max_step_is_honored(disc_pair):
@@ -249,3 +256,33 @@ def test_csv_round_trips_exactly(disc_pair):
         assert cells[0] == traj.times[k]
         assert np.array_equal(cells[1:5], traj.states[k])
         assert cells[5] == traj.energies[k]
+
+
+@pytest.mark.parametrize("rescaled", [False, True], ids=["plain", "rescaled"])
+def test_variational_rhs_assembles_once(monkeypatch, disc, rescaled):
+    calls = {"rhs": 0, "assemble": 0}
+
+    class CountingRK45(RK45):
+        def __init__(self, fun, *args, **kwargs):
+            def counted(t, y):
+                calls["rhs"] += 1
+                return fun(t, y)
+            super().__init__(counted, *args, **kwargs)
+
+    raw = systems.assemble_interaction
+
+    def counting_assemble(*args, **kwargs):
+        calls["assemble"] += 1
+        return raw(*args, **kwargs)
+
+    base = VortexSystem((-1.0, -1.0, 1.0, 1.0), (2, 2), disc)
+    rs = RescaledSystem(base, np.array([[MU, 0.0], [-MU, 0.0]]), 0.1)
+    u0 = np.array([0.4, 0.0, -0.4, 0.0, 0.4, 0.1, -0.4, -0.1])
+    # the same stretch of orbit in rescaled and in physical time
+    system, y0, t_end = ((rs, u0, 1.0) if rescaled
+                         else (base, rs.to_physical(u0), 0.01))
+    monkeypatch.setattr(dynamics, "RK45", CountingRK45)
+    monkeypatch.setattr(systems, "assemble_interaction", counting_assemble)
+    flow_with_jacobian(system, y0, t_end)
+    assert calls["rhs"] > 0
+    assert calls["assemble"] == calls["rhs"]

@@ -13,11 +13,14 @@ from vortexlab import (ConstraintViolationError, ScaleTooLargeError,
                        cluster_winding_numbers, continue_in_r, distance_to_M,
                        evaluate_point, integrate, make_equilateral, make_pair,
                        make_trivial, scan_phases, shoot, winding_number)
-from vortexlab.periodic import IDENTIFICATION_TOL, _orbit_distance, _worker_count
+from vortexlab.periodic import (IDENTIFICATION_TOL, _orbit_distance,
+                                _scale_is_admissible, _worker_count)
 
 from conftest import MU, build_figure1_spec, build_thomson3_spec
 
 TWO_PI = 2.0 * np.pi
+GOLDEN_ORBIT = os.path.join(os.path.dirname(__file__), os.pardir, "out",
+                            "figure1", "orbit_r0.1.json")
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +129,16 @@ def test_overlarge_scale_reports_an_admissibility_estimate():
 # shooting
 # ---------------------------------------------------------------------------
 
+def test_scale_admissibility_catches_only_package_errors():
+    spec = build_figure1_spec(0.1)
+    u0 = spec.torus_point()
+    assert _scale_is_admissible(spec, u0, 0.1)
+    assert not _scale_is_admissible(spec, u0, 5.0)
+    # a malformed state is a caller bug, not an inadmissible scale
+    with pytest.raises(ValueError):
+        _scale_is_admissible(spec, np.zeros(7), 0.1)
+
+
 def test_shoot_requires_a_positive_scale():
     with pytest.raises(ConstraintViolationError):
         shoot(build_figure1_spec(0.0))
@@ -152,6 +165,21 @@ def test_reference_orbit_winds_once_per_cluster_with_opposite_signs(
         figure1_orbit):
     orbit, _ = figure1_orbit
     assert cluster_winding_numbers(orbit) == [-1, 1]
+
+
+def test_reference_orbit_matches_the_tracked_golden_orbit(figure1_orbit):
+    orbit, _ = figure1_orbit
+    with open(GOLDEN_ORBIT) as fh:
+        golden = json.load(fh)
+    assert orbit.period == pytest.approx(golden["period"], rel=1e-12)
+    assert abs(orbit.distance_to_m - golden["distance_to_m"]) <= 1e-8
+    assert np.max(np.abs(orbit.u0 - golden["u0"])) <= 1e-9
+    assert orbit.iterations == golden["iterations"]
+    # each cluster's rigid rotation turns -omega * tau / (2 pi) times
+    spec = golden["spec"]
+    expected = [-round(c["angular_velocity"] * spec["rescaled_period"] / TWO_PI)
+                for c in spec["clusters"] if not c["trivial"]]
+    assert cluster_winding_numbers(orbit) == expected
 
 
 def test_reference_orbit_closes_in_physical_coordinates(figure1_orbit):

@@ -9,12 +9,15 @@ from vortexlab import (
     CollisionError,
     ConstraintViolationError,
     DomainViolationError,
+    PerturbedDisc,
     RescaledSystem,
     UnitDisc,
     VortexSystem,
     WholePlane,
+    assemble_interaction,
     m_gradient,
     m_hamiltonian,
+    perp,
     spin,
 )
 from conftest import MU, random_disc_points, random_plane_points
@@ -299,6 +302,39 @@ def test_rescaled_derivatives_match_finite_differences(rng):
                          fd_jacobian(rs.rescaled_gradient, u)) <= 1e-6
         assert rel_error(rs.rescaled_field_jacobian(u),
                          fd_jacobian(rs.rescaled_field, u)) <= 1e-6
+
+
+def _split_field_and_jacobian(rs, u):
+    """Reference: cluster part on u plus the coupling F at r*u, assembled
+    separately, as grad E_r = grad E_clusters(u) + r grad F(r u)."""
+    r = rs.scale
+    gam = rs.base.gamma
+    ci = rs.base.cluster_index
+    A_intra = np.outer(gam, gam) * (ci[:, None] == ci[None, :])
+    _, g0, H0 = assemble_interaction(u.reshape(-1, 2), A_intra, order=2)
+    grad = g0 + r * rs.coupling_grad(r * u)
+    hess = H0 + r**2 * rs.coupling_hess(r * u)
+    w = np.repeat(gam, 2)
+    return perp(grad) / w, perp(hess.T).T / w[:, None]
+
+
+@pytest.mark.parametrize("domain", [UnitDisc(), PerturbedDisc()],
+                         ids=["disc", "perturbed"])
+@pytest.mark.parametrize("scale", [0.1, 1e-3, 1e-6])
+def test_fused_field_and_jacobian_match_split_and_fd(rng, domain, scale):
+    base = VortexSystem((-1.0, -1.0, 1.0, 1.0), (2, 2), domain)
+    rs = RescaledSystem(base, np.array([[MU, 0.0], [-MU, 0.0]]), scale)
+    for _ in range(5):
+        u = _pair_cluster_state(rng)
+        field, jac = rs.field_and_jacobian(u)
+        ref_field, ref_jac = _split_field_and_jacobian(rs, u)
+        assert rel_error(field, ref_field) <= 1e-13
+        assert rel_error(jac, ref_jac) <= 1e-13
+        assert np.array_equal(field, rs.rescaled_field(u))
+        assert np.array_equal(jac, rs.rescaled_field_jacobian(u))
+        assert rel_error(jac, fd_jacobian(rs.rescaled_field, u)) <= 1e-6
+        assert rel_error(rs.rescaled_gradient(u),
+                         fd_gradient(rs.rescaled_hamiltonian, u)) <= 1e-6
 
 
 def test_zero_scale_decouples_clusters(rng):
