@@ -4,9 +4,11 @@ The stepper is an embedded Runge-Kutta 5(4) pair with proportional-
 integral step control and a dense interpolant (scipy's RK45); this
 module owns the driver loop so that every accepted step is screened for
 collisions and boundary approach on the interpolant before it is
-committed.  A tripped guard is refined to its crossing time by root
-bracketing and raised as a typed event carrying the time and the
-offending pair or vortex.
+committed.  integrate and flow_with_jacobian share one step-and-screen
+helper; each screening sample is looked at once, for both the closest
+separation and the guard verdict.  A tripped guard is refined to its
+crossing time by root bracketing and raised as a typed event carrying
+the time and the offending pair or vortex.
 
 Orbit-level work should integrate the rescaled system, whose period is
 O(1); the plain system covers the same orbit only with a step-size
@@ -79,16 +81,17 @@ def _min_clearance(system: FlowSystem, p: np.ndarray):
 
 
 def _guard_state(system: FlowSystem, y, settings: IntegratorSettings):
-    """None if y is admissible, else an un-refined event description."""
+    """(closest guarded separation, None if y is admissible, else an
+    un-refined event description)."""
     p, mask, check_boundary = system.guard_geometry(y)
     sep, pair = closest_pair(p, mask)
     if sep <= settings.collision_tol:
-        return ("collision", pair, sep)
+        return sep, ("collision", pair, sep)
     if check_boundary:
         clear, idx = _min_clearance(system, p)
         if clear <= settings.boundary_margin:
-            return ("boundary", idx, clear)
-    return None
+            return sep, ("boundary", idx, clear)
+    return sep, None
 
 
 def _refine_and_raise(system, interp, t_ok, t_bad, event, settings):
@@ -120,6 +123,40 @@ def _refine_and_raise(system, interp, t_ok, t_bad, event, settings):
     raise BoundaryEventError(
         f"vortex {who} reaches the boundary at t = {t_star:.9g}",
         index=who, time=t_star)
+
+
+def _step_and_screen(system: FlowSystem, stepper, d: int,
+                     settings: IntegratorSettings, what: str):
+    """Take one step and screen the first d components of its dense
+    output on GUARD_SAMPLES points before the step is committed.
+
+    Returns (interpolant, smallest guarded separation on the grid);
+    raises ConvergenceError when the stepper fails and the refined
+    event when a guard trips.
+    """
+    message = stepper.step()
+    if stepper.status == "failed":
+        raise ConvergenceError(
+            f"{what} failed at t = {stepper.t:.9g}: {message}",
+            iterations=stepper.nfev, last_iterate=stepper.y[:d].copy(),
+            residual=np.nan)
+    interp = stepper.dense_output()
+    t_prev, t_now = interp.t_min, interp.t_max
+    if stepper.direction < 0:
+        t_prev, t_now = t_now, t_prev
+    grid = np.linspace(t_prev, t_now, GUARD_SAMPLES + 1)[1:]
+
+    def state(t):
+        return interp(t)[:d]
+
+    t_ok, min_sep = t_prev, np.inf
+    for tg in grid:
+        sep, event = _guard_state(system, state(tg), settings)
+        min_sep = min(min_sep, sep)
+        if event is not None:
+            _refine_and_raise(system, state, t_ok, tg, event, settings)
+        t_ok = tg
+    return interp, min_sep
 
 
 @dataclass
@@ -227,28 +264,9 @@ def integrate(system: FlowSystem, z0, t_span,
                    rtol=settings.rtol, atol=settings.atol,
                    max_step=settings.max_step)
     while stepper.status == "running":
-        message = stepper.step()
-        if stepper.status == "failed":
-            raise ConvergenceError(
-                f"integrator failed at t = {stepper.t:.9g}: {message}",
-                iterations=len(times), last_iterate=states[-1],
-                residual=np.nan)
-        interp = stepper.dense_output()
-        t_prev, t_now = interp.t_min, interp.t_max
-        if stepper.direction < 0:
-            t_prev, t_now = t_now, t_prev
-        # screen the dense interpolant before committing the step
-        grid = np.linspace(t_prev, t_now, GUARD_SAMPLES + 1)[1:]
-        t_ok = t_prev
-        for tg in grid:
-            yg = interp(tg)
-            pg, maskg, _ = system.guard_geometry(yg)
-            sep = closest_pair(pg, maskg)[0]
-            min_sep = min(min_sep, sep)
-            event = _guard_state(system, yg, settings)
-            if event is not None:
-                _refine_and_raise(system, interp, t_ok, tg, event, settings)
-            t_ok = tg
+        interp, sep = _step_and_screen(system, stepper, y0.size, settings,
+                                       "integrator")
+        min_sep = min(min_sep, sep)
         y_now = stepper.y.copy()
         if settings.energy_projection:
             y_proj = _project_energy(system, y_now, h_ref)
@@ -293,25 +311,8 @@ def flow_with_jacobian(system: FlowSystem, z0, t_end: float,
                    rtol=settings.rtol, atol=settings.atol,
                    max_step=settings.max_step)
     while stepper.status == "running":
-        message = stepper.step()
-        if stepper.status == "failed":
-            raise ConvergenceError(
-                f"variational integration failed at t = {stepper.t:.9g}: "
-                f"{message}", iterations=0, last_iterate=stepper.y[:d],
-                residual=np.nan)
-        interp = stepper.dense_output()
-        t_prev, t_now = interp.t_min, interp.t_max
-        if stepper.direction < 0:
-            t_prev, t_now = t_now, t_prev
-        grid = np.linspace(t_prev, t_now, GUARD_SAMPLES + 1)[1:]
-        t_ok = t_prev
-        state_interp = lambda t: interp(t)[:d]
-        for tg in grid:
-            event = _guard_state(system, interp(tg)[:d], settings)
-            if event is not None:
-                _refine_and_raise(system, state_interp, t_ok, tg, event,
-                                  settings)
-            t_ok = tg
+        _step_and_screen(system, stepper, d, settings,
+                         "variational integration")
 
     zT = stepper.y[:d].copy()
     WT = stepper.y[d:].reshape(d, d).copy()
@@ -338,9 +339,5 @@ def check_rescaling_equivalence(system: VortexSystem, anchor, r: float, u0,
     traj_z = integrate(system, z0, (0.0, float(t_span)), settings)
     ahat = rs.anchor_hat
     grid = np.linspace(0.0, float(t_span), int(n_samples) + 1)
-    worst = 0.0
-    for t in grid:
-        zu = r * traj_u.sample(t / r**2) + ahat
-        dev = float(np.linalg.norm(traj_z.sample(t) - zu))
-        worst = max(worst, dev)
-    return worst
+    zu = r * traj_u.sample_many(grid / r**2) + ahat
+    return float(np.max(np.linalg.norm(traj_z.sample_many(grid) - zu, axis=1)))

@@ -32,8 +32,6 @@ code changes.
 from __future__ import annotations
 
 import dataclasses
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -58,8 +56,6 @@ SYMMETRY_DEFECT_TOL = 1e-8
 IDENTIFICATION_TOL = 1e-6
 STRENGTH_MATCH_TOL = 1e-12
 GRID_SAMPLES = 256
-
-_THREADS_ENV = "VORTEXLAB_THREADS"
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +335,8 @@ def _symmetry_defect(spec: SuperpositionSpec, traj: Trajectory) -> float:
         # identity symmetry: the defect degenerates to the plain closure
         return float(np.linalg.norm(S @ traj.sample(TWO_PI) - traj.sample(0.0)))
     grid = np.linspace(0.0, span, GRID_SAMPLES + 1)
-    worst = 0.0
-    for t in grid:
-        defect = np.linalg.norm(S @ traj.sample(t + TWO_PI) - traj.sample(t))
-        worst = max(worst, float(defect))
-    return worst
+    defects = traj.sample_many(grid + TWO_PI) @ S.T - traj.sample_many(grid)
+    return float(np.max(np.linalg.norm(defects, axis=1)))
 
 
 def shoot(spec: SuperpositionSpec, u0_guess=None,
@@ -553,17 +546,6 @@ def _rotation_allowed(spec: SuperpositionSpec) -> bool:
     return bool(np.max(np.abs(spec.stationary.positions)) < 1e-14)
 
 
-def _worker_count(n_jobs: int) -> int:
-    env = os.environ.get(_THREADS_ENV, "").strip()
-    if env:
-        try:
-            cap = max(1, int(env))
-        except ValueError:
-            cap = 1
-        return min(cap, n_jobs)
-    return min(os.cpu_count() or 1, n_jobs, 8)
-
-
 @dataclass
 class PhaseScanResult:
     orbits: list
@@ -585,8 +567,9 @@ def scan_phases(spec: SuperpositionSpec, grid_size: int = 8,
     shift moves all phases together, so only relative phases label orbit
     classes).  Two orbits are identified when, after optimizing the time
     shift (and the global rotation, when that is an exact symmetry),
-    they are within 1e-6 of each other.  Individual shot failures are
-    recorded in the result, not raised.
+    they are within 1e-6 of each other.  The starts are shot one after
+    another; a shot that fails with a VortexError is recorded in the
+    result, not raised, and any other exception propagates.
     """
     if spec.l <= 1:
         orbit = shoot(spec, None, settings)
@@ -604,38 +587,18 @@ def scan_phases(spec: SuperpositionSpec, grid_size: int = 8,
     phase_vectors = [tuple(float(m[idx]) for m in mesh) + (0.0,)
                      for idx in np.ndindex(*([grid_size] * free))]
 
-    def attempt(phases):
-        sub = spec.replace(phases=phases)
-        return shoot(sub, None, settings)
-
-    workers = _worker_count(len(phase_vectors))
-    results = [None] * len(phase_vectors)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {i: pool.submit(attempt, pv)
-                       for i, pv in enumerate(phase_vectors)}
-            for i, fut in futures.items():
-                try:
-                    results[i] = fut.result()
-                except Exception as exc:
-                    results[i] = exc
-    else:
-        for i, pv in enumerate(phase_vectors):
-            try:
-                results[i] = attempt(pv)
-            except Exception as exc:
-                results[i] = exc
-
     allow_rot = _rotation_allowed(spec)
     classes = []
     failures = []
-    for pv, res in zip(phase_vectors, results):
-        if isinstance(res, Exception):
-            failures.append((pv, f"{type(res).__name__}: {res}"))
+    for pv in phase_vectors:
+        try:
+            orbit = shoot(spec.replace(phases=pv), None, settings)
+        except VortexError as exc:
+            failures.append((pv, f"{type(exc).__name__}: {exc}"))
             continue
-        if all(_orbit_distance(rep, res, allow_rot) > IDENTIFICATION_TOL
+        if all(_orbit_distance(rep, orbit, allow_rot) > IDENTIFICATION_TOL
                for rep in classes):
-            classes.append(res)
+            classes.append(orbit)
     return PhaseScanResult(classes, failures, len(phase_vectors))
 
 

@@ -286,3 +286,20 @@ def test_variational_rhs_assembles_once(monkeypatch, disc, rescaled):
     flow_with_jacobian(system, y0, t_end)
     assert calls["rhs"] > 0
     assert calls["assemble"] == calls["rhs"]
+
+
+def test_integrate_screens_each_sample_once(monkeypatch, disc_pair):
+    system, z0 = disc_pair
+    calls = {"closest_pair": 0}
+    raw = dynamics.closest_pair
+
+    def counting_closest_pair(*args, **kwargs):
+        calls["closest_pair"] += 1
+        return raw(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "closest_pair", counting_closest_pair)
+    traj = integrate(system, z0, (0.0, 1.0))
+    steps = len(traj.times) - 1
+    assert steps > 0
+    # the initial state, then one look per screening sample
+    assert calls["closest_pair"] == 1 + dynamics.GUARD_SAMPLES * steps

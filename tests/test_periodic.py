@@ -14,7 +14,7 @@ from vortexlab import (ConstraintViolationError, ScaleTooLargeError,
                        evaluate_point, integrate, make_equilateral, make_pair,
                        make_trivial, scan_phases, shoot, winding_number)
 from vortexlab.periodic import (IDENTIFICATION_TOL, _orbit_distance,
-                                _scale_is_admissible, _worker_count)
+                                _scale_is_admissible)
 
 from conftest import MU, build_figure1_spec, build_thomson3_spec
 
@@ -370,15 +370,6 @@ def test_single_phase_scan_returns_one_orbit():
 def test_scan_grid_must_be_positive():
     with pytest.raises(ConstraintViolationError):
         scan_phases(build_figure1_spec(0.1), grid_size=0)
-
-
-def test_worker_count_honors_the_environment_cap(monkeypatch):
-    monkeypatch.setenv("VORTEXLAB_THREADS", "2")
-    assert _worker_count(8) == 2
-    monkeypatch.setenv("VORTEXLAB_THREADS", "abc")
-    assert _worker_count(8) == 1
-    monkeypatch.delenv("VORTEXLAB_THREADS")
-    assert _worker_count(8) == min(os.cpu_count() or 1, 8)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from vortexlab import (Classification, ConstraintViolationError,
                        UnitDisc, WholePlane, aligned_distance, classify,
                        disc_dipole, evaluate_point, find_critical_point,
                        m_gradient, m_hamiltonian, rotate_all)
-from vortexlab.domains import Domain, SymmetryClass
+from vortexlab.domains import SymmetryClass
 from vortexlab.stationary import (DIPOLE_OFFSET, _classify_kernel,
                                   kernel_generators)
 
@@ -223,24 +223,12 @@ def test_plane_collinear_triple_with_zero_interaction_sum_is_unclassified():
     assert sp.classification is Classification.UNCLASSIFIED
 
 
-class StripSurrogate(Domain):
-    """Stub with a translation symmetry; geometry never queried."""
+class StripSurrogate(WholePlane):
+    """Stub with a translation symmetry and g == 0; geometry never queried."""
 
     symmetry = SymmetryClass.TRANSLATIONAL
     translation_direction = (0.6, 0.8)
     name = "strip-surrogate"
-
-    def contains(self, x) -> bool:
-        return True
-
-    def regular_part(self, x, y) -> float:
-        return 0.0
-
-    def grad_regular(self, x, y):
-        return np.zeros(2), np.zeros(2)
-
-    def hess_regular(self, x, y) -> np.ndarray:
-        return np.zeros((4, 4))
 
 
 def test_translational_kernel_generator_is_the_tiled_direction():
