@@ -5,10 +5,12 @@ integral step control and a dense interpolant (scipy's RK45); this
 module owns the driver loop so that every accepted step is screened for
 collisions and boundary approach on the interpolant before it is
 committed.  integrate and flow_with_jacobian share one step-and-screen
-helper; each screening sample is looked at once, for both the closest
-separation and the guard verdict.  A tripped guard is refined to its
-crossing time by root bracketing and raised as a typed event carrying
-the time and the offending pair or vortex.
+helper: one evaluation of the interpolant per step gives the screening
+grid, and each sample gets one look from systems.screen_state (the
+initial state, from the shared validate_state).  A tripped guard is
+refined to its crossing time by root bracketing and raised as a typed
+event carrying the time and the offending pair or vortex.  Trajectories
+sample their dense output through scipy's OdeSolution.
 
 Orbit-level work should integrate the rescaled system, whose period is
 O(1); the plain system covers the same orbit only with a step-size
@@ -27,14 +29,14 @@ from dataclasses import dataclass, field
 from typing import Optional, Protocol
 
 import numpy as np
-from scipy.integrate import RK45
+from scipy.integrate import RK45, OdeSolution
 from scipy.optimize import brentq
 
 from .errors import (BoundaryEventError, CollisionError, ConstraintViolationError,
                      ConvergenceError)
 from .domains import Domain
-from .linalg import as_state, closest_pair
-from .systems import COLLISION_TOL, RescaledSystem, VortexSystem
+from .linalg import as_state
+from .systems import COLLISION_TOL, RescaledSystem, VortexSystem, screen_state
 
 #: dense-output screening points per accepted step
 GUARD_SAMPLES = 8
@@ -74,52 +76,33 @@ class FlowSystem(Protocol):
         """(positions to guard, pair mask or None, check_boundary)."""
 
 
-def _min_clearance(system: FlowSystem, p: np.ndarray):
-    vals = [system.domain.boundary_clearance(x) for x in p]
-    k = int(np.argmin(vals))
-    return float(vals[k]), k
+def _rk45(fun, t0: float, y0, t_bound: float, settings: IntegratorSettings):
+    return RK45(fun, t0, y0, t_bound=t_bound, rtol=settings.rtol,
+                atol=settings.atol, max_step=settings.max_step)
 
 
-def _guard_state(system: FlowSystem, y, settings: IntegratorSettings):
-    """(closest guarded separation, None if y is admissible, else an
-    un-refined event description)."""
-    p, mask, check_boundary = system.guard_geometry(y)
-    sep, pair = closest_pair(p, mask)
-    if sep <= settings.collision_tol:
-        return sep, ("collision", pair, sep)
-    if check_boundary:
-        clear, idx = _min_clearance(system, p)
-        if clear <= settings.boundary_margin:
-            return sep, ("boundary", idx, clear)
-    return sep, None
+def _refine_and_raise(system, state, t_ok, t_bad, event, settings):
+    """Raise the event, its crossing bracketed in (t_ok, t_bad]."""
+    kind, who = event
+    collision = kind == "collision"
+    tol = settings.collision_tol if collision else settings.boundary_margin
 
+    def gap(t):
+        p, _, _ = system.guard_geometry(state(t))
+        if collision:
+            return float(np.linalg.norm(p[who[0]] - p[who[1]]))
+        return min(system.domain.boundary_clearance(x) for x in p)
 
-def _refine_and_raise(system, interp, t_ok, t_bad, event, settings):
-    kind, who, _ = event
+    t_star = float(t_bad)
+    if gap(t_ok) > tol > gap(t_bad):
+        t_star = float(brentq(lambda t: gap(t) - tol, t_ok, t_bad,
+                              xtol=1e-14, rtol=1e-14))
 
-    if kind == "collision":
+    if collision:
         i, j = who
-
-        def f(t):
-            p, _, _ = system.guard_geometry(interp(t))
-            return float(np.linalg.norm(p[i] - p[j])) - settings.collision_tol
-    else:
-        def f(t):
-            p, _, _ = system.guard_geometry(interp(t))
-            return _min_clearance(system, p)[0] - settings.boundary_margin
-
-    if f(t_ok) > 0.0 > f(t_bad):
-        t_star = float(brentq(f, t_ok, t_bad, xtol=1e-14, rtol=1e-14))
-    else:
-        t_star = float(t_bad)
-
-    if kind == "collision":
-        i, j = who
-        p, _, _ = system.guard_geometry(interp(t_star))
         raise CollisionError(
             f"vortices {i} and {j} collide at t = {t_star:.9g}",
-            pair=(i, j), distance=float(np.linalg.norm(p[i] - p[j])),
-            time=t_star)
+            pair=(i, j), distance=gap(t_star), time=t_star)
     raise BoundaryEventError(
         f"vortex {who} reaches the boundary at t = {t_star:.9g}",
         index=who, time=t_star)
@@ -141,20 +124,17 @@ def _step_and_screen(system: FlowSystem, stepper, d: int,
             iterations=stepper.nfev, last_iterate=stepper.y[:d].copy(),
             residual=np.nan)
     interp = stepper.dense_output()
-    t_prev, t_now = interp.t_min, interp.t_max
-    if stepper.direction < 0:
-        t_prev, t_now = t_now, t_prev
-    grid = np.linspace(t_prev, t_now, GUARD_SAMPLES + 1)[1:]
-
-    def state(t):
-        return interp(t)[:d]
-
-    t_ok, min_sep = t_prev, np.inf
-    for tg in grid:
-        sep, event = _guard_state(system, state(tg), settings)
+    t_ok = stepper.t_old
+    grid = np.linspace(t_ok, stepper.t, GUARD_SAMPLES + 1)[1:]
+    min_sep = np.inf
+    # contiguous rows: strided ones slow the per-vortex clearance calls
+    for tg, y in zip(grid, np.ascontiguousarray(interp(grid)[:d].T)):
+        sep, event = screen_state(system, y, settings.collision_tol,
+                                  settings.boundary_margin)
         min_sep = min(min_sep, sep)
         if event is not None:
-            _refine_and_raise(system, state, t_ok, tg, event, settings)
+            _refine_and_raise(system, lambda t: interp(t)[:d], t_ok, tg,
+                              event, settings)
         t_ok = tg
     return interp, min_sep
 
@@ -165,14 +145,15 @@ class Trajectory:
 
     times are in integration order (decreasing for a backward run).
     energies are recorded at the sample states; min_separation is the
-    smallest guarded pair distance seen on the screening grid.
+    smallest guarded pair distance seen on the screening grid.  _dense
+    joins the steps' interpolants (None when there are no steps).
     """
 
     times: np.ndarray
     states: np.ndarray  # (n_samples, dim)
     energies: np.ndarray
     min_separation: float
-    _segments: list = field(default_factory=list, repr=False)
+    _dense: Optional[OdeSolution] = field(default=None, repr=False)
 
     @property
     def t0(self) -> float:
@@ -191,24 +172,27 @@ class Trajectory:
         h0 = self.energies[0]
         return float(np.max(np.abs(self.energies - h0)) / max(1.0, abs(h0)))
 
+    def _check_span(self, t):
+        lo, hi = sorted((self.t0, self.t_end))
+        if not np.all((lo - 1e-12 <= t) & (t <= hi + 1e-12)):
+            raise ValueError(f"t = {t} outside [{lo}, {hi}]")
+
     def sample(self, t):
         """Dense-output state at time t (scalar)."""
         t = float(t)
-        lo, hi = sorted((self.t0, self.t_end))
-        if not lo - 1e-12 <= t <= hi + 1e-12:
-            raise ValueError(f"t = {t} outside [{lo}, {hi}]")
-        if not self._segments:
+        self._check_span(t)
+        if self._dense is None:
             return self.states[0].copy()
-        ts = self.times
-        if ts[-1] >= ts[0]:
-            k = int(np.searchsorted(ts, t, side="right")) - 1
-        else:
-            k = int(np.searchsorted(-ts, -t, side="right")) - 1
-        k = min(max(k, 0), len(self._segments) - 1)
-        return np.asarray(self._segments[k](t), dtype=float)
+        return self._dense(t)
 
     def sample_many(self, ts) -> np.ndarray:
-        return np.array([self.sample(t) for t in np.asarray(ts, dtype=float)])
+        """Dense-output states at the times ts, one row each; the times
+        that fall in one step are evaluated together."""
+        ts = np.asarray(ts, dtype=float)
+        self._check_span(ts)
+        if self._dense is None:
+            return np.tile(self.states[0], (ts.size, 1))
+        return self._dense(ts).T
 
     def to_csv(self, target):
         """Write `t,x1,y1,...,H` rows with round-trip float formatting."""
@@ -246,23 +230,23 @@ def integrate(system: FlowSystem, z0, t_span,
     settings = settings or IntegratorSettings()
     y0 = as_state(z0).copy()
     t0, t1 = (float(t_span[0]), float(t_span[1]))
-    system.validate_state(y0, time=t0, collision_tol=settings.collision_tol)
+    min_sep = system.validate_state(y0, time=t0,
+                                    collision_tol=settings.collision_tol)
 
     times = [t0]
     states = [y0.copy()]
     energies = [system.hamiltonian(y0)]
     segments = []
-    p0, mask0, _ = system.guard_geometry(y0)
-    min_sep = closest_pair(p0, mask0)[0]
     h_ref = energies[0]
 
     if t1 == t0:
         return Trajectory(np.array(times), np.array(states),
-                          np.array(energies), float(min_sep), segments)
+                          np.array(energies), float(min_sep))
 
-    stepper = RK45(lambda t, y: system.vector_field(y), t0, y0, t_bound=t1,
-                   rtol=settings.rtol, atol=settings.atol,
-                   max_step=settings.max_step)
+    def field(t, y):
+        return system.vector_field(y)
+
+    stepper = _rk45(field, t0, y0, t1, settings)
     while stepper.status == "running":
         interp, sep = _step_and_screen(system, stepper, y0.size, settings,
                                        "integrator")
@@ -273,9 +257,7 @@ def integrate(system: FlowSystem, z0, t_span,
             # a stepper restarted at t1 would step again from there, and
             # roundoff-sized projections could repeat that forever
             if stepper.status == "running" and not np.array_equal(y_proj, y_now):
-                stepper = RK45(lambda t, y: system.vector_field(y), stepper.t,
-                               y_proj, t_bound=t1, rtol=settings.rtol,
-                               atol=settings.atol, max_step=settings.max_step)
+                stepper = _rk45(field, stepper.t, y_proj, t1, settings)
             y_now = y_proj
         times.append(stepper.t)
         states.append(y_now)
@@ -283,7 +265,8 @@ def integrate(system: FlowSystem, z0, t_span,
         segments.append(interp)
 
     return Trajectory(np.array(times), np.array(states), np.array(energies),
-                      float(min_sep), segments)
+                      float(min_sep),
+                      OdeSolution(times, segments, alt_segment=True))
 
 
 def flow_with_jacobian(system: FlowSystem, z0, t_end: float,
@@ -307,9 +290,7 @@ def flow_with_jacobian(system: FlowSystem, z0, t_end: float,
         return np.concatenate([f, (J @ aug[d:].reshape(d, d)).reshape(-1)])
 
     aug0 = np.concatenate([y0, np.eye(d).reshape(-1)])
-    stepper = RK45(rhs, 0.0, aug0, t_bound=float(t_end),
-                   rtol=settings.rtol, atol=settings.atol,
-                   max_step=settings.max_step)
+    stepper = _rk45(rhs, 0.0, aug0, float(t_end), settings)
     while stepper.status == "running":
         _step_and_screen(system, stepper, d, settings,
                          "variational integration")

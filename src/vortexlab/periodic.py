@@ -389,13 +389,13 @@ def shoot(spec: SuperpositionSpec, u0_guess=None,
     if closure > CLOSURE_TOL:
         raise ConvergenceError(
             f"twisted residual converged but the full period does not "
-            f"close (closure {closure:.3e})", iterations=MAX_SHOOT_ITERATIONS,
+            f"close (closure {closure:.3e})", iterations=iteration,
             last_iterate=u0, residual=closure)
     defect = _symmetry_defect(spec, traj)
     if spec.order > 1 and defect > SYMMETRY_DEFECT_TOL:
         raise ConvergenceError(
             f"orbit violates the twisted symmetry (defect {defect:.3e})",
-            iterations=MAX_SHOOT_ITERATIONS, last_iterate=u0, residual=defect)
+            iterations=iteration, last_iterate=u0, residual=defect)
 
     dist = distance_to_M(spec, traj)
     return PeriodicOrbit(

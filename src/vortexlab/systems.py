@@ -22,6 +22,10 @@ g.  Choosing the coefficient matrices recovers:
 `assemble_interaction` evaluates the value or the gradient/Hessian of that
 shape in closed form (no finite differences anywhere outside the tests).
 
+Admissibility reads each system's `guard_geometry`: one `validate_state`
+serves both systems, and `screen_state` is the integrators' per-sample
+check on the same positions.
+
 States are flat float64 vectors (x1, y1, ..., xN, yN).  The equations of
 motion are  M ż = P ∇H(z)  with M = diag(Gamma_i I_2) and P the blockwise
 clockwise quarter turn, so ż_i = perp(∇_{z_i} H) / Gamma_i.
@@ -131,6 +135,48 @@ def _weighted_perp_rows(mat: np.ndarray, strengths: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# admissibility, read from a system's guard_geometry
+# ---------------------------------------------------------------------------
+
+def _validate_state(self, y, time=None,
+                    collision_tol: float = COLLISION_TOL) -> float:
+    """Raise DomainViolationError if a guarded position is not interior
+    (boundary guarded only), then CollisionError if a guarded pair is
+    within collision_tol; else return the closest guarded separation."""
+    y = as_state(y)
+    if y.size != 2 * self.n:
+        raise ConstraintViolationError(
+            f"state has {y.size // 2} positions, system has {self.n}")
+    p, mask, check_boundary = self.guard_geometry(y)
+    if check_boundary:
+        for i, x in enumerate(p):
+            self.domain.check_interior(x, index=i)
+    d, pair = closest_pair(p, mask)
+    if d <= collision_tol:
+        i, j = pair
+        raise CollisionError(
+            f"vortices {i} and {j} are {d:.3e} apart "
+            f"(tolerance {collision_tol:.1e})",
+            pair=pair, distance=d, time=time)
+    return d
+
+
+def screen_state(system, y, collision_tol: float, boundary_margin: float):
+    """(closest guarded separation, None if the screening sample y
+    passes, else ("collision", pair) or ("boundary", vortex index))."""
+    p, mask, check_boundary = system.guard_geometry(y)
+    d, pair = closest_pair(p, mask)
+    if d <= collision_tol:
+        return d, ("collision", pair)
+    if check_boundary:
+        clear = [system.domain.boundary_clearance(x) for x in p]
+        k = int(np.argmin(clear))
+        if clear[k] <= boundary_margin:
+            return d, ("boundary", k)
+    return d, None
+
+
+# ---------------------------------------------------------------------------
 # vortex system
 # ---------------------------------------------------------------------------
 
@@ -199,23 +245,7 @@ class VortexSystem:
         return np.outer(self.gamma, self.gamma)
 
     # -- state validation -------------------------------------------------
-    def min_separation(self, z) -> float:
-        return closest_pair(pairs(z))[0]
-
-    def validate_state(self, z, time=None, collision_tol: float = COLLISION_TOL):
-        p = pairs(z)
-        if p.shape[0] != self.n:
-            raise ConstraintViolationError(
-                f"state has {p.shape[0]} positions, system has {self.n}")
-        for i, x in enumerate(p):
-            self.domain.check_interior(x, index=i)
-        d, pair = closest_pair(p)
-        if d <= collision_tol:
-            i, j = pair
-            raise CollisionError(
-                f"vortices {i} and {j} are {d:.3e} apart "
-                f"(tolerance {collision_tol:.1e})",
-                pair=pair, distance=d, time=time)
+    validate_state = _validate_state
 
     def guard_geometry(self, z):
         """(positions to guard, pair mask or None, check_boundary)."""
@@ -293,15 +323,12 @@ class RescaledSystem:
                 f"{self.base.n_clusters} clusters")
         if self.scale < 0.0:
             raise ConstraintViolationError("scale r must be >= 0")
-        for k, x in enumerate(a):
-            self.base.domain.check_interior(x, index=k)
-        if closest_pair(a)[0] <= COLLISION_TOL:
-            raise CollisionError("anchor points coincide")
+        sk = VortexSystem(tuple(self.base.cluster_strengths),
+                          (1,) * self.base.n_clusters, self.base.domain)
+        sk.validate_state(a)
         r = float(self.scale)
         object.__setattr__(self, "anchor", a)
         object.__setattr__(self, "scale", r)
-        sk = VortexSystem(tuple(self.base.cluster_strengths),
-                          (1,) * self.base.n_clusters, self.base.domain)
         ci = self.base.cluster_index
         intra = ci[:, None] == ci[None, :]
         A = self.base._coeff()
@@ -320,6 +347,10 @@ class RescaledSystem:
     @property
     def domain(self) -> Domain:
         return self.base.domain
+
+    @property
+    def n(self) -> int:
+        return self.base.n
 
     @property
     def anchor_hat(self) -> np.ndarray:
@@ -391,24 +422,11 @@ class RescaledSystem:
         return self.rescaled_gradient(u)
 
     # -- validation ------------------------------------------------------------
+    validate_state = _validate_state
+
     def guard_geometry(self, u):
         """(positions to guard, pair mask or None, check_boundary): the
         physical state for r > 0; at r = 0 the intra-cluster pairs of u."""
         if self.scale > 0.0:
             return pairs(self.to_physical(u)), None, True
         return pairs(u), self._intra, False
-
-    def validate_state(self, u, time=None, collision_tol: float = COLLISION_TOL):
-        """Admissibility of u: physical state for r > 0; at r = 0 only the
-        intra-cluster separations constrain u."""
-        u = as_state(u)
-        if self.scale > 0.0:
-            self.base.validate_state(self.to_physical(u), time=time,
-                                     collision_tol=collision_tol)
-            return
-        d, pair = closest_pair(pairs(u), self._intra)
-        if d <= collision_tol:
-            i, j = pair
-            raise CollisionError(
-                f"cluster members {i} and {j} collide in relative coordinates",
-                pair=pair, distance=d, time=time)

@@ -7,10 +7,11 @@ import pytest
 from scipy.integrate import RK45
 
 from vortexlab import (BoundaryEventError, CollisionError,
-                       ConstraintViolationError, IntegratorSettings,
-                       RescaledSystem, VortexSystem, WholePlane,
-                       check_rescaling_equivalence, flow_with_jacobian,
-                       integrate, make_pair, rotate_all, spin)
+                       ConstraintViolationError, DomainViolationError,
+                       IntegratorSettings, RescaledSystem, VortexSystem,
+                       WholePlane, check_rescaling_equivalence,
+                       flow_with_jacobian, integrate, make_pair, rotate_all,
+                       spin)
 from vortexlab import dynamics, systems
 
 from conftest import MU
@@ -121,6 +122,25 @@ def test_degenerate_time_span_yields_a_single_sample(disc_pair):
         traj.sample(1.6)
 
 
+@pytest.mark.parametrize("span", [(0.0, 1.0), (1.0, 0.0)],
+                         ids=["forward", "backward"])
+def test_dense_output_reproduces_the_step_samples(disc_pair, span):
+    system, z0 = disc_pair
+    traj = integrate(system, z0, span)
+    assert len(traj.times) > 2
+    # every step boundary, in either direction, reads back its sample
+    rows = traj.sample_many(traj.times)
+    assert np.max(np.abs(rows - traj.states)) <= 1e-12
+    # one batch over shuffled interior and boundary times agrees with
+    # the point-by-point reads
+    mids = 0.5 * (traj.times[1:] + traj.times[:-1])
+    rng = np.random.default_rng(3)
+    ts = rng.permutation(np.concatenate([traj.times, mids]))
+    batch = traj.sample_many(ts)
+    for t, row in zip(ts, batch):
+        assert np.allclose(traj.sample(t), row, rtol=0.0, atol=1e-15)
+
+
 def test_sample_rejects_times_outside_the_span(disc_pair):
     system, z0 = disc_pair
     traj = integrate(system, z0, (0.0, 1.0))
@@ -173,8 +193,18 @@ def test_settings_validation():
 
 def test_initial_state_is_validated(disc):
     system = VortexSystem((1.0, -1.0), (1, 1), disc)
-    with pytest.raises(Exception):
+    with pytest.raises(DomainViolationError):
         integrate(system, [1.2, 0.0, -0.5, 0.0], (0.0, 1.0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_plane_position_is_a_domain_violation(plane, bad):
+    system = VortexSystem((1.0, -1.0), (1, 1), plane)
+    with pytest.raises(DomainViolationError) as info:
+        system.validate_state([bad, 0.0, -0.5, 0.0])
+    assert info.value.index == 0
+    with pytest.raises(DomainViolationError):
+        integrate(system, [0.5, 0.0, -0.5, bad], (0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -291,13 +321,13 @@ def test_variational_rhs_assembles_once(monkeypatch, disc, rescaled):
 def test_integrate_screens_each_sample_once(monkeypatch, disc_pair):
     system, z0 = disc_pair
     calls = {"closest_pair": 0}
-    raw = dynamics.closest_pair
+    raw = systems.closest_pair
 
     def counting_closest_pair(*args, **kwargs):
         calls["closest_pair"] += 1
         return raw(*args, **kwargs)
 
-    monkeypatch.setattr(dynamics, "closest_pair", counting_closest_pair)
+    monkeypatch.setattr(systems, "closest_pair", counting_closest_pair)
     traj = integrate(system, z0, (0.0, 1.0))
     steps = len(traj.times) - 1
     assert steps > 0

@@ -8,11 +8,13 @@ import os
 import numpy as np
 import pytest
 
-from vortexlab import (ConstraintViolationError, ScaleTooLargeError,
-                       SuperpositionSpec, build_initial_guess,
-                       cluster_winding_numbers, continue_in_r, distance_to_M,
-                       evaluate_point, integrate, make_equilateral, make_pair,
-                       make_trivial, scan_phases, shoot, winding_number)
+from vortexlab import (ConstraintViolationError, ConvergenceError,
+                       ScaleTooLargeError, SuperpositionSpec,
+                       build_initial_guess, cluster_winding_numbers,
+                       continue_in_r, distance_to_M, evaluate_point,
+                       integrate, make_equilateral, make_pair, make_trivial,
+                       scan_phases, shoot, winding_number)
+from vortexlab import periodic
 from vortexlab.periodic import (IDENTIFICATION_TOL, _orbit_distance,
                                 _scale_is_admissible)
 
@@ -142,6 +144,29 @@ def test_scale_admissibility_catches_only_package_errors():
 def test_shoot_requires_a_positive_scale():
     with pytest.raises(ConstraintViolationError):
         shoot(build_figure1_spec(0.0))
+
+
+@pytest.mark.parametrize("check", ["closure", "symmetry"])
+def test_closing_check_failures_report_the_newton_iterations(monkeypatch,
+                                                             check):
+    if check == "closure":
+        raw = periodic.integrate
+
+        def nudged(*args, **kwargs):
+            traj = raw(*args, **kwargs)
+            traj.states[-1] = traj.states[-1] + 1e-6
+            return traj
+
+        monkeypatch.setattr(periodic, "integrate", nudged)
+    else:
+        monkeypatch.setattr(periodic, "_symmetry_defect",
+                            lambda spec, traj: 1.0)
+    with pytest.raises(ConvergenceError) as info:
+        shoot(build_thomson3_spec(0.1))
+    assert {"closure": "does not close",
+            "symmetry": "twisted symmetry"}[check] in str(info.value)
+    # Newton converged (after one step) before the full period was checked
+    assert 0 < info.value.iterations < periodic.MAX_SHOOT_ITERATIONS
 
 
 def test_reference_orbit_meets_every_tolerance(figure1_orbit):

@@ -175,7 +175,7 @@ def test_validate_state_guards(disc):
 def test_min_separation():
     sys = VortexSystem((1.0, 1.0, 1.0), (3,))
     z = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.75])
-    assert sys.min_separation(z) == pytest.approx(0.75)
+    assert sys.validate_state(z) == pytest.approx(0.75)
 
 
 # ---------------------------------------------------------------------------
@@ -367,3 +367,11 @@ def test_positive_scale_validates_physical_state():
     with pytest.raises(DomainViolationError):
         rs.validate_state(np.array([6.0, 0.0, -0.2, 0.0,
                                     0.2, 0.0, -0.2, 0.0]))
+
+
+@pytest.mark.parametrize("scale", [0.0, 0.1])
+def test_state_length_must_match_the_system(scale):
+    rs = _figure1_rescaled(scale)
+    for system in (rs.base, rs):
+        with pytest.raises(ConstraintViolationError):
+            system.validate_state(np.array([0.2, 0.0, -0.2, 0.0, 0.1, 0.1]))
