@@ -25,8 +25,8 @@ from .errors import (BoundaryEventError, CoincidentPointError, CollisionError,
                      ConstraintViolationError, ConvergenceError,
                      DomainViolationError, NotEquilibriumError,
                      ScaleTooLargeError, VortexError, ZeroTotalStrengthError)
-from .linalg import (aligned_distance, blockwise_rotation, permutation_matrix,
-                     perp, rotate_all, spin)
+from .linalg import (aligned_distance, permutation_matrix, perp, rotate_all,
+                     spin)
 from .periodic import (PeriodicOrbit, PhaseScanResult, SuperpositionSpec,
                        build_initial_guess, cluster_winding_numbers,
                        continue_in_r, distance_to_M, scan_phases, shoot,
@@ -68,7 +68,6 @@ __all__ = [
     "ZeroTotalStrengthError",
     "aligned_distance",
     "assemble_interaction",
-    "blockwise_rotation",
     "build_initial_guess",
     "certify",
     "check_rescaling_equivalence",

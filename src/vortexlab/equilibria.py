@@ -50,8 +50,8 @@ from scipy.linalg import expm
 from .domains import WholePlane
 from .errors import (ConstraintViolationError, NotEquilibriumError,
                      ZeroTotalStrengthError)
-from .linalg import (TWO_PI, blockwise_rotation, permutation_matrix,
-                     permutation_order, spin)
+from .linalg import (TWO_PI, permutation_matrix, permutation_order, perp,
+                     spin)
 from .systems import VortexSystem
 
 RESIDUAL_TOL = 1e-10
@@ -302,21 +302,16 @@ class CertificationReport:
 
 def rotating_frame_matrix(eq: RelativeEquilibrium) -> np.ndarray:
     """Constant matrix A of the co-rotating linearization v' = A v."""
-    sys = eq.system
-    z = eq.flat()
-    n = eq.n
-    P = np.zeros((2 * n, 2 * n))
-    for i in range(n):
-        P[2 * i, 2 * i + 1] = 1.0
-        P[2 * i + 1, 2 * i] = -1.0
-    return sys.field_jacobian(z) - eq.angular_velocity * P
+    # P, the matrix of perp, is perp applied to the columns of I
+    P = perp(np.eye(2 * eq.n)).T
+    return eq.system.field_jacobian(eq.flat()) - eq.angular_velocity * P
 
 
 def monodromy(eq: RelativeEquilibrium, t: float) -> np.ndarray:
     """Fundamental matrix Phi_t of the linearization along Z(.)."""
-    A = rotating_frame_matrix(eq)
-    rot = blockwise_rotation(eq.n, -eq.angular_velocity * t)
-    return rot @ expm(t * A)
+    # the rigid rotation exp(omega*t*perp), applied to each column
+    return spin(expm(t * rotating_frame_matrix(eq)).T, eq.angular_velocity,
+                t).T
 
 
 def _kernel_dim(phi: np.ndarray, tol_factor: float):

@@ -6,6 +6,11 @@ perp(x, y) = (y, -x); exp(theta * perp) rotates every pair clockwise by
 theta.  All catalog angular velocities are expressed against this
 generator, so a positive physical (counterclockwise) rotation rate shows
 up as a negative angular velocity.
+
+perp is the only quarter turn and rotate_all (with spin, its flow form)
+the only rotation; matrices of either are built by applying them to
+columns.  aligned_distance is the only rotation fit: it compares states,
+or batches of states, up to one global rotation.
 """
 
 from __future__ import annotations
@@ -40,18 +45,17 @@ def perp(z) -> np.ndarray:
 
 
 def rotate_all(z, theta) -> np.ndarray:
-    """Rotate every (x, y) pair counterclockwise by theta.
+    """Rotate every (x, y) pair counterclockwise by theta:
+    cos(theta) z - sin(theta) perp(z).
 
-    An array of angles gives one rotated copy of z per angle, stacked
-    along leading axes of the angles' shape.
+    theta broadcasts against the leading axes of z: a scalar turns a
+    state or every row of a (..., 2N) batch; an array of angles gives a
+    flat state one rotated copy per angle, stacked along the angles'
+    shape, and a batch one angle per row.
     """
-    p = pairs(z)
+    z = np.asarray(z, dtype=float)
     th = np.asarray(theta, dtype=float)[..., None]
-    c, s = np.cos(th), np.sin(th)
-    out = np.empty(th.shape[:-1] + p.shape)
-    out[..., 0] = c * p[:, 0] - s * p[:, 1]
-    out[..., 1] = s * p[:, 0] + c * p[:, 1]
-    return out.reshape(th.shape[:-1] + np.shape(np.asarray(z)))
+    return np.cos(th) * z - np.sin(th) * perp(z)
 
 
 def spin(z, omega: float, t) -> np.ndarray:
@@ -78,17 +82,6 @@ def closest_pair(p: np.ndarray, mask=None):
     if not np.isfinite(d2[i, j]):
         return np.inf, None
     return float(np.sqrt(d2[i, j])), (int(i), int(j))
-
-
-def rot2(theta: float) -> np.ndarray:
-    """Standard 2x2 counterclockwise rotation matrix."""
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
-def blockwise_rotation(n_pairs: int, theta: float) -> np.ndarray:
-    """Block-diagonal counterclockwise rotation acting on a flat state."""
-    return np.kron(np.eye(n_pairs), rot2(theta))
 
 
 def permutation_matrix(sigma) -> np.ndarray:
@@ -138,20 +131,17 @@ def truncated_svd_solve(A: np.ndarray, b: np.ndarray, rel_threshold: float = 1e-
     return Vt[keep].T @ coeff, rank
 
 
-def optimal_rotation_angle(a, b) -> float:
-    """Angle theta minimizing ||rotate_all(a, theta) - b||.
+def aligned_distance(a, b):
+    """Min over theta of ||rotate_all(a, theta) - b||_2: the distance of
+    two states up to one global rotation.
 
-    Closed form: the objective is -2*(P cos theta + Q sin theta) + const
-    with P = sum <a_i, b_i> and Q = sum <perp_ccw(a_i), b_i>.
+    a and b are (..., 2N) arrays whose leading axes broadcast; the result
+    has one distance per leading index (a scalar for two flat states).
+    The optimal angle is arctan2(<ccw quarter turn of a, b>, <a, b>); the
+    distance is then the norm of the aligned difference, not the root of
+    the closed form |a|^2 + |b|^2 - 2 hypot of those two products, which
+    cancels to a roundoff floor near zero.
     """
-    pa, pb = pairs(a), pairs(b)
-    P = float(np.sum(pa * pb))
-    # counterclockwise perpendicular of a: (-y, x)
-    Q = float(np.sum(-pa[:, 1] * pb[:, 0] + pa[:, 0] * pb[:, 1]))
-    return float(np.arctan2(Q, P))
-
-
-def aligned_distance(a, b) -> float:
-    """Min over rotations of ||rotate_all(a, theta) - b||_2."""
-    theta = optimal_rotation_angle(a, b)
-    return float(np.linalg.norm(rotate_all(a, theta) - as_state(b)))
+    a = np.asarray(a, dtype=float)
+    theta = np.arctan2(-np.sum(perp(a) * b, axis=-1), np.sum(a * b, axis=-1))
+    return np.linalg.norm(rotate_all(a, theta) - b, axis=-1)

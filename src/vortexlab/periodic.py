@@ -12,6 +12,12 @@ as initial guesses, polishes them to orbits by symmetry-reduced
 shooting, continues the family in r, scans phases for distinct orbit
 classes, and measures the discrete H^1 distance to M.
 
+Points of M are built in one place, SuperpositionSpec.torus_samples,
+on the cluster blocks the spec lays out once.  Orbits are compared up
+to rotation by one fit, linalg.aligned_distance: a phase of one
+cluster is a global rotation of its block, so the distance to M is one
+rotation fit per cluster.
+
 All shooting happens in rescaled coordinates, where the period is the
 r-independent  tau = 2*pi*ord(sigma); the physical orbit is recovered as
 z(t) = r*u(t/r^2) + anchor_hat with period T = tau*r^2 exactly.
@@ -33,6 +39,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -44,7 +51,7 @@ from .equilibria import RelativeEquilibrium, certify
 from .errors import (ConstraintViolationError, ConvergenceError,
                      ScaleTooLargeError, VortexError)
 from .linalg import (TWO_PI, aligned_distance, as_state, permutation_matrix,
-                     permutation_order, perp, spin, truncated_svd_solve)
+                     permutation_order, spin, truncated_svd_solve)
 from .stationary import GRADIENT_TOL, StationaryPoint
 from .systems import RescaledSystem, VortexSystem
 
@@ -69,7 +76,10 @@ class SuperpositionSpec:
     Validation happens at construction: cluster strength sums must match
     their anchor strengths, every nontrivial cluster must pass
     certification with its twisted-nondegeneracy flag set, and the phase
-    vector carries one entry per nontrivial cluster.
+    vector carries one entry per nontrivial cluster.  The cluster layout
+    is formed there too: `blocks` (the slice of each cluster's
+    coordinates in a flat state), `strengths`, and `sigma` (the clusters'
+    permutations combined blockwise).
     """
 
     stationary: StationaryPoint
@@ -100,7 +110,12 @@ class SuperpositionSpec:
                 raise ConstraintViolationError(
                     f"cluster {k} strengths sum to {total!r}, anchor "
                     f"carries {gam!r}")
-        self._reports = {}
+        offsets = list(accumulate((eq.n for eq in self.clusters), initial=0))
+        self.blocks = tuple(slice(2 * a, 2 * b)
+                            for a, b in zip(offsets, offsets[1:]))
+        self.strengths = tuple(g for eq in self.clusters for g in eq.strengths)
+        self.sigma = tuple(a + i for a, eq in zip(offsets, self.clusters)
+                           for i in eq.permutation)
         for k in self.nontrivial_indices:
             report = certify(self.clusters[k])
             if not report.sigma_nondegenerate:
@@ -109,7 +124,6 @@ class SuperpositionSpec:
                     f"(symmetric count {report.symmetric_count}, "
                     f"unit multiplier count "
                     f"{report.twisted_unit_multiplier_count})")
-            self._reports[k] = report
         self.phases = tuple(float(t) for t in self.phases)
         if len(self.phases) != self.l:
             raise ConstraintViolationError(
@@ -141,23 +155,6 @@ class SuperpositionSpec:
         return sum(self.cluster_sizes)
 
     @property
-    def strengths(self) -> tuple:
-        out = []
-        for eq in self.clusters:
-            out.extend(eq.strengths)
-        return tuple(out)
-
-    @property
-    def sigma(self) -> tuple:
-        """Combined permutation on all vortices (blockwise)."""
-        out = []
-        offset = 0
-        for eq in self.clusters:
-            out.extend(offset + np.asarray(eq.permutation, dtype=int))
-            offset += eq.n
-        return tuple(int(i) for i in out)
-
-    @property
     def order(self) -> int:
         return permutation_order(self.sigma)
 
@@ -185,29 +182,25 @@ class SuperpositionSpec:
             out[k] = theta
         return out
 
-    def torus_point(self, phases=None) -> np.ndarray:
-        """The loop value (theta*Z)(0) as a flat rescaled state."""
-        full = self.full_phases() if phases is None else np.asarray(phases)
-        blocks = []
-        for k, eq in enumerate(self.clusters):
-            if eq.is_trivial:
-                blocks.append(np.zeros(2))
-            else:
-                blocks.append(spin(eq.flat(), eq.angular_velocity, full[k]))
-        return np.concatenate(blocks)
-
     def torus_samples(self, times, phases=None) -> np.ndarray:
-        """(len(times), 2N) samples of the superposed rigid motions."""
+        """(len(times), 2N) samples of the superposed rigid motions
+        (Z^1(t + theta_1), ..., Z^m(t + theta_m)), the points of M.
+
+        `phases` holds one phase per cluster (default: the spec's phases,
+        zero on trivial clusters), whose blocks stay zero.
+        """
         full = self.full_phases() if phases is None else np.asarray(phases)
         times = np.asarray(times, dtype=float)
-        cols = []
-        for k, eq in enumerate(self.clusters):
-            if eq.is_trivial:
-                cols.append(np.zeros((times.size, 2)))
-            else:
-                cols.append(spin(eq.flat(), eq.angular_velocity,
-                                 times + full[k]))
-        return np.concatenate(cols, axis=1)
+        out = np.zeros((times.size, 2 * self.n))
+        for k in self.nontrivial_indices:
+            eq = self.clusters[k]
+            out[:, self.blocks[k]] = spin(eq.flat(), eq.angular_velocity,
+                                          times + full[k])
+        return out
+
+    def torus_point(self, phases=None) -> np.ndarray:
+        """The loop value (theta*Z)(0) as a flat rescaled state."""
+        return self.torus_samples([0.0], phases)[0]
 
     def replace(self, **changes) -> "SuperpositionSpec":
         return dataclasses.replace(self, **changes)
@@ -298,10 +291,10 @@ class PeriodicOrbit:
 
     def physical_arrays(self):
         """(times, states, energies) of the orbit in physical variables."""
-        rs = self.spec.rescaled(self.scale)
         sys = self.spec.system()
         times = self.scale**2 * self.trajectory.times
-        states = np.array([rs.to_physical(u) for u in self.trajectory.states])
+        states = (self.scale * self.trajectory.states
+                  + self.spec.rescaled(self.scale).anchor_hat)
         energies = np.array([sys.hamiltonian(z) for z in states])
         return times, states, energies
 
@@ -433,49 +426,27 @@ def distance_to_M(spec: SuperpositionSpec, u,
 
     `u` is a Trajectory over one rescaled period or an (n_samples, 2N)
     array sampled uniformly on [0, tau).  Derivatives are spectral, the
-    quadrature is the periodic trapezoid rule.  The phase minimization
-    is closed-form per cluster: the objective depends on a cluster's
-    phase only through a global rotation of its block, so the optimum is
-    a two-coefficient Fourier fit, exact up to roundoff.
+    quadrature is the periodic trapezoid rule.  A cluster's phase enters
+    only as one global rotation of its block of the torus samples, so
+    each cluster's phase minimum is the rotation fit `aligned_distance`
+    of its stacked (z, z') samples at zero phase to the stacked (u, u').
     """
     tau = spec.tau
     if isinstance(u, Trajectory):
-        ts = np.linspace(0.0, tau, int(n_samples), endpoint=False)
-        samples = u.sample_many(ts)
-    else:
-        samples = np.asarray(u, dtype=float)
+        u = u.sample_many(np.linspace(0.0, tau, int(n_samples),
+                                      endpoint=False))
+    samples = np.asarray(u, dtype=float)
     g = samples.shape[0]
     ts = np.linspace(0.0, tau, g, endpoint=False)
-    du = _spectral_derivative(samples, tau)
-    weight = tau / g
 
-    # cluster block columns
-    blocks = []
-    start = 0
-    for size in spec.cluster_sizes:
-        blocks.append(slice(2 * start, 2 * (start + size)))
-        start += size
+    def h1(w):  # values and spectral derivatives, stacked along time
+        return np.concatenate([w, _spectral_derivative(w, tau)])
 
-    total = 0.0
-    for k, eq in enumerate(spec.clusters):
-        sl = blocks[k]
-        uk, duk = samples[:, sl], du[:, sl]
-        if eq.is_trivial:
-            zk = np.zeros_like(uk)
-        else:
-            zk = spin(eq.flat(), eq.angular_velocity, ts)
-        dzk = _spectral_derivative(zk, tau)
-
-        # a phase theta rotates the block by a = -omega*theta, and the
-        # mismatch is c0 - 2(P cos a + Q sin a), minimized at hypot(P, Q);
-        # Q pairs u with the quarter turn of z, whose sign hypot ignores
-        P = float(np.sum(uk * zk) + np.sum(duk * dzk))
-        Q = float(np.sum(uk * perp(zk)) + np.sum(duk * perp(dzk)))
-        const = float(np.sum(uk**2) + np.sum(duk**2)
-                      + np.sum(zk**2) + np.sum(dzk**2))
-        total += max(weight * (const - 2.0 * np.hypot(P, Q)), 0.0)
-
-    return float(np.sqrt(max(total, 0.0)))
+    u_h1, z_h1 = h1(samples), h1(spec.torus_samples(ts, np.zeros(spec.m)))
+    total = sum(aligned_distance(z_h1[:, b].reshape(-1),
+                                 u_h1[:, b].reshape(-1))**2
+                for b in spec.blocks)
+    return float(np.sqrt(tau / g * total))
 
 
 # ---------------------------------------------------------------------------
@@ -514,28 +485,23 @@ def _orbit_distance(a: PeriodicOrbit, b: PeriodicOrbit,
     """min over time shift (and admissible global rotation) of the
     distance between orbit a and the initial point of orbit b."""
     tau = a.rescaled_period
-    grid = np.linspace(0.0, tau, 512, endpoint=False)
-    samples = a.trajectory.sample_many(grid)
 
-    if allow_rotation:
-        dists = np.array([aligned_distance(s, b.u0) for s in samples])
-    else:
-        dists = np.linalg.norm(samples - b.u0[None, :], axis=1)
-    k = int(np.argmin(dists))
-
-    def point_dist(t):
-        s = a.trajectory.sample(t % tau)
+    def dists(times):
+        s = a.trajectory.sample_many(np.atleast_1d(times) % tau)
         if allow_rotation:
             return aligned_distance(s, b.u0)
-        return float(np.linalg.norm(s - b.u0))
+        return np.linalg.norm(s - b.u0, axis=-1)
 
+    grid = np.linspace(0.0, tau, 512, endpoint=False)
+    grid_dists = dists(grid)
+    k = int(np.argmin(grid_dists))
     h = tau / 512
-    res = minimize_scalar(point_dist,
+    res = minimize_scalar(lambda t: dists(t)[0],
                           bracket=None,
                           bounds=(grid[k] - h, grid[k] + h),
                           method="bounded",
                           options={"xatol": 1e-12})
-    return float(min(res.fun, dists[k]))
+    return float(min(res.fun, grid_dists[k]))
 
 
 def _rotation_allowed(spec: SuperpositionSpec) -> bool:
@@ -567,25 +533,26 @@ def scan_phases(spec: SuperpositionSpec, grid_size: int = 8,
     shift moves all phases together, so only relative phases label orbit
     classes).  Two orbits are identified when, after optimizing the time
     shift (and the global rotation, when that is an exact symmetry),
-    they are within 1e-6 of each other.  The starts are shot one after
-    another; a shot that fails with a VortexError is recorded in the
-    result, not raised, and any other exception propagates.
+    they are within 1e-6 of each other.  With at most one nontrivial
+    cluster there is no relative phase, and the one start is the spec's
+    own phases.  The starts are shot one after another; a shot that fails
+    with a VortexError is recorded in the result, not raised, and any
+    other exception propagates.
     """
-    if spec.l <= 1:
-        orbit = shoot(spec, None, settings)
-        return PhaseScanResult([orbit], [], 1)
-
     grid_size = int(grid_size)
     if grid_size < 1:
         raise ConstraintViolationError("grid_size must be >= 1")
 
-    free = spec.l - 1
-    nontrivial = spec.nontrivial_indices
-    periods = [spec.clusters[k].period for k in nontrivial[:-1]]
-    axes = [np.arange(grid_size) * (p / grid_size) for p in periods]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    phase_vectors = [tuple(float(m[idx]) for m in mesh) + (0.0,)
-                     for idx in np.ndindex(*([grid_size] * free))]
+    if spec.l <= 1:
+        phase_vectors = [spec.phases]
+    else:
+        free = spec.l - 1
+        nontrivial = spec.nontrivial_indices
+        periods = [spec.clusters[k].period for k in nontrivial[:-1]]
+        axes = [np.arange(grid_size) * (p / grid_size) for p in periods]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        phase_vectors = [tuple(float(m[idx]) for m in mesh) + (0.0,)
+                         for idx in np.ndindex(*([grid_size] * free))]
 
     allow_rot = _rotation_allowed(spec)
     classes = []
@@ -625,15 +592,7 @@ def cluster_winding_numbers(orbit: PeriodicOrbit, n_samples: int = 512) -> list:
     ts = np.linspace(0.0, orbit.rescaled_period, int(n_samples) + 1)
     samples = orbit.trajectory.sample_many(ts)
     out = []
-    start = 0
-    for eq in spec.clusters:
-        if not eq.is_trivial:
-            if eq.n >= 2:
-                base = 2 * start
-                rel = (samples[:, base + 2:base + 4]
-                       - samples[:, base:base + 2])
-                out.append(winding_number(rel))
-            else:
-                out.append(0)
-        start += eq.n
+    for k in spec.nontrivial_indices:
+        block = samples[:, spec.blocks[k]]
+        out.append(winding_number(block[:, 2:4] - block[:, :2]))
     return out

@@ -220,12 +220,8 @@ def evaluate_point(strengths, domain: Domain, positions) -> StationaryPoint:
 def disc_dipole() -> StationaryPoint:
     """The strength (1, -1) stationary pair of the unit disc, placed
     symmetrically on the x-axis at +-DIPOLE_OFFSET (closed form)."""
-    domain = UnitDisc()
-    strengths = (1.0, -1.0)
-    mu = DIPOLE_OFFSET
-    flat = np.array([mu, 0.0, -mu, 0.0])
-    gn = float(np.linalg.norm(m_gradient(strengths, domain, flat)))
-    return _finish_point(strengths, domain, flat, gn)
+    return evaluate_point((1.0, -1.0), UnitDisc(),
+                          [[DIPOLE_OFFSET, 0.0], [-DIPOLE_OFFSET, 0.0]])
 
 
 def find_critical_point(strengths, domain: Domain, guess, *,

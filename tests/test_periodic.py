@@ -7,13 +7,14 @@ import os
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from vortexlab import (ConstraintViolationError, ConvergenceError,
                        ScaleTooLargeError, SuperpositionSpec,
                        build_initial_guess, cluster_winding_numbers,
                        continue_in_r, distance_to_M, evaluate_point,
                        integrate, make_equilateral, make_pair, make_trivial,
-                       scan_phases, shoot, winding_number)
+                       rotate_all, scan_phases, shoot, winding_number)
 from vortexlab import periodic
 from vortexlab.periodic import (IDENTIFICATION_TOL, _orbit_distance,
                                 _scale_is_admissible)
@@ -247,6 +248,11 @@ def test_orbit_exports_rescaled_and_physical_trajectories(figure1_orbit):
     assert np.array_equal(first[1:9], orbit.physical_initial_state())
     last = np.array([float(c) for c in p_lines[-1].split(",")])
     assert last[0] == pytest.approx(orbit.period)
+    # the batch map gives the floats of the row-by-row map
+    rs = orbit.spec.rescaled(orbit.scale)
+    _, states, _ = orbit.physical_arrays()
+    assert np.array_equal(states, [rs.to_physical(u)
+                                   for u in orbit.trajectory.states])
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +268,11 @@ def test_exact_torus_samples_have_zero_distance():
 def test_phase_search_recovers_a_shifted_torus_member():
     spec = build_figure1_spec(0.1)
     ts = np.linspace(0.0, spec.tau, 256, endpoint=False)
-    shifted = spec.torus_samples(ts, phases=[0.7, 1.9])
-    assert distance_to_M(spec, shifted) <= 1e-12
+    # at (0.4, 2.2) a fit through |u|^2 + |z|^2 - 2 hypot(P, Q) cancels
+    # to a roundoff floor of 4e-8; (0.7, 1.9) happens to cancel to <= 0
+    for phases in ([0.7, 1.9], [0.4, 2.2]):
+        shifted = spec.torus_samples(ts, phases=phases)
+        assert distance_to_M(spec, shifted) <= 1e-12
 
 
 def test_off_torus_samples_have_positive_distance():
@@ -272,6 +281,39 @@ def test_off_torus_samples_have_positive_distance():
     samples = spec.torus_samples(ts)
     samples[:, 0] += 0.01 * np.sin(TWO_PI * ts / spec.tau)
     assert distance_to_M(spec, samples) > 1e-4
+
+
+@pytest.mark.parametrize("amplitude", [1e-3, 5e-2])
+def test_distance_matches_a_brute_force_phase_search(amplitude):
+    # smooth periodic perturbation of a shifted torus member
+    spec = build_figure1_spec(0.1)
+    g = 256
+    ts = np.linspace(0.0, spec.tau, g, endpoint=False)
+    waves = np.arange(1, 4)[:, None] * (TWO_PI * ts / spec.tau)
+    cos_c, sin_c = np.random.default_rng(11).normal(size=(2, 3, 2 * spec.n))
+    wobble = np.cos(waves).T @ cos_c + np.sin(waves).T @ sin_c
+    samples = spec.torus_samples(ts, phases=[0.7, 1.9]) + amplitude * wobble
+    du = periodic._spectral_derivative(samples, spec.tau)
+
+    def mismatch(k, theta):
+        # squared discrete H^1 norm of the cluster-k block, by direct norm
+        block = slice(4 * k, 4 * k + 4)  # figure 1: two pairs
+        z = spec.clusters[k].solution(ts + theta)
+        dz = periodic._spectral_derivative(z, spec.tau)
+        return spec.tau / g * (np.sum((samples[:, block] - z)**2)
+                               + np.sum((du[:, block] - dz)**2))
+
+    total = 0.0
+    for k, eq in enumerate(spec.clusters):
+        coarse = np.linspace(0.0, eq.period, 64, endpoint=False)
+        best = coarse[np.argmin([mismatch(k, t) for t in coarse])]
+        h = eq.period / 64
+        res = minimize_scalar(lambda t: mismatch(k, t), method="bounded",
+                              bounds=(best - h, best + h),
+                              options={"xatol": 1e-12})
+        total += res.fun
+    assert total > 0.0
+    assert abs(distance_to_M(spec, samples) - np.sqrt(total)) <= 1e-9
 
 
 def test_torus_point_matches_the_first_torus_sample():
@@ -383,6 +425,9 @@ def test_time_shifted_replicas_identify_as_the_same_class(figure1_orbit):
     orbit, _ = figure1_orbit
     replica = dataclasses.replace(orbit, u0=orbit.trajectory.sample(1.234))
     assert _orbit_distance(orbit, replica, False) < IDENTIFICATION_TOL
+    turned = dataclasses.replace(orbit, u0=rotate_all(replica.u0, 0.5))
+    assert _orbit_distance(orbit, turned, True) < IDENTIFICATION_TOL
+    assert _orbit_distance(orbit, turned, False) > 0.1
 
 
 def test_single_phase_scan_returns_one_orbit():
@@ -390,6 +435,17 @@ def test_single_phase_scan_returns_one_orbit():
     assert result.attempted == 1
     assert result.distinct_count == 1
     assert result.failures == []
+
+
+def test_single_phase_scan_records_a_failed_shot(monkeypatch):
+    def stall(*args, **kwargs):
+        raise ConvergenceError("stalled", iterations=3, residual=1.0)
+
+    monkeypatch.setattr(periodic, "shoot", stall)
+    result = scan_phases(build_thomson3_spec(0.1))
+    assert result.attempted == 1
+    assert result.orbits == []
+    assert result.failures == [((0.0,), "ConvergenceError: stalled")]
 
 
 def test_scan_grid_must_be_positive():
