@@ -1,21 +1,31 @@
 """Adaptive time integration for vortex systems, plain and rescaled.
 
-The stepper is an embedded Runge-Kutta 5(4) pair with proportional-
-integral step control and a dense interpolant (scipy's RK45); this
-module owns the driver loop so that every accepted step is screened for
-collisions and boundary approach on the interpolant before it is
-committed.  integrate and flow_with_jacobian share one step-and-screen
-helper: one evaluation of the interpolant per step gives the screening
-grid, and each sample gets one look from systems.screen_state (the
-initial state, from the shared validate_state).  A tripped guard is
-refined to its crossing time by root bracketing and raised as a typed
-event carrying the time and the offending pair or vortex.  Trajectories
-sample their dense output through scipy's OdeSolution.
+The stepper is Dormand and Prince's DOP853 (scipy's; Hairer, Norsett
+and Wanner, Solving ODEs I, II.5-6): an 8th-order embedded 8(5,3) pair,
+whose error estimate combines its 5th- and 3rd-order companions, with a
+7th-order dense interpolant.  This module owns the driver loop so that
+every accepted step is screened for collisions and boundary approach on
+the interpolant before it is committed.  integrate and
+flow_with_jacobian share one step-and-screen helper: one evaluation of
+the interpolant per step gives the screening grid, and each sample gets
+one look from systems.screen_state (the initial state, from the shared
+validate_state).  A tripped guard is refined to its crossing time by
+root bracketing and raised as a typed event carrying the time and the
+offending pair or vortex.  Trajectories sample their dense output
+through scipy's OdeSolution.
 
 Orbit-level work should integrate the rescaled system, whose period is
 O(1); the plain system covers the same orbit only with a step-size
 spread of order r^2.  Both implement the FlowSystem protocol the
 integrators are written against.
+
+The default tolerance is rtol = atol = 1e-13.  DOP853's error estimate
+is sharp, so its global error sits close to the requested tolerance,
+where a 5(4) pair's pessimistic estimate buys an order of magnitude
+more accuracy than asked for.  At 1e-12 the flow-map monodromy of a
+hermite(3) cluster (entries near 3e4) is 4e-8 from the closed form; at
+1e-13 it is 1e-9.  The figure-1 reference orbit takes about 47 steps
+per period at 1e-13 (RK45 took 385 at 1e-12).
 
 No structural energy conservation: drift is recorded, and an optional
 post-step projection back onto the initial energy level can be enabled
@@ -29,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Protocol
 
 import numpy as np
-from scipy.integrate import RK45, OdeSolution
+from scipy.integrate import DOP853, OdeSolution
 from scipy.optimize import brentq
 
 from .errors import (BoundaryEventError, CollisionError, ConstraintViolationError,
@@ -44,8 +54,8 @@ GUARD_SAMPLES = 8
 
 @dataclass
 class IntegratorSettings:
-    rtol: float = 1e-12
-    atol: float = 1e-12
+    rtol: float = 1e-13
+    atol: float = 1e-13
     max_step: float = np.inf
     collision_tol: float = 1e-8
     boundary_margin: float = 1e-9
@@ -76,9 +86,10 @@ class FlowSystem(Protocol):
         """(positions to guard, pair mask or None, check_boundary)."""
 
 
-def _rk45(fun, t0: float, y0, t_bound: float, settings: IntegratorSettings):
-    return RK45(fun, t0, y0, t_bound=t_bound, rtol=settings.rtol,
-                atol=settings.atol, max_step=settings.max_step)
+def _stepper(fun, t0: float, y0, t_bound: float,
+             settings: IntegratorSettings):
+    return DOP853(fun, t0, y0, t_bound=t_bound, rtol=settings.rtol,
+                  atol=settings.atol, max_step=settings.max_step)
 
 
 def _refine_and_raise(system, state, t_ok, t_bad, event, settings):
@@ -246,7 +257,7 @@ def integrate(system: FlowSystem, z0, t_span,
     def field(t, y):
         return system.vector_field(y)
 
-    stepper = _rk45(field, t0, y0, t1, settings)
+    stepper = _stepper(field, t0, y0, t1, settings)
     while stepper.status == "running":
         interp, sep = _step_and_screen(system, stepper, y0.size, settings,
                                        "integrator")
@@ -257,7 +268,7 @@ def integrate(system: FlowSystem, z0, t_span,
             # a stepper restarted at t1 would step again from there, and
             # roundoff-sized projections could repeat that forever
             if stepper.status == "running" and not np.array_equal(y_proj, y_now):
-                stepper = _rk45(field, stepper.t, y_proj, t1, settings)
+                stepper = _stepper(field, stepper.t, y_proj, t1, settings)
             y_now = y_proj
         times.append(stepper.t)
         states.append(y_now)
@@ -290,7 +301,7 @@ def flow_with_jacobian(system: FlowSystem, z0, t_end: float,
         return np.concatenate([f, (J @ aug[d:].reshape(d, d)).reshape(-1)])
 
     aug0 = np.concatenate([y0, np.eye(d).reshape(-1)])
-    stepper = _rk45(rhs, 0.0, aug0, float(t_end), settings)
+    stepper = _stepper(rhs, 0.0, aug0, float(t_end), settings)
     while stepper.status == "running":
         _step_and_screen(system, stepper, d, settings,
                          "variational integration")

@@ -290,13 +290,18 @@ class PeriodicOrbit:
         return self.spec.rescaled(self.scale).to_physical(self.u0)
 
     def physical_arrays(self):
-        """(times, states, energies) of the orbit in physical variables."""
-        sys = self.spec.system()
+        """(times, states, energies) of the orbit in physical variables.
+
+        H(r u + anchor_hat) - E_r(u) is one constant along the orbit
+        (grad E_r(u) = r grad H(r u + anchor_hat)), so the energies are
+        the recorded E_r shifted by that constant, taken at u0.
+        """
         times = self.scale**2 * self.trajectory.times
         states = (self.scale * self.trajectory.states
                   + self.spec.rescaled(self.scale).anchor_hat)
-        energies = np.array([sys.hamiltonian(z) for z in states])
-        return times, states, energies
+        energies = self.trajectory.energies
+        shift = self.spec.system().hamiltonian(states[0]) - energies[0]
+        return times, states, energies + shift
 
     def physical_trajectory_csv(self, target):
         times, states, energies = self.physical_arrays()

@@ -4,7 +4,10 @@ import io
 
 import numpy as np
 import pytest
-from scipy.integrate import RK45
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import DOP853
+from scipy.optimize import minimize_scalar
 
 from vortexlab import (BoundaryEventError, CollisionError,
                        ConstraintViolationError, DomainViolationError,
@@ -184,6 +187,43 @@ def test_slip_through_dipoles_trip_the_collision_guard(plane):
     assert err.distance == pytest.approx(0.3, abs=1e-6)
 
 
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(d=st.floats(0.05, 0.3), offset=st.floats(0.2, 1.5),
+       weak=st.floats(1e-3, 1e-2), depth=st.floats(2e-4, 1e-2))
+def test_guard_catches_a_grazing_pass_just_below_the_threshold(
+        plane, d, offset, weak, depth):
+    # a fast (1, -1) dipole of separation d sweeps past a weak vortex
+    # offset * d / 2 off its path; the weak vortex is pushed round the
+    # dipole's co-moving oval, so the closest approach is one smooth dip
+    dipole = np.array([0.0, d / 2, 0.0, -d / 2])
+    v = VortexSystem((1.0, -1.0), (1, 1), plane).vector_field(dipole)[:2]
+    speed = np.linalg.norm(v)
+    ahead, side = v / speed, np.array([-v[1], v[0]]) / speed
+    start = np.tile(-1.5 * ahead, 2) + dipole
+    z0 = np.concatenate([start, offset * d / 2 * side])
+    system = VortexSystem((1.0, -1.0, weak), (1, 1, 1), plane)
+    t1 = 3.0 / speed
+    traj = integrate(system, z0, (0.0, t1))
+
+    # the true minimum separation of the dense output, on a fine grid
+    # and then refined around its smallest grid value
+    def separation(t):
+        p = traj.sample_many(np.atleast_1d(t)).reshape(-1, 3, 2)
+        gaps = np.linalg.norm(p[:, [0, 0, 1]] - p[:, [1, 2, 2]], axis=2)
+        return gaps.min(axis=1)
+
+    grid = np.linspace(0.0, t1, 4001)
+    k = int(np.argmin(separation(grid)))
+    assert 0 < k < grid.size - 1
+    best = minimize_scalar(lambda t: separation(t)[0],
+                           bounds=(grid[k - 1], grid[k + 1]),
+                           method="bounded", options={"xatol": 1e-14})
+    with pytest.raises(CollisionError) as info:
+        integrate(system, z0, (0.0, t1),
+                  IntegratorSettings(collision_tol=best.fun * (1.0 + depth)))
+    assert 2 in info.value.pair
+
+
 def test_settings_validation():
     for bad in (dict(rtol=0.0), dict(atol=-1.0), dict(max_step=0.0),
                 dict(collision_tol=-1e-9), dict(boundary_margin=-1e-9)):
@@ -292,7 +332,7 @@ def test_csv_round_trips_exactly(disc_pair):
 def test_variational_rhs_assembles_once(monkeypatch, disc, rescaled):
     calls = {"rhs": 0, "assemble": 0}
 
-    class CountingRK45(RK45):
+    class CountingDOP853(DOP853):
         def __init__(self, fun, *args, **kwargs):
             def counted(t, y):
                 calls["rhs"] += 1
@@ -311,7 +351,7 @@ def test_variational_rhs_assembles_once(monkeypatch, disc, rescaled):
     # the same stretch of orbit in rescaled and in physical time
     system, y0, t_end = ((rs, u0, 1.0) if rescaled
                          else (base, rs.to_physical(u0), 0.01))
-    monkeypatch.setattr(dynamics, "RK45", CountingRK45)
+    monkeypatch.setattr(dynamics, "DOP853", CountingDOP853)
     monkeypatch.setattr(systems, "assemble_interaction", counting_assemble)
     flow_with_jacobian(system, y0, t_end)
     assert calls["rhs"] > 0
