@@ -34,7 +34,8 @@ from .errors import (BoundaryEventError, CollisionError,
                      DomainViolationError, NotEquilibriumError,
                      ScaleTooLargeError, VortexError, ZeroTotalStrengthError)
 from .periodic import SuperpositionSpec, continue_in_r, scan_phases, shoot
-from .stationary import evaluate_point, find_critical_point
+from .stationary import (GRADIENT_TOL, MAX_ITERATIONS, evaluate_point,
+                         find_critical_point)
 from .systems import VortexSystem
 
 EXIT_OK = 0
@@ -221,8 +222,9 @@ def _anchors_from(cfg: _Config, domain, rng, task: str):
         _log("info", task, "searching for a critical anchor configuration")
         sp = find_critical_point(
             strengths, domain, guess,
-            gradient_tol=cfg.get_float("anchors", "gradient_tol", 1e-10),
-            max_iterations=cfg.get_int("anchors", "max_iterations", 100))
+            gradient_tol=cfg.get_float("anchors", "gradient_tol", GRADIENT_TOL),
+            max_iterations=cfg.get_int("anchors", "max_iterations",
+                                       MAX_ITERATIONS))
     else:
         if len(strengths) != positions.shape[0]:
             raise ConfigError("[anchors] strengths/positions length mismatch")

@@ -10,7 +10,8 @@ up as a negative angular velocity.
 perp is the only quarter turn and rotate_all (with spin, its flow form)
 the only rotation; matrices of either are built by applying them to
 columns.  aligned_distance is the only rotation fit: it compares states,
-or batches of states, up to one global rotation.
+or batches of states, up to one global rotation.  newton is the only
+Newton loop, shared by the anchor search and shooting.
 """
 
 from __future__ import annotations
@@ -18,6 +19,9 @@ from __future__ import annotations
 from math import gcd
 
 import numpy as np
+
+from .errors import (CollisionError, ConstraintViolationError,
+                     ConvergenceError, DomainViolationError)
 
 TWO_PI = 2.0 * np.pi
 
@@ -121,14 +125,46 @@ def permutation_order(sigma) -> int:
 
 def truncated_svd_solve(A: np.ndarray, b: np.ndarray, rel_threshold: float = 1e-6):
     """Least-squares solve discarding singular directions below
-    rel_threshold * sigma_max.  Returns (solution, effective_rank)."""
+    rel_threshold * sigma_max (zero when A is exactly zero)."""
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
-        return np.zeros(A.shape[1]), 0
+        return np.zeros(A.shape[1])
     keep = s > rel_threshold * s[0]
-    rank = int(keep.sum())
-    coeff = (U[:, keep].T @ b) / s[keep]
-    return Vt[keep].T @ coeff, rank
+    return Vt[keep].T @ ((U[:, keep].T @ b) / s[keep])
+
+
+def newton(fun, x, check, *, tol, max_iterations, rel_threshold):
+    """Newton iteration on (F, J) = fun(x) until |F| <= tol; returns x
+    and the residual |F| of every evaluated iterate.
+
+    The step is the first x.size entries of truncated_svd_solve(J, -F,
+    rel_threshold), so J may be bordered.  ConvergenceError, carrying the
+    last admissible iterate, reports an exhausted budget or a new iterate
+    that check rejects with DomainViolationError or CollisionError.
+    """
+    if max_iterations < 0:
+        raise ConstraintViolationError(
+            f"max_iterations must be >= 0, got {max_iterations}")
+    residuals = []
+    for iteration in range(max_iterations + 1):
+        F, J = fun(x)
+        residuals.append(float(np.linalg.norm(F)))
+        if residuals[-1] <= tol:
+            return x, residuals
+        if iteration == max_iterations:
+            raise ConvergenceError(
+                f"no convergence in {max_iterations} iterations "
+                f"(residual {residuals[-1]:.3e})", iterations=max_iterations,
+                last_iterate=x, residual=residuals[-1])
+        x_new = x + truncated_svd_solve(J, -F, rel_threshold)[:x.size]
+        try:
+            check(x_new)
+        except (DomainViolationError, CollisionError) as exc:
+            raise ConvergenceError(
+                f"iterate left the admissible set after {iteration + 1} "
+                f"steps: {exc}", iterations=iteration + 1, last_iterate=x,
+                residual=residuals[-1]) from exc
+        x = x_new
 
 
 def aligned_distance(a, b):

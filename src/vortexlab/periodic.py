@@ -32,7 +32,7 @@ removes the sigma-related degeneracy.  The remaining null directions of
 the Newton matrix (time shift; global rotation when the domain allows
 it) are handled by a truncated-SVD pseudo-inverse rather than bordered
 constraints, so the rank structure can vary with the domain without
-code changes.
+code changes.  The iteration is linalg.newton, shared with the anchor search.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .equilibria import RelativeEquilibrium, certify
 from .errors import (ConstraintViolationError, ConvergenceError,
                      ScaleTooLargeError, VortexError)
 from .linalg import (TWO_PI, aligned_distance, as_state, permutation_matrix,
-                     permutation_order, spin, truncated_svd_solve)
+                     newton, permutation_order, spin)
 from .stationary import GRADIENT_TOL, StationaryPoint
 from .systems import RescaledSystem, VortexSystem
 
@@ -285,6 +285,7 @@ class PeriodicOrbit:
     distance_to_m: float
     iterations: int
     trajectory: Trajectory = field(repr=False)
+    residuals: tuple  # twisted residual of each Newton iterate
 
     def physical_initial_state(self) -> np.ndarray:
         return self.spec.rescaled(self.scale).to_physical(self.u0)
@@ -341,12 +342,12 @@ def shoot(spec: SuperpositionSpec, u0_guess=None,
           settings: Optional[IntegratorSettings] = None) -> PeriodicOrbit:
     """Newton-polish a guess into a periodic orbit of the rescaled flow.
 
-    Solves S_sigma phi_{2pi}(u0) = u0 by Newton-Gauss iteration; the
-    linear steps use a truncated-SVD pseudo-inverse (relative threshold
-    1e-6) of S_sigma Dphi - I.  Converged when the twisted residual is
-    <= 1e-10; the returned orbit additionally satisfies full-period
-    closure <= 1e-9 and, for nontrivial sigma, symmetry defect <= 1e-8,
-    both enforced, not just reported.
+    Solves S_sigma phi_{2pi}(u0) = u0 by linalg.newton; the linear steps
+    use a truncated-SVD pseudo-inverse (relative threshold 1e-6) of
+    S_sigma Dphi - I.  Converged when the twisted residual is <= 1e-10;
+    the returned orbit additionally satisfies full-period closure <= 1e-9
+    and, for nontrivial sigma, symmetry defect <= 1e-8, both enforced,
+    not just reported.
     """
     if spec.scale <= 0.0:
         raise ConstraintViolationError("shooting requires scale > 0")
@@ -355,45 +356,28 @@ def shoot(spec: SuperpositionSpec, u0_guess=None,
     u0 = build_initial_guess(spec) if u0_guess is None else as_state(u0_guess).copy()
     rs.validate_state(u0)
     S = permutation_matrix(spec.sigma)
-    n2 = u0.size
-    identity = np.eye(n2)
 
-    residual = np.inf
-    for iteration in range(MAX_SHOOT_ITERATIONS + 1):
-        uT, W = flow_with_jacobian(rs, u0, TWO_PI, settings)
-        R = S @ uT - u0
-        residual = float(np.linalg.norm(R))
-        if residual <= SHOOT_TOL:
-            break
-        if iteration == MAX_SHOOT_ITERATIONS:
-            raise ConvergenceError(
-                f"shooting stalled after {MAX_SHOOT_ITERATIONS} iterations "
-                f"(residual {residual:.3e})",
-                iterations=MAX_SHOOT_ITERATIONS, last_iterate=u0,
-                residual=residual)
-        J = S @ W - identity
-        step, rank = truncated_svd_solve(J, -R,
-                                         rel_threshold=JACOBIAN_SVD_THRESHOLD)
-        if rank == 0:
-            raise ConvergenceError(
-                "shooting Jacobian is effectively rank zero; the guess is "
-                "too far from any orbit", iterations=iteration,
-                last_iterate=u0, residual=residual)
-        u0 = u0 + step
-        rs.validate_state(u0)
+    def twisted_residual(u):
+        uT, W = flow_with_jacobian(rs, u, TWO_PI, settings)
+        return S @ uT - u, S @ W - np.eye(u.size)
+
+    u0, residuals = newton(twisted_residual, u0, rs.validate_state,
+                           tol=SHOOT_TOL, max_iterations=MAX_SHOOT_ITERATIONS,
+                           rel_threshold=JACOBIAN_SVD_THRESHOLD)
+    iterations = len(residuals) - 1
 
     traj = integrate(rs, u0, (0.0, spec.tau), settings)
     closure = float(np.linalg.norm(traj.final_state - u0))
     if closure > CLOSURE_TOL:
         raise ConvergenceError(
             f"twisted residual converged but the full period does not "
-            f"close (closure {closure:.3e})", iterations=iteration,
+            f"close (closure {closure:.3e})", iterations=iterations,
             last_iterate=u0, residual=closure)
     defect = _symmetry_defect(spec, traj)
     if spec.order > 1 and defect > SYMMETRY_DEFECT_TOL:
         raise ConvergenceError(
             f"orbit violates the twisted symmetry (defect {defect:.3e})",
-            iterations=iteration, last_iterate=u0, residual=defect)
+            iterations=iterations, last_iterate=u0, residual=defect)
 
     dist = distance_to_M(spec, traj)
     return PeriodicOrbit(
@@ -402,13 +386,14 @@ def shoot(spec: SuperpositionSpec, u0_guess=None,
         scale=spec.scale,
         rescaled_period=spec.tau,
         period=spec.period,
-        residual=residual,
+        residual=residuals[-1],
         closure=closure,
         symmetry_defect=defect,
         energy_drift=traj.energy_drift(),
         distance_to_m=dist,
-        iterations=iteration,
+        iterations=iterations,
         trajectory=traj,
+        residuals=tuple(residuals),
     )
 
 

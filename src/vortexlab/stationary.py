@@ -7,10 +7,11 @@ Gamma^k is the trivially clustered system energy
          - sum_k (Gamma^k)^2 h(a^k),
 
 with G the domain's two-point function and h its self-interaction term.
-Critical points anchor the rescaled cluster dynamics; what matters for
-that is not just criticality but the kernel of the Hessian, which is
-forced by whatever continuous symmetry the domain has.  classify()
-names the four admissible kernel shapes:
+Critical points anchor the rescaled cluster dynamics; find_critical_point
+locates them with linalg.newton, the Newton driver shooting shares.
+What matters is not just criticality but the kernel of the Hessian,
+which is forced by whatever continuous symmetry the domain has.
+classify() names the four admissible kernel shapes:
 
     NondegenerateI     kernel dim 0 (generic domains)
     RotationalII       rotational domain, kernel = span{rotation mode}
@@ -33,9 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import Domain, SymmetryClass, UnitDisc
-from .errors import (CollisionError, ConstraintViolationError,
-                     ConvergenceError, DomainViolationError)
-from .linalg import as_state, perp, truncated_svd_solve
+from .errors import ConstraintViolationError
+from .linalg import as_state, newton, perp
 from .systems import VortexSystem
 
 GRADIENT_TOL = 1e-10
@@ -63,6 +63,7 @@ class StationaryPoint:
     hessian: np.ndarray  # (2m, 2m)
     kernel_dimension: int
     classification: Classification
+    residuals: tuple = ()  # gradient norm of each Newton iterate, if any
 
     def flat(self) -> np.ndarray:
         return self.positions.reshape(-1)
@@ -188,7 +189,8 @@ def _classify_kernel(domain, flat, dim, basis) -> Classification:
     return Classification.UNCLASSIFIED
 
 
-def _finish_point(strengths, domain, flat, gradient_norm) -> StationaryPoint:
+def _finish_point(strengths, domain, flat, gradient_norm,
+                  residuals=()) -> StationaryPoint:
     hess = m_hessian(strengths, domain, flat)
     dim, basis = _hessian_kernel(hess)
     cls = _classify_kernel(domain, flat, dim, basis)
@@ -199,6 +201,7 @@ def _finish_point(strengths, domain, flat, gradient_norm) -> StationaryPoint:
         hessian=hess,
         kernel_dimension=dim,
         classification=cls,
+        residuals=tuple(residuals),
     )
 
 
@@ -226,9 +229,10 @@ def disc_dipole() -> StationaryPoint:
 
 def find_critical_point(strengths, domain: Domain, guess, *,
                         gradient_tol: float = GRADIENT_TOL,
-                        max_iterations: int = MAX_ITERATIONS,
-                        callback=None) -> StationaryPoint:
-    """Local Newton search for a critical point of the m-point energy.
+                        max_iterations: int = MAX_ITERATIONS
+                        ) -> StationaryPoint:
+    """Local Newton search (linalg.newton) for a critical point of the
+    m-point energy.
 
     The linear system is bordered: rows constraining the step to be
     orthogonal to the domain's symmetry directions (evaluated at the
@@ -237,9 +241,6 @@ def find_critical_point(strengths, domain: Domain, guess, *,
     solve is a truncated-SVD least-squares solve, so accidental extra
     degeneracy degrades gracefully instead of exploding.
 
-    callback(iterate, gradient_norm) is invoked once per iteration,
-    before the step; tests use it to watch the convergence rate.
-
     Raises ConvergenceError (with the last iterate attached) if the
     iteration budget runs out or an iterate leaves the admissible set.
     """
@@ -247,41 +248,13 @@ def find_critical_point(strengths, domain: Domain, guess, *,
     x = as_state(guess).copy()
     sys.validate_state(x)
 
-    gnorm = float(np.linalg.norm(sys.gradient(x)))
-    for iteration in range(int(max_iterations)):
-        if callback is not None:
-            callback(x.copy(), gnorm)
-        if gnorm <= gradient_tol:
-            return _finish_point(strengths, domain, x, gnorm)
-        grad = sys.gradient(x)
-        hess = sys.hessian(x)
-        cons = _newton_constraints(domain, x)
-        k = len(cons)
-        n = x.size
-        A = np.zeros((n + k, n + k))
-        A[:n, :n] = hess
-        if k:
-            C = np.column_stack(cons)
-            A[:n, n:] = C
-            A[n:, :n] = C.T
-        rhs = np.concatenate([-grad, np.zeros(k)])
-        step, _ = truncated_svd_solve(A, rhs, rel_threshold=1e-12)
-        x_new = x + step[:n]
-        try:
-            sys.validate_state(x_new)
-        except (DomainViolationError, CollisionError) as exc:
-            raise ConvergenceError(
-                f"iterate left the admissible set after {iteration + 1} "
-                f"steps: {exc}", iterations=iteration + 1,
-                last_iterate=x, residual=gnorm) from exc
-        x = x_new
-        gnorm = float(np.linalg.norm(sys.gradient(x)))
+    def gradient_and_bordered_hessian(x):
+        C = np.reshape(_newton_constraints(domain, x), (-1, x.size)).T
+        k = C.shape[1]
+        A = np.block([[sys.hessian(x), C], [C.T, np.zeros((k, k))]])
+        return np.concatenate([sys.gradient(x), np.zeros(k)]), A
 
-    if gnorm <= gradient_tol:
-        if callback is not None:
-            callback(x.copy(), gnorm)
-        return _finish_point(strengths, domain, x, gnorm)
-    raise ConvergenceError(
-        f"no convergence in {max_iterations} iterations "
-        f"(gradient norm {gnorm:.3e})", iterations=int(max_iterations),
-        last_iterate=x, residual=gnorm)
+    x, residuals = newton(gradient_and_bordered_hessian, x,
+                          sys.validate_state, tol=gradient_tol,
+                          max_iterations=max_iterations, rel_threshold=1e-12)
+    return _finish_point(strengths, domain, x, residuals[-1], residuals)

@@ -130,6 +130,14 @@ def test_unconverged_anchor_search_uses_the_convergence_code(tmp_path, capsys):
     assert "no convergence" in capsys.readouterr().err
 
 
+def test_negative_anchor_budget_uses_the_precondition_code(tmp_path, capsys):
+    path, _ = stationary_config(tmp_path, "max_iterations = -1")
+    assert main(["run", path]) == 3
+    err = capsys.readouterr().err
+    assert "max_iterations must be >= 0" in err
+    assert "Traceback" not in err
+
+
 def test_identical_runs_write_identical_bytes(tmp_path):
     path, out = stationary_config(tmp_path, "guess_jitter = 0.02")
     assert main(["run", path]) == 0
