@@ -8,10 +8,11 @@ Commands:
 Config files are INI-style sections of key = value lines; the schema is
 documented in docs/config.md.  Exit codes: 0 success, 2 unreadable or
 invalid config, 3 violated precondition, 4 no convergence, 5 collision
-or boundary event.  Diagnostics go to stderr as `level=... task=...
-msg=...` lines; all artifacts land in the configured output directory
-under stable names.  Identical config and seed give byte-identical JSON
-(no timestamps are written).
+or boundary event; the table _FAILURES maps each failure to its code
+and one `level=error` line.  Diagnostics go to stderr as `level=...
+task=... msg=...` lines; all artifacts land in the configured output
+directory under stable names.  Identical config and seed give
+byte-identical JSON (no timestamps are written).
 """
 
 from __future__ import annotations
@@ -29,10 +30,8 @@ from .domains import make_domain
 from .dynamics import IntegratorSettings, integrate
 from .equilibria import (RelativeEquilibrium, certify, from_catalog,
                          make_trivial, normalize)
-from .errors import (BoundaryEventError, CollisionError,
-                     ConstraintViolationError, ConvergenceError,
-                     DomainViolationError, NotEquilibriumError,
-                     ScaleTooLargeError, VortexError, ZeroTotalStrengthError)
+from .errors import (BoundaryEventError, CollisionError, ConvergenceError,
+                     VortexError)
 from .periodic import SuperpositionSpec, continue_in_r, scan_phases, shoot
 from .stationary import (GRADIENT_TOL, MAX_ITERATIONS, evaluate_point,
                          find_critical_point)
@@ -44,12 +43,19 @@ EXIT_PRECONDITION = 3
 EXIT_NO_CONVERGENCE = 4
 EXIT_EVENT = 5
 
-_PRECONDITION_ERRORS = (ConstraintViolationError, ZeroTotalStrengthError,
-                        NotEquilibriumError, ScaleTooLargeError)
-
 
 class ConfigError(Exception):
     """Malformed or incomplete configuration."""
+
+
+#: (exception types, exit code, log label); the first matching row wins
+_FAILURES = (
+    ((ConfigError,), EXIT_CONFIG, "config error"),
+    ((CollisionError, BoundaryEventError), EXIT_EVENT, "event"),
+    ((ConvergenceError,), EXIT_NO_CONVERGENCE, "no convergence"),
+    ((VortexError,), EXIT_PRECONDITION, "precondition violated"),
+)
+_HANDLED = tuple(t for types, _, _ in _FAILURES for t in types)
 
 
 def _log(level: str, task: str, msg: str):
@@ -57,102 +63,107 @@ def _log(level: str, task: str, msg: str):
     print(f"level={level} task={task} msg={flat}", file=sys.stderr)
 
 
+def _fail(task: str, exc: Exception) -> int:
+    """Log exc as one error line and return the exit code of its row."""
+    code, label = next((code, label) for types, code, label in _FAILURES
+                       if isinstance(exc, types))
+    _log("error", task, f"{label}: {exc}")
+    return code
+
+
 # ---------------------------------------------------------------------------
-# config parsing
+# config parsing: each parser takes the stripped raw text and raises
+# ValueError, which _Config.get reports as a ConfigError
 # ---------------------------------------------------------------------------
 
-def _parse_floats(text: str):
-    parts = text.replace(",", " ").split()
+def _bool(text: str) -> bool:
     try:
-        return [float(p) for p in parts]
-    except ValueError as exc:
-        raise ConfigError(f"expected numbers, got {text!r}") from exc
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError("not a boolean") from None
 
 
-def _parse_points(text: str) -> np.ndarray:
+def _nonnegative(text: str) -> float:
+    value = float(text)
+    if not value >= 0.0:
+        raise ValueError("must be >= 0")
+    return value
+
+
+def _choice(options: tuple):
+    """Parser of one of options, case-insensitive."""
+    def parse(text: str) -> str:
+        if text.lower() not in options:
+            raise ValueError(f"choose from {options}")
+        return text.lower()
+    return parse
+
+
+def _list(text: str, item=float) -> list:
+    """Comma- and/or whitespace-separated values, at least one."""
+    values = [item(part) for part in text.replace(",", " ").split()]
+    if not values:
+        raise ValueError("empty list")
+    return values
+
+
+def _ints(text: str) -> list:
+    return _list(text, int)
+
+
+def _points(text: str) -> np.ndarray:
     """Semicolon-separated planar points: 'x1 y1; x2 y2; ...'."""
-    points = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        vals = _parse_floats(chunk)
-        if len(vals) != 2:
-            raise ConfigError(f"point {chunk!r} is not an x y pair")
-        points.append(vals)
-    if not points:
-        raise ConfigError("empty point list")
+    points = [_list(chunk) for chunk in text.split(";") if chunk.strip()]
+    if not points or any(len(p) != 2 for p in points):
+        raise ValueError("expected one or more x y pairs")
     return np.array(points)
 
 
 class _Config:
-    """Typed access to a parsed INI config with error bookkeeping."""
+    """A parsed INI config; every value is read through get()."""
 
     def __init__(self, path: str):
         parser = configparser.ConfigParser(
             inline_comment_prefixes=("#", ";"), interpolation=None)
         parser.optionxform = str
-        read = parser.read(path)
+        try:
+            read = parser.read(path, encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(exc) from exc
         if not read:
             raise ConfigError(f"cannot read config file {path!r}")
         self._cp = parser
-        self.path = path
 
     def sections(self) -> dict:
         return {s: dict(self._cp.items(s)) for s in self._cp.sections()}
 
-    def has(self, section: str, key: str = None) -> bool:
-        if key is None:
-            return self._cp.has_section(section)
-        return self._cp.has_option(section, key)
+    def has(self, section: str) -> bool:
+        return self._cp.has_section(section)
 
-    def get(self, section: str, key: str, default=None, required: bool = False):
-        if self._cp.has_option(section, key):
-            return self._cp.get(section, key).strip()
-        if required:
-            raise ConfigError(f"missing [{section}] {key}")
-        return default
-
-    def get_float(self, section, key, default=None, required=False):
-        raw = self.get(section, key, None, required)
-        if raw is None:
+    def get(self, section: str, key: str, parse=str, default=None,
+            required: bool = False):
+        """parse(raw value) of [section] key, or default when absent."""
+        if not self._cp.has_option(section, key):
+            if required:
+                raise ConfigError(f"missing [{section}] {key}")
             return default
+        raw = self._cp.get(section, key).strip()
         try:
-            return float(raw)
+            return parse(raw)
         except ValueError as exc:
-            raise ConfigError(f"[{section}] {key} = {raw!r} is not a number") from exc
-
-    def get_int(self, section, key, default=None, required=False):
-        raw = self.get(section, key, None, required)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key} = {raw!r} is not an integer") from exc
-
-    def get_bool(self, section, key, default=False):
-        raw = self.get(section, key, None)
-        if raw is None:
-            return default
-        lowered = raw.lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not a boolean")
-
-    def get_floats(self, section, key, required=False):
-        raw = self.get(section, key, None, required)
-        return None if raw is None else _parse_floats(raw)
-
-    def get_points(self, section, key, required=False):
-        raw = self.get(section, key, None, required)
-        return None if raw is None else _parse_points(raw)
+            raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
 
 
-TASKS = ("simulate", "stationary", "certify", "periodic", "sweep", "scan")
 CATALOGS = ("pair", "equilateral", "thomson", "hermite", "custom", "trivial")
+
+
+def _catalog(name: str, params) -> RelativeEquilibrium:
+    """from_catalog(name, *params), with a bad request as a ConfigError."""
+    try:
+        return from_catalog(name, *params)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad catalog request {name!r} {list(params)}: "
+                          f"{exc}") from exc
 
 
 def _dump_json(obj: dict, path: str):
@@ -164,8 +175,8 @@ def _dump_json(obj: dict, path: str):
 def _domain_from(cfg: _Config):
     kind = cfg.get("domain", "kind", required=True)
     kwargs = {}
-    if kind.strip().lower() in ("perturbed-disc", "perturbed-disk"):
-        eps = cfg.get_float("domain", "epsilon", None)
+    if kind.lower() in ("perturbed-disc", "perturbed-disk"):
+        eps = cfg.get("domain", "epsilon", float)
         if eps is not None:
             kwargs["epsilon"] = eps
     try:
@@ -177,54 +188,48 @@ def _domain_from(cfg: _Config):
 def _settings_from(cfg: _Config, section: str) -> IntegratorSettings:
     kwargs = {}
     for key in ("rtol", "atol", "max_step", "collision_tol", "boundary_margin"):
-        val = cfg.get_float(section, key, None)
+        val = cfg.get(section, key, float)
         if val is not None:
             kwargs[key] = val
-    if cfg.get_bool(section, "energy_projection", False):
-        kwargs["energy_projection"] = True
-    return IntegratorSettings(**kwargs)
+    return IntegratorSettings(
+        energy_projection=cfg.get(section, "energy_projection", _bool, False),
+        **kwargs)
 
 
 def _cluster_from(cfg: _Config, section: str, anchor_strength: float
                   ) -> RelativeEquilibrium:
-    catalog = cfg.get(section, "catalog", required=True).strip().lower()
-    if catalog not in CATALOGS:
-        raise ConfigError(
-            f"[{section}] unknown catalog {catalog!r}; choose from {CATALOGS}")
+    catalog = cfg.get(section, "catalog", _choice(CATALOGS), required=True)
     if catalog == "trivial":
         return make_trivial(anchor_strength)
     if catalog == "custom":
-        strengths = cfg.get_floats(section, "strengths", required=True)
-        positions = cfg.get_points(section, "positions", required=True)
-        omega = cfg.get_float(section, "omega", required=True)
-        perm_raw = cfg.get(section, "permutation", None)
-        if perm_raw is None:
-            perm = tuple(range(len(strengths)))
-        else:
-            perm = tuple(int(v) for v in _parse_floats(perm_raw))
-        return RelativeEquilibrium(tuple(strengths), positions, omega, perm)
-    params = cfg.get_floats(section, "params", required=True)
-    eq = from_catalog(catalog, *params)
-    target = cfg.get_float(section, "normalize_omega", None)
+        strengths = cfg.get(section, "strengths", _list, required=True)
+        positions = cfg.get(section, "positions", _points, required=True)
+        omega = cfg.get(section, "omega", float, required=True)
+        perm = cfg.get(section, "permutation", _ints, range(len(strengths)))
+        return RelativeEquilibrium(tuple(strengths), positions, omega,
+                                   tuple(perm))
+    eq = _catalog(catalog, cfg.get(section, "params", _list, required=True))
+    target = cfg.get(section, "normalize_omega", float)
     if target is not None:
         eq = normalize(eq, target)
     return eq
 
 
 def _anchors_from(cfg: _Config, domain, rng, task: str):
-    strengths = cfg.get_floats("anchors", "strengths", required=True)
-    positions = cfg.get_points("anchors", "positions")
+    strengths = cfg.get("anchors", "strengths", _list, required=True)
+    positions = cfg.get("anchors", "positions", _points)
     if positions is None:
-        guess = cfg.get_points("anchors", "guess", required=True)
-        jitter = cfg.get_float("anchors", "guess_jitter", 0.0)
+        guess = cfg.get("anchors", "guess", _points, required=True)
+        jitter = cfg.get("anchors", "guess_jitter", _nonnegative, 0.0)
         if jitter:
             guess = guess + rng.normal(0.0, jitter, size=guess.shape)
         _log("info", task, "searching for a critical anchor configuration")
         sp = find_critical_point(
             strengths, domain, guess,
-            gradient_tol=cfg.get_float("anchors", "gradient_tol", GRADIENT_TOL),
-            max_iterations=cfg.get_int("anchors", "max_iterations",
-                                       MAX_ITERATIONS))
+            gradient_tol=cfg.get("anchors", "gradient_tol", float,
+                                 GRADIENT_TOL),
+            max_iterations=cfg.get("anchors", "max_iterations", int,
+                                   MAX_ITERATIONS))
     else:
         if len(strengths) != positions.shape[0]:
             raise ConfigError("[anchors] strengths/positions length mismatch")
@@ -267,11 +272,11 @@ def _write_orbit(orbit, outdir: str, echo: dict):
 
 
 def _task_simulate(cfg: _Config, domain, outdir, rng, echo) -> int:
-    strengths = cfg.get_floats("vortices", "strengths", required=True)
-    positions = cfg.get_points("vortices", "positions", required=True)
+    strengths = cfg.get("vortices", "strengths", _list, required=True)
+    positions = cfg.get("vortices", "positions", _points, required=True)
     if len(strengths) != positions.shape[0]:
         raise ConfigError("[vortices] strengths/positions length mismatch")
-    t_end = cfg.get_float("simulate", "t_end", required=True)
+    t_end = cfg.get("simulate", "t_end", float, required=True)
     settings = _settings_from(cfg, "simulate")
     system = VortexSystem(tuple(strengths), (len(strengths),), domain)
     traj = integrate(system, positions.reshape(-1), (0.0, t_end), settings)
@@ -301,7 +306,7 @@ def _task_stationary(cfg: _Config, domain, outdir, rng, echo) -> int:
 
 
 def _task_certify(cfg: _Config, domain, outdir, rng, echo) -> int:
-    catalog = cfg.get("certify", "catalog", required=True).strip().lower()
+    catalog = cfg.get("certify", "catalog", required=True).lower()
     if catalog == "trivial":
         raise ConfigError("trivial placeholder clusters are not certifiable")
     eq = _cluster_from(cfg, "certify", float("nan"))
@@ -319,8 +324,8 @@ def _task_certify(cfg: _Config, domain, outdir, rng, echo) -> int:
 
 
 def _task_periodic(cfg: _Config, domain, outdir, rng, echo) -> int:
-    scale = cfg.get_float("periodic", "r", required=True)
-    phases = cfg.get_floats("periodic", "phases")
+    scale = cfg.get("periodic", "r", float, required=True)
+    phases = cfg.get("periodic", "phases", _list)
     spec = _spec_from(cfg, domain, rng, "periodic", scale, phases)
     settings = _settings_from(cfg, "periodic")
     orbit = shoot(spec, None, settings)
@@ -332,8 +337,8 @@ def _task_periodic(cfg: _Config, domain, outdir, rng, echo) -> int:
 
 
 def _task_sweep(cfg: _Config, domain, outdir, rng, echo) -> int:
-    r_values = cfg.get_floats("periodic", "r", required=True)
-    phases = cfg.get_floats("periodic", "phases")
+    r_values = cfg.get("periodic", "r", _list, required=True)
+    phases = cfg.get("periodic", "phases", _list)
     spec = _spec_from(cfg, domain, rng, "sweep", r_values[0], phases)
     settings = _settings_from(cfg, "periodic")
     orbits = continue_in_r(spec, r_values, settings)
@@ -354,8 +359,8 @@ def _task_sweep(cfg: _Config, domain, outdir, rng, echo) -> int:
 
 
 def _task_scan(cfg: _Config, domain, outdir, rng, echo) -> int:
-    scale = cfg.get_float("periodic", "r", required=True)
-    grid = cfg.get_int("periodic", "grid", 8)
+    scale = cfg.get("periodic", "r", float, required=True)
+    grid = cfg.get("periodic", "grid", int, 8)
     spec = _spec_from(cfg, domain, rng, "scan", scale, None)
     settings = _settings_from(cfg, "periodic")
     result = scan_phases(spec, grid, settings)
@@ -389,44 +394,29 @@ def run(config_path: str) -> int:
     task = "run"
     try:
         cfg = _Config(config_path)
-        task = cfg.get("task", "kind", required=True).strip().lower()
-        if task not in TASKS:
-            raise ConfigError(f"unknown task {task!r}; choose from {TASKS}")
-        outdir = cfg.get("task", "output_dir", "out")
-        seed = cfg.get_int("task", "seed", 0)
+        task = cfg.get("task", "kind", _choice(tuple(_HANDLERS)),
+                       required=True)
+        outdir = cfg.get("task", "output_dir", default="out")
+        seed = cfg.get("task", "seed", int, 0)
         domain = _domain_from(cfg)
         echo = {"sections": cfg.sections(), "seed": seed, "task": task}
         rng = np.random.default_rng(seed)
-        os.makedirs(outdir, exist_ok=True)
+        try:
+            os.makedirs(outdir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(
+                f"[task] output_dir = {outdir!r}: {exc}") from exc
         return _HANDLERS[task](cfg, domain, outdir, rng, echo)
-    except (ConfigError, configparser.Error) as exc:
-        _log("error", task, f"config error: {exc}")
-        return EXIT_CONFIG
-    except (CollisionError, BoundaryEventError) as exc:
-        _log("error", task, f"event: {exc}")
-        return EXIT_EVENT
-    except ConvergenceError as exc:
-        _log("error", task, f"no convergence: {exc}")
-        return EXIT_NO_CONVERGENCE
-    except (_PRECONDITION_ERRORS + (DomainViolationError,)) as exc:
-        _log("error", task, f"precondition violated: {exc}")
-        return EXIT_PRECONDITION
-    except VortexError as exc:
-        _log("error", task, f"failed: {exc}")
-        return EXIT_PRECONDITION
+    except _HANDLED as exc:
+        return _fail(task, exc)
 
 
 def certify_command(name: str, params) -> int:
     """`vortexlab certify <catalog> <params...>`: print a report."""
     try:
-        eq = from_catalog(name, *params)
-        report = certify(eq)
-    except (KeyError, TypeError, ValueError) as exc:
-        _log("error", "certify", f"bad catalog request: {exc}")
-        return EXIT_CONFIG
-    except _PRECONDITION_ERRORS as exc:
-        _log("error", "certify", f"precondition violated: {exc}")
-        return EXIT_PRECONDITION
+        report = certify(_catalog(name, params))
+    except _HANDLED as exc:
+        return _fail("certify", exc)
     doc = report.as_dict()
     doc["catalog"] = name
     doc["params"] = [float(p) for p in params]

@@ -57,7 +57,7 @@ class IntegratorSettings:
     rtol: float = 1e-13
     atol: float = 1e-13
     max_step: float = np.inf
-    collision_tol: float = 1e-8
+    collision_tol: float = COLLISION_TOL
     boundary_margin: float = 1e-9
     energy_projection: bool = False
 

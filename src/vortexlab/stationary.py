@@ -189,9 +189,8 @@ def _classify_kernel(domain, flat, dim, basis) -> Classification:
     return Classification.UNCLASSIFIED
 
 
-def _finish_point(strengths, domain, flat, gradient_norm,
+def _finish_point(strengths, domain, flat, gradient_norm, hess,
                   residuals=()) -> StationaryPoint:
-    hess = m_hessian(strengths, domain, flat)
     dim, basis = _hessian_kernel(hess)
     cls = _classify_kernel(domain, flat, dim, basis)
     return StationaryPoint(
@@ -216,8 +215,8 @@ def evaluate_point(strengths, domain: Domain, positions) -> StationaryPoint:
     iteration happens, and no criticality is enforced (callers that need
     a critical point must check gradient_norm themselves)."""
     flat = as_state(positions)
-    gn = float(np.linalg.norm(m_gradient(strengths, domain, flat)))
-    return _finish_point(strengths, domain, flat, gn)
+    grad, hess = _anchor_system(strengths, domain).gradient_and_hessian(flat)
+    return _finish_point(strengths, domain, flat, np.linalg.norm(grad), hess)
 
 
 def disc_dipole() -> StationaryPoint:
@@ -247,14 +246,18 @@ def find_critical_point(strengths, domain: Domain, guess, *,
     sys = _anchor_system(strengths, domain)
     x = as_state(guess).copy()
     sys.validate_state(x)
+    hessians = []  # the driver returns the last iterate it evaluated
 
     def gradient_and_bordered_hessian(x):
+        grad, hess = sys.gradient_and_hessian(x)
+        hessians.append(hess)
         C = np.reshape(_newton_constraints(domain, x), (-1, x.size)).T
         k = C.shape[1]
-        A = np.block([[sys.hessian(x), C], [C.T, np.zeros((k, k))]])
-        return np.concatenate([sys.gradient(x), np.zeros(k)]), A
+        A = np.block([[hess, C], [C.T, np.zeros((k, k))]])
+        return np.concatenate([grad, np.zeros(k)]), A
 
     x, residuals = newton(gradient_and_bordered_hessian, x,
                           sys.validate_state, tol=gradient_tol,
                           max_iterations=max_iterations, rel_threshold=1e-12)
-    return _finish_point(strengths, domain, x, residuals[-1], residuals)
+    return _finish_point(strengths, domain, x, residuals[-1], hessians[-1],
+                         residuals)

@@ -265,10 +265,13 @@ class VortexSystem:
         return g
 
     def hessian(self, z) -> np.ndarray:
-        p = pairs(z)
+        return self.gradient_and_hessian(z)[1]
+
+    def gradient_and_hessian(self, z):
+        """(gradient, Hessian) of H from one order-2 assembly."""
         A = self._coeff()
-        _, _, H = assemble_interaction(p, A, -A, self.domain, order=2)
-        return H
+        _, g, H = assemble_interaction(pairs(z), A, -A, self.domain, order=2)
+        return g, H
 
     # -- dynamics ----------------------------------------------------------
     def vector_field(self, z) -> np.ndarray:
@@ -279,8 +282,7 @@ class VortexSystem:
 
     def field_and_jacobian(self, z):
         """(vector field, its Jacobian) from one order-2 assembly."""
-        A = self._coeff()
-        _, g, H = assemble_interaction(pairs(z), A, -A, self.domain, order=2)
+        g, H = self.gradient_and_hessian(z)
         return (_weighted_perp_rows(g, self.gamma),
                 _weighted_perp_rows(H, self.gamma))
 

@@ -2,6 +2,7 @@
 
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from vortexlab.cli import main
 from conftest import MU
 
 LOG_LINE = re.compile(r"^level=\w+ task=\w+ msg=\S")
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN_DIR = ROOT / "out" / "figure1"
 
 
 def write_config(tmp_path, body, name="task.cfg"):
@@ -90,9 +93,82 @@ def test_malformed_config_is_a_config_error(tmp_path):
     assert main(["run", path]) == 2
 
 
-def test_unknown_task_is_a_config_error(tmp_path):
-    path = write_config(tmp_path, "[domain]\nkind = disc\n\n[task]\nkind = dance\n")
+def test_unknown_task_is_a_config_error(tmp_path, capsys):
+    path = write_config(tmp_path,
+                        "[domain]\nkind = disc\n\n[task]\nkind = a dance\n")
     assert main(["run", path]) == 2
+    assert_one_error_line(capsys.readouterr().err)
+
+
+def custom_certify_config(tmp_path, permutation):
+    return write_config(tmp_path, f"""
+[domain]
+kind = plane
+
+[task]
+kind = certify
+output_dir = {tmp_path / "out"}
+
+[certify]
+catalog = custom
+strengths = 1, 1
+positions = 0.3989422804014327 0; -0.3989422804014327 0
+omega = -1
+permutation = {permutation}
+""")
+
+
+def assert_one_error_line(err):
+    lines = [ln for ln in err.split("\n") if ln]
+    assert all(LOG_LINE.match(line) for line in lines), err
+    assert [ln for ln in lines if ln.startswith("level=error")] \
+        == [lines[-1]], err
+    assert "Traceback" not in err
+
+
+def undecodable_config(tmp_path):
+    path = tmp_path / "binary.cfg"
+    path.write_bytes(b"[task]\nkind = \xff\xfe\n")
+    return str(path)
+
+
+def file_as_output_dir_config(tmp_path):
+    path, out = stationary_config(tmp_path)
+    out.write_text("")
+    return path
+
+
+@pytest.mark.parametrize("make_config, message", [
+    pytest.param(lambda tmp: figure1_config(
+        tmp, "r = 0.1", cluster1="pair\nparams = -1, -1, 3")[0],
+        "pair expects 2 parameters, got 3", id="params-of-the-wrong-length"),
+    pytest.param(lambda tmp: figure1_config(tmp, "r = ,", task="sweep")[0],
+                 "[periodic] r = ',': empty list", id="empty-number-list"),
+    pytest.param(lambda tmp: stationary_config(tmp, "guess_jitter = -0.1")[0],
+                 "[anchors] guess_jitter = '-0.1': must be >= 0",
+                 id="negative-guess-jitter"),
+    pytest.param(lambda tmp: custom_certify_config(tmp, "0.4 1.2"),
+                 "[certify] permutation = '0.4 1.2'",
+                 id="fractional-permutation"),
+    pytest.param(undecodable_config, "codec can't decode",
+                 id="undecodable-file"),
+    pytest.param(file_as_output_dir_config, "[task] output_dir = ",
+                 id="output-dir-is-a-file"),
+])
+def test_bad_input_exits_with_one_config_error_line(
+        tmp_path, capsys, make_config, message):
+    assert main(["run", make_config(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "config error" in err
+    assert message in err
+
+
+def test_integer_permutation_reaches_the_equilibrium_checks(tmp_path, capsys):
+    # a well-formed permutation is passed on, not replaced by the identity
+    assert main(["run", custom_certify_config(tmp_path, "1, 0")]) == 3
+    assert_one_error_line(capsys.readouterr().err)
+    assert main(["run", custom_certify_config(tmp_path, "0 1")]) == 0
 
 
 def test_diagnostics_are_single_structured_lines(tmp_path, capsys):
@@ -282,6 +358,53 @@ def test_certify_subcommand_rejects_unknown_catalogs(capsys):
     assert "level=error" in capsys.readouterr().err
 
 
+def test_wrong_length_params_are_a_config_error_in_both_certify_paths(
+        tmp_path, capsys):
+    path = write_config(tmp_path, f"""
+[domain]
+kind = plane
+
+[task]
+kind = certify
+output_dir = {tmp_path / "out"}
+
+[certify]
+catalog = pair
+params = 1
+""")
+    assert main(["run", path]) == 2
+    assert_one_error_line(capsys.readouterr().err)
+    assert main(["certify", "pair", "1"]) == 2
+    assert_one_error_line(capsys.readouterr().err)
+    assert main(["certify", "thomson", "inf", "1"]) == 2
+    assert_one_error_line(capsys.readouterr().err)
+
+
 def test_certify_subcommand_flags_zero_total_strength(capsys):
     assert main(["certify", "pair", "1", "-1"]) == 3
     assert "precondition" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# shipped configs
+# ---------------------------------------------------------------------------
+
+SHIPPED = {"dipole.cfg": "stationary.json", "figure1.cfg": "orbit_r0.1.json"}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_shipped_config_runs(tmp_path, name):
+    text = (ROOT / "configs" / name).read_text()
+    out = tmp_path / "out"
+    redirected, count = re.subn(r"(?m)^output_dir = .*$",
+                                f"output_dir = {out}", text)
+    assert count == 1
+    assert main(["run", write_config(tmp_path, redirected, name)]) == 0
+    assert (out / SHIPPED[name]).is_file()
+
+
+def test_no_shipped_config_writes_into_the_golden_orbit_directory():
+    for path in (ROOT / "configs").glob("*.cfg"):
+        outdir = re.search(r"(?m)^output_dir = (.*)$", path.read_text())
+        assert (ROOT / outdir.group(1).strip()).resolve() \
+            != GOLDEN_DIR.resolve(), path.name

@@ -9,7 +9,8 @@ from vortexlab import (Classification, ConstraintViolationError,
                        ConvergenceError, DomainViolationError, PerturbedDisc,
                        UnitDisc, WholePlane, aligned_distance, classify,
                        disc_dipole, evaluate_point, find_critical_point,
-                       m_gradient, m_hamiltonian, rotate_all)
+                       m_gradient, m_hamiltonian, m_hessian, rotate_all)
+from vortexlab import systems
 from vortexlab.domains import SymmetryClass
 from vortexlab.stationary import (DIPOLE_OFFSET, _classify_kernel,
                                   kernel_generators)
@@ -169,6 +170,35 @@ def test_exhausted_iteration_budget_reports_the_last_iterate(disc):
     assert err.iterations == 2
     assert 1e-10 < err.residual < 1e-2
     assert np.asarray(err.last_iterate).shape == (4,)
+
+
+def count_assemblies(monkeypatch):
+    """Orders of the assemble_interaction calls made from now on."""
+    orders = []
+    real = systems.assemble_interaction
+
+    def counting(*args, **kwargs):
+        orders.append(kwargs.get("order", 2))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(systems, "assemble_interaction", counting)
+    return orders
+
+
+def test_one_order_two_assembly_per_evaluated_iterate(disc, monkeypatch):
+    # the figure-1 anchors from the on-axis guess: the converged Hessian
+    # is the one the last Newton evaluation assembled, not a new one
+    strengths, guess = (-2.0, 2.0), [[0.45, 0.0], [-0.45, 0.0]]
+    orders = count_assemblies(monkeypatch)
+    sp = find_critical_point(strengths, disc, guess)
+    assert len(sp.residuals) == 4
+    assert orders == [2] * len(sp.residuals)
+    assert np.array_equal(sp.hessian, m_hessian(strengths, disc, sp.flat()))
+
+    orders.clear()
+    again = evaluate_point(strengths, disc, sp.positions)
+    assert orders == [2]
+    assert np.array_equal(again.hessian, sp.hessian)
 
 
 def test_newton_guess_must_be_admissible(disc):
