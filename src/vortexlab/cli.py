@@ -119,8 +119,26 @@ def _points(text: str) -> np.ndarray:
     return np.array(points)
 
 
+_INTEGRATOR_KEYS = ("rtol", "atol", "max_step", "collision_tol",
+                    "boundary_margin")
+#: the keys each section accepts; [cluster.N] and [certify] read "cluster"
+_KEYS = {
+    "domain": ("kind", "epsilon"),
+    "task": ("kind", "output_dir", "seed"),
+    "anchors": ("strengths", "positions", "guess", "guess_jitter",
+                "gradient_tol", "max_iterations"),
+    "cluster": ("catalog", "params", "normalize_omega", "strengths",
+                "positions", "omega", "permutation"),
+    "periodic": ("r", "phases", "grid", "energy_projection")
+                + _INTEGRATOR_KEYS,
+    "simulate": ("t_end", "energy_projection") + _INTEGRATOR_KEYS,
+    "vortices": ("strengths", "positions"),
+}
+
+
 class _Config:
-    """A parsed INI config; every value is read through get()."""
+    """A parsed INI config of known sections and keys; every value is
+    read through get()."""
 
     def __init__(self, path: str):
         parser = configparser.ConfigParser(
@@ -132,6 +150,14 @@ class _Config:
             raise ConfigError(exc) from exc
         if not read:
             raise ConfigError(f"cannot read config file {path!r}")
+        for section in parser.sections():
+            kind = ("cluster" if section == "certify"
+                    or section.startswith("cluster.") else section)
+            if kind not in _KEYS:
+                raise ConfigError(f"unknown section [{section}]")
+            for key in parser.options(section):
+                if key not in _KEYS[kind]:
+                    raise ConfigError(f"unknown key [{section}] {key}")
         self._cp = parser
 
     def sections(self) -> dict:
@@ -187,7 +213,7 @@ def _domain_from(cfg: _Config):
 
 def _settings_from(cfg: _Config, section: str) -> IntegratorSettings:
     kwargs = {}
-    for key in ("rtol", "atol", "max_step", "collision_tol", "boundary_margin"):
+    for key in _INTEGRATOR_KEYS:
         val = cfg.get(section, key, float)
         if val is not None:
             kwargs[key] = val

@@ -26,6 +26,7 @@ and its derivatives only there, and the scalar forms regular_part,
 grad_regular and hess_regular read their entries from them (g is
 symmetric, so the y-derivatives are x-derivatives with the arguments
 swapped).  The dynamics and shooting hot loops call the _many forms.
+Each domain writes its boundary geometry once, in boundary_clearance.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ from .errors import DomainViolationError
 
 FOUR_PI = 4.0 * np.pi
 TWO_PI = 2.0 * np.pi
+#: default clearance at or below which a point is not admissible
+BOUNDARY_MARGIN = 1e-9
 
 
 class SymmetryClass(enum.Enum):
@@ -58,8 +61,13 @@ class Domain(ABC):
 
     # -- membership ----------------------------------------------------
     @abstractmethod
-    def contains(self, x) -> bool:
-        """True if x is strictly inside the domain (margin included)."""
+    def boundary_clearance(self, x) -> float:
+        """Distance-like clearance of x to the boundary; non-finite
+        coordinates give a clearance that fails every margin."""
+
+    def contains(self, x, margin: float = BOUNDARY_MARGIN) -> bool:
+        """True if x is inside the domain by a clearance above margin."""
+        return bool(self.boundary_clearance(x) > margin)
 
     def check_interior(self, x, index=None):
         if not self.contains(x):
@@ -67,10 +75,6 @@ class Domain(ABC):
                 f"position {np.asarray(x)} is not interior to {self.name}",
                 index=index,
             )
-
-    def boundary_clearance(self, x) -> float:
-        """Distance-like clearance to the boundary; +inf for the plane."""
-        return np.inf
 
     # -- regular part, all-pairs: the implementation ---------------------
     @abstractmethod
@@ -148,8 +152,8 @@ class WholePlane(Domain):
     symmetry = SymmetryClass.PLANE_FULL
     name = "plane"
 
-    def contains(self, x) -> bool:
-        return bool(np.all(np.isfinite(x)))
+    def boundary_clearance(self, x) -> float:
+        return np.inf if np.all(np.isfinite(x)) else np.nan
 
     def regular_part_many(self, px, py):
         px, py = np.atleast_2d(px), np.atleast_2d(py)
@@ -179,12 +183,6 @@ class UnitDisc(Domain):
 
     symmetry = SymmetryClass.ROTATIONAL
     name = "unit-disc"
-    #: points with 1 - |x| below this margin are rejected (log blowup)
-    interior_margin = 1e-9
-
-    def contains(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.linalg.norm(x) < 1.0 - self.interior_margin)
 
     def boundary_clearance(self, x) -> float:
         return float(1.0 - np.linalg.norm(np.asarray(x, dtype=float)))

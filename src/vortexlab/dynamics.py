@@ -7,12 +7,12 @@ whose error estimate combines its 5th- and 3rd-order companions, with a
 every accepted step is screened for collisions and boundary approach on
 the interpolant before it is committed.  integrate and
 flow_with_jacobian share one step-and-screen helper: one evaluation of
-the interpolant per step gives the screening grid, and each sample gets
-one look from systems.screen_state (the initial state, from the shared
-validate_state).  A tripped guard is refined to its crossing time by
-root bracketing and raised as a typed event carrying the time and the
-offending pair or vortex.  Trajectories sample their dense output
-through scipy's OdeSolution.
+the interpolant per step gives the screening grid, and each sample, as
+the initial state, gets one look from the system's validate_state at the
+settings' thresholds.  A guard tripped on a sample is refined to its
+crossing time by root bracketing and raised as a typed event carrying
+the time and the offending pair or vortex.  Trajectories sample their
+dense output through scipy's OdeSolution.
 
 Orbit-level work should integrate the rescaled system, whose period is
 O(1); the plain system covers the same orbit only with a step-size
@@ -43,10 +43,10 @@ from scipy.integrate import DOP853, OdeSolution
 from scipy.optimize import brentq
 
 from .errors import (BoundaryEventError, CollisionError, ConstraintViolationError,
-                     ConvergenceError)
-from .domains import Domain
+                     ConvergenceError, DomainViolationError)
+from .domains import BOUNDARY_MARGIN, Domain
 from .linalg import as_state
-from .systems import COLLISION_TOL, RescaledSystem, VortexSystem, screen_state
+from .systems import COLLISION_TOL, RescaledSystem, VortexSystem
 
 #: dense-output screening points per accepted step
 GUARD_SAMPLES = 8
@@ -58,16 +58,18 @@ class IntegratorSettings:
     atol: float = 1e-13
     max_step: float = np.inf
     collision_tol: float = COLLISION_TOL
-    boundary_margin: float = 1e-9
+    boundary_margin: float = BOUNDARY_MARGIN
     energy_projection: bool = False
 
     def __post_init__(self):
-        if self.rtol <= 0.0 or self.atol <= 0.0:
-            raise ConstraintViolationError("tolerances must be positive")
-        if self.max_step <= 0.0:
-            raise ConstraintViolationError("max_step must be positive")
-        if self.collision_tol < 0.0 or self.boundary_margin < 0.0:
-            raise ConstraintViolationError("guard thresholds must be >= 0")
+        # every test is written to fail on NaN
+        if not (0.0 < self.rtol < np.inf and 0.0 < self.atol < np.inf):
+            raise ConstraintViolationError("tolerances must be finite and > 0")
+        if not self.max_step > 0.0:
+            raise ConstraintViolationError("max_step must be > 0")
+        if not all(0.0 <= v < np.inf
+                   for v in (self.collision_tol, self.boundary_margin)):
+            raise ConstraintViolationError("guards must be finite and >= 0")
 
 
 class FlowSystem(Protocol):
@@ -80,7 +82,8 @@ class FlowSystem(Protocol):
     def field_and_jacobian(self, y) -> tuple: ...
     def hamiltonian(self, y) -> float: ...
     def gradient(self, y) -> np.ndarray: ...
-    def validate_state(self, y, time=None, collision_tol=COLLISION_TOL): ...
+    def validate_state(self, y, time=None, collision_tol=COLLISION_TOL,
+                       boundary_margin=BOUNDARY_MARGIN) -> float: ...
 
     def guard_geometry(self, y) -> tuple:
         """(positions to guard, pair mask or None, check_boundary)."""
@@ -92,16 +95,15 @@ def _stepper(fun, t0: float, y0, t_bound: float,
                   atol=settings.atol, max_step=settings.max_step)
 
 
-def _refine_and_raise(system, state, t_ok, t_bad, event, settings):
-    """Raise the event, its crossing bracketed in (t_ok, t_bad]."""
-    kind, who = event
-    collision = kind == "collision"
+def _refine_and_raise(system, state, t_ok, t_bad, exc, settings):
+    """Raise exc as an event, its crossing bracketed in (t_ok, t_bad]."""
+    collision = isinstance(exc, CollisionError)
     tol = settings.collision_tol if collision else settings.boundary_margin
 
     def gap(t):
         p, _, _ = system.guard_geometry(state(t))
         if collision:
-            return float(np.linalg.norm(p[who[0]] - p[who[1]]))
+            return float(np.linalg.norm(p[exc.pair[0]] - p[exc.pair[1]]))
         return min(system.domain.boundary_clearance(x) for x in p)
 
     t_star = float(t_bad)
@@ -110,13 +112,13 @@ def _refine_and_raise(system, state, t_ok, t_bad, event, settings):
                               xtol=1e-14, rtol=1e-14))
 
     if collision:
-        i, j = who
+        i, j = exc.pair
         raise CollisionError(
             f"vortices {i} and {j} collide at t = {t_star:.9g}",
             pair=(i, j), distance=gap(t_star), time=t_star)
     raise BoundaryEventError(
-        f"vortex {who} reaches the boundary at t = {t_star:.9g}",
-        index=who, time=t_star)
+        f"vortex {exc.index} reaches the boundary at t = {t_star:.9g}",
+        index=exc.index, time=t_star)
 
 
 def _step_and_screen(system: FlowSystem, stepper, d: int,
@@ -140,12 +142,13 @@ def _step_and_screen(system: FlowSystem, stepper, d: int,
     min_sep = np.inf
     # contiguous rows: strided ones slow the per-vortex clearance calls
     for tg, y in zip(grid, np.ascontiguousarray(interp(grid)[:d].T)):
-        sep, event = screen_state(system, y, settings.collision_tol,
-                                  settings.boundary_margin)
-        min_sep = min(min_sep, sep)
-        if event is not None:
+        try:
+            sep = system.validate_state(y, tg, settings.collision_tol,
+                                        settings.boundary_margin)
+        except (CollisionError, DomainViolationError) as exc:
             _refine_and_raise(system, lambda t: interp(t)[:d], t_ok, tg,
-                              event, settings)
+                              exc, settings)
+        min_sep = min(min_sep, sep)
         t_ok = tg
     return interp, min_sep
 
@@ -241,8 +244,8 @@ def integrate(system: FlowSystem, z0, t_span,
     settings = settings or IntegratorSettings()
     y0 = as_state(z0).copy()
     t0, t1 = (float(t_span[0]), float(t_span[1]))
-    min_sep = system.validate_state(y0, time=t0,
-                                    collision_tol=settings.collision_tol)
+    min_sep = system.validate_state(y0, t0, settings.collision_tol,
+                                    settings.boundary_margin)
 
     times = [t0]
     states = [y0.copy()]
@@ -292,7 +295,8 @@ def flow_with_jacobian(system: FlowSystem, z0, t_end: float,
     settings = settings or IntegratorSettings()
     y0 = as_state(z0).copy()
     d = y0.size
-    system.validate_state(y0, time=0.0, collision_tol=settings.collision_tol)
+    system.validate_state(y0, 0.0, settings.collision_tol,
+                          settings.boundary_margin)
     if t_end == 0.0:
         return y0, np.eye(d)
 

@@ -164,6 +164,34 @@ def test_bad_input_exits_with_one_config_error_line(
     assert message in err
 
 
+@pytest.mark.parametrize("section, line", [
+    ("anchors", "guess_jiter = 0.3"),
+    ("periodic", "boundary_margn = 0.1"),
+    ("cluster.2", "param = 1, 1"),
+    ("task", "sead = 3"),
+])
+def test_unknown_key_is_a_config_error(tmp_path, capsys, section, line):
+    path, _ = figure1_config(tmp_path, "r = 0.1")
+    text = Path(path).read_text().replace(f"[{section}]\n",
+                                          f"[{section}]\n{line}\n")
+    Path(path).write_text(text)
+    assert main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert f"unknown key [{section}] {line.split()[0]}" in err
+
+
+def test_unknown_section_and_certify_keys(tmp_path, capsys):
+    path = custom_certify_config(tmp_path, "0 1")
+    text = Path(path).read_text()
+    Path(path).write_text(text + "catalogue = pair\n")
+    assert main(["run", path]) == 2
+    assert "unknown key [certify] catalogue" in capsys.readouterr().err
+    Path(path).write_text(text + "\n[simulat]\nt_end = 1\n")
+    assert main(["run", path]) == 2
+    assert "unknown section [simulat]" in capsys.readouterr().err
+
+
 def test_integer_permutation_reaches_the_equilibrium_checks(tmp_path, capsys):
     # a well-formed permutation is passed on, not replaced by the identity
     assert main(["run", custom_certify_config(tmp_path, "1, 0")]) == 3
@@ -252,24 +280,50 @@ t_end = 1.0
     assert header == "t,x1,y1,x2,y2,H"
 
 
-def test_boundary_event_uses_the_event_code(tmp_path, capsys):
-    out = tmp_path / "out"
-    path = write_config(tmp_path, f"""
+def disc_dipole_simulate_config(tmp_path, positions, extra):
+    return write_config(tmp_path, f"""
 [domain]
 kind = disc
 
 [task]
 kind = simulate
-output_dir = {out}
+output_dir = {tmp_path / "out"}
 
 [vortices]
 strengths = 1, -1
-positions = 0.5 0.05; 0.5 -0.05
+positions = {positions}
 
 [simulate]
 t_end = 1.0
-boundary_margin = 0.1
+{extra}
 """)
+
+
+def test_start_inside_the_boundary_margin_uses_the_precondition_code(
+        tmp_path, capsys):
+    # vortex 0 starts 0.05 from the wall, inside the 0.1 margin
+    path = disc_dipole_simulate_config(tmp_path, "0.95 0; -0.5 0",
+                                       "boundary_margin = 0.1")
+    assert main(["run", path]) == 3
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "precondition violated: vortex 0" in err
+
+
+@pytest.mark.parametrize("key", ["collision_tol", "boundary_margin", "rtol"])
+def test_non_finite_integrator_setting_uses_the_precondition_code(
+        tmp_path, capsys, key):
+    path = disc_dipole_simulate_config(tmp_path, "0.5 0.05; 0.5 -0.05",
+                                       f"{key} = nan")
+    assert main(["run", path]) == 3
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "must be finite" in err
+
+
+def test_boundary_event_uses_the_event_code(tmp_path, capsys):
+    path = disc_dipole_simulate_config(tmp_path, "0.5 0.05; 0.5 -0.05",
+                                       "boundary_margin = 0.1")
     assert main(["run", path]) == 5
     assert "event" in capsys.readouterr().err
 

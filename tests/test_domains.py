@@ -14,6 +14,7 @@ from vortexlab import (
     WholePlane,
     make_domain,
 )
+from vortexlab.domains import BOUNDARY_MARGIN
 from conftest import MU, random_disc_points
 
 TWO_PI = 2.0 * np.pi
@@ -228,7 +229,7 @@ def test_many_variants_match_scalar_loops(disc, rng):
 # admissibility checks
 # ---------------------------------------------------------------------------
 
-def test_interior_margin_enforced(disc):
+def test_interior_margin_enforced(disc, plane):
     disc.check_interior(np.array([0.5, 0.0]))
     with pytest.raises(DomainViolationError):
         disc.check_interior(np.array([1.0 - 1e-12, 0.0]))
@@ -236,6 +237,20 @@ def test_interior_margin_enforced(disc):
         disc.check_interior(np.array([1.5, 0.0]))
     assert disc.contains(np.array([0.9, 0.0]))
     assert not disc.contains(np.array([1.1, 0.0]))
+    # membership is the clearance read against the margin, for every
+    # domain; non-finite points are never inside
+    finite = ([0.0, 0.0], [0.9, 0.0], [1.0 - 1e-12, 0.0], [0.0, -1.1],
+              [3.0, 4.0])
+    non_finite = ([np.nan, 0.0], [0.0, np.inf], [-np.inf, np.nan])
+    for domain in (disc, PerturbedDisc(), plane):
+        for x in finite + non_finite:
+            clearance = domain.boundary_clearance(x)
+            assert domain.contains(x) == (clearance > BOUNDARY_MARGIN)
+            for margin in (0.0, 0.05, 0.2):
+                assert domain.contains(x, margin) == (clearance > margin)
+        for x in non_finite:
+            assert not domain.contains(x, 0.0)
+    assert plane.contains([3.0, 4.0])
 
 
 def test_boundary_clearance(disc, plane):
@@ -256,9 +271,9 @@ def test_domain_factory():
 
 
 def test_regular_part_raises_typed_error_for_nonpositive_q():
-    # a negative margin admits points on the circle, where q(x, x) = 0;
+    # a clearance that admits points on the circle, where q(x, x) = 0;
     # the check must hold under `python -O` too, so it is not an assert
     disc = UnitDisc()
-    disc.interior_margin = -1.0
-    with pytest.raises(DomainViolationError):
+    disc.boundary_clearance = lambda x: 1.0
+    with pytest.raises(DomainViolationError, match="not finite"):
         disc.regular_part([1.0, 0.0], [1.0, 0.0])

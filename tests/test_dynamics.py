@@ -226,9 +226,30 @@ def test_guard_catches_a_grazing_pass_just_below_the_threshold(
 
 def test_settings_validation():
     for bad in (dict(rtol=0.0), dict(atol=-1.0), dict(max_step=0.0),
-                dict(collision_tol=-1e-9), dict(boundary_margin=-1e-9)):
+                dict(collision_tol=-1e-9), dict(boundary_margin=-1e-9),
+                dict(rtol=np.nan), dict(atol=np.nan), dict(max_step=np.nan),
+                dict(collision_tol=np.nan), dict(boundary_margin=np.nan),
+                dict(rtol=np.inf), dict(atol=np.inf),
+                dict(collision_tol=np.inf), dict(boundary_margin=np.inf)):
         with pytest.raises(ConstraintViolationError):
             IntegratorSettings(**bad)
+    assert IntegratorSettings(max_step=np.inf).max_step == np.inf
+
+
+@pytest.mark.parametrize("run", [
+    lambda system, z0, s: integrate(system, z0, (0.0, 1.0), s),
+    lambda system, z0, s: flow_with_jacobian(system, z0, 1.0, s),
+], ids=["integrate", "flow_with_jacobian"])
+def test_start_inside_the_boundary_margin_is_a_domain_violation(disc, run):
+    # vortex 0 starts 0.05 from the wall, inside the 0.1 margin: the
+    # start is refused, not reported as a crossing at a later time
+    system = VortexSystem((1.0, -1.0), (1, 1), disc)
+    with pytest.raises(DomainViolationError) as info:
+        run(system, [0.95, 0.0, -0.5, 0.0],
+            IntegratorSettings(boundary_margin=0.1))
+    assert type(info.value) is DomainViolationError
+    assert info.value.time == 0.0
+    assert info.value.index == 0
 
 
 def test_initial_state_is_validated(disc):
