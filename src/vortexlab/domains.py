@@ -65,16 +65,14 @@ class Domain(ABC):
         """Distance-like clearance of x to the boundary; non-finite
         coordinates give a clearance that fails every margin."""
 
-    def contains(self, x, margin: float = BOUNDARY_MARGIN) -> bool:
-        """True if x is inside the domain by a clearance above margin."""
-        return bool(self.boundary_clearance(x) > margin)
+    def contains(self, x) -> bool:
+        """True if x clears the boundary by more than BOUNDARY_MARGIN."""
+        return bool(self.boundary_clearance(x) > BOUNDARY_MARGIN)
 
-    def check_interior(self, x, index=None):
+    def check_interior(self, x):
         if not self.contains(x):
             raise DomainViolationError(
-                f"position {np.asarray(x)} is not interior to {self.name}",
-                index=index,
-            )
+                f"position {np.asarray(x)} is not interior to {self.name}")
 
     # -- regular part, all-pairs: the implementation ---------------------
     @abstractmethod

@@ -347,21 +347,24 @@ def shoot(spec: SuperpositionSpec, u0_guess=None,
     S_sigma Dphi - I.  Converged when the twisted residual is <= 1e-10;
     the returned orbit additionally satisfies full-period closure <= 1e-9
     and, for nontrivial sigma, symmetry defect <= 1e-8, both enforced,
-    not just reported.
+    not just reported.  Every iterate meets the settings' guard thresholds.
     """
     if spec.scale <= 0.0:
         raise ConstraintViolationError("shooting requires scale > 0")
     settings = settings or IntegratorSettings()
     rs = spec.rescaled()
     u0 = build_initial_guess(spec) if u0_guess is None else as_state(u0_guess).copy()
-    rs.validate_state(u0)
     S = permutation_matrix(spec.sigma)
+
+    def admissible(u):
+        rs.validate_state(u, None, settings.collision_tol,
+                          settings.boundary_margin)
 
     def twisted_residual(u):
         uT, W = flow_with_jacobian(rs, u, TWO_PI, settings)
         return S @ uT - u, S @ W - np.eye(u.size)
 
-    u0, residuals = newton(twisted_residual, u0, rs.validate_state,
+    u0, residuals = newton(twisted_residual, u0, admissible,
                            tol=SHOOT_TOL, max_iterations=MAX_SHOOT_ITERATIONS,
                            rel_threshold=JACOBIAN_SVD_THRESHOLD)
     iterations = len(residuals) - 1

@@ -160,9 +160,8 @@ def _validate_state(self, y, time=None, collision_tol: float = COLLISION_TOL,
                 index=k, time=time)
     d, pair = closest_pair(p, mask)
     if d <= collision_tol:
-        i, j = pair
         raise CollisionError(
-            f"vortices {i} and {j} are {d:.3e} apart "
+            f"vortices {pair[0]} and {pair[1]} are {d:.3e} apart "
             f"(tolerance {collision_tol:.1e})",
             pair=pair, distance=d, time=time)
     return d

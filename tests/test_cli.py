@@ -346,6 +346,17 @@ def test_periodic_task_writes_orbit_artifacts(tmp_path):
         assert header == "t,x1,y1,x2,y2,x3,y3,x4,y4,H"
 
 
+def test_newton_step_inside_the_collision_tol_uses_the_convergence_code(
+        tmp_path, capsys):
+    # the guess's closest pair is 0.0798 apart; the first Newton step
+    # brings it to 0.0795, inside the threshold
+    path, _ = figure1_config(tmp_path, "r = 0.1\ncollision_tol = 0.0796")
+    assert main(["run", path]) == 4
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "left the admissible set" in err
+
+
 def test_zero_sum_cluster_uses_the_precondition_code(tmp_path, capsys):
     path, _ = figure1_config(tmp_path, "r = 0.1",
                              cluster1="pair\nparams = 1, -1")

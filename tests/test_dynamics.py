@@ -187,6 +187,30 @@ def test_slip_through_dipoles_trip_the_collision_guard(plane):
     assert err.distance == pytest.approx(0.3, abs=1e-6)
 
 
+def test_boundary_event_wins_when_both_guards_trip_on_one_sample(disc):
+    # a co-rotating pair near the wall: over the first screening sample
+    # both its wall clearance and its separation shrink, so thresholds
+    # halfway between the start values and that sample's trip both
+    # guards there; the boundary is checked first
+    system = VortexSystem((1.0, 1.0), (1, 1), disc)
+    z0 = np.array([0.8, 0.05, 0.8, -0.05])
+    traj = integrate(system, z0, (0.0, 0.5))
+    t1 = traj.times[1] / dynamics.GUARD_SAMPLES
+
+    def gaps(z):
+        p = np.reshape(z, (2, 2))
+        return (min(disc.boundary_clearance(x) for x in p),
+                np.linalg.norm(p[0] - p[1]))
+
+    (c0, d0), (c1, d1) = gaps(z0), gaps(traj.sample(t1))
+    assert c1 < c0 and d1 < d0
+    with pytest.raises(BoundaryEventError) as info:
+        integrate(system, z0, (0.0, 0.5),
+                  IntegratorSettings(collision_tol=0.5 * (d0 + d1),
+                                     boundary_margin=0.5 * (c0 + c1)))
+    assert 0.0 < info.value.time <= t1
+
+
 @settings(derandomize=True, database=None, max_examples=20, deadline=None)
 @given(d=st.floats(0.05, 0.3), offset=st.floats(0.2, 1.5),
        weak=st.floats(1e-3, 1e-2), depth=st.floats(2e-4, 1e-2))

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from vortexlab import (ConstraintViolationError, ConvergenceError,
-                       ScaleTooLargeError, SuperpositionSpec,
+from vortexlab import (CollisionError, ConstraintViolationError,
+                       ConvergenceError, DomainViolationError,
+                       IntegratorSettings, ScaleTooLargeError, SuperpositionSpec,
                        build_initial_guess, cluster_winding_numbers,
                        continue_in_r, distance_to_M, evaluate_point,
                        integrate, make_equilateral, make_pair, make_trivial,
@@ -145,6 +146,36 @@ def test_scale_admissibility_catches_only_package_errors():
 def test_shoot_requires_a_positive_scale():
     with pytest.raises(ConstraintViolationError):
         shoot(build_figure1_spec(0.0))
+
+
+def _guard_gaps(spec, u):
+    """(smallest wall clearance, smallest pair distance) of u's
+    physical state."""
+    p = spec.rescaled().to_physical(u).reshape(-1, 2)
+    i, j = np.triu_indices(len(p), 1)
+    return (min(spec.domain.boundary_clearance(x) for x in p),
+            float(np.min(np.linalg.norm(p[i] - p[j], axis=1))))
+
+
+@pytest.mark.parametrize("guard, spec, cause, k, shift", [
+    ("boundary_margin", build_thomson3_spec(0.3), DomainViolationError,
+     0, 3e-6),
+    ("collision_tol", build_figure1_spec(0.1), CollisionError, 1, 1.5e-4),
+], ids=["boundary_margin", "collision_tol"])
+def test_newton_iterate_inside_the_user_thresholds_is_a_convergence_error(
+        guard, spec, cause, k, shift):
+    # the guess (and its flow, a rigid rotation) clears the threshold;
+    # the first Newton step moves a vortex 6e-6 toward the wall (Thomson
+    # ring at r = 0.3) or a pair 3e-4 closer (figure 1 at r = 0.1), so
+    # it lands inside the threshold and Newton reports the step
+    u0 = build_initial_guess(spec)
+    threshold = _guard_gaps(spec, u0)[k] - shift
+    with pytest.raises(ConvergenceError) as info:
+        shoot(spec, settings=IntegratorSettings(**{guard: threshold}))
+    assert "left the admissible set" in str(info.value)
+    assert info.value.iterations == 1
+    assert isinstance(info.value.__cause__, cause)
+    assert np.array_equal(info.value.last_iterate, u0)
 
 
 @pytest.mark.parametrize("check", ["closure", "symmetry"])
