@@ -12,7 +12,9 @@ the initial state, gets one look from the system's validate_state at the
 settings' thresholds.  A guard tripped on a sample is refined to its
 crossing time by root bracketing and raised as a typed event carrying
 the time and the offending pair or vortex.  Trajectories sample their
-dense output through scipy's OdeSolution.
+dense output through scipy's OdeSolution; flow_with_jacobian screens
+on an interpolant of the base state alone, whose extra stages take the
+field only.
 
 Orbit-level work should integrate the rescaled system, whose period is
 O(1); the plain system covers the same orbit only with a step-size
@@ -40,6 +42,7 @@ from typing import Optional, Protocol
 
 import numpy as np
 from scipy.integrate import DOP853, OdeSolution
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.optimize import brentq
 
 from .errors import (BoundaryEventError, CollisionError, ConstraintViolationError,
@@ -121,10 +124,39 @@ def _refine_and_raise(system, state, t_ok, t_bad, exc, settings):
         index=exc.index, time=t_star)
 
 
-def _step_and_screen(system: FlowSystem, stepper, d: int,
+def _base_dense_output(stepper, field, d: int):
+    """The DOP853 interpolant of stepper's last step, for the first d
+    components only (Hairer, Norsett and Wanner, Solving ODEs I, II.6).
+
+    scipy's dense_output() evaluates its three extra stages on the whole
+    state.  The first d components of a stage depend on the first d of
+    its argument only, so field, the right-hand side of those
+    components, evaluates them on d components (field is autonomous, so
+    the stage times are not needed).  The stepper's stages are read,
+    never written, so its step sequence does not change.
+    """
+    h = stepper.h_previous
+    y_old = stepper.y_old[:d]
+    start = len(stepper.K_extended) - len(stepper.A_EXTRA)
+    K = np.empty((len(stepper.K_extended), d))
+    K[:start] = stepper.K_extended[:start, :d]
+    for s, a in enumerate(stepper.A_EXTRA, start=start):
+        K[s] = field(y_old + np.dot(K[:s].T, a[:s]) * h)
+    # the same coefficients as DOP853._dense_output_impl
+    delta_y = stepper.y[:d] - y_old
+    F = np.empty((3 + len(stepper.D), d))
+    F[0] = delta_y
+    F[1] = h * K[0] - delta_y
+    F[2] = 2 * delta_y - h * (stepper.f[:d] + K[0])
+    F[3:] = h * np.dot(stepper.D, K)
+    return Dop853DenseOutput(stepper.t_old, stepper.t, y_old, F)
+
+
+def _step_and_screen(system: FlowSystem, stepper, d: int, dense,
                      settings: IntegratorSettings, what: str):
-    """Take one step and screen the first d components of its dense
-    output on GUARD_SAMPLES points before the step is committed.
+    """Take one step and screen dense(stepper), its interpolant of the
+    first d components, on GUARD_SAMPLES points before the step is
+    committed.
 
     Returns (interpolant, smallest guarded separation on the grid);
     raises ConvergenceError when the stepper fails and the refined
@@ -136,18 +168,17 @@ def _step_and_screen(system: FlowSystem, stepper, d: int,
             f"{what} failed at t = {stepper.t:.9g}: {message}",
             iterations=stepper.nfev, last_iterate=stepper.y[:d].copy(),
             residual=np.nan)
-    interp = stepper.dense_output()
+    interp = dense(stepper)
     t_ok = stepper.t_old
     grid = np.linspace(t_ok, stepper.t, GUARD_SAMPLES + 1)[1:]
     min_sep = np.inf
     # contiguous rows: strided ones slow the per-vortex clearance calls
-    for tg, y in zip(grid, np.ascontiguousarray(interp(grid)[:d].T)):
+    for tg, y in zip(grid, np.ascontiguousarray(interp(grid).T)):
         try:
             sep = system.validate_state(y, tg, settings.collision_tol,
                                         settings.boundary_margin)
         except (CollisionError, DomainViolationError) as exc:
-            _refine_and_raise(system, lambda t: interp(t)[:d], t_ok, tg,
-                              exc, settings)
+            _refine_and_raise(system, interp, t_ok, tg, exc, settings)
         min_sep = min(min_sep, sep)
         t_ok = tg
     return interp, min_sep
@@ -262,7 +293,8 @@ def integrate(system: FlowSystem, z0, t_span,
 
     stepper = _stepper(field, t0, y0, t1, settings)
     while stepper.status == "running":
-        interp, sep = _step_and_screen(system, stepper, y0.size, settings,
+        interp, sep = _step_and_screen(system, stepper, y0.size,
+                                       DOP853.dense_output, settings,
                                        "integrator")
         min_sep = min(min_sep, sep)
         y_now = stepper.y.copy()
@@ -291,6 +323,8 @@ def flow_with_jacobian(system: FlowSystem, z0, t_end: float,
     W(0) = I, through one shared step sequence with the base state, so
     the pair (phi_t(z0), Dphi_t(z0)) is internally consistent.  Each
     right-hand side takes the field and its Jacobian from one assembly.
+    The steps are screened on the interpolant of the base state alone
+    (_base_dense_output), whose extra stages take the field only.
     """
     settings = settings or IntegratorSettings()
     y0 = as_state(z0).copy()
@@ -306,8 +340,12 @@ def flow_with_jacobian(system: FlowSystem, z0, t_end: float,
 
     aug0 = np.concatenate([y0, np.eye(d).reshape(-1)])
     stepper = _stepper(rhs, 0.0, aug0, float(t_end), settings)
+
+    def base_dense(st):
+        return _base_dense_output(st, system.vector_field, d)
+
     while stepper.status == "running":
-        _step_and_screen(system, stepper, d, settings,
+        _step_and_screen(system, stepper, d, base_dense, settings,
                          "variational integration")
 
     zT = stepper.y[:d].copy()

@@ -133,7 +133,13 @@ def truncated_svd_solve(A: np.ndarray, b: np.ndarray, rel_threshold: float = 1e-
     return Vt[keep].T @ ((U[:, keep].T @ b) / s[keep])
 
 
-def newton(fun, x, check, *, tol, max_iterations, rel_threshold):
+#: a residual at most this share of the one before marks the superlinear
+#: phase, and a step on the previous Jacobian must contract by as much
+SUPERLINEAR_CONTRACTION = 1e-2
+
+
+def newton(fun, x, check, *, tol, max_iterations, rel_threshold,
+           residual=None):
     """Newton iteration on (F, J) = fun(x) until |F| <= tol; returns x
     and the residual |F| of every evaluated iterate.
 
@@ -141,14 +147,31 @@ def newton(fun, x, check, *, tol, max_iterations, rel_threshold):
     rel_threshold), so J may be bordered.  ConvergenceError, carrying the
     last admissible iterate, reports an exhausted budget or a new iterate
     that check rejects with DomainViolationError or CollisionError.
+
+    residual, optional, returns the F of fun(x) alone.  Once the newest
+    residual is at most SUPERLINEAR_CONTRACTION times the one before, the
+    iterates' F comes from residual and the step reuses the previous J
+    (a chord step; Kelley, Solving Nonlinear Equations with Newton's
+    Method, 2003).  fun runs again at an iterate whose F from residual
+    has neither converged nor contracted by that factor, and its F is
+    that iterate's residual.  Without residual every iterate calls fun
+    once.
     """
     if max_iterations < 0:
         raise ConstraintViolationError(
             f"max_iterations must be >= 0, got {max_iterations}")
     residuals = []
     for iteration in range(max_iterations + 1):
-        F, J = fun(x)
-        residuals.append(float(np.linalg.norm(F)))
+        chord = (residual is not None and len(residuals) >= 2
+                 and residuals[-1] <= SUPERLINEAR_CONTRACTION * residuals[-2])
+        if chord:
+            F = residual(x)
+            norm = float(np.linalg.norm(F))
+            chord = norm <= max(tol, SUPERLINEAR_CONTRACTION * residuals[-1])
+        if not chord:
+            F, J = fun(x)
+            norm = float(np.linalg.norm(F))
+        residuals.append(norm)
         if residuals[-1] <= tol:
             return x, residuals
         if iteration == max_iterations:

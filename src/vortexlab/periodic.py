@@ -32,7 +32,11 @@ removes the sigma-related degeneracy.  The remaining null directions of
 the Newton matrix (time shift; global rotation when the domain allows
 it) are handled by a truncated-SVD pseudo-inverse rather than bordered
 constraints, so the rank structure can vary with the domain without
-code changes.  The iteration is linalg.newton, shared with the anchor search.
+code changes.  The iteration is linalg.newton, shared with the anchor
+search.  Its Jacobians come from the variational flow; once Newton is
+superlinear, its residuals come from the orbit's closing integration
+and its steps reuse the last Jacobian, so the accepted iterate's
+integration is the orbit's trajectory and no flow is repeated.
 """
 
 from __future__ import annotations
@@ -348,6 +352,12 @@ def shoot(spec: SuperpositionSpec, u0_guess=None,
     the returned orbit additionally satisfies full-period closure <= 1e-9
     and, for nontrivial sigma, symmetry defect <= 1e-8, both enforced,
     not just reported.  Every iterate meets the settings' guard thresholds.
+
+    Newton's residual-only evaluations integrate over the full period
+    tau and read phi_{2pi} there: the final state when tau = 2pi, the
+    dense output otherwise.  That integration of the accepted iterate is
+    the orbit's trajectory; one accepted on a variational flow is
+    integrated afterwards.
     """
     if spec.scale <= 0.0:
         raise ConstraintViolationError("shooting requires scale > 0")
@@ -364,12 +374,24 @@ def shoot(spec: SuperpositionSpec, u0_guess=None,
         uT, W = flow_with_jacobian(rs, u, TWO_PI, settings)
         return S @ uT - u, S @ W - np.eye(u.size)
 
+    closing = []  # (u, trajectory) of the last residual-only evaluation
+
+    def closing_residual(u):
+        traj = integrate(rs, u, (0.0, spec.tau), settings)
+        closing[:] = [u, traj]
+        uT = traj.final_state if spec.order == 1 else traj.sample(TWO_PI)
+        return S @ uT - u
+
     u0, residuals = newton(twisted_residual, u0, admissible,
                            tol=SHOOT_TOL, max_iterations=MAX_SHOOT_ITERATIONS,
-                           rel_threshold=JACOBIAN_SVD_THRESHOLD)
+                           rel_threshold=JACOBIAN_SVD_THRESHOLD,
+                           residual=closing_residual)
     iterations = len(residuals) - 1
 
-    traj = integrate(rs, u0, (0.0, spec.tau), settings)
+    if closing and closing[0] is u0:
+        traj = closing[1]
+    else:
+        traj = integrate(rs, u0, (0.0, spec.tau), settings)
     closure = float(np.linalg.norm(traj.final_state - u0))
     if closure > CLOSURE_TOL:
         raise ConvergenceError(

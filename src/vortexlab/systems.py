@@ -141,23 +141,28 @@ def _weighted_perp_rows(mat: np.ndarray, strengths: np.ndarray) -> np.ndarray:
 
 def _validate_state(self, y, time=None, collision_tol: float = COLLISION_TOL,
                     boundary_margin: float = BOUNDARY_MARGIN) -> float:
-    """Raise DomainViolationError for a guarded position within
-    boundary_margin of the wall, then CollisionError for a guarded pair
-    within collision_tol; else return the closest guarded separation."""
+    """Raise DomainViolationError for a guarded position that is not
+    finite or within boundary_margin of the wall, then CollisionError for
+    a guarded pair within collision_tol; else return the closest guarded
+    separation."""
     y = as_state(y)
     if y.size != 2 * self.n:
         raise ConstraintViolationError(
             f"state has {y.size // 2} positions, system has {self.n}")
     p, mask, check_boundary = self.guard_geometry(y)
     if check_boundary:
-        # one call per vortex (perfbench counts them); argmin picks a NaN
+        # one call per vortex (perfbench counts them)
         clearance = [self.domain.boundary_clearance(x) for x in p]
-        k = int(np.argmin(clearance))
-        if not clearance[k] > boundary_margin:
-            raise DomainViolationError(
-                f"vortex {k} at {p[k]} is not interior to {self.domain.name} "
-                f"(clearance {clearance[k]:.3e}, margin {boundary_margin:.1e})",
-                index=k, time=time)
+    else:
+        # no wall to clear, but closest_pair skips a NaN distance, so a
+        # non-finite position fails here
+        clearance = np.where(np.isfinite(p).all(axis=1), np.inf, np.nan)
+    k = int(np.argmin(clearance))  # argmin picks a NaN
+    if not clearance[k] > boundary_margin:
+        raise DomainViolationError(
+            f"vortex {k} at {p[k]} is not interior to {self.domain.name} "
+            f"(clearance {clearance[k]:.3e}, margin {boundary_margin:.1e})",
+            index=k, time=time)
     d, pair = closest_pair(p, mask)
     if d <= collision_tol:
         raise CollisionError(

@@ -375,7 +375,10 @@ def test_csv_round_trips_exactly(disc_pair):
 
 @pytest.mark.parametrize("rescaled", [False, True], ids=["plain", "rescaled"])
 def test_variational_rhs_assembles_once(monkeypatch, disc, rescaled):
-    calls = {"rhs": 0, "assemble": 0}
+    # one order-2 assembly per augmented right-hand side; the screening
+    # interpolant's 3 extra stages take the field only, one order-1
+    # assembly each per accepted step
+    calls = {"rhs": 0, "steps": 0, 0: 0, 1: 0, 2: 0}
 
     class CountingDOP853(DOP853):
         def __init__(self, fun, *args, **kwargs):
@@ -384,11 +387,15 @@ def test_variational_rhs_assembles_once(monkeypatch, disc, rescaled):
                 return fun(t, y)
             super().__init__(counted, *args, **kwargs)
 
+        def step(self):
+            calls["steps"] += 1
+            return super().step()
+
     raw = systems.assemble_interaction
 
-    def counting_assemble(*args, **kwargs):
-        calls["assemble"] += 1
-        return raw(*args, **kwargs)
+    def counting_assemble(*args, order=2, **kwargs):
+        calls[order] += 1
+        return raw(*args, order=order, **kwargs)
 
     base = VortexSystem((-1.0, -1.0, 1.0, 1.0), (2, 2), disc)
     rs = RescaledSystem(base, np.array([[MU, 0.0], [-MU, 0.0]]), 0.1)
@@ -399,8 +406,80 @@ def test_variational_rhs_assembles_once(monkeypatch, disc, rescaled):
     monkeypatch.setattr(dynamics, "DOP853", CountingDOP853)
     monkeypatch.setattr(systems, "assemble_interaction", counting_assemble)
     flow_with_jacobian(system, y0, t_end)
-    assert calls["rhs"] > 0
-    assert calls["assemble"] == calls["rhs"]
+    assert calls["rhs"] > 0 and calls["steps"] > 0
+    assert calls[2] == calls["rhs"]
+    assert calls[1] == 3 * calls["steps"]
+    assert calls[0] == 0
+
+
+def _figure1_variational_stepper(spec):
+    """A DOP853 stepper on the figure-1 augmented state (u, W), as
+    flow_with_jacobian builds it, over one rescaled period."""
+    rs, u0 = spec.rescaled(), spec.torus_point()
+    d = u0.size
+
+    def rhs(t, aug):
+        f, J = rs.field_and_jacobian(aug[:d])
+        return np.concatenate([f, (J @ aug[d:].reshape(d, d)).reshape(-1)])
+
+    aug0 = np.concatenate([u0, np.eye(d).reshape(-1)])
+    return rs, d, dynamics._stepper(rhs, 0.0, aug0, TWO_PI,
+                                    IntegratorSettings())
+
+
+def test_base_dense_output_is_the_base_rows_of_scipys(figure1_spec_builder):
+    rs, d, stepper = _figure1_variational_stepper(figure1_spec_builder(0.1))
+    for _ in range(4):
+        stepper.step()
+        # read before scipy's dense_output() overwrites its extra stages
+        base = dynamics._base_dense_output(stepper, rs.vector_field, d)
+        full = stepper.dense_output()
+        grid = np.linspace(stepper.t_old, stepper.t,
+                           dynamics.GUARD_SAMPLES + 1)[1:]
+        ref = full(grid)[:d]
+        assert base(grid).shape == ref.shape
+        assert np.max(np.abs(base(grid) - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_base_only_screening_leaves_the_flow_bitwise_unchanged(
+        monkeypatch, figure1_spec_builder):
+    spec = figure1_spec_builder(0.1)
+    rs, u0 = spec.rescaled(), spec.torus_point()
+    phi, W = flow_with_jacobian(rs, u0, TWO_PI)
+
+    def full_dense_output(stepper, field, d):
+        interp = stepper.dense_output()
+        return lambda t: interp(t)[:d]
+
+    monkeypatch.setattr(dynamics, "_base_dense_output", full_dense_output)
+    phi_ref, W_ref = flow_with_jacobian(rs, u0, TWO_PI)
+    assert np.array_equal(phi, phi_ref)
+    assert np.array_equal(W, W_ref)
+
+
+def test_flow_with_jacobian_refines_a_grazing_collision_like_integrate(plane):
+    # the grazing pass of test_guard_catches_a_grazing_pass_just_below_
+    # the_threshold, with the threshold 0.1 % above the closest screened
+    # separation: both integrators trip the guard at the same time
+    d, offset, weak = 0.1, 0.8, 5e-3
+    dipole = np.array([0.0, d / 2, 0.0, -d / 2])
+    v = VortexSystem((1.0, -1.0), (1, 1), plane).vector_field(dipole)[:2]
+    speed = np.linalg.norm(v)
+    ahead, side = v / speed, np.array([-v[1], v[0]]) / speed
+    z0 = np.concatenate([np.tile(-1.5 * ahead, 2) + dipole,
+                         offset * d / 2 * side])
+    system = VortexSystem((1.0, -1.0, weak), (1, 1, 1), plane)
+    t1 = 3.0 / speed
+    closest = integrate(system, z0, (0.0, t1)).min_separation
+    settings = IntegratorSettings(collision_tol=closest * (1.0 + 1e-3))
+    with pytest.raises(CollisionError) as plain:
+        integrate(system, z0, (0.0, t1), settings)
+    with pytest.raises(CollisionError) as variational:
+        flow_with_jacobian(system, z0, t1, settings)
+    assert variational.value.pair == plain.value.pair
+    assert 0.0 < plain.value.time < t1
+    assert variational.value.time == pytest.approx(plain.value.time,
+                                                   rel=0, abs=1e-9)
 
 
 def test_integrate_screens_each_sample_once(monkeypatch, disc_pair):

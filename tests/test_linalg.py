@@ -8,7 +8,7 @@ import vortexlab
 from vortexlab import (CollisionError, ConstraintViolationError,
                        ConvergenceError, DomainViolationError,
                        aligned_distance, rotate_all)
-from vortexlab.linalg import newton
+from vortexlab.linalg import newton, truncated_svd_solve
 
 
 @pytest.mark.parametrize("batched", ["a", "b", "both"])
@@ -107,3 +107,77 @@ def test_newton_rejects_a_negative_budget():
         newton(square_minus(2.0, calls), np.array([1.0]), accept, tol=1e-12,
                max_iterations=-1, rel_threshold=1e-12)
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# Jacobian reuse once Newton is superlinear
+# ---------------------------------------------------------------------------
+
+def logged(F, J, log):
+    """fun and residual of one problem, each logging (kind, x) per call."""
+    def fun(x):
+        log.append(("fun", x.copy()))
+        return F(x), J(x)
+
+    def residual(x):
+        log.append(("residual", x.copy()))
+        return F(x)
+    return fun, residual
+
+
+def test_newton_accepts_a_superlinear_iterate_without_calling_fun():
+    # x^2 - 2 from 1: residuals 1, 0.25, 6.9e-3, 6.0e-6 (superlinear), ...
+    log = []
+    fun, residual = logged(lambda x: x**2 - 2.0, lambda x: np.diag(2.0 * x),
+                           log)
+    x, residuals = newton(fun, np.array([1.0]), accept, tol=1e-14,
+                          max_iterations=20, rel_threshold=1e-12,
+                          residual=residual)
+    assert x == pytest.approx([np.sqrt(2.0)], abs=1e-15)
+    assert [kind for kind, _ in log] == ["fun"] * 4 + ["residual"] * 2
+    assert residuals[3] <= 1e-2 * residuals[2]
+    assert len(residuals) == len(log)
+    # the accepted iterate is evaluated once, by residual
+    assert log[-1][0] == "residual" and np.array_equal(log[-1][1], x)
+    assert not any(kind == "fun" and np.array_equal(y, x) for kind, y in log)
+    # the stale steps reuse the Jacobian of the last fun call
+    x4 = log[3][1] - (log[3][1]**2 - 2.0) / (2.0 * log[3][1])
+    assert np.array_equal(log[4][1], x4)
+    assert np.array_equal(log[5][1], x4 - (x4**2 - 2.0) / (2.0 * log[3][1]))
+
+
+def test_newton_calls_fun_where_a_stale_step_fails_to_contract():
+    # the first component converges quadratically; the second has a
+    # double root, so Newton halves it, and once the first has converged
+    # the residual shrinks by 4 per step: too slow for a stale Jacobian
+    log = []
+    fun, residual = logged(lambda x: np.array([x[0]**2 - 2.0, x[1]**2]),
+                           lambda x: np.diag(2.0 * x), log)
+    x, residuals = newton(fun, np.array([1.0, 1e-2]), accept, tol=1e-12,
+                          max_iterations=30, rel_threshold=1e-12,
+                          residual=residual)
+    kinds = [kind for kind, _ in log]
+    assert kinds[:6] == ["fun"] * 4 + ["residual", "fun"]
+    assert np.array_equal(log[4][1], log[5][1])
+    assert "residual" not in kinds[6:]
+    # one residual per iterate: fun's replaces the stale one
+    assert len(residuals) == len(log) - 1
+    x4 = log[5][1]
+    assert residuals[4] == np.linalg.norm([x4[0]**2 - 2.0, x4[1]**2])
+    assert residuals[-1] <= 1e-12 and x[1] == 1e-2 / 2**(len(residuals) - 1)
+
+
+def test_newton_without_residual_takes_one_full_step_per_iterate():
+    log = []
+    fun, _ = logged(lambda x: x**2 - 2.0, lambda x: np.diag(2.0 * x), log)
+    x, residuals = newton(fun, np.array([1.0]), accept, tol=1e-14,
+                          max_iterations=20, rel_threshold=1e-12)
+    expected = [np.array([1.0])]
+    while abs(expected[-1][0]**2 - 2.0) > 1e-14:
+        y = expected[-1]
+        expected.append(y + truncated_svd_solve(np.diag(2.0 * y),
+                                                -(y**2 - 2.0), 1e-12))
+    assert [kind for kind, _ in log] == ["fun"] * len(expected)
+    assert all(np.array_equal(y, e) for (_, y), e in zip(log, expected))
+    assert np.array_equal(x, expected[-1])
+    assert residuals == [abs(e[0]**2 - 2.0) for e in expected]

@@ -201,6 +201,34 @@ def test_closing_check_failures_report_the_newton_iterations(monkeypatch,
     assert 0 < info.value.iterations < periodic.MAX_SHOOT_ITERATIONS
 
 
+def test_reference_shoot_reuses_the_last_jacobian_and_trajectory(
+        monkeypatch):
+    # residuals 4.3e-2, 3.5e-3, 2.4e-5, then superlinear: the last two
+    # iterates are evaluated by the plain closing integration and step
+    # on the third flow's Jacobian, and the accepted iterate's
+    # integration is the orbit's trajectory, so none follows Newton
+    calls = []
+    raw_flow, raw_integrate = periodic.flow_with_jacobian, periodic.integrate
+
+    def counted_flow(*args, **kwargs):
+        calls.append(("flow_with_jacobian", None))
+        return raw_flow(*args, **kwargs)
+
+    def counted_integrate(*args, **kwargs):
+        traj = raw_integrate(*args, **kwargs)
+        calls.append(("integrate", traj))
+        return traj
+
+    monkeypatch.setattr(periodic, "flow_with_jacobian", counted_flow)
+    monkeypatch.setattr(periodic, "integrate", counted_integrate)
+    orbit = shoot(build_figure1_spec(0.1))
+    assert orbit.iterations == 4
+    assert [name for name, _ in calls] == ["flow_with_jacobian"] * 3 \
+        + ["integrate"] * 2
+    assert orbit.trajectory is calls[-1][1]
+    assert orbit.residual <= periodic.SHOOT_TOL
+
+
 def test_reference_orbit_meets_every_tolerance(figure1_orbit):
     orbit, _ = figure1_orbit
     assert orbit.residual <= 1e-10

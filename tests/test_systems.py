@@ -375,3 +375,14 @@ def test_state_length_must_match_the_system(scale):
     for system in (rs.base, rs):
         with pytest.raises(ConstraintViolationError):
             system.validate_state(np.array([0.2, 0.0, -0.2, 0.0, 0.1, 0.1]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_zero_scale_rejects_a_non_finite_guarded_state(bad):
+    # at r = 0 there is no wall to clear, and a NaN pair distance is no
+    # closest pair, so only the finiteness of the positions catches it
+    rs = RescaledSystem(VortexSystem((1.0, 1.0, 1.0), (3,)), [[0.0, 0.0]], 0.0)
+    assert rs.validate_state([0.0, 0.0, 1.0, 0.0, 0.0, 1.0]) == 1.0
+    with pytest.raises(DomainViolationError) as info:
+        rs.validate_state([0.0, 0.0, bad, 0.0, 0.0, 1.0])
+    assert info.value.index == 1
