@@ -22,8 +22,8 @@ from .equilibria import (CertificationReport, RelativeEquilibrium, certify,
                          make_equilateral, make_pair, make_thomson,
                          make_trivial, monodromy, normalize)
 from .errors import (BoundaryEventError, CoincidentPointError, CollisionError,
-                     ConstraintViolationError, ConvergenceError,
-                     DomainViolationError, NotEquilibriumError,
+                     CollisionEventError, ConstraintViolationError,
+                     ConvergenceError, DomainViolationError, NotEquilibriumError,
                      ScaleTooLargeError, VortexError, ZeroTotalStrengthError)
 from .linalg import (aligned_distance, permutation_matrix, perp, rotate_all,
                      spin)
@@ -45,6 +45,7 @@ __all__ = [
     "DIPOLE_OFFSET",
     "CoincidentPointError",
     "CollisionError",
+    "CollisionEventError",
     "ConstraintViolationError",
     "ConvergenceError",
     "Domain",

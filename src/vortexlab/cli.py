@@ -30,8 +30,8 @@ from .domains import make_domain
 from .dynamics import IntegratorSettings, integrate
 from .equilibria import (RelativeEquilibrium, certify, from_catalog,
                          make_trivial, normalize)
-from .errors import (BoundaryEventError, CollisionError, ConvergenceError,
-                     VortexError)
+from .errors import (BoundaryEventError, CollisionEventError,
+                     ConvergenceError, VortexError)
 from .periodic import SuperpositionSpec, continue_in_r, scan_phases, shoot
 from .stationary import (GRADIENT_TOL, MAX_ITERATIONS, evaluate_point,
                          find_critical_point)
@@ -51,7 +51,7 @@ class ConfigError(Exception):
 #: (exception types, exit code, log label); the first matching row wins
 _FAILURES = (
     ((ConfigError,), EXIT_CONFIG, "config error"),
-    ((CollisionError, BoundaryEventError), EXIT_EVENT, "event"),
+    ((CollisionEventError, BoundaryEventError), EXIT_EVENT, "event"),
     ((ConvergenceError,), EXIT_NO_CONVERGENCE, "no convergence"),
     ((VortexError,), EXIT_PRECONDITION, "precondition violated"),
 )

@@ -137,14 +137,6 @@ class Domain(ABC):
         """h(x) = g(x, x)."""
         return self.regular_part(x, x)
 
-    def grad_robin(self, x) -> np.ndarray:
-        g1, g2 = self.grad_regular(x, x)
-        return g1 + g2
-
-    def hess_robin(self, x) -> np.ndarray:
-        H = self.hess_regular(x, x)
-        return H[:2, :2] + H[:2, 2:] + H[2:, :2] + H[2:, 2:]
-
 
 class WholePlane(Domain):
     symmetry = SymmetryClass.PLANE_FULL

@@ -11,15 +11,16 @@ the interpolant per step gives the screening grid, and each sample, as
 the initial state, gets one look from the system's validate_state at the
 settings' thresholds.  A guard tripped on a sample is refined to its
 crossing time by root bracketing and raised as a typed event carrying
-the time and the offending pair or vortex.  Trajectories sample their
-dense output through scipy's OdeSolution; flow_with_jacobian screens
-on an interpolant of the base state alone, whose extra stages take the
-field only.
+the time and the offending pair or vortex.  One builder,
+_base_dense_output, forms every step's interpolant from the system's
+vector field: on the whole state for integrate, whose Trajectory joins
+them through scipy's OdeSolution, and on the base state alone for
+flow_with_jacobian, whose extra stages then take the field only.
 
 Orbit-level work should integrate the rescaled system, whose period is
 O(1); the plain system covers the same orbit only with a step-size
-spread of order r^2.  Both implement the FlowSystem protocol the
-integrators are written against.
+spread of order r^2.  The integrators are written against
+systems.FlowSystem, the base class of both.
 
 The default tolerance is rtol = atol = 1e-13.  DOP853's error estimate
 is sharp, so its global error sits close to the requested tolerance,
@@ -38,18 +39,19 @@ projected state).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Protocol
+from typing import Optional
 
 import numpy as np
 from scipy.integrate import DOP853, OdeSolution
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.optimize import brentq
 
-from .errors import (BoundaryEventError, CollisionError, ConstraintViolationError,
+from .errors import (BoundaryEventError, CollisionError,
+                     CollisionEventError, ConstraintViolationError,
                      ConvergenceError, DomainViolationError)
-from .domains import BOUNDARY_MARGIN, Domain
+from .domains import BOUNDARY_MARGIN
 from .linalg import as_state
-from .systems import COLLISION_TOL, RescaledSystem, VortexSystem
+from .systems import COLLISION_TOL, FlowSystem, RescaledSystem, VortexSystem
 
 #: dense-output screening points per accepted step
 GUARD_SAMPLES = 8
@@ -73,23 +75,6 @@ class IntegratorSettings:
         if not all(0.0 <= v < np.inf
                    for v in (self.collision_tol, self.boundary_margin)):
             raise ConstraintViolationError("guards must be finite and >= 0")
-
-
-class FlowSystem(Protocol):
-    """What the integrators need from a system, in its own coordinates;
-    VortexSystem and RescaledSystem implement it."""
-
-    domain: Domain
-
-    def vector_field(self, y) -> np.ndarray: ...
-    def field_and_jacobian(self, y) -> tuple: ...
-    def hamiltonian(self, y) -> float: ...
-    def gradient(self, y) -> np.ndarray: ...
-    def validate_state(self, y, time=None, collision_tol=COLLISION_TOL,
-                       boundary_margin=BOUNDARY_MARGIN) -> float: ...
-
-    def guard_geometry(self, y) -> tuple:
-        """(positions to guard, pair mask or None, check_boundary)."""
 
 
 def _stepper(fun, t0: float, y0, t_bound: float,
@@ -116,7 +101,7 @@ def _refine_and_raise(system, state, t_ok, t_bad, exc, settings):
 
     if collision:
         i, j = exc.pair
-        raise CollisionError(
+        raise CollisionEventError(
             f"vortices {i} and {j} collide at t = {t_star:.9g}",
             pair=(i, j), distance=gap(t_star), time=t_star)
     raise BoundaryEventError(
@@ -128,12 +113,12 @@ def _base_dense_output(stepper, field, d: int):
     """The DOP853 interpolant of stepper's last step, for the first d
     components only (Hairer, Norsett and Wanner, Solving ODEs I, II.6).
 
-    scipy's dense_output() evaluates its three extra stages on the whole
-    state.  The first d components of a stage depend on the first d of
-    its argument only, so field, the right-hand side of those
-    components, evaluates them on d components (field is autonomous, so
-    the stage times are not needed).  The stepper's stages are read,
-    never written, so its step sequence does not change.
+    The first d components of a stage depend on the first d of its
+    argument only, so field, the right-hand side of those components,
+    evaluates the three extra stages on d components (field is
+    autonomous, so the stage times are not needed).  With d the whole
+    state this is scipy's dense_output().  The stepper's stages are
+    read, never written, so its step sequence does not change.
     """
     h = stepper.h_previous
     y_old = stepper.y_old[:d]
@@ -152,11 +137,11 @@ def _base_dense_output(stepper, field, d: int):
     return Dop853DenseOutput(stepper.t_old, stepper.t, y_old, F)
 
 
-def _step_and_screen(system: FlowSystem, stepper, d: int, dense,
+def _step_and_screen(system: FlowSystem, stepper, d: int,
                      settings: IntegratorSettings, what: str):
-    """Take one step and screen dense(stepper), its interpolant of the
-    first d components, on GUARD_SAMPLES points before the step is
-    committed.
+    """Take one step and screen its interpolant of the first d
+    components, whose right-hand side is system.vector_field, on
+    GUARD_SAMPLES points before the step is committed.
 
     Returns (interpolant, smallest guarded separation on the grid);
     raises ConvergenceError when the stepper fails and the refined
@@ -168,7 +153,7 @@ def _step_and_screen(system: FlowSystem, stepper, d: int, dense,
             f"{what} failed at t = {stepper.t:.9g}: {message}",
             iterations=stepper.nfev, last_iterate=stepper.y[:d].copy(),
             residual=np.nan)
-    interp = dense(stepper)
+    interp = _base_dense_output(stepper, system.vector_field, d)
     t_ok = stepper.t_old
     grid = np.linspace(t_ok, stepper.t, GUARD_SAMPLES + 1)[1:]
     min_sep = np.inf
@@ -269,8 +254,10 @@ def integrate(system: FlowSystem, z0, t_span,
               settings: Optional[IntegratorSettings] = None) -> Trajectory:
     """Integrate from z0 over t_span = (t0, t1); t1 < t0 runs backward.
 
-    Raises CollisionError / BoundaryEventError when a guard trips (time
-    and offender attached), ConvergenceError on step-size underflow.
+    Raises CollisionError / DomainViolationError when z0 is not
+    admissible, CollisionEventError / BoundaryEventError when a guard
+    trips (time and offender attached), ConvergenceError on step-size
+    underflow.
     """
     settings = settings or IntegratorSettings()
     y0 = as_state(z0).copy()
@@ -293,8 +280,7 @@ def integrate(system: FlowSystem, z0, t_span,
 
     stepper = _stepper(field, t0, y0, t1, settings)
     while stepper.status == "running":
-        interp, sep = _step_and_screen(system, stepper, y0.size,
-                                       DOP853.dense_output, settings,
+        interp, sep = _step_and_screen(system, stepper, y0.size, settings,
                                        "integrator")
         min_sep = min(min_sep, sep)
         y_now = stepper.y.copy()
@@ -341,11 +327,8 @@ def flow_with_jacobian(system: FlowSystem, z0, t_end: float,
     aug0 = np.concatenate([y0, np.eye(d).reshape(-1)])
     stepper = _stepper(rhs, 0.0, aug0, float(t_end), settings)
 
-    def base_dense(st):
-        return _base_dense_output(st, system.vector_field, d)
-
     while stepper.status == "running":
-        _step_and_screen(system, stepper, d, base_dense, settings,
+        _step_and_screen(system, stepper, d, settings,
                          "variational integration")
 
     zT = stepper.y[:d].copy()

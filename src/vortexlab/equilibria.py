@@ -41,7 +41,7 @@ smaller kernel_tol there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.polynomial import hermite as _hermite
@@ -118,10 +118,6 @@ class RelativeEquilibrium:
         sys = self.system
         return float(np.linalg.norm(
             sys.gradient(z) - self.angular_velocity * sys.weights * z))
-
-    def center_of_vorticity(self) -> np.ndarray:
-        gam = np.asarray(self.strengths)
-        return (gam[:, None] * self.positions).sum(axis=0) / gam.sum()
 
 
 def _projected_omega(sys: VortexSystem, z: np.ndarray) -> float:
@@ -282,22 +278,7 @@ class CertificationReport:
     multiplier_tol: float = 1e-2
 
     def as_dict(self) -> dict:
-        return {
-            "periodic_solution_count": self.periodic_solution_count,
-            "symmetric_count": self.symmetric_count,
-            "unit_multiplier_count": self.unit_multiplier_count,
-            "twisted_unit_multiplier_count": self.twisted_unit_multiplier_count,
-            "nondegenerate": self.nondegenerate,
-            "sigma_nondegenerate": self.sigma_nondegenerate,
-            "angular_velocity": self.angular_velocity,
-            "residual": self.residual,
-            "order": self.order,
-            "period": self.period,
-            "singular_values": list(self.singular_values),
-            "twisted_singular_values": list(self.twisted_singular_values),
-            "kernel_tol": self.kernel_tol,
-            "multiplier_tol": self.multiplier_tol,
-        }
+        return asdict(self)
 
 
 def rotating_frame_matrix(eq: RelativeEquilibrium) -> np.ndarray:

@@ -34,6 +34,11 @@ class CollisionError(VortexError):
         self.time = time
 
 
+class CollisionEventError(CollisionError):
+    """Integration guard: two vortices came within the collision
+    tolerance at a known time."""
+
+
 class CoincidentPointError(VortexError):
     """The two-point Green's function was evaluated at x == y."""
 

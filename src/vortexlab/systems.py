@@ -22,9 +22,14 @@ g.  Choosing the coefficient matrices recovers:
 `assemble_interaction` evaluates the value or the gradient/Hessian of that
 shape in closed form (no finite differences anywhere outside the tests).
 
-Admissibility reads each system's `guard_geometry`: one `validate_state`
-serves both systems and checks start states, Newton iterates and the
-integrators' screening samples alike.
+Both systems derive from FlowSystem, which writes the energy and its
+derivatives, the vector field and its Jacobian, and the admissibility
+check (`validate_state`, for start states, Newton iterates and
+screening samples alike) once, on each subclass's `_assemble(y, order)`,
+energy offset `_offset` and `guard_geometry`.  RescaledSystem routes
+`hamiltonian` and `vector_field` through `rescaled_hamiltonian` and
+`rescaled_field`, which keep their names (with `rescaled_field_jacobian`)
+because the benchmark's tracer counts calls to them.
 
 States are flat float64 vectors (x1, y1, ..., xN, yN).  The equations of
 motion are  M ż = P ∇H(z)  with M = diag(Gamma_i I_2) and P the blockwise
@@ -136,40 +141,77 @@ def _weighted_perp_rows(mat: np.ndarray, strengths: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# admissibility, read from a system's guard_geometry
+# the surface both systems share
 # ---------------------------------------------------------------------------
 
-def _validate_state(self, y, time=None, collision_tol: float = COLLISION_TOL,
-                    boundary_margin: float = BOUNDARY_MARGIN) -> float:
-    """Raise DomainViolationError for a guarded position that is not
-    finite or within boundary_margin of the wall, then CollisionError for
-    a guarded pair within collision_tol; else return the closest guarded
-    separation."""
-    y = as_state(y)
-    if y.size != 2 * self.n:
-        raise ConstraintViolationError(
-            f"state has {y.size // 2} positions, system has {self.n}")
-    p, mask, check_boundary = self.guard_geometry(y)
-    if check_boundary:
-        # one call per vortex (perfbench counts them)
-        clearance = [self.domain.boundary_clearance(x) for x in p]
-    else:
-        # no wall to clear, but closest_pair skips a NaN distance, so a
-        # non-finite position fails here
-        clearance = np.where(np.isfinite(p).all(axis=1), np.inf, np.nan)
-    k = int(np.argmin(clearance))  # argmin picks a NaN
-    if not clearance[k] > boundary_margin:
-        raise DomainViolationError(
-            f"vortex {k} at {p[k]} is not interior to {self.domain.name} "
-            f"(clearance {clearance[k]:.3e}, margin {boundary_margin:.1e})",
-            index=k, time=time)
-    d, pair = closest_pair(p, mask)
-    if d <= collision_tol:
-        raise CollisionError(
-            f"vortices {pair[0]} and {pair[1]} are {d:.3e} apart "
-            f"(tolerance {collision_tol:.1e})",
-            pair=pair, distance=d, time=time)
-    return d
+class FlowSystem:
+    """Energy, flow and admissibility of a vortex system in its own
+    coordinates.  A subclass provides n, gamma, domain,
+    `_assemble(y, order)`, `_offset` and `guard_geometry(y)` ->
+    (positions to guard, pair mask or None, check_boundary).
+    """
+
+    _offset = 0.0
+
+    def validate_state(self, y, time=None, collision_tol: float = COLLISION_TOL,
+                       boundary_margin: float = BOUNDARY_MARGIN) -> float:
+        """Raise DomainViolationError for a guarded position that is not
+        finite or within boundary_margin of the wall, then CollisionError
+        for a guarded pair within collision_tol; else return the closest
+        guarded separation."""
+        y = as_state(y)
+        if y.size != 2 * self.n:
+            raise ConstraintViolationError(
+                f"state has {y.size // 2} positions, system has {self.n}")
+        p, mask, check_boundary = self.guard_geometry(y)
+        if check_boundary:
+            # one call per vortex (perfbench counts them)
+            clearance = [self.domain.boundary_clearance(x) for x in p]
+        else:
+            # no wall to clear, but closest_pair skips a NaN distance, so a
+            # non-finite position fails here
+            clearance = np.where(np.isfinite(p).all(axis=1), np.inf, np.nan)
+        k = int(np.argmin(clearance))  # argmin picks a NaN
+        if not clearance[k] > boundary_margin:
+            raise DomainViolationError(
+                f"vortex {k} at {p[k]} is not interior to {self.domain.name} "
+                f"(clearance {clearance[k]:.3e}, margin {boundary_margin:.1e})",
+                index=k, time=time)
+        d, pair = closest_pair(p, mask)
+        if d <= collision_tol:
+            raise CollisionError(
+                f"vortices {pair[0]} and {pair[1]} are {d:.3e} apart "
+                f"(tolerance {collision_tol:.1e})",
+                pair=pair, distance=d, time=time)
+        return d
+
+    # -- energy --------------------------------------------------------------
+    def hamiltonian(self, y) -> float:
+        return self._assemble(y, 0)[0] - self._offset
+
+    def gradient(self, y) -> np.ndarray:
+        return self._assemble(y, 1)[1]
+
+    def hessian(self, y) -> np.ndarray:
+        return self._assemble(y, 2)[2]
+
+    def gradient_and_hessian(self, y):
+        """(gradient, Hessian) of the energy from one order-2 assembly."""
+        _, g, H = self._assemble(y, 2)
+        return g, H
+
+    # -- flow ----------------------------------------------------------------
+    def vector_field(self, y) -> np.ndarray:
+        return _weighted_perp_rows(self.gradient(y), self.gamma)
+
+    def field_jacobian(self, y) -> np.ndarray:
+        return _weighted_perp_rows(self.hessian(y), self.gamma)
+
+    def field_and_jacobian(self, y):
+        """(vector field, its Jacobian) from one order-2 assembly."""
+        g, H = self.gradient_and_hessian(y)
+        return (_weighted_perp_rows(g, self.gamma),
+                _weighted_perp_rows(H, self.gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +219,7 @@ def _validate_state(self, y, time=None, collision_tol: float = COLLISION_TOL,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class VortexSystem:
+class VortexSystem(FlowSystem):
     """N point vortices with a cluster layout on a domain.
 
     strengths: length-N nonzero reals.  cluster_sizes: partition of N in
@@ -216,17 +258,10 @@ class VortexSystem:
         return np.asarray(self.strengths)
 
     @property
-    def cluster_slices(self):
-        out, start = [], 0
-        for s in self.cluster_sizes:
-            out.append(slice(start, start + s))
-            start += s
-        return out
-
-    @property
     def cluster_strengths(self) -> np.ndarray:
         """Per-cluster strength sums."""
-        return np.array([self.gamma[sl].sum() for sl in self.cluster_slices])
+        members = np.split(self.gamma, np.cumsum(self.cluster_sizes)[:-1])
+        return np.array([g.sum() for g in members])
 
     @property
     def cluster_index(self) -> np.ndarray:
@@ -240,47 +275,13 @@ class VortexSystem:
     def _coeff(self) -> np.ndarray:
         return np.outer(self.gamma, self.gamma)
 
-    # -- state validation -------------------------------------------------
-    validate_state = _validate_state
+    def _assemble(self, z, order: int):
+        A = self._coeff()
+        return assemble_interaction(pairs(z), A, -A, self.domain, order=order)
 
     def guard_geometry(self, z):
         """(positions to guard, pair mask or None, check_boundary)."""
         return pairs(z), None, True
-
-    # -- energies ----------------------------------------------------------
-    def hamiltonian(self, z) -> float:
-        p = pairs(z)
-        A = self._coeff()
-        v, _, _ = assemble_interaction(p, A, -A, self.domain, order=0)
-        return v
-
-    def gradient(self, z) -> np.ndarray:
-        p = pairs(z)
-        A = self._coeff()
-        _, g, _ = assemble_interaction(p, A, -A, self.domain, order=1)
-        return g
-
-    def hessian(self, z) -> np.ndarray:
-        return self.gradient_and_hessian(z)[1]
-
-    def gradient_and_hessian(self, z):
-        """(gradient, Hessian) of H from one order-2 assembly."""
-        A = self._coeff()
-        _, g, H = assemble_interaction(pairs(z), A, -A, self.domain, order=2)
-        return g, H
-
-    # -- dynamics ----------------------------------------------------------
-    def vector_field(self, z) -> np.ndarray:
-        return _weighted_perp_rows(self.gradient(z), self.gamma)
-
-    def field_jacobian(self, z) -> np.ndarray:
-        return _weighted_perp_rows(self.hessian(z), self.gamma)
-
-    def field_and_jacobian(self, z):
-        """(vector field, its Jacobian) from one order-2 assembly."""
-        g, H = self.gradient_and_hessian(z)
-        return (_weighted_perp_rows(g, self.gamma),
-                _weighted_perp_rows(H, self.gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +289,7 @@ class VortexSystem:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class RescaledSystem:
+class RescaledSystem(FlowSystem):
     """Cluster-relative coordinates u around a stationary anchor.
 
     Physical positions are  z = r*u + anchor_hat, where anchor_hat repeats
@@ -298,6 +299,8 @@ class RescaledSystem:
 
     whose gradient satisfies  grad E_r(u) = r * grad H(r*u + anchor_hat),
     so trajectories map to physical ones by z(t) = r*u(t/r^2) + anchor_hat.
+    E_skeleton, the energy of one vortex of the summed strength per
+    cluster at the anchor, is the `_offset` fixed at construction.
 
     Coefficients, masks and anchor offsets are fixed at construction.
     Each energy, gradient or Hessian is one assembly in the frame
@@ -334,9 +337,8 @@ class RescaledSystem:
         frame = (np.where(intra, 1.0, r), ahat[:, None, :] - ahat[None, :, :],
                  r, ahat)
         ahat.flags.writeable = False
-        for name, value in (("_skeleton_value", sk.hamiltonian(a.reshape(-1))),
+        for name, value in (("_offset", sk.hamiltonian(a.reshape(-1))),
                             ("_intra", intra), ("_A", A),
-                            ("_A_intra", np.where(intra, A, 0.0)),
                             ("_A_cross", np.where(intra, 0.0, A)),
                             ("_ahat", ahat), ("_frame", frame)):
             object.__setattr__(self, name, value)
@@ -351,23 +353,16 @@ class RescaledSystem:
         return self.base.n
 
     @property
+    def gamma(self) -> np.ndarray:
+        return self.base.gamma
+
+    @property
     def anchor_hat(self) -> np.ndarray:
         """Flat (2N,) vector repeating each anchor for its cluster."""
         return self._ahat.reshape(-1)
 
     def to_physical(self, u) -> np.ndarray:
         return self.scale * as_state(u) + self.anchor_hat
-
-    def skeleton_energy(self) -> float:
-        """Energy of the anchor skeleton (one vortex of the summed
-        strength per cluster); cached at construction."""
-        return self._skeleton_value
-
-    def cluster_energy(self, u) -> float:
-        """Decoupled whole-plane energy of the clusters in relative
-        coordinates (the r = 0 limit of the rescaled energy plus the
-        skeleton constant)."""
-        return assemble_interaction(pairs(u), self._A_intra, order=0)[0]
 
     # -- coupling term F -----------------------------------------------------
     def _coupling_parts(self, w, order: int):
@@ -383,45 +378,29 @@ class RescaledSystem:
     def coupling_hess(self, w) -> np.ndarray:
         return self._coupling_parts(w, 2)[2]
 
-    # -- rescaled energy and field -------------------------------------------
+    # -- rescaled energy E_r and its flow --------------------------------------
     def _assemble(self, u, order: int):
         return assemble_interaction(pairs(u), self._A, -self._A, self.domain,
                                     order=order, frame=self._frame)
 
+    # the benchmark's tracer wraps these three names, so the energy and
+    # the field the integrators call go through them
     def rescaled_hamiltonian(self, u) -> float:
-        return self._assemble(u, 0)[0] - self._skeleton_value
-
-    def rescaled_gradient(self, u) -> np.ndarray:
-        return self._assemble(u, 1)[1]
-
-    def rescaled_hessian(self, u) -> np.ndarray:
-        return self._assemble(u, 2)[2]
+        return super().hamiltonian(u)
 
     def rescaled_field(self, u) -> np.ndarray:
-        return _weighted_perp_rows(self.rescaled_gradient(u), self.base.gamma)
+        return super().vector_field(u)
 
     def rescaled_field_jacobian(self, u) -> np.ndarray:
-        return self.field_and_jacobian(u)[1]
-
-    def field_and_jacobian(self, u):
-        """(rescaled field, its Jacobian) from one order-2 assembly."""
-        _, g, H = self._assemble(u, 2)
-        gam = self.base.gamma
-        return _weighted_perp_rows(g, gam), _weighted_perp_rows(H, gam)
-
-    # names shared with VortexSystem, for the integrators
-    def vector_field(self, u) -> np.ndarray:
-        return self.rescaled_field(u)
+        return super().field_jacobian(u)
 
     def hamiltonian(self, u) -> float:
         return self.rescaled_hamiltonian(u)
 
-    def gradient(self, u) -> np.ndarray:
-        return self.rescaled_gradient(u)
+    def vector_field(self, u) -> np.ndarray:
+        return self.rescaled_field(u)
 
     # -- validation ------------------------------------------------------------
-    validate_state = _validate_state
-
     def guard_geometry(self, u):
         """(positions to guard, pair mask or None, check_boundary): the
         physical state for r > 0; at r = 0 the intra-cluster pairs of u."""

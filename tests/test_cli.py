@@ -310,6 +310,18 @@ def test_start_inside_the_boundary_margin_uses_the_precondition_code(
     assert "precondition violated: vortex 0" in err
 
 
+def test_start_inside_the_collision_tol_uses_the_precondition_code(
+        tmp_path, capsys):
+    # the pair starts 0.001 apart, inside the 0.01 threshold: nothing is
+    # integrated, so it is a precondition, not an event
+    path = disc_dipole_simulate_config(tmp_path, "0.5 0; 0.5 0.001",
+                                       "collision_tol = 0.01")
+    assert main(["run", path]) == 3
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "precondition violated: vortices 0 and 1" in err
+
+
 @pytest.mark.parametrize("key", ["collision_tol", "boundary_margin", "rtol"])
 def test_non_finite_integrator_setting_uses_the_precondition_code(
         tmp_path, capsys, key):

@@ -154,15 +154,6 @@ def test_disc_derivatives_at_the_reference_pair(disc):
     _check_derivatives(disc, np.array([MU, 0.0]), np.array([-MU, 0.0]))
 
 
-def test_robin_derivatives_match_finite_differences(disc, rng):
-    for _ in range(100):
-        (x,) = random_disc_points(rng, 1)
-        assert rel_error(disc.grad_robin(x),
-                         fd_gradient(disc.robin, x)) <= 1e-6
-        assert rel_error(disc.hess_robin(x),
-                         fd_jacobian(disc.grad_robin, x)) <= 1e-6
-
-
 def test_robin_is_the_regular_part_diagonal(rng):
     # every domain, including the bumped one where the closed-form
     # shortcut does not apply verbatim
@@ -171,8 +162,6 @@ def test_robin_is_the_regular_part_diagonal(rng):
             (x,) = random_disc_points(rng, 1)
             assert dom.robin(x) == pytest.approx(dom.regular_part(x, x),
                                                  abs=1e-14)
-            assert rel_error(dom.grad_robin(x),
-                             fd_gradient(dom.robin, x)) <= 1e-6
 
 
 def test_perturbed_disc_derivatives_and_symmetry(rng):

@@ -10,11 +10,11 @@ from scipy.integrate import DOP853
 from scipy.optimize import minimize_scalar
 
 from vortexlab import (BoundaryEventError, CollisionError,
-                       ConstraintViolationError, DomainViolationError,
-                       IntegratorSettings, RescaledSystem, VortexSystem,
-                       WholePlane, check_rescaling_equivalence,
-                       flow_with_jacobian, integrate, make_pair, rotate_all,
-                       spin)
+                       CollisionEventError, ConstraintViolationError,
+                       DomainViolationError, IntegratorSettings,
+                       RescaledSystem, VortexSystem, WholePlane,
+                       check_rescaling_equivalence, flow_with_jacobian,
+                       integrate, make_pair, rotate_all, spin)
 from vortexlab import dynamics, systems
 
 from conftest import MU
@@ -276,6 +276,28 @@ def test_start_inside_the_boundary_margin_is_a_domain_violation(disc, run):
     assert info.value.index == 0
 
 
+@pytest.mark.parametrize("run", [
+    lambda system, z0, s: integrate(system, z0, (0.0, 25.0), s),
+    lambda system, z0, s: flow_with_jacobian(system, z0, 25.0, s),
+], ids=["integrate", "flow_with_jacobian"])
+def test_start_collision_is_refused_and_a_crossing_is_an_event(plane, run):
+    # the slip-through dipoles: the trailing pair starts 0.4 apart and
+    # contracts to ~0.20 mid-flight.  Inside a 0.5 threshold the start
+    # is refused; a 0.3 threshold is crossed later, an event
+    system = VortexSystem((1.0, -1.0, 1.0, -1.0), (1, 1, 1, 1), plane)
+    z0 = [-1.0, 0.5, -1.0, -0.5, -2.5, 0.2, -2.5, -0.2]
+    with pytest.raises(CollisionError) as start:
+        run(system, z0, IntegratorSettings(collision_tol=0.5))
+    assert type(start.value) is CollisionError
+    assert start.value.time == 0.0
+    assert start.value.pair == (2, 3)
+    with pytest.raises(CollisionEventError) as event:
+        run(system, z0, IntegratorSettings(collision_tol=0.3))
+    assert isinstance(event.value, CollisionError)
+    assert event.value.pair == (2, 3)
+    assert event.value.time > 0.0
+
+
 def test_initial_state_is_validated(disc):
     system = VortexSystem((1.0, -1.0), (1, 1), disc)
     with pytest.raises(DomainViolationError):
@@ -412,9 +434,10 @@ def test_variational_rhs_assembles_once(monkeypatch, disc, rescaled):
     assert calls[0] == 0
 
 
-def _figure1_variational_stepper(spec):
-    """A DOP853 stepper on the figure-1 augmented state (u, W), as
-    flow_with_jacobian builds it, over one rescaled period."""
+def _figure1_steppers(spec):
+    """DOP853 steppers over one rescaled figure-1 period: on the
+    augmented state (u, W), as flow_with_jacobian builds it, and on u
+    alone, as integrate builds it."""
     rs, u0 = spec.rescaled(), spec.torus_point()
     d = u0.size
 
@@ -423,22 +446,26 @@ def _figure1_variational_stepper(spec):
         return np.concatenate([f, (J @ aug[d:].reshape(d, d)).reshape(-1)])
 
     aug0 = np.concatenate([u0, np.eye(d).reshape(-1)])
-    return rs, d, dynamics._stepper(rhs, 0.0, aug0, TWO_PI,
-                                    IntegratorSettings())
+    settings = IntegratorSettings()
+    return rs, d, (dynamics._stepper(rhs, 0.0, aug0, TWO_PI, settings),
+                   dynamics._stepper(lambda t, u: rs.vector_field(u), 0.0,
+                                     u0, TWO_PI, settings))
 
 
 def test_base_dense_output_is_the_base_rows_of_scipys(figure1_spec_builder):
-    rs, d, stepper = _figure1_variational_stepper(figure1_spec_builder(0.1))
-    for _ in range(4):
-        stepper.step()
-        # read before scipy's dense_output() overwrites its extra stages
-        base = dynamics._base_dense_output(stepper, rs.vector_field, d)
-        full = stepper.dense_output()
-        grid = np.linspace(stepper.t_old, stepper.t,
-                           dynamics.GUARD_SAMPLES + 1)[1:]
-        ref = full(grid)[:d]
-        assert base(grid).shape == ref.shape
-        assert np.max(np.abs(base(grid) - ref)) <= 1e-15 * np.max(np.abs(ref))
+    rs, d, steppers = _figure1_steppers(figure1_spec_builder(0.1))
+    for stepper in steppers:
+        for _ in range(4):
+            stepper.step()
+            # read before scipy's dense_output() overwrites its extra stages
+            base = dynamics._base_dense_output(stepper, rs.vector_field, d)
+            full = stepper.dense_output()
+            grid = np.linspace(stepper.t_old, stepper.t,
+                               dynamics.GUARD_SAMPLES + 1)[1:]
+            ref = full(grid)[:d]
+            assert base(grid).shape == ref.shape
+            assert (np.max(np.abs(base(grid) - ref))
+                    <= 1e-15 * np.max(np.abs(ref)))
 
 
 def test_base_only_screening_leaves_the_flow_bitwise_unchanged(

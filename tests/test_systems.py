@@ -222,20 +222,36 @@ def test_anchor_hat_and_physical_map():
     assert np.allclose(rs.to_physical(u), 0.1 * u + hat)
 
 
-def test_skeleton_energy_is_summed_strength_anchor_energy():
-    rs = _figure1_rescaled(0.1)
-    expected = m_hamiltonian((-2.0, 2.0), UnitDisc(),
-                             np.array([MU, 0.0, -MU, 0.0]))
-    assert rs.skeleton_energy() == pytest.approx(expected, abs=1e-14)
+def _skeleton_energy(anchor):
+    """Energy of one vortex of each cluster's summed strength at its
+    anchor."""
+    return m_hamiltonian((-2.0, 2.0), UnitDisc(), np.reshape(anchor, -1))
+
+
+def test_skeleton_energy_is_summed_strength_anchor_energy(rng):
+    # E_r(u) is H(r u + anchor_hat) less the skeleton energy, except
+    # that intra-cluster pairs read u_i - u_j: each drops the
+    # -(1/2pi) log r that k(r (u_i - u_j)) carries in physical variables
+    full = VortexSystem((-1.0, -1.0, 1.0, 1.0), (2, 2), UnitDisc())
+    intra_pairs = 2 * (1.0 + 1.0)  # ordered pairs, Gamma_i Gamma_j = 1
+    for r in (0.1, 0.05):
+        rs = _figure1_rescaled(r)
+        skeleton = _skeleton_energy([MU, 0.0, -MU, 0.0])
+        for _ in range(5):
+            u = _pair_cluster_state(rng)
+            expected = (full.hamiltonian(rs.to_physical(u))
+                        + intra_pairs * np.log(r) / (2 * PI) - skeleton)
+            assert rs.hamiltonian(u) == pytest.approx(expected, abs=1e-12)
 
 
 def test_coupling_at_zero_equals_skeleton_energy(rng):
     rs = _figure1_rescaled(0.1)
-    assert abs(rs.coupling(np.zeros(8)) - rs.skeleton_energy()) <= 1e-12
+    skeleton = _skeleton_energy(rs.anchor)
+    assert abs(rs.coupling(np.zeros(8)) - skeleton) <= 1e-12
     for _ in range(10):
         anchor = random_disc_points(rng, 2, margin=0.25, min_sep=0.4)
         rs = _figure1_rescaled(0.1, anchor)
-        assert abs(rs.coupling(np.zeros(8)) - rs.skeleton_energy()) <= 1e-12
+        assert abs(rs.coupling(np.zeros(8)) - _skeleton_energy(anchor)) <= 1e-12
 
 
 def test_coupling_gradient_ties_members_to_anchor_gradient(rng):
@@ -287,7 +303,7 @@ def test_rescaled_gradient_identity(rng):
         rs = _figure1_rescaled(r)
         for _ in range(25):
             u = _pair_cluster_state(rng)
-            lhs = rs.rescaled_gradient(u)
+            lhs = rs.gradient(u)
             rhs = r * full.gradient(rs.to_physical(u))
             assert np.linalg.norm(lhs - rhs) <= 1e-10
 
@@ -296,10 +312,10 @@ def test_rescaled_derivatives_match_finite_differences(rng):
     rs = _figure1_rescaled(0.1)
     for _ in range(25):
         u = _pair_cluster_state(rng)
-        assert rel_error(rs.rescaled_gradient(u),
+        assert rel_error(rs.gradient(u),
                          fd_gradient(rs.rescaled_hamiltonian, u)) <= 1e-6
-        assert rel_error(rs.rescaled_hessian(u),
-                         fd_jacobian(rs.rescaled_gradient, u)) <= 1e-6
+        assert rel_error(rs.hessian(u),
+                         fd_jacobian(rs.gradient, u)) <= 1e-6
         assert rel_error(rs.rescaled_field_jacobian(u),
                          fd_jacobian(rs.rescaled_field, u)) <= 1e-6
 
@@ -333,7 +349,7 @@ def test_fused_field_and_jacobian_match_split_and_fd(rng, domain, scale):
         assert np.array_equal(field, rs.rescaled_field(u))
         assert np.array_equal(jac, rs.rescaled_field_jacobian(u))
         assert rel_error(jac, fd_jacobian(rs.rescaled_field, u)) <= 1e-6
-        assert rel_error(rs.rescaled_gradient(u),
+        assert rel_error(rs.gradient(u),
                          fd_gradient(rs.rescaled_hamiltonian, u)) <= 1e-6
 
 
@@ -344,7 +360,7 @@ def test_zero_scale_decouples_clusters(rng):
     for _ in range(10):
         u = _pair_cluster_state(rng)
         assert rs.rescaled_hamiltonian(u) == pytest.approx(
-            rs.cluster_energy(u), abs=1e-12)
+            neg.hamiltonian(u[:4]) + pos.hamiltonian(u[4:]), abs=1e-12)
         field = rs.rescaled_field(u)
         assert np.allclose(field[:4], neg.vector_field(u[:4]), atol=1e-13)
         assert np.allclose(field[4:], pos.vector_field(u[4:]), atol=1e-13)
