@@ -36,7 +36,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .errors import DomainViolationError
+from .errors import ConstraintViolationError, DomainViolationError
 
 FOUR_PI = 4.0 * np.pi
 TWO_PI = 2.0 * np.pi
@@ -238,6 +238,8 @@ class PerturbedDisc(UnitDisc):
 
     def __init__(self, epsilon: float = 1e-2):
         self.epsilon = float(epsilon)
+        if not np.isfinite(self.epsilon):
+            raise ConstraintViolationError("epsilon must be finite")
 
     def _bump(self, px, py):
         """The bump over all pairs; its derivatives are added below."""

@@ -79,8 +79,17 @@ class IntegratorSettings:
 
 def _stepper(fun, t0: float, y0, t_bound: float,
              settings: IntegratorSettings):
-    return DOP853(fun, t0, y0, t_bound=t_bound, rtol=settings.rtol,
-                  atol=settings.atol, max_step=settings.max_step)
+    # a non-finite time or right-hand side makes a NaN first step, from
+    # which step() never returns
+    if not (np.isfinite(t0) and np.isfinite(t_bound)):
+        raise ConstraintViolationError(
+            f"time span ({t0}, {t_bound}) must be finite")
+    stepper = DOP853(fun, t0, y0, t_bound=t_bound, rtol=settings.rtol,
+                     atol=settings.atol, max_step=settings.max_step)
+    if not np.all(np.isfinite(stepper.f)):
+        raise ConstraintViolationError(
+            f"the right-hand side at t = {t0:.9g} must be finite")
+    return stepper
 
 
 def _refine_and_raise(system, state, t_ok, t_bad, exc, settings):
@@ -338,8 +347,8 @@ def flow_with_jacobian(system: FlowSystem, z0, t_end: float,
 
 def check_rescaling_equivalence(system: VortexSystem, anchor, r: float, u0,
                                 t_span: float,
-                                settings: Optional[IntegratorSettings] = None,
-                                n_samples: int = 256) -> float:
+                                settings: Optional[IntegratorSettings] = None
+                                ) -> float:
     """Max deviation between the physical flow and the rescaled flow
     transported back to physical variables.
 
@@ -355,6 +364,6 @@ def check_rescaling_equivalence(system: VortexSystem, anchor, r: float, u0,
     traj_u = integrate(rs, u0, (0.0, float(t_span) / r**2), settings)
     traj_z = integrate(system, z0, (0.0, float(t_span)), settings)
     ahat = rs.anchor_hat
-    grid = np.linspace(0.0, float(t_span), int(n_samples) + 1)
+    grid = np.linspace(0.0, float(t_span), 257)
     zu = r * traj_u.sample_many(grid / r**2) + ahat
     return float(np.max(np.linalg.norm(traj_z.sample_many(grid) - zu, axis=1)))

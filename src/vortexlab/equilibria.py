@@ -23,7 +23,7 @@ Phi_t = exp(omega*t*perp) expm(t*A).  Reported quantities:
   solutions with the twisted periodicity  sigma*w(.+2pi) = w.
 * unit_multiplier_count / twisted_unit_multiplier_count: the algebraic
   multiplicity of the Floquet multiplier 1 (eigenvalues within
-  multiplier_tol of 1).  Rotation invariance forces a defective 2x2
+  MULTIPLIER_TOL of 1).  Rotation invariance forces a defective 2x2
   block on span{z, perp z} in every case, so the structural minimum is
   4 (two translations, the rotation mode, and its generalized partner).
   A configuration can carry extra unit multipliers without extra
@@ -55,6 +55,7 @@ from .linalg import (TWO_PI, permutation_matrix, permutation_order, perp,
 from .systems import VortexSystem
 
 RESIDUAL_TOL = 1e-10
+MULTIPLIER_TOL = 1e-2
 
 
 @dataclass(eq=False)
@@ -72,6 +73,10 @@ class RelativeEquilibrium:
         n = len(self.strengths)
         if self.positions.shape[0] != n:
             raise ConstraintViolationError("strengths/positions length mismatch")
+        if not np.isfinite([*self.strengths, *self.positions.reshape(-1),
+                            self.angular_velocity]).all():
+            raise ConstraintViolationError(
+                "strengths, positions and angular velocity must be finite")
         self.permutation = tuple(int(i) for i in self.permutation)
         if sorted(self.permutation) != list(range(n)):
             raise ConstraintViolationError(f"invalid permutation {self.permutation}")
@@ -132,7 +137,7 @@ def _finish(strengths, positions, sigma) -> RelativeEquilibrium:
     eq = RelativeEquilibrium(tuple(strengths), positions, 0.0, tuple(sigma))
     eq.angular_velocity = _projected_omega(eq.system, eq.flat())
     res = eq.residual()
-    if res > RESIDUAL_TOL:
+    if not res <= RESIDUAL_TOL:
         raise NotEquilibriumError(
             f"constructed configuration misses the rigid-rotation "
             f"condition (residual {res:.2e})")
@@ -251,7 +256,7 @@ def normalize(eq: RelativeEquilibrium, target_omega: float) -> RelativeEquilibri
     out = RelativeEquilibrium(eq.strengths, lam * eq.positions,
                               eq.angular_velocity / lam**2, eq.permutation)
     res = out.residual()
-    if res > RESIDUAL_TOL:
+    if not res <= RESIDUAL_TOL:
         raise NotEquilibriumError(f"normalization broke the residual ({res:.2e})")
     return out
 
@@ -275,7 +280,7 @@ class CertificationReport:
     singular_values: list = field(default_factory=list)
     twisted_singular_values: list = field(default_factory=list)
     kernel_tol: float = 1e-6
-    multiplier_tol: float = 1e-2
+    multiplier_tol: float = MULTIPLIER_TOL
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -302,15 +307,15 @@ def _kernel_dim(phi: np.ndarray, tol_factor: float):
     return int((sv <= tol_factor * norm).sum()), sv
 
 
-def certify(eq: RelativeEquilibrium, kernel_tol: float = 1e-6,
-            multiplier_tol: float = 1e-2) -> CertificationReport:
+def certify(eq: RelativeEquilibrium,
+            kernel_tol: float = 1e-6) -> CertificationReport:
     """Count periodic solutions of the linearization and report the
     degeneracy structure; see the module docstring for the semantics."""
     if eq.is_trivial:
         raise ConstraintViolationError(
             "single-vortex placeholder clusters are not certifiable")
     res = eq.residual()
-    if res > RESIDUAL_TOL:
+    if not res <= RESIDUAL_TOL:
         raise NotEquilibriumError(
             f"not a rigidly rotating configuration (residual {res:.2e})")
     order = eq.order
@@ -331,8 +336,8 @@ def certify(eq: RelativeEquilibrium, kernel_tol: float = 1e-6,
 
     ev_full = np.linalg.eigvals(phi_tau)
     ev_tw = np.linalg.eigvals(twisted)
-    alg_full = int((np.abs(ev_full - 1.0) <= multiplier_tol).sum())
-    alg_tw = int((np.abs(ev_tw - 1.0) <= multiplier_tol).sum())
+    alg_full = int((np.abs(ev_full - 1.0) <= MULTIPLIER_TOL).sum())
+    alg_tw = int((np.abs(ev_tw - 1.0) <= MULTIPLIER_TOL).sum())
 
     is_id = eq.permutation == tuple(range(eq.n))
     return CertificationReport(
@@ -349,7 +354,6 @@ def certify(eq: RelativeEquilibrium, kernel_tol: float = 1e-6,
         singular_values=[float(s) for s in np.sort(sv_full)],
         twisted_singular_values=[float(s) for s in np.sort(sv_tw)],
         kernel_tol=kernel_tol,
-        multiplier_tol=multiplier_tol,
     )
 
 

@@ -11,7 +11,8 @@ perp is the only quarter turn and rotate_all (with spin, its flow form)
 the only rotation; matrices of either are built by applying them to
 columns.  aligned_distance is the only rotation fit: it compares states,
 or batches of states, up to one global rotation.  newton is the only
-Newton loop, shared by the anchor search and shooting.
+Newton loop, shared by the anchor search and shooting; a caller borders
+its least-squares steps with rows, never with columns.
 """
 
 from __future__ import annotations
@@ -123,16 +124,6 @@ def permutation_order(sigma) -> int:
     return order
 
 
-def truncated_svd_solve(A: np.ndarray, b: np.ndarray, rel_threshold: float = 1e-6):
-    """Least-squares solve discarding singular directions below
-    rel_threshold * sigma_max (zero when A is exactly zero)."""
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros(A.shape[1])
-    keep = s > rel_threshold * s[0]
-    return Vt[keep].T @ ((U[:, keep].T @ b) / s[keep])
-
-
 #: a residual at most this share of the one before marks the superlinear
 #: phase, and a step on the previous Jacobian must contract by as much
 SUPERLINEAR_CONTRACTION = 1e-2
@@ -143,10 +134,12 @@ def newton(fun, x, check, *, tol, max_iterations, rel_threshold,
     """Newton iteration on (F, J) = fun(x) until |F| <= tol; returns x
     and the residual |F| of every evaluated iterate.
 
-    The step is the first x.size entries of truncated_svd_solve(J, -F,
-    rel_threshold), so J may be bordered.  ConvergenceError, carrying the
-    last admissible iterate, reports an exhausted budget or a new iterate
-    that check rejects with DomainViolationError or CollisionError.
+    The step is lstsq(J, -F, rcond=rel_threshold): singular directions
+    of J below rel_threshold times the largest are dropped.  A caller
+    constrains the step by appending rows to J and zeros to F.
+    ConvergenceError, carrying the last admissible iterate, reports an
+    exhausted budget or a new iterate that check rejects with
+    DomainViolationError or CollisionError.
 
     residual, optional, returns the F of fun(x) alone.  Once the newest
     residual is at most SUPERLINEAR_CONTRACTION times the one before, the
@@ -160,6 +153,8 @@ def newton(fun, x, check, *, tol, max_iterations, rel_threshold,
     if max_iterations < 0:
         raise ConstraintViolationError(
             f"max_iterations must be >= 0, got {max_iterations}")
+    if not np.isfinite(tol):
+        raise ConstraintViolationError(f"tol must be finite, got {tol}")
     residuals = []
     for iteration in range(max_iterations + 1):
         chord = (residual is not None and len(residuals) >= 2
@@ -179,7 +174,7 @@ def newton(fun, x, check, *, tol, max_iterations, rel_threshold,
                 f"no convergence in {max_iterations} iterations "
                 f"(residual {residuals[-1]:.3e})", iterations=max_iterations,
                 last_iterate=x, residual=residuals[-1])
-        x_new = x + truncated_svd_solve(J, -F, rel_threshold)[:x.size]
+        x_new = x + np.linalg.lstsq(J, -F, rcond=rel_threshold)[0]
         try:
             check(x_new)
         except (DomainViolationError, CollisionError) as exc:

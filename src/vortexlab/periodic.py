@@ -29,14 +29,15 @@ prescribed, and the twisted boundary condition
 
 (S_sigma the block permutation; plain tau-periodicity when sigma = id)
 removes the sigma-related degeneracy.  The remaining null directions of
-the Newton matrix (time shift; global rotation when the domain allows
-it) are handled by a truncated-SVD pseudo-inverse rather than bordered
-constraints, so the rank structure can vary with the domain without
-code changes.  The iteration is linalg.newton, shared with the anchor
-search.  Its Jacobians come from the variational flow; once Newton is
-superlinear, its residuals come from the orbit's closing integration
-and its steps reuse the last Jacobian, so the accepted iterate's
-integration is the orbit's trajectory and no flow is repeated.
+the Newton matrix (time shift; rotation about the center when the
+domain is rotational) are dropped by the least-squares step rather than
+bordered by constraint rows, so the rank structure can vary with the
+domain without code changes.  The iteration is linalg.newton, shared
+with the anchor search.  Its Jacobians come from the variational flow;
+once Newton is superlinear, its residuals come from the orbit's closing
+integration and its steps reuse the last Jacobian, so the accepted
+iterate's integration is the orbit's trajectory and no flow is
+repeated.
 """
 
 from __future__ import annotations
@@ -129,12 +130,13 @@ class SuperpositionSpec:
                     f"unit multiplier count "
                     f"{report.twisted_unit_multiplier_count})")
         self.phases = tuple(float(t) for t in self.phases)
-        if len(self.phases) != self.l:
+        if len(self.phases) != self.l or not np.isfinite(self.phases).all():
             raise ConstraintViolationError(
-                f"{len(self.phases)} phases for {self.l} nontrivial clusters")
+                f"phases {self.phases} for {self.l} nontrivial clusters: "
+                "need one finite phase per cluster")
         self.scale = float(self.scale)
-        if self.scale < 0.0:
-            raise ConstraintViolationError("scale must be >= 0")
+        if not 0.0 <= self.scale < np.inf:
+            raise ConstraintViolationError("scale must be finite and >= 0")
 
     # -- layout -------------------------------------------------------------
     @property
@@ -347,11 +349,12 @@ def shoot(spec: SuperpositionSpec, u0_guess=None,
     """Newton-polish a guess into a periodic orbit of the rescaled flow.
 
     Solves S_sigma phi_{2pi}(u0) = u0 by linalg.newton; the linear steps
-    use a truncated-SVD pseudo-inverse (relative threshold 1e-6) of
-    S_sigma Dphi - I.  Converged when the twisted residual is <= 1e-10;
-    the returned orbit additionally satisfies full-period closure <= 1e-9
-    and, for nontrivial sigma, symmetry defect <= 1e-8, both enforced,
-    not just reported.  Every iterate meets the settings' guard thresholds.
+    are least-squares solves with S_sigma Dphi - I that drop its singular
+    values below 1e-6 times the largest.  Converged when the twisted
+    residual is <= 1e-10; the returned orbit additionally satisfies
+    full-period closure <= 1e-9 and, for nontrivial sigma, symmetry
+    defect <= 1e-8, both enforced, not just reported.  Every iterate
+    meets the settings' guard thresholds.
 
     Newton's residual-only evaluations integrate over the full period
     tau and read phi_{2pi} there: the final state when tau = 2pi, the
@@ -435,12 +438,11 @@ def _spectral_derivative(samples: np.ndarray, period: float) -> np.ndarray:
     return np.real(np.fft.ifft(factor[:, None] * spec_hat, axis=0))
 
 
-def distance_to_M(spec: SuperpositionSpec, u,
-                  n_samples: int = GRID_SAMPLES) -> float:
+def distance_to_M(spec: SuperpositionSpec, u) -> float:
     """Discrete H^1 distance from a periodic loop to the phase torus.
 
-    `u` is a Trajectory over one rescaled period or an (n_samples, 2N)
-    array sampled uniformly on [0, tau).  Derivatives are spectral, the
+    `u` is a Trajectory over one rescaled period or a (g, 2N) array
+    sampled uniformly on [0, tau).  Derivatives are spectral, the
     quadrature is the periodic trapezoid rule.  A cluster's phase enters
     only as one global rotation of its block of the torus samples, so
     each cluster's phase minimum is the rotation fit `aligned_distance`
@@ -448,7 +450,7 @@ def distance_to_M(spec: SuperpositionSpec, u,
     """
     tau = spec.tau
     if isinstance(u, Trajectory):
-        u = u.sample_many(np.linspace(0.0, tau, int(n_samples),
+        u = u.sample_many(np.linspace(0.0, tau, GRID_SAMPLES,
                                       endpoint=False))
     samples = np.asarray(u, dtype=float)
     g = samples.shape[0]
@@ -600,11 +602,11 @@ def winding_number(samples: np.ndarray) -> int:
     return int(np.rint(turns))
 
 
-def cluster_winding_numbers(orbit: PeriodicOrbit, n_samples: int = 512) -> list:
+def cluster_winding_numbers(orbit: PeriodicOrbit) -> list:
     """Winding of each nontrivial cluster's first relative separation
     vector (member 1 minus member 0) over the full rescaled period."""
     spec = orbit.spec
-    ts = np.linspace(0.0, orbit.rescaled_period, int(n_samples) + 1)
+    ts = np.linspace(0.0, orbit.rescaled_period, 2 * GRID_SAMPLES + 1)
     samples = orbit.trajectory.sample_many(ts)
     out = []
     for k in spec.nontrivial_indices:

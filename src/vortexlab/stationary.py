@@ -105,12 +105,6 @@ def m_hessian(strengths, domain: Domain, a) -> np.ndarray:
 # symmetry bookkeeping
 # ---------------------------------------------------------------------------
 
-def _translations(m: int):
-    cx = np.tile([1.0, 0.0], m)
-    cy = np.tile([0.0, 1.0], m)
-    return cx, cy
-
-
 def kernel_generators(domain: Domain, positions) -> list:
     """Kernel directions the domain's symmetry forces at a critical
     point: what the Hessian kernel is compared against."""
@@ -123,33 +117,21 @@ def kernel_generators(domain: Domain, positions) -> list:
         nu = np.asarray(domain.translation_direction, dtype=float)
         return [np.tile(nu / np.linalg.norm(nu), m)]
     if sym == SymmetryClass.PLANE_FULL:
-        cx, cy = _translations(m)
-        return [cx, cy, perp(flat)]
+        return [np.tile([1.0, 0.0], m), np.tile([0.0, 1.0], m), perp(flat)]
     return []
 
 
-def _newton_constraints(domain: Domain, flat: np.ndarray):
-    """Directions the Newton step is kept orthogonal to (the symmetry
-    generators, plus scaling on the whole plane where the energy has an
-    extra dilation freedom)."""
-    gens = kernel_generators(domain, flat)
-    if domain.symmetry == SymmetryClass.PLANE_FULL:
-        gens = gens + [flat.copy()]
-    scale = float(np.linalg.norm(flat)) or 1.0
-    return [g for g in gens if np.linalg.norm(g) > 1e-14 * scale]
-
-
-def _hessian_kernel(hessian: np.ndarray, tol: float = KERNEL_TOL):
+def _hessian_kernel(hessian: np.ndarray):
     """(dimension, orthonormal basis columns) of the numerical kernel."""
     U, s, Vt = np.linalg.svd(hessian)
     if s.size == 0 or s[0] == 0.0:
         n = hessian.shape[0]
         return n, np.eye(n)
-    mask = s <= tol * s[0]
+    mask = s <= KERNEL_TOL * s[0]
     return int(mask.sum()), Vt[mask].T
 
 
-def _spanned_by(basis: np.ndarray, generators: list, tol: float = 1e-8) -> bool:
+def _spanned_by(basis: np.ndarray, generators: list) -> bool:
     """Whether the orthonormal columns of `basis` span the same space as
     the generators (dimensions already known to match)."""
     G = np.column_stack(generators)
@@ -159,7 +141,7 @@ def _spanned_by(basis: np.ndarray, generators: list, tol: float = 1e-8) -> bool:
     if Q.shape[1] != basis.shape[1]:
         return False
     resid = basis - Q @ (Q.T @ basis)
-    return bool(np.linalg.norm(resid) <= tol)
+    return bool(np.linalg.norm(resid) <= 1e-8)
 
 
 def classify(sp: StationaryPoint, domain: Domain) -> Classification:
@@ -168,8 +150,7 @@ def classify(sp: StationaryPoint, domain: Domain) -> Classification:
         raise ConstraintViolationError(
             f"classification needs a converged critical point "
             f"(gradient norm {sp.gradient_norm:.2e})")
-    dim, basis = _hessian_kernel(sp.hessian)
-    return _classify_kernel(domain, sp.flat(), dim, basis)
+    return _classify_kernel(domain, sp.flat(), *_hessian_kernel(sp.hessian))
 
 
 def _classify_kernel(domain, flat, dim, basis) -> Classification:
@@ -213,9 +194,12 @@ def evaluate_point(strengths, domain: Domain, positions) -> StationaryPoint:
 
     Computes the gradient norm, Hessian, kernel and classification; no
     iteration happens, and no criticality is enforced (callers that need
-    a critical point must check gradient_norm themselves)."""
+    a critical point must check gradient_norm themselves); positions
+    validate_state refuses raise its error."""
     flat = as_state(positions)
-    grad, hess = _anchor_system(strengths, domain).gradient_and_hessian(flat)
+    sys = _anchor_system(strengths, domain)
+    sys.validate_state(flat)
+    grad, hess = sys.gradient_and_hessian(flat)
     return _finish_point(strengths, domain, flat, np.linalg.norm(grad), hess)
 
 
@@ -233,12 +217,13 @@ def find_critical_point(strengths, domain: Domain, guess, *,
     """Local Newton search (linalg.newton) for a critical point of the
     m-point energy.
 
-    The linear system is bordered: rows constraining the step to be
-    orthogonal to the domain's symmetry directions (evaluated at the
-    current iterate) make the Jacobian invertible despite the symmetry
-    kernel, and pin the representative on its group orbit.  The step
-    solve is a truncated-SVD least-squares solve, so accidental extra
-    degeneracy degrades gracefully instead of exploding.
+    The Hessian is bordered by rows, with zeros appended to the gradient,
+    that keep the step orthogonal to the domain's symmetry generators at
+    the current iterate (and to the dilation on the whole plane).  They
+    remove the symmetry kernel but pin the representative on its group
+    orbit to first order only, so the copy a search ends on depends on
+    its path.  The least-squares step degrades gracefully under
+    accidental extra degeneracy.
 
     Raises ConvergenceError (with the last iterate attached) if the
     iteration budget runs out or an iterate leaves the admissible set.
@@ -251,10 +236,10 @@ def find_critical_point(strengths, domain: Domain, guess, *,
     def gradient_and_bordered_hessian(x):
         grad, hess = sys.gradient_and_hessian(x)
         hessians.append(hess)
-        C = np.reshape(_newton_constraints(domain, x), (-1, x.size)).T
-        k = C.shape[1]
-        A = np.block([[hess, C], [C.T, np.zeros((k, k))]])
-        return np.concatenate([grad, np.zeros(k)]), A
+        C = kernel_generators(domain, x)
+        if domain.symmetry == SymmetryClass.PLANE_FULL:
+            C.append(x)
+        return np.append(grad, np.zeros(len(C))), np.vstack([hess, *C])
 
     x, residuals = newton(gradient_and_bordered_hessian, x,
                           sys.validate_state, tol=gradient_tol,

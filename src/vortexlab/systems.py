@@ -235,6 +235,8 @@ class VortexSystem(FlowSystem):
         gam = np.asarray(self.strengths, dtype=float)
         if gam.ndim != 1 or gam.size == 0:
             raise ConstraintViolationError("strengths must be a flat nonempty list")
+        if not np.all(np.isfinite(gam)):
+            raise ConstraintViolationError("vortex strengths must be finite")
         if np.any(gam == 0.0):
             raise ConstraintViolationError("every vortex strength must be nonzero")
         sizes = tuple(int(s) for s in self.cluster_sizes)
@@ -322,8 +324,8 @@ class RescaledSystem(FlowSystem):
             raise ConstraintViolationError(
                 f"anchor has {a.shape[0]} points, system has "
                 f"{self.base.n_clusters} clusters")
-        if self.scale < 0.0:
-            raise ConstraintViolationError("scale r must be >= 0")
+        if not 0.0 <= self.scale < np.inf:
+            raise ConstraintViolationError("scale r must be finite and >= 0")
         sk = VortexSystem(tuple(self.base.cluster_strengths),
                           (1,) * self.base.n_clusters, self.base.domain)
         sk.validate_state(a)

@@ -333,6 +333,59 @@ def test_non_finite_integrator_setting_uses_the_precondition_code(
     assert "must be finite" in err
 
 
+def with_line(path, old, new):
+    """path, after its config line old is replaced by new."""
+    text = Path(path).read_text()
+    assert old in text
+    Path(path).write_text(text.replace(old, new))
+    return path
+
+
+def simulate_with(old, new):
+    return lambda tmp: with_line(disc_dipole_simulate_config(
+        tmp, "0.5 0.05; 0.5 -0.05", ""), old, new)
+
+
+# unchecked, a non-finite number hangs the integrator, ends in an SVD
+# traceback or is reported as another failure
+@pytest.mark.parametrize("make_config", [
+    pytest.param(lambda tmp: figure1_config(tmp, "r = nan")[0],
+                 id="periodic-r-nan"),
+    pytest.param(lambda tmp: figure1_config(tmp, "r = inf")[0],
+                 id="periodic-r-inf"),
+    pytest.param(lambda tmp: figure1_config(tmp, "r = 0.1\nphases = nan, 0")[0],
+                 id="periodic-phases-nan"),
+    pytest.param(simulate_with("t_end = 1.0", "t_end = nan"),
+                 id="simulate-t_end-nan"),
+    pytest.param(simulate_with("t_end = 1.0", "t_end = inf"),
+                 id="simulate-t_end-inf"),
+    pytest.param(simulate_with("strengths = 1, -1", "strengths = nan, 1"),
+                 id="vortices-strengths-nan"),
+    pytest.param(simulate_with("strengths = 1, -1", "strengths = inf, 1"),
+                 id="vortices-strengths-inf"),
+    pytest.param(lambda tmp: figure1_config(
+        tmp, "r = 0.1", cluster1="custom\nstrengths = -1, -1\npositions = "
+        "0.3989422804014327 0; -0.3989422804014327 0\nomega = nan")[0],
+        id="custom-cluster-omega-nan"),
+    pytest.param(lambda tmp: with_line(stationary_config(tmp)[0],
+                                       "kind = disc",
+                                       "kind = perturbed-disc\nepsilon = nan"),
+                 id="domain-epsilon-nan"),
+    pytest.param(lambda tmp: with_line(stationary_config(tmp)[0],
+                                       "strengths = 1, -1",
+                                       "strengths = nan, -1"),
+                 id="anchors-strengths-nan"),
+    pytest.param(lambda tmp: stationary_config(tmp, "gradient_tol = nan")[0],
+                 id="anchors-gradient_tol-nan"),
+])
+def test_non_finite_number_uses_the_precondition_code(tmp_path, capsys,
+                                                      make_config):
+    assert main(["run", make_config(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "precondition violated" in err and "finite" in err
+
+
 def test_boundary_event_uses_the_event_code(tmp_path, capsys):
     path = disc_dipole_simulate_config(tmp_path, "0.5 0.05; 0.5 -0.05",
                                        "boundary_margin = 0.1")

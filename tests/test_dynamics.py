@@ -314,6 +314,27 @@ def test_non_finite_plane_position_is_a_domain_violation(plane, bad):
         integrate(system, [0.5, 0.0, -0.5, bad], (0.0, 1.0))
 
 
+@pytest.mark.parametrize("run", [
+    lambda system, z0, t: integrate(system, z0, (0.0, t)),
+    lambda system, z0, t: integrate(system, z0, (t, 0.0)),
+    lambda system, z0, t: flow_with_jacobian(system, z0, t),
+], ids=["integrate-end", "integrate-start", "flow_with_jacobian"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_time_span_is_refused(disc_pair, run, bad):
+    system, z0 = disc_pair
+    with pytest.raises(ConstraintViolationError, match="must be finite"):
+        run(system, z0, bad)
+
+
+def test_start_with_an_overflowing_field_is_refused(disc):
+    # finite strengths whose products overflow: the field at the start
+    # is not finite, and DOP853 would never finish its first step
+    system = VortexSystem((1e308, 1e308), (1, 1), disc)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ConstraintViolationError, match="must be finite"):
+            integrate(system, [0.3, 0.1, -0.2, -0.25], (0.0, 1.0))
+
+
 # ---------------------------------------------------------------------------
 # variational flow
 # ---------------------------------------------------------------------------

@@ -273,6 +273,12 @@ def test_certify_rejects_non_equilibrium():
                               eq.permutation)
     with pytest.raises(NotEquilibriumError):
         certify(bad)
+    # coincident members make the residual NaN, which must not pass
+    coincident = RelativeEquilibrium(eq.strengths, [[0.3, 0.0], [0.3, 0.0]],
+                                     -1.0, eq.permutation)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(NotEquilibriumError, match="residual nan"):
+            certify(coincident)
 
 
 def test_report_serializes_to_json():

@@ -8,7 +8,7 @@ import vortexlab
 from vortexlab import (CollisionError, ConstraintViolationError,
                        ConvergenceError, DomainViolationError,
                        aligned_distance, rotate_all)
-from vortexlab.linalg import newton, truncated_svd_solve
+from vortexlab.linalg import newton
 
 
 @pytest.mark.parametrize("batched", ["a", "b", "both"])
@@ -88,17 +88,16 @@ def test_newton_turns_an_inadmissible_step_into_a_convergence_error(event):
     assert isinstance(err.__cause__, event)
 
 
-def test_newton_drops_the_multipliers_of_a_bordered_jacobian():
-    # F = (x - t, 0) with the step bordered orthogonal to c = (1, 1): the
-    # step from 0 is the projection (0.5, -0.5) of t = (1, 0), and the
-    # bordered solve's third entry, the multiplier 0.5, is not applied
-    t, c = np.array([1.0, 0.0]), np.array([1.0, 1.0])
-    J = np.block([[np.eye(2), c[:, None]], [c[None, :], np.zeros((1, 1))]])
-    with pytest.raises(ConvergenceError) as info:
-        newton(lambda x: (np.append(x - t, 0.0), J), np.zeros(2), accept,
-               tol=1e-12, max_iterations=1, rel_threshold=1e-12)
-    assert info.value.iterations == 1
-    assert info.value.last_iterate == pytest.approx([0.5, -0.5], abs=1e-15)
+def test_newton_keeps_the_step_on_its_constraint_rows():
+    # F = x0 + x1 - 1 with the row (1, 0) appended to J and 0 to F: the
+    # step from 0 keeps x0 fixed and lands on (0, 1), not on the
+    # minimum-norm solution (0.5, 0.5) of the unbordered problem
+    J = np.array([[1.0, 1.0], [1.0, 0.0]])
+    x, residuals = newton(lambda x: (np.array([x[0] + x[1] - 1.0, 0.0]), J),
+                          np.zeros(2), accept, tol=1e-12, max_iterations=1,
+                          rel_threshold=1e-12)
+    assert x == pytest.approx([0.0, 1.0], abs=1e-15)
+    assert residuals == pytest.approx([1.0, 0.0], abs=1e-15)
 
 
 def test_newton_rejects_a_negative_budget():
@@ -106,6 +105,15 @@ def test_newton_rejects_a_negative_budget():
     with pytest.raises(ConstraintViolationError, match="max_iterations"):
         newton(square_minus(2.0, calls), np.array([1.0]), accept, tol=1e-12,
                max_iterations=-1, rel_threshold=1e-12)
+    assert calls == []
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf])
+def test_newton_rejects_a_tolerance_that_is_not_finite(tol):
+    calls = []
+    with pytest.raises(ConstraintViolationError, match="tol must be finite"):
+        newton(square_minus(2.0, calls), np.array([1.0]), accept, tol=tol,
+               max_iterations=10, rel_threshold=1e-12)
     assert calls == []
 
 
@@ -175,8 +183,8 @@ def test_newton_without_residual_takes_one_full_step_per_iterate():
     expected = [np.array([1.0])]
     while abs(expected[-1][0]**2 - 2.0) > 1e-14:
         y = expected[-1]
-        expected.append(y + truncated_svd_solve(np.diag(2.0 * y),
-                                                -(y**2 - 2.0), 1e-12))
+        expected.append(y + np.linalg.lstsq(np.diag(2.0 * y), -(y**2 - 2.0),
+                                            rcond=1e-12)[0])
     assert [kind for kind, _ in log] == ["fun"] * len(expected)
     assert all(np.array_equal(y, e) for (_, y), e in zip(log, expected))
     assert np.array_equal(x, expected[-1])

@@ -14,7 +14,8 @@ from vortexlab import (CollisionError, ConstraintViolationError,
                        IntegratorSettings, ScaleTooLargeError, SuperpositionSpec,
                        build_initial_guess, cluster_winding_numbers,
                        continue_in_r, distance_to_M, evaluate_point,
-                       integrate, make_equilateral, make_pair, make_trivial,
+                       flow_with_jacobian, integrate, make_equilateral,
+                       make_pair, make_trivial, permutation_matrix, perp,
                        rotate_all, scan_phases, shoot, winding_number)
 from vortexlab import periodic
 from vortexlab.periodic import (IDENTIFICATION_TOL, _orbit_distance,
@@ -227,6 +228,28 @@ def test_reference_shoot_reuses_the_last_jacobian_and_trajectory(
         + ["integrate"] * 2
     assert orbit.trajectory is calls[-1][1]
     assert orbit.residual <= periodic.SHOOT_TOL
+
+
+def test_shooting_jacobian_nulls_are_the_time_shift_and_the_rotation(
+        figure1_orbit):
+    # J = S W - I at the reference orbit.  The time shift f(u0) and the
+    # rotation about the disc center, perp(u0 + anchor_hat / r) in
+    # rescaled coordinates, are exact null directions of J that also
+    # lie in its range (Hamiltonian Jordan blocks), so appending them as
+    # rows leaves a well-conditioned matrix
+    orbit, _ = figure1_orbit
+    spec, u0 = orbit.spec, orbit.u0
+    rs = spec.rescaled()
+    _, W = flow_with_jacobian(rs, u0, TWO_PI)
+    J = permutation_matrix(spec.sigma) @ W - np.eye(u0.size)
+    f_hat = rs.vector_field(u0)
+    rot_hat = perp(u0 + rs.anchor_hat / spec.scale)
+    nulls = np.array([v / np.linalg.norm(v) for v in (f_hat, rot_hat)])
+    U, s, _ = np.linalg.svd(J)
+    assert np.all(np.linalg.norm(nulls @ J.T, axis=1) <= 1e-9 * s[0])
+    assert np.all(np.abs(nulls @ U[:, -2:]) <= 1e-9)
+    bordered = np.linalg.svd(np.vstack([J, nulls]), compute_uv=False)
+    assert bordered[-1] / bordered[0] >= 1e-6
 
 
 def test_reference_orbit_meets_every_tolerance(figure1_orbit):

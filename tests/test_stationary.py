@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from vortexlab import (Classification, ConstraintViolationError,
-                       ConvergenceError, DomainViolationError, PerturbedDisc,
+from vortexlab import (Classification, CollisionError,
+                       ConstraintViolationError, ConvergenceError,
+                       DomainViolationError, PerturbedDisc,
                        UnitDisc, WholePlane, aligned_distance, classify,
                        disc_dipole, evaluate_point, find_critical_point,
                        m_gradient, m_hamiltonian, m_hessian, rotate_all)
@@ -214,6 +215,18 @@ def test_evaluate_point_does_not_enforce_criticality(disc):
     sp = evaluate_point((1.0, -1.0), disc, [[0.3, 0.1], [-0.2, -0.4]])
     assert sp.gradient_norm > 1e-10
     assert sp.hessian.shape == (4, 4)
+
+
+@pytest.mark.parametrize("positions, error", [
+    ([[np.nan, 0.0], [-0.5, 0.0]], DomainViolationError),
+    ([[1.2, 0.0], [-0.5, 0.0]], DomainViolationError),
+    ([[0.3, 0.1], [0.3, 0.1]], CollisionError),
+], ids=["nan", "outside", "coincident"])
+def test_evaluate_point_refuses_inadmissible_positions(disc, positions, error):
+    # unchecked, NaN and coincident positions end in an SVD that does not
+    # converge, and a point outside the disc is evaluated as if inside
+    with pytest.raises(error):
+        evaluate_point((1.0, -1.0), disc, positions)
 
 
 def test_classify_rejects_noncritical_points(disc):

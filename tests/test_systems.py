@@ -10,6 +10,7 @@ from vortexlab import (
     ConstraintViolationError,
     DomainViolationError,
     PerturbedDisc,
+    RelativeEquilibrium,
     RescaledSystem,
     UnitDisc,
     VortexSystem,
@@ -39,6 +40,25 @@ def test_bad_cluster_layout_rejected():
         VortexSystem((1.0, 1.0, 1.0), (2, 2))
     with pytest.raises(ConstraintViolationError):
         VortexSystem((1.0, 1.0), (2, 0))
+
+
+@pytest.mark.parametrize("build", [
+    lambda bad: VortexSystem((bad, 1.0), (2,)),
+    lambda bad: RescaledSystem(VortexSystem((1.0, -1.0), (1, 1), UnitDisc()),
+                               np.array([[MU, 0.0], [-MU, 0.0]]), bad),
+    lambda bad: PerturbedDisc(bad),
+    lambda bad: RelativeEquilibrium((bad, 1.0), [[0.5, 0], [-0.5, 0]], -1.0,
+                                    (0, 1)),
+    lambda bad: RelativeEquilibrium((1.0, 1.0), [[bad, 0], [-0.5, 0]], -1.0,
+                                    (0, 1)),
+    lambda bad: RelativeEquilibrium((1.0, 1.0), [[0.5, 0], [-0.5, 0]], bad,
+                                    (0, 1)),
+], ids=["strengths", "scale", "epsilon", "equilibrium-strengths",
+        "equilibrium-positions", "angular-velocity"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_number_is_refused_where_it_enters(build, bad):
+    with pytest.raises(ConstraintViolationError, match="must be finite"):
+        build(bad)
 
 
 def test_layout_properties():
