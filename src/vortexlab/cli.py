@@ -200,15 +200,11 @@ def _dump_json(obj: dict, path: str):
 
 def _domain_from(cfg: _Config):
     kind = cfg.get("domain", "kind", required=True)
-    kwargs = {}
-    if kind.lower() in ("perturbed-disc", "perturbed-disk"):
-        eps = cfg.get("domain", "epsilon", float)
-        if eps is not None:
-            kwargs["epsilon"] = eps
+    eps = cfg.get("domain", "epsilon", float)
     try:
-        return make_domain(kind, **kwargs)
+        return make_domain(kind, **({} if eps is None else {"epsilon": eps}))
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"[domain] {exc}") from exc
 
 
 def _settings_from(cfg: _Config, section: str) -> IntegratorSettings:
@@ -415,6 +411,7 @@ _HANDLERS = {
 }
 
 
+@np.errstate(all="ignore")  # a non-finite result is checked, not warned
 def run(config_path: str) -> int:
     """Execute the task described by a config file; returns exit code."""
     task = "run"
@@ -437,6 +434,7 @@ def run(config_path: str) -> int:
         return _fail(task, exc)
 
 
+@np.errstate(all="ignore")
 def certify_command(name: str, params) -> int:
     """`vortexlab certify <catalog> <params...>`: print a report."""
     try:

@@ -269,12 +269,18 @@ class PerturbedDisc(UnitDisc):
 
 
 def make_domain(kind: str, **kwargs) -> Domain:
-    """Factory keyed by the CLI's domain names."""
+    """Factory keyed by the CLI's domain names; a keyword the kind does
+    not take (epsilon belongs to the perturbed disc) is a ValueError."""
     kind = kind.strip().lower()
-    if kind in ("plane", "whole-plane", "wholeplane", "r2"):
-        return WholePlane()
-    if kind in ("disc", "disk", "unit-disc", "unit-disk"):
-        return UnitDisc()
     if kind in ("perturbed-disc", "perturbed-disk"):
         return PerturbedDisc(**kwargs)
-    raise ValueError(f"unknown domain kind: {kind!r}")
+    if kind in ("plane", "whole-plane", "wholeplane", "r2"):
+        domain = WholePlane
+    elif kind in ("disc", "disk", "unit-disc", "unit-disk"):
+        domain = UnitDisc
+    else:
+        raise ValueError(f"unknown domain kind: {kind!r}")
+    if kwargs:
+        raise ValueError(f"{', '.join(kwargs)} is not a parameter of "
+                         f"domain kind {kind!r}")
+    return domain()

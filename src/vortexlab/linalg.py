@@ -12,7 +12,8 @@ the only rotation; matrices of either are built by applying them to
 columns.  aligned_distance is the only rotation fit: it compares states,
 or batches of states, up to one global rotation.  newton is the only
 Newton loop, shared by the anchor search and shooting; a caller borders
-its least-squares steps with rows, never with columns.
+its least-squares steps with rows (the generators of its symmetries),
+never with columns.
 """
 
 from __future__ import annotations
@@ -129,14 +130,13 @@ def permutation_order(sigma) -> int:
 SUPERLINEAR_CONTRACTION = 1e-2
 
 
-def newton(fun, x, check, *, tol, max_iterations, rel_threshold,
-           residual=None):
+def newton(fun, x, check, *, tol, max_iterations, residual=None):
     """Newton iteration on (F, J) = fun(x) until |F| <= tol; returns x
     and the residual |F| of every evaluated iterate.
 
-    The step is lstsq(J, -F, rcond=rel_threshold): singular directions
-    of J below rel_threshold times the largest are dropped.  A caller
-    constrains the step by appending rows to J and zeros to F.
+    The step is lstsq(J, -F) at numpy's default rcond, with F padded by
+    zeros to J's row count: a caller keeps the step off a direction,
+    such as a symmetry generator, by appending it as a row to J.
     ConvergenceError, carrying the last admissible iterate, reports an
     exhausted budget or a new iterate that check rejects with
     DomainViolationError or CollisionError.
@@ -174,7 +174,7 @@ def newton(fun, x, check, *, tol, max_iterations, rel_threshold,
                 f"no convergence in {max_iterations} iterations "
                 f"(residual {residuals[-1]:.3e})", iterations=max_iterations,
                 last_iterate=x, residual=residuals[-1])
-        x_new = x + np.linalg.lstsq(J, -F, rcond=rel_threshold)[0]
+        x_new = x + np.linalg.lstsq(J, np.pad(-F, (0, len(J) - F.size)))[0]
         try:
             check(x_new)
         except (DomainViolationError, CollisionError) as exc:

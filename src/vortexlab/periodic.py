@@ -28,16 +28,16 @@ prescribed, and the twisted boundary condition
     S_sigma phi_{2pi}(u0) - u0 = 0
 
 (S_sigma the block permutation; plain tau-periodicity when sigma = id)
-removes the sigma-related degeneracy.  The remaining null directions of
-the Newton matrix (time shift; rotation about the center when the
-domain is rotational) are dropped by the least-squares step rather than
-bordered by constraint rows, so the rank structure can vary with the
-domain without code changes.  The iteration is linalg.newton, shared
-with the anchor search.  Its Jacobians come from the variational flow;
-once Newton is superlinear, its residuals come from the orbit's closing
-integration and its steps reuse the last Jacobian, so the accepted
-iterate's integration is the orbit's trajectory and no flow is
-repeated.
+removes the sigma-related degeneracy.  The Newton matrix still has null
+directions along the time shift f(u0) and the domain's symmetries (the
+rotation about the center of a disc); each is appended to it as a row
+(the phase condition of Doedel, Keller and Kernevez, Int. J. Bifurcation
+and Chaos 1, 1991), as in the anchor search, and orbit classes are told
+apart modulo the same symmetries.  The iteration is linalg.newton; its
+Jacobians come from the variational flow.  Once Newton is superlinear,
+its residuals come from the orbit's closing integration and its steps
+reuse the last Jacobian, so the accepted iterate's integration is the
+orbit's trajectory and no flow is repeated.
 """
 
 from __future__ import annotations
@@ -57,12 +57,11 @@ from .errors import (ConstraintViolationError, ConvergenceError,
                      ScaleTooLargeError, VortexError)
 from .linalg import (TWO_PI, aligned_distance, as_state, permutation_matrix,
                      newton, permutation_order, spin)
-from .stationary import GRADIENT_TOL, StationaryPoint
+from .stationary import GRADIENT_TOL, StationaryPoint, kernel_generators
 from .systems import RescaledSystem, VortexSystem
 
 SHOOT_TOL = 1e-10
 MAX_SHOOT_ITERATIONS = 50
-JACOBIAN_SVD_THRESHOLD = 1e-6
 CLOSURE_TOL = 1e-9
 SYMMETRY_DEFECT_TOL = 1e-8
 IDENTIFICATION_TOL = 1e-6
@@ -349,12 +348,14 @@ def shoot(spec: SuperpositionSpec, u0_guess=None,
     """Newton-polish a guess into a periodic orbit of the rescaled flow.
 
     Solves S_sigma phi_{2pi}(u0) = u0 by linalg.newton; the linear steps
-    are least-squares solves with S_sigma Dphi - I that drop its singular
-    values below 1e-6 times the largest.  Converged when the twisted
-    residual is <= 1e-10; the returned orbit additionally satisfies
-    full-period closure <= 1e-9 and, for nontrivial sigma, symmetry
-    defect <= 1e-8, both enforced, not just reported.  Every iterate
-    meets the settings' guard thresholds.
+    are least-squares solves with S_sigma Dphi - I bordered by the rows
+    f(u0) and the domain's kernel_generators at the physical state, so
+    the steps do not drift along the time shift or a symmetry of the
+    domain.  Converged when the twisted residual is <= 1e-10; the
+    returned orbit additionally satisfies full-period closure <= 1e-9
+    and, for nontrivial sigma, symmetry defect <= 1e-8, both enforced,
+    not just reported.  Every iterate meets the settings' guard
+    thresholds.
 
     Newton's residual-only evaluations integrate over the full period
     tau and read phi_{2pi} there: the final state when tau = 2pi, the
@@ -375,7 +376,9 @@ def shoot(spec: SuperpositionSpec, u0_guess=None,
 
     def twisted_residual(u):
         uT, W = flow_with_jacobian(rs, u, TWO_PI, settings)
-        return S @ uT - u, S @ W - np.eye(u.size)
+        return S @ uT - u, np.vstack(
+            [S @ W - np.eye(u.size), rs.vector_field(u),
+             *kernel_generators(spec.domain, rs.to_physical(u))])
 
     closing = []  # (u, trajectory) of the last residual-only evaluation
 
@@ -387,7 +390,6 @@ def shoot(spec: SuperpositionSpec, u0_guess=None,
 
     u0, residuals = newton(twisted_residual, u0, admissible,
                            tol=SHOOT_TOL, max_iterations=MAX_SHOOT_ITERATIONS,
-                           rel_threshold=JACOBIAN_SVD_THRESHOLD,
                            residual=closing_residual)
     iterations = len(residuals) - 1
 
@@ -497,36 +499,28 @@ def continue_in_r(spec: SuperpositionSpec, r_list,
     return orbits
 
 
-def _orbit_distance(a: PeriodicOrbit, b: PeriodicOrbit,
-                    allow_rotation: bool) -> float:
-    """min over time shift (and admissible global rotation) of the
-    distance between orbit a and the initial point of orbit b."""
+def _orbit_distance(a: PeriodicOrbit, b: PeriodicOrbit) -> float:
+    """min over time shift, and on a rotational domain over the rotation
+    about its center (at -anchor_hat / r in u; exact for any anchors),
+    of the distance between orbit a and the initial point of orbit b.
+    The shift is the best of a grid, refined on the offset from it."""
     tau = a.rescaled_period
+    c = a.spec.rescaled(a.scale).anchor_hat / a.scale
 
     def dists(times):
         s = a.trajectory.sample_many(np.atleast_1d(times) % tau)
-        if allow_rotation:
-            return aligned_distance(s, b.u0)
+        if a.spec.domain.symmetry == SymmetryClass.ROTATIONAL:
+            return aligned_distance(s + c, b.u0 + c)
         return np.linalg.norm(s - b.u0, axis=-1)
 
     grid = np.linspace(0.0, tau, 512, endpoint=False)
     grid_dists = dists(grid)
     k = int(np.argmin(grid_dists))
     h = tau / 512
-    res = minimize_scalar(lambda t: dists(t)[0],
-                          bracket=None,
-                          bounds=(grid[k] - h, grid[k] + h),
-                          method="bounded",
+    res = minimize_scalar(lambda dt: dists(grid[k] + dt)[0],
+                          bounds=(-h, h), method="bounded",
                           options={"xatol": 1e-12})
     return float(min(res.fun, grid_dists[k]))
-
-
-def _rotation_allowed(spec: SuperpositionSpec) -> bool:
-    """Global rotation of u is an exact symmetry only when the domain is
-    rotationally invariant and every anchor sits at the center."""
-    if spec.domain.symmetry != SymmetryClass.ROTATIONAL:
-        return False
-    return bool(np.max(np.abs(spec.stationary.positions)) < 1e-14)
 
 
 @dataclass
@@ -549,7 +543,7 @@ def scan_phases(spec: SuperpositionSpec, grid_size: int = 8,
     The last nontrivial cluster's phase is pinned to zero (a synchronous
     shift moves all phases together, so only relative phases label orbit
     classes).  Two orbits are identified when, after optimizing the time
-    shift (and the global rotation, when that is an exact symmetry),
+    shift (and, on a rotational domain, the rotation about its center),
     they are within 1e-6 of each other.  With at most one nontrivial
     cluster there is no relative phase, and the one start is the spec's
     own phases.  The starts are shot one after another; a shot that fails
@@ -571,7 +565,6 @@ def scan_phases(spec: SuperpositionSpec, grid_size: int = 8,
         phase_vectors = [tuple(float(m[idx]) for m in mesh) + (0.0,)
                          for idx in np.ndindex(*([grid_size] * free))]
 
-    allow_rot = _rotation_allowed(spec)
     classes = []
     failures = []
     for pv in phase_vectors:
@@ -580,7 +573,7 @@ def scan_phases(spec: SuperpositionSpec, grid_size: int = 8,
         except VortexError as exc:
             failures.append((pv, f"{type(exc).__name__}: {exc}"))
             continue
-        if all(_orbit_distance(rep, orbit, allow_rot) > IDENTIFICATION_TOL
+        if all(_orbit_distance(rep, orbit) > IDENTIFICATION_TOL
                for rep in classes):
             classes.append(orbit)
     return PhaseScanResult(classes, failures, len(phase_vectors))

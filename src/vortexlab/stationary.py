@@ -217,13 +217,12 @@ def find_critical_point(strengths, domain: Domain, guess, *,
     """Local Newton search (linalg.newton) for a critical point of the
     m-point energy.
 
-    The Hessian is bordered by rows, with zeros appended to the gradient,
-    that keep the step orthogonal to the domain's symmetry generators at
-    the current iterate (and to the dilation on the whole plane).  They
-    remove the symmetry kernel but pin the representative on its group
-    orbit to first order only, so the copy a search ends on depends on
-    its path.  The least-squares step degrades gracefully under
-    accidental extra degeneracy.
+    The Hessian is bordered by rows that keep the step orthogonal to the
+    domain's symmetry generators at the current iterate (and to the
+    dilation on the whole plane); linalg.newton pads the gradient with
+    the matching zeros.  The rows remove the symmetry kernel but pin the
+    representative on its group orbit to first order only, so the copy
+    a search ends on depends on its path.
 
     Raises ConvergenceError (with the last iterate attached) if the
     iteration budget runs out or an iterate leaves the admissible set.
@@ -239,10 +238,10 @@ def find_critical_point(strengths, domain: Domain, guess, *,
         C = kernel_generators(domain, x)
         if domain.symmetry == SymmetryClass.PLANE_FULL:
             C.append(x)
-        return np.append(grad, np.zeros(len(C))), np.vstack([hess, *C])
+        return grad, np.vstack([hess, *C])
 
     x, residuals = newton(gradient_and_bordered_hessian, x,
                           sys.validate_state, tol=gradient_tol,
-                          max_iterations=max_iterations, rel_threshold=1e-12)
+                          max_iterations=max_iterations)
     return _finish_point(strengths, domain, x, residuals[-1], hessians[-1],
                          residuals)

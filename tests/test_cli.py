@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +155,10 @@ def file_as_output_dir_config(tmp_path):
                  id="undecodable-file"),
     pytest.param(file_as_output_dir_config, "[task] output_dir = ",
                  id="output-dir-is-a-file"),
+    pytest.param(lambda tmp: with_line(stationary_config(tmp)[0],
+                                       "kind = disc",
+                                       "kind = disc\nepsilon = 0.5"),
+                 "[domain] epsilon", id="epsilon-of-a-kind-without-one"),
 ])
 def test_bad_input_exits_with_one_config_error_line(
         tmp_path, capsys, make_config, message):
@@ -384,6 +389,26 @@ def test_non_finite_number_uses_the_precondition_code(tmp_path, capsys,
     err = capsys.readouterr().err
     assert_one_error_line(err)
     assert "precondition violated" in err and "finite" in err
+
+
+# numpy would warn on the way to the explicit finiteness checks
+@pytest.mark.parametrize("argv", [
+    pytest.param(lambda tmp: ["run", with_line(
+        custom_certify_config(tmp, "0 1"),
+        "0.3989422804014327 0; -0.3989422804014327 0", "0.3 0; 0.3 0")],
+        id="certify-coincident-custom-members"),
+    pytest.param(lambda tmp: ["run", simulate_with(
+        "strengths = 1, -1", "strengths = 1e308, 1e308")(tmp)],
+        id="simulate-overflowing-strengths"),
+    pytest.param(lambda tmp: ["certify", "thomson", "3", "1e308"],
+                 id="certify-subcommand-overflowing-strength"),
+])
+def test_floating_point_warnings_stay_off_stderr(tmp_path, capsys, argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv(tmp_path)) == 3
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert_one_error_line(capsys.readouterr().err)
 
 
 def test_boundary_event_uses_the_event_code(tmp_path, capsys):
