@@ -33,8 +33,7 @@ from .equilibria import (RelativeEquilibrium, certify, from_catalog,
 from .errors import (BoundaryEventError, CollisionEventError,
                      ConvergenceError, VortexError)
 from .periodic import SuperpositionSpec, continue_in_r, scan_phases, shoot
-from .stationary import (GRADIENT_TOL, MAX_ITERATIONS, evaluate_point,
-                         find_critical_point)
+from .stationary import MAX_ITERATIONS, evaluate_point, find_critical_point
 from .systems import VortexSystem
 
 EXIT_OK = 0
@@ -75,13 +74,6 @@ def _fail(task: str, exc: Exception) -> int:
 # config parsing: each parser takes the stripped raw text and raises
 # ValueError, which _Config.get reports as a ConfigError
 # ---------------------------------------------------------------------------
-
-def _bool(text: str) -> bool:
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
-    except KeyError:
-        raise ValueError("not a boolean") from None
-
 
 def _nonnegative(text: str) -> float:
     value = float(text)
@@ -126,12 +118,11 @@ _KEYS = {
     "domain": ("kind", "epsilon"),
     "task": ("kind", "output_dir", "seed"),
     "anchors": ("strengths", "positions", "guess", "guess_jitter",
-                "gradient_tol", "max_iterations"),
+                "max_iterations"),
     "cluster": ("catalog", "params", "normalize_omega", "strengths",
                 "positions", "omega", "permutation"),
-    "periodic": ("r", "phases", "grid", "energy_projection")
-                + _INTEGRATOR_KEYS,
-    "simulate": ("t_end", "energy_projection") + _INTEGRATOR_KEYS,
+    "periodic": ("r", "phases", "grid") + _INTEGRATOR_KEYS,
+    "simulate": ("t_end",) + _INTEGRATOR_KEYS,
     "vortices": ("strengths", "positions"),
 }
 
@@ -213,9 +204,7 @@ def _settings_from(cfg: _Config, section: str) -> IntegratorSettings:
         val = cfg.get(section, key, float)
         if val is not None:
             kwargs[key] = val
-    return IntegratorSettings(
-        energy_projection=cfg.get(section, "energy_projection", _bool, False),
-        **kwargs)
+    return IntegratorSettings(**kwargs)
 
 
 def _cluster_from(cfg: _Config, section: str, anchor_strength: float
@@ -248,8 +237,6 @@ def _anchors_from(cfg: _Config, domain, rng, task: str):
         _log("info", task, "searching for a critical anchor configuration")
         sp = find_critical_point(
             strengths, domain, guess,
-            gradient_tol=cfg.get("anchors", "gradient_tol", float,
-                                 GRADIENT_TOL),
             max_iterations=cfg.get("anchors", "max_iterations", int,
                                    MAX_ITERATIONS))
     else:

@@ -32,11 +32,14 @@ Phi_t = exp(omega*t*perp) expm(t*A).  Reported quantities:
   though the kernel count stays at 3.  The flags therefore require both
   the minimal kernel and the minimal algebraic multiplicity.
 
-Kernel dimensions use singular values of (Phi - I) below
-kernel_tol * ||Phi||.  Caveat: for strongly hyperbolic configurations
-(collinear roots with 4+ vortices, ||Phi|| ~ 1e10) the relative
-threshold swamps O(1) singular values and overcounts; pass an explicit
-smaller kernel_tol there.
+Kernel dimensions count the singular values of (Phi - I) at or below
+min(KERNEL_TOL * ||Phi||, MULTIPLIER_TOL).  The relative cutoff follows
+the roundoff of Phi; the cap keeps strongly hyperbolic configurations
+(collinear roots with 4 or 5 vortices, ||Phi|| up to 4e10) from
+counting order-one singular values as zero.  Above ||Phi|| =
+MAX_MONODROMY_NORM (1e12) double precision no longer resolves the unit
+multipliers (hermite(6) reads 2 of the structural 4), and certify
+refuses the configuration.
 """
 
 from __future__ import annotations
@@ -56,6 +59,8 @@ from .systems import VortexSystem
 
 RESIDUAL_TOL = 1e-10
 MULTIPLIER_TOL = 1e-2
+KERNEL_TOL = 1e-6
+MAX_MONODROMY_NORM = 1e12
 
 
 @dataclass(eq=False)
@@ -279,7 +284,7 @@ class CertificationReport:
     period: float
     singular_values: list = field(default_factory=list)
     twisted_singular_values: list = field(default_factory=list)
-    kernel_tol: float = 1e-6
+    kernel_tol: float = KERNEL_TOL
     multiplier_tol: float = MULTIPLIER_TOL
 
     def as_dict(self) -> dict:
@@ -300,15 +305,19 @@ def monodromy(eq: RelativeEquilibrium, t: float) -> np.ndarray:
                 t).T
 
 
-def _kernel_dim(phi: np.ndarray, tol_factor: float):
-    """dim ker(phi - I): singular values below tol_factor * ||phi||_2."""
+def _kernel_dim(phi: np.ndarray):
+    """dim ker(phi - I): singular values at or below
+    min(KERNEL_TOL * ||phi||_2, MULTIPLIER_TOL)."""
     norm = np.linalg.norm(phi, 2)
+    if not norm <= MAX_MONODROMY_NORM:
+        raise ConstraintViolationError(
+            f"monodromy norm {norm:.2e} exceeds {MAX_MONODROMY_NORM:.0e}: "
+            f"double precision cannot resolve its unit multipliers")
     sv = np.linalg.svd(phi - np.eye(phi.shape[0]), compute_uv=False)
-    return int((sv <= tol_factor * norm).sum()), sv
+    return int((sv <= min(KERNEL_TOL * norm, MULTIPLIER_TOL)).sum()), sv
 
 
-def certify(eq: RelativeEquilibrium,
-            kernel_tol: float = 1e-6) -> CertificationReport:
+def certify(eq: RelativeEquilibrium) -> CertificationReport:
     """Count periodic solutions of the linearization and report the
     degeneracy structure; see the module docstring for the semantics."""
     if eq.is_trivial:
@@ -331,8 +340,8 @@ def certify(eq: RelativeEquilibrium,
     S = permutation_matrix(eq.permutation)
     twisted = S @ phi_2pi
 
-    full_count, sv_full = _kernel_dim(phi_tau, kernel_tol)
-    tw_count, sv_tw = _kernel_dim(twisted, kernel_tol)
+    full_count, sv_full = _kernel_dim(phi_tau)
+    tw_count, sv_tw = _kernel_dim(twisted)
 
     ev_full = np.linalg.eigvals(phi_tau)
     ev_tw = np.linalg.eigvals(twisted)
@@ -353,7 +362,6 @@ def certify(eq: RelativeEquilibrium,
         period=tau,
         singular_values=[float(s) for s in np.sort(sv_full)],
         twisted_singular_values=[float(s) for s in np.sort(sv_tw)],
-        kernel_tol=kernel_tol,
     )
 
 

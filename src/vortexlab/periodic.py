@@ -339,7 +339,7 @@ def _symmetry_defect(spec: SuperpositionSpec, traj: Trajectory) -> float:
         # identity symmetry: the defect degenerates to the plain closure
         return float(np.linalg.norm(S @ traj.sample(TWO_PI) - traj.sample(0.0)))
     grid = np.linspace(0.0, span, GRID_SAMPLES + 1)
-    defects = traj.sample_many(grid + TWO_PI) @ S.T - traj.sample_many(grid)
+    defects = traj.sample(grid + TWO_PI) @ S.T - traj.sample(grid)
     return float(np.max(np.linalg.norm(defects, axis=1)))
 
 
@@ -452,8 +452,7 @@ def distance_to_M(spec: SuperpositionSpec, u) -> float:
     """
     tau = spec.tau
     if isinstance(u, Trajectory):
-        u = u.sample_many(np.linspace(0.0, tau, GRID_SAMPLES,
-                                      endpoint=False))
+        u = u.sample(np.linspace(0.0, tau, GRID_SAMPLES, endpoint=False))
     samples = np.asarray(u, dtype=float)
     g = samples.shape[0]
     ts = np.linspace(0.0, tau, g, endpoint=False)
@@ -508,7 +507,7 @@ def _orbit_distance(a: PeriodicOrbit, b: PeriodicOrbit) -> float:
     c = a.spec.rescaled(a.scale).anchor_hat / a.scale
 
     def dists(times):
-        s = a.trajectory.sample_many(np.atleast_1d(times) % tau)
+        s = a.trajectory.sample(np.atleast_1d(times) % tau)
         if a.spec.domain.symmetry == SymmetryClass.ROTATIONAL:
             return aligned_distance(s + c, b.u0 + c)
         return np.linalg.norm(s - b.u0, axis=-1)
@@ -600,7 +599,7 @@ def cluster_winding_numbers(orbit: PeriodicOrbit) -> list:
     vector (member 1 minus member 0) over the full rescaled period."""
     spec = orbit.spec
     ts = np.linspace(0.0, orbit.rescaled_period, 2 * GRID_SAMPLES + 1)
-    samples = orbit.trajectory.sample_many(ts)
+    samples = orbit.trajectory.sample(ts)
     out = []
     for k in spec.nontrivial_indices:
         block = samples[:, spec.blocks[k]]

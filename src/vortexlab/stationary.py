@@ -211,11 +211,11 @@ def disc_dipole() -> StationaryPoint:
 
 
 def find_critical_point(strengths, domain: Domain, guess, *,
-                        gradient_tol: float = GRADIENT_TOL,
                         max_iterations: int = MAX_ITERATIONS
                         ) -> StationaryPoint:
     """Local Newton search (linalg.newton) for a critical point of the
-    m-point energy.
+    m-point energy, converged at gradient norm GRADIENT_TOL: the bound
+    classify and SuperpositionSpec require of an anchor configuration.
 
     The Hessian is bordered by rows that keep the step orthogonal to the
     domain's symmetry generators at the current iterate (and to the
@@ -241,7 +241,7 @@ def find_critical_point(strengths, domain: Domain, guess, *,
         return grad, np.vstack([hess, *C])
 
     x, residuals = newton(gradient_and_bordered_hessian, x,
-                          sys.validate_state, tol=gradient_tol,
+                          sys.validate_state, tol=GRADIENT_TOL,
                           max_iterations=max_iterations)
     return _finish_point(strengths, domain, x, residuals[-1], hessians[-1],
                          residuals)

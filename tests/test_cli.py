@@ -174,6 +174,9 @@ def test_bad_input_exits_with_one_config_error_line(
     ("periodic", "boundary_margn = 0.1"),
     ("cluster.2", "param = 1, 1"),
     ("task", "sead = 3"),
+    # retired settings: the code fixes or derives these values
+    ("anchors", "gradient_tol = 1e-6"),
+    ("periodic", "energy_projection = true"),
 ])
 def test_unknown_key_is_a_config_error(tmp_path, capsys, section, line):
     path, _ = figure1_config(tmp_path, "r = 0.1")
@@ -380,8 +383,6 @@ def simulate_with(old, new):
                                        "strengths = 1, -1",
                                        "strengths = nan, -1"),
                  id="anchors-strengths-nan"),
-    pytest.param(lambda tmp: stationary_config(tmp, "gradient_tol = nan")[0],
-                 id="anchors-gradient_tol-nan"),
 ])
 def test_non_finite_number_uses_the_precondition_code(tmp_path, capsys,
                                                       make_config):
@@ -506,6 +507,28 @@ def test_certify_subcommand_reports_a_catalog_ring(capsys):
     assert doc["params"] == [3.0, 1.0]
     assert doc["angular_velocity"] == pytest.approx(-1.0 / 3.0)
     assert doc["symmetric_count"] == 3
+
+
+@pytest.mark.parametrize("n", ["4", "5"])
+def test_certify_subcommand_resolves_strongly_hyperbolic_hermite_roots(
+        capsys, n):
+    # monodromy norms 5.5e7 and 3.8e10: the capped kernel cutoff keeps
+    # order-one singular values out of the kernel count
+    assert main(["certify", "hermite", n, "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["periodic_solution_count"] == 3
+    assert doc["unit_multiplier_count"] == 4
+    assert doc["nondegenerate"]
+
+
+@pytest.mark.parametrize("n", ["6", "7"])
+def test_certify_subcommand_refuses_an_unresolvable_monodromy(capsys, n):
+    assert main(["certify", "hermite", n, "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_error_line(captured.err)
+    assert "precondition violated" in captured.err
+    assert "monodromy norm" in captured.err
 
 
 def test_certify_subcommand_rejects_unknown_catalogs(capsys):

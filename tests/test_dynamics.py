@@ -98,10 +98,9 @@ def test_disc_flow_commutes_with_rotation(disc_pair):
     assert np.linalg.norm(rotated.final_state - expected) <= 1e-9
 
 
-def test_energy_projection_pins_the_samples_to_the_level_set(disc_pair):
+def test_samples_stay_on_the_level_set_without_projection(disc_pair):
     system, z0 = disc_pair
-    traj = integrate(system, z0, (0.0, 10.0),
-                     IntegratorSettings(energy_projection=True))
+    traj = integrate(system, z0, (0.0, 10.0))
     assert traj.energy_drift() <= 1e-12
     # no zero-length step after the stepper reaches the end of the span
     assert traj.t_end == 10.0
@@ -121,6 +120,7 @@ def test_degenerate_time_span_yields_a_single_sample(disc_pair):
     assert len(traj.times) == 1
     assert np.array_equal(traj.final_state, z0)
     assert np.array_equal(traj.sample(1.5), z0)
+    assert np.array_equal(traj.sample([1.5, 1.5]), np.tile(z0, (2, 1)))
     with pytest.raises(ValueError):
         traj.sample(1.6)
 
@@ -132,14 +132,14 @@ def test_dense_output_reproduces_the_step_samples(disc_pair, span):
     traj = integrate(system, z0, span)
     assert len(traj.times) > 2
     # every step boundary, in either direction, reads back its sample
-    rows = traj.sample_many(traj.times)
+    rows = traj.sample(traj.times)
     assert np.max(np.abs(rows - traj.states)) <= 1e-12
     # one batch over shuffled interior and boundary times agrees with
     # the point-by-point reads
     mids = 0.5 * (traj.times[1:] + traj.times[:-1])
     rng = np.random.default_rng(3)
     ts = rng.permutation(np.concatenate([traj.times, mids]))
-    batch = traj.sample_many(ts)
+    batch = traj.sample(ts)
     for t, row in zip(ts, batch):
         assert np.allclose(traj.sample(t), row, rtol=0.0, atol=1e-15)
 
@@ -150,7 +150,7 @@ def test_sample_rejects_times_outside_the_span(disc_pair):
     with pytest.raises(ValueError):
         traj.sample(1.2)
     grid = np.linspace(0.0, 1.0, 9)
-    assert traj.sample_many(grid).shape == (9, 4)
+    assert traj.sample(grid).shape == (9, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +232,7 @@ def test_guard_catches_a_grazing_pass_just_below_the_threshold(
     # the true minimum separation of the dense output, on a fine grid
     # and then refined around its smallest grid value
     def separation(t):
-        p = traj.sample_many(np.atleast_1d(t)).reshape(-1, 3, 2)
+        p = traj.sample(np.atleast_1d(t)).reshape(-1, 3, 2)
         gaps = np.linalg.norm(p[:, [0, 0, 1]] - p[:, [1, 2, 2]], axis=2)
         return gaps.min(axis=1)
 

@@ -287,7 +287,7 @@ def test_reference_orbit_matches_the_tracked_golden_orbit(figure1_orbit):
     tau = orbit.rescaled_period
     traj = orbit.trajectory
     grid = np.linspace(0.0, tau, 4096, endpoint=False)
-    k = int(np.argmin(np.max(np.abs(traj.sample_many(grid) - golden["u0"]),
+    k = int(np.argmin(np.max(np.abs(traj.sample(grid) - golden["u0"]),
                              axis=1)))
     h = tau / grid.size
 
