@@ -111,8 +111,7 @@ def _points(text: str) -> np.ndarray:
     return np.array(points)
 
 
-_INTEGRATOR_KEYS = ("rtol", "atol", "max_step", "collision_tol",
-                    "boundary_margin")
+_INTEGRATOR_KEYS = ("rtol", "atol", "collision_tol", "boundary_margin")
 #: the keys each section accepts; [cluster.N] and [certify] read "cluster"
 _KEYS = {
     "domain": ("kind", "epsilon"),
@@ -121,7 +120,7 @@ _KEYS = {
                 "max_iterations"),
     "cluster": ("catalog", "params", "normalize_omega", "strengths",
                 "positions", "omega", "permutation"),
-    "periodic": ("r", "phases", "grid") + _INTEGRATOR_KEYS,
+    "periodic": ("r", "phases") + _INTEGRATOR_KEYS,
     "simulate": ("t_end",) + _INTEGRATOR_KEYS,
     "vortices": ("strengths", "positions"),
 }
@@ -369,13 +368,11 @@ def _task_sweep(cfg: _Config, domain, outdir, rng, echo) -> int:
 
 def _task_scan(cfg: _Config, domain, outdir, rng, echo) -> int:
     scale = cfg.get("periodic", "r", float, required=True)
-    grid = cfg.get("periodic", "grid", int, 8)
     spec = _spec_from(cfg, domain, rng, "scan", scale, None)
     settings = _settings_from(cfg, "periodic")
-    result = scan_phases(spec, grid, settings)
+    result = scan_phases(spec, settings)
     _dump_json({
         "config": echo,
-        "grid": grid,
         "attempted": result.attempted,
         "distinct_classes": result.distinct_count,
         "failures": [{"phases": list(p), "error": e}

@@ -61,7 +61,6 @@ GUARD_SAMPLES = 8
 class IntegratorSettings:
     rtol: float = 1e-13
     atol: float = 1e-13
-    max_step: float = np.inf
     collision_tol: float = COLLISION_TOL
     boundary_margin: float = BOUNDARY_MARGIN
 
@@ -69,8 +68,6 @@ class IntegratorSettings:
         # every test is written to fail on NaN
         if not (0.0 < self.rtol < np.inf and 0.0 < self.atol < np.inf):
             raise ConstraintViolationError("tolerances must be finite and > 0")
-        if not self.max_step > 0.0:
-            raise ConstraintViolationError("max_step must be > 0")
         if not all(0.0 <= v < np.inf
                    for v in (self.collision_tol, self.boundary_margin)):
             raise ConstraintViolationError("guards must be finite and >= 0")
@@ -84,7 +81,7 @@ def _stepper(fun, t0: float, y0, t_bound: float,
         raise ConstraintViolationError(
             f"time span ({t0}, {t_bound}) must be finite")
     stepper = DOP853(fun, t0, y0, t_bound=t_bound, rtol=settings.rtol,
-                     atol=settings.atol, max_step=settings.max_step)
+                     atol=settings.atol)
     if not np.all(np.isfinite(stepper.f)):
         raise ConstraintViolationError(
             f"the right-hand side at t = {t0:.9g} must be finite")

@@ -53,14 +53,17 @@ from scipy.linalg import expm
 from .domains import WholePlane
 from .errors import (ConstraintViolationError, NotEquilibriumError,
                      ZeroTotalStrengthError)
-from .linalg import (TWO_PI, permutation_matrix, permutation_order, perp,
-                     spin)
+from .linalg import (TWO_PI, pairs, permutation_matrix, permutation_order,
+                     perp, rotate_all, spin)
 from .systems import VortexSystem
 
 RESIDUAL_TOL = 1e-10
 MULTIPLIER_TOL = 1e-2
 KERNEL_TOL = 1e-6
 MAX_MONODROMY_NORM = 1e12
+STRENGTH_TOL = 1e-13
+#: relabelled positions match within this share of the cluster radius
+RELABEL_TOL = 1e-9
 
 
 @dataclass(eq=False)
@@ -87,7 +90,7 @@ class RelativeEquilibrium:
             raise ConstraintViolationError(f"invalid permutation {self.permutation}")
         gam = np.asarray(self.strengths)
         inv = np.argsort(np.asarray(self.permutation))
-        if not np.allclose(gam, gam[inv], rtol=0, atol=1e-13):
+        if not np.allclose(gam, gam[inv], rtol=0, atol=STRENGTH_TOL):
             raise ConstraintViolationError(
                 "permutation must preserve vortex strengths")
 
@@ -99,6 +102,41 @@ class RelativeEquilibrium:
     @property
     def order(self) -> int:
         return permutation_order(self.permutation)
+
+    @property
+    def relabellings(self) -> tuple:
+        """(shift, pi) of each strength-preserving permutation pi with
+        S_pi Z(t + shift) = Z(t), S_pi as in permutation_matrix; sigma is
+        the entry at shift 2*pi.
+
+        Each is a turn of z onto itself, so the table is a cyclic group:
+        its shifts are the multiples of period / len(table), in
+        increasing order from the identity at 0.  A cluster that does not
+        rotate has the identity only.
+        """
+        p, n = self.positions, self.n
+        if self.angular_velocity == 0.0:
+            return ((0.0, tuple(range(n))),)
+        radii = np.hypot(p[:, 0], p[:, 1])
+        tol = RELABEL_TOL * radii.max()
+        gam = np.asarray(self.strengths)
+        other = np.abs(gam[:, None] - gam[None, :]) > STRENGTH_TOL
+        angles = np.arctan2(p[:, 1], p[:, 0])
+        a = int(np.argmax(radii))
+        found = []
+        for j in np.flatnonzero(~other[a] & (np.abs(radii - radii[a]) <= tol)):
+            alpha = angles[j] - angles[a]
+            # the turn by alpha carries vortex i onto vortex pi[i]
+            turned = pairs(rotate_all(self.flat(), alpha))
+            gaps = np.linalg.norm(turned[:, None] - p[None], axis=-1)
+            gaps[other] = np.inf
+            pi = np.argmin(gaps, axis=1)
+            if gaps[np.arange(n), pi].max() <= tol:
+                # spin(z, omega, shift) turns z by -omega * shift
+                found.append(((-alpha / self.angular_velocity) % self.period,
+                              tuple(int(i) for i in pi)))
+        step = self.period / len(found)
+        return tuple((k * step, pi) for k, (_, pi) in enumerate(sorted(found)))
 
     @property
     def period(self) -> float:

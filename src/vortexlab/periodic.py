@@ -12,6 +12,11 @@ as initial guesses, polishes them to orbits by symmetry-reduced
 shooting, continues the family in r, scans phases for distinct orbit
 classes, and measures the discrete H^1 distance to M.
 
+A relabelling of identical vortices that equals a time shift of a
+cluster's rigid motion moves its phase by that shift, so the scan starts
+on each free phase's fundamental domain only and tells orbit classes
+apart modulo the relabellings as well.
+
 Points of M are built in one place, SuperpositionSpec.torus_samples,
 on the cluster blocks the spec lays out once.  Orbits are compared up
 to rotation by one fit, linalg.aligned_distance: a phase of one
@@ -44,7 +49,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, product
 from typing import Optional
 
 import numpy as np
@@ -65,6 +70,8 @@ MAX_SHOOT_ITERATIONS = 50
 CLOSURE_TOL = 1e-9
 SYMMETRY_DEFECT_TOL = 1e-8
 IDENTIFICATION_TOL = 1e-6
+#: scan starts per free phase, uniform on its fundamental domain
+PHASE_STARTS = 4
 STRENGTH_MATCH_TOL = 1e-12
 GRID_SAMPLES = 256
 
@@ -82,8 +89,10 @@ class SuperpositionSpec:
     certification with its twisted-nondegeneracy flag set, and the phase
     vector carries one entry per nontrivial cluster.  The cluster layout
     is formed there too: `blocks` (the slice of each cluster's
-    coordinates in a flat state), `strengths`, and `sigma` (the clusters'
-    permutations combined blockwise).
+    coordinates in a flat state), `strengths`, `sigma` (the clusters'
+    permutations combined blockwise), and `relabellings` (each
+    combination of the clusters' relabelling tables, combined the same
+    way, the identity first).
     """
 
     stationary: StationaryPoint
@@ -120,6 +129,9 @@ class SuperpositionSpec:
         self.strengths = tuple(g for eq in self.clusters for g in eq.strengths)
         self.sigma = tuple(a + i for a, eq in zip(offsets, self.clusters)
                            for i in eq.permutation)
+        self.relabellings = tuple(
+            tuple(a + i for a, (_, pi) in zip(offsets, choice) for i in pi)
+            for choice in product(*(eq.relabellings for eq in self.clusters)))
         for k in self.nontrivial_indices:
             report = certify(self.clusters[k])
             if not report.sigma_nondegenerate:
@@ -499,27 +511,31 @@ def continue_in_r(spec: SuperpositionSpec, r_list,
 
 
 def _orbit_distance(a: PeriodicOrbit, b: PeriodicOrbit) -> float:
-    """min over time shift, and on a rotational domain over the rotation
-    about its center (at -anchor_hat / r in u; exact for any anchors),
-    of the distance between orbit a and the initial point of orbit b.
-    The shift is the best of a grid, refined on the offset from it."""
+    """min over time shift, relabelling of identical vortices (the
+    spec's relabellings), and on a rotational domain the rotation about
+    its center (at -anchor_hat / r in u; exact for any anchors), of the
+    distance between orbit a and the initial point of orbit b.  The
+    shift and relabelling are the best of a grid; the shift is refined
+    on the offset from it."""
     tau = a.rescaled_period
     c = a.spec.rescaled(a.scale).anchor_hat / a.scale
+    relabelled = np.array([permutation_matrix(pi) @ b.u0
+                           for pi in a.spec.relabellings])
 
-    def dists(times):
-        s = a.trajectory.sample(np.atleast_1d(times) % tau)
+    def dists(times, targets):  # (len(times), len(targets))
+        s = a.trajectory.sample(np.atleast_1d(times) % tau)[:, None]
         if a.spec.domain.symmetry == SymmetryClass.ROTATIONAL:
-            return aligned_distance(s + c, b.u0 + c)
-        return np.linalg.norm(s - b.u0, axis=-1)
+            return aligned_distance(s + c, targets + c)
+        return np.linalg.norm(s - targets, axis=-1)
 
     grid = np.linspace(0.0, tau, 512, endpoint=False)
-    grid_dists = dists(grid)
-    k = int(np.argmin(grid_dists))
+    grid_dists = dists(grid, relabelled)
+    k, j = np.unravel_index(np.argmin(grid_dists), grid_dists.shape)
     h = tau / 512
-    res = minimize_scalar(lambda dt: dists(grid[k] + dt)[0],
+    res = minimize_scalar(lambda dt: dists(grid[k] + dt, relabelled[j])[0, 0],
                           bounds=(-h, h), method="bounded",
                           options={"xatol": 1e-12})
-    return float(min(res.fun, grid_dists[k]))
+    return float(min(res.fun, grid_dists[k, j]))
 
 
 @dataclass
@@ -533,36 +549,34 @@ class PhaseScanResult:
         return len(self.orbits)
 
 
-def scan_phases(spec: SuperpositionSpec, grid_size: int = 8,
+def scan_phases(spec: SuperpositionSpec,
                 settings: Optional[IntegratorSettings] = None
                 ) -> PhaseScanResult:
-    """Shoot from relative-phase guesses on a uniform (l-1)-torus grid
-    and cluster the converged orbits into distinct classes.
+    """Shoot from relative-phase guesses on the fundamental domain of the
+    (l-1)-torus and cluster the converged orbits into distinct classes.
 
     The last nontrivial cluster's phase is pinned to zero (a synchronous
     shift moves all phases together, so only relative phases label orbit
-    classes).  Two orbits are identified when, after optimizing the time
-    shift (and, on a rotational domain, the rotation about its center),
-    they are within 1e-6 of each other.  With at most one nontrivial
-    cluster there is no relative phase, and the one start is the spec's
-    own phases.  The starts are shot one after another; a shot that fails
-    with a VortexError is recorded in the result, not raised, and any
-    other exception propagates.
+    classes).  Relabelling cluster k by its table entry at shift s moves
+    its phase by s, so each free phase takes PHASE_STARTS uniform starts
+    on [0, P_k / s_k), P_k the cluster's period and s_k the length of its
+    table.  Two orbits are identified when, after optimizing the time
+    shift, the relabelling (and, on a rotational domain, the rotation
+    about its center), they are within IDENTIFICATION_TOL of each other.
+    With at most one nontrivial cluster there is no relative phase, and
+    the one start is the spec's own phases.  The starts are shot one
+    after another; a shot that fails with a VortexError is recorded in
+    the result, not raised, and any other exception propagates.
     """
-    grid_size = int(grid_size)
-    if grid_size < 1:
-        raise ConstraintViolationError("grid_size must be >= 1")
-
     if spec.l <= 1:
         phase_vectors = [spec.phases]
     else:
-        free = spec.l - 1
-        nontrivial = spec.nontrivial_indices
-        periods = [spec.clusters[k].period for k in nontrivial[:-1]]
-        axes = [np.arange(grid_size) * (p / grid_size) for p in periods]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        phase_vectors = [tuple(float(m[idx]) for m in mesh) + (0.0,)
-                         for idx in np.ndindex(*([grid_size] * free))]
+        domains = [spec.clusters[k].period
+                   / len(spec.clusters[k].relabellings)
+                   for k in spec.nontrivial_indices[:-1]]
+        axes = [np.arange(PHASE_STARTS) * (d / PHASE_STARTS) for d in domains]
+        phase_vectors = [tuple(float(t) for t in free) + (0.0,)
+                         for free in product(*axes)]
 
     classes = []
     failures = []

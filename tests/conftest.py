@@ -121,10 +121,10 @@ def figure1_continuation():
 
 @pytest.fixture(scope="session")
 def figure1_scan():
-    """(scan result, seconds) over the default 8-point phase grid."""
+    """(scan result, seconds) over the fundamental domain's starts."""
     spec = build_figure1_spec(0.1)
     start = time.perf_counter()
-    result = scan_phases(spec, grid_size=8)
+    result = scan_phases(spec)
     return result, time.perf_counter() - start
 
 

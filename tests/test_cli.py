@@ -177,6 +177,8 @@ def test_bad_input_exits_with_one_config_error_line(
     # retired settings: the code fixes or derives these values
     ("anchors", "gradient_tol = 1e-6"),
     ("periodic", "energy_projection = true"),
+    ("periodic", "grid = 8"),
+    ("periodic", "max_step = 0.1"),
 ])
 def test_unknown_key_is_a_config_error(tmp_path, capsys, section, line):
     path, _ = figure1_config(tmp_path, "r = 0.1")

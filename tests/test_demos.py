@@ -1,7 +1,7 @@
 """Smoke test: the demos run against the current API.
 
 Demos 01-04 run in-process with stdout captured, about 6 s together on
-a 2-core machine.  Demo 05 (about 17 s) is left out: acceptance
+a 2-core machine.  Demo 05 (about 5 s) is left out: acceptance
 criteria 08-10 cover its shooting, continuation and phase-scan pipeline.
 """
 

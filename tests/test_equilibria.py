@@ -114,6 +114,32 @@ def test_thomson_shift_symmetry():
                                atol=1e-12)
 
 
+@pytest.mark.parametrize("eq, shifts, perms", [
+    (make_pair(-1.0, -1.0), (0, 1), [(0, 1), (1, 0)]),
+    (make_pair(1.0, 2.0), (0,), [(0, 1)]),
+    (make_equilateral(1.0, 2.0, 3.0), (0,), [(0, 1, 2)]),
+    (make_thomson(3, 1.0 / 3.0), (0, 2, 4), None),
+    (make_collinear_hermite(3, 1.0), (0, 1), [(0, 1, 2), (2, 1, 0)]),
+    (make_collinear_hermite(4, 1.0), (0, 1), [(0, 1, 2, 3), (3, 2, 1, 0)]),
+    (make_trivial(2.0), (0,), [(0,)]),
+], ids=["pair-equal", "pair-uneven", "equilateral", "thomson3", "hermite3",
+        "hermite4", "trivial"])
+def test_relabelling_table(eq, shifts, perms):
+    # shifts in units of pi; each entry satisfies S_pi Z(t + shift) = Z(t)
+    table = eq.relabellings
+    assert np.allclose([s for s, _ in table], PI * np.array(shifts),
+                       rtol=0, atol=1e-12)
+    if perms is None:  # the thomson shifts are sigma's powers
+        sigma = eq.permutation
+        perms = [tuple(range(3)), sigma, tuple(sigma[i] for i in sigma)]
+    assert [pi for _, pi in table] == perms
+    for shift, pi in table:
+        S = permutation_matrix(pi)
+        for t in (0.0, 0.7, 2.5):
+            assert np.allclose(S @ eq.solution(t + shift), eq.solution(t),
+                               rtol=0, atol=1e-12)
+
+
 def test_thomson_two_gon_is_the_pair_up_to_rotation():
     from vortexlab import aligned_distance
 
