@@ -25,8 +25,10 @@ position arrays at once, are the implementation: each domain writes g
 and its derivatives only there, and the scalar forms regular_part,
 grad_regular and hess_regular read their entries from them (g is
 symmetric, so the y-derivatives are x-derivatives with the arguments
-swapped).  The dynamics and shooting hot loops call the _many forms.
-Each domain writes its boundary geometry once, in boundary_clearance.
+swapped).  The dynamics and shooting hot loops call the _many forms,
+the field with grad_regular_many contracted by its coefficients
+(`weights`).  Each domain writes its boundary geometry once, in
+boundary_clearance, which reads a batch of points in one call.
 """
 
 from __future__ import annotations
@@ -61,9 +63,9 @@ class Domain(ABC):
 
     # -- membership ----------------------------------------------------
     @abstractmethod
-    def boundary_clearance(self, x) -> float:
-        """Distance-like clearance of x to the boundary; non-finite
-        coordinates give a clearance that fails every margin."""
+    def boundary_clearance(self, x):
+        """Clearance to the boundary of each point of x, (..., 2) ->
+        (...); a non-finite point's clearance fails every margin."""
 
     def contains(self, x) -> bool:
         """True if x clears the boundary by more than BOUNDARY_MARGIN."""
@@ -80,8 +82,9 @@ class Domain(ABC):
         """(n, m) array of g(px[i], py[j])."""
 
     @abstractmethod
-    def grad_regular_many(self, px, py) -> np.ndarray:
-        """(n, m, 2) array of d_x g(px[i], py[j])."""
+    def grad_regular_many(self, px, py, weights=None) -> np.ndarray:
+        """(n, m, 2) array of d_x g(px[i], py[j]); with (n, m) weights
+        W, the (n, 2) contraction sum_j W_ij d_x g(px[i], py[j])."""
 
     @abstractmethod
     def hess_regular_many(self, px, py):
@@ -142,16 +145,17 @@ class WholePlane(Domain):
     symmetry = SymmetryClass.PLANE_FULL
     name = "plane"
 
-    def boundary_clearance(self, x) -> float:
-        return np.inf if np.all(np.isfinite(x)) else np.nan
+    def boundary_clearance(self, x):
+        return np.where(np.isfinite(x).all(axis=-1), np.inf, np.nan)[()]
 
     def regular_part_many(self, px, py):
         px, py = np.atleast_2d(px), np.atleast_2d(py)
         return np.zeros((px.shape[0], py.shape[0]))
 
-    def grad_regular_many(self, px, py):
+    def grad_regular_many(self, px, py, weights=None):
         px, py = np.atleast_2d(px), np.atleast_2d(py)
-        return np.zeros((px.shape[0], py.shape[0], 2))
+        m = () if weights is not None else (py.shape[0],)
+        return np.zeros((px.shape[0], *m, 2))
 
     def hess_regular_many(self, px, py):
         px, py = np.atleast_2d(px), np.atleast_2d(py)
@@ -174,8 +178,8 @@ class UnitDisc(Domain):
     symmetry = SymmetryClass.ROTATIONAL
     name = "unit-disc"
 
-    def boundary_clearance(self, x) -> float:
-        return float(1.0 - np.linalg.norm(np.asarray(x, dtype=float)))
+    def boundary_clearance(self, x):
+        return 1.0 - np.linalg.norm(np.asarray(x, dtype=float), axis=-1)
 
     def robin(self, x) -> float:
         # closed form: q(x, x) = (1 - |x|^2)^2 loses digits near the wall
@@ -197,10 +201,13 @@ class UnitDisc(Domain):
         dots = px @ py.T
         return np.multiply.outer(r2x, r2y) - 2.0 * dots + 1.0
 
-    def grad_regular_many(self, px, py):
+    def grad_regular_many(self, px, py, weights=None):
         px, py = np.atleast_2d(px), np.atleast_2d(py)
         q = self._q_many(px, py)
         r2y = np.einsum("jd,jd->j", py, py)
+        if weights is not None:
+            V = weights / q
+            return -(px * (V @ r2y)[:, None] - V @ py) / TWO_PI
         # qx[i,j] = 2|y_j|^2 x_i - 2 y_j
         qx = 2.0 * r2y[None, :, None] * px[:, None, :] - 2.0 * py[None, :, :]
         return -qx / (FOUR_PI * q[:, :, None])
@@ -258,10 +265,11 @@ class PerturbedDisc(UnitDisc):
         px, py = np.atleast_2d(px), np.atleast_2d(py)
         return super().regular_part_many(px, py) + self._bump(px, py)
 
-    def grad_regular_many(self, px, py):
+    def grad_regular_many(self, px, py, weights=None):
         py = np.atleast_2d(py)
         bump = self.epsilon * np.column_stack([py[:, 0] + 1.0, 2.0 * py[:, 1]])
-        return super().grad_regular_many(px, py) + bump[None, :, :]
+        disc = super().grad_regular_many(px, py, weights)
+        return disc + (weights @ bump if weights is not None else bump[None])
 
     def hess_regular_many(self, px, py):
         h11, h21 = super().hess_regular_many(px, py)

@@ -7,9 +7,10 @@ whose error estimate combines its 5th- and 3rd-order companions, with a
 every accepted step is screened for collisions and boundary approach on
 the interpolant before it is committed.  integrate and
 flow_with_jacobian share one step-and-screen helper: one evaluation of
-the interpolant per step gives the screening grid, and each sample, as
-the initial state, gets one look from the system's validate_state at the
-settings' thresholds.  A guard tripped on a sample is refined to its
+the interpolant per step gives the screening grid, whose samples the
+system's screen checks in one call, in time order, at the settings'
+thresholds; the initial state gets the same check from validate_state,
+its one-row case.  A guard tripped on a sample is refined to its
 crossing time by root bracketing and raised as a typed event carrying
 the time and the offending pair or vortex.  One builder,
 _base_dense_output, forms every step's interpolant from the system's
@@ -94,10 +95,10 @@ def _refine_and_raise(system, state, t_ok, t_bad, exc, settings):
     tol = settings.collision_tol if collision else settings.boundary_margin
 
     def gap(t):
-        p, _, _ = system.guard_geometry(state(t))
+        p, _, domain = system.guard_geometry(state(t))
         if collision:
             return float(np.linalg.norm(p[exc.pair[0]] - p[exc.pair[1]]))
-        return min(system.domain.boundary_clearance(x) for x in p)
+        return float(np.min(domain.boundary_clearance(p)))
 
     t_star = float(t_bad)
     if gap(t_ok) > tol > gap(t_bad):
@@ -159,19 +160,15 @@ def _step_and_screen(system: FlowSystem, stepper, d: int,
             iterations=stepper.nfev, last_iterate=stepper.y[:d].copy(),
             residual=np.nan)
     interp = _base_dense_output(stepper, system.vector_field, d)
-    t_ok = stepper.t_old
-    grid = np.linspace(t_ok, stepper.t, GUARD_SAMPLES + 1)[1:]
-    min_sep = np.inf
-    # contiguous rows: strided ones slow the per-vortex clearance calls
-    for tg, y in zip(grid, np.ascontiguousarray(interp(grid).T)):
-        try:
-            sep = system.validate_state(y, tg, settings.collision_tol,
-                                        settings.boundary_margin)
-        except (CollisionError, DomainViolationError) as exc:
-            _refine_and_raise(system, interp, t_ok, tg, exc, settings)
-        min_sep = min(min_sep, sep)
-        t_ok = tg
-    return interp, min_sep
+    times = np.linspace(stepper.t_old, stepper.t, GUARD_SAMPLES + 1)
+    try:
+        seps = system.screen(interp(times[1:]).T, times[1:],
+                             settings.collision_tol, settings.boundary_margin)
+    except (CollisionError, DomainViolationError) as exc:
+        # bracket the crossing between the failing sample and the one before
+        k = int(np.flatnonzero(times == exc.time)[0])
+        _refine_and_raise(system, interp, *times[k - 1:k + 1], exc, settings)
+    return interp, float(np.min(seps))
 
 
 @dataclass

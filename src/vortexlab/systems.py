@@ -24,9 +24,10 @@ shape in closed form (no finite differences anywhere outside the tests).
 
 Both systems derive from FlowSystem, which writes the energy and its
 derivatives, the vector field and its Jacobian, and the admissibility
-check (`validate_state`, for start states, Newton iterates and
-screening samples alike) once, on each subclass's `_assemble(y, order)`,
-energy offset `_offset` and `guard_geometry`.  RescaledSystem routes
+check once, on each subclass's `_assemble(y, order)`, energy offset
+`_offset` and `guard_geometry`.  The check, `screen`, takes a step's
+screening samples in one call; `validate_state`, for start states and
+Newton iterates, is its one-row case.  RescaledSystem routes
 `hamiltonian` and `vector_field` through `rescaled_hamiltonian` and
 `rescaled_field`, which keep their names (with `rescaled_field_jacobian`)
 because the benchmark's tracer counts calls to them.
@@ -39,6 +40,7 @@ clockwise quarter turn, so ż_i = perp(∇_{z_i} H) / Gamma_i.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -71,8 +73,6 @@ def assemble_interaction(positions, A, B=None, domain: Domain | None = None,
     """
     p = np.asarray(positions, dtype=float)
     n = p.shape[0]
-    A = np.asarray(A, dtype=float)
-    off = ~np.eye(n, dtype=bool)
 
     diff = p[:, None, :] - p[None, :, :]
     S = s = 1.0
@@ -81,7 +81,8 @@ def assemble_interaction(positions, A, B=None, domain: Domain | None = None,
         diff = S[:, :, None] * diff + C
         p = s * p + b
     d2 = np.einsum("ijd,ijd->ij", diff, diff)
-    Aoff = np.where(off, A, 0.0)
+    Aoff = np.array(A, dtype=float)
+    np.fill_diagonal(Aoff, 0.0)
     # the kernel is only read where A is nonzero; pad the rest (diagonal,
     # masked-out pairs, possibly coincident) to keep log/division finite
     d2s = np.where(Aoff != 0.0, d2, 1.0)
@@ -95,13 +96,12 @@ def assemble_interaction(positions, A, B=None, domain: Domain | None = None,
         if use_g:
             value += float(np.sum(B * domain.regular_part_many(p, p)))
 
-    # derivatives in x carry the chain factor S per kernel pair, s for g
+    # derivatives in x carry the chain factor S per kernel pair, s for g;
+    # 2 sum_j W_ij d_x k(x_i, x_j) with d_x k = -diff / (2 pi d2)
     if order >= 1:
-        k1 = -diff / (TWO_PI * d2s[:, :, None])  # d_x k at (x_i, x_j)
-        grad = 2.0 * np.einsum("ij,ija->ia", Aoff * S, k1)
+        grad = np.einsum("ij,ija->ia", Aoff * S / d2s, diff) / -np.pi
         if use_g:
-            g1 = domain.grad_regular_many(p, p)
-            grad = grad + 2.0 * np.einsum("ij,ija->ia", s * B, g1)
+            grad = grad + 2.0 * domain.grad_regular_many(p, p, weights=s * B)
         grad = grad.reshape(-1)
 
     if order >= 2:
@@ -116,7 +116,7 @@ def assemble_interaction(positions, A, B=None, domain: Domain | None = None,
         if use_g:
             g11, g21 = domain.hess_regular_many(p, p)
             B2 = s * s * B
-            Boff = np.where(off, B2, 0.0)
+            Boff = np.where(~np.eye(n, dtype=bool), B2, 0.0)
             blocks = blocks + 2.0 * g21 * Boff[:, :, None, None]
             diag = diag + 2.0 * np.einsum("ij,ijab->iab", Boff, g11)
             # self term B_ii g(x_i, x_i): full derivative of x -> g(x, x)
@@ -147,43 +147,54 @@ def _weighted_perp_rows(mat: np.ndarray, strengths: np.ndarray) -> np.ndarray:
 class FlowSystem:
     """Energy, flow and admissibility of a vortex system in its own
     coordinates.  A subclass provides n, gamma, domain,
-    `_assemble(y, order)`, `_offset` and `guard_geometry(y)` ->
-    (positions to guard, pair mask or None, check_boundary).
+    `_assemble(y, order)`, `_offset` and `guard_geometry(ys)` ->
+    (positions to guard, (..., N, 2), pair mask or None, the domain
+    whose wall they clear).
     """
 
     _offset = 0.0
 
+    def screen(self, ys, times, collision_tol: float = COLLISION_TOL,
+               boundary_margin: float = BOUNDARY_MARGIN) -> np.ndarray:
+        """Check the (k, 2N) states ys, taken at the k times, row by row
+        in order: a row fails with DomainViolationError for a guarded
+        position that is not finite or within boundary_margin of the
+        wall, else with CollisionError for a guarded pair within
+        collision_tol.  Raise the first failing row's error; else return
+        each row's closest guarded separation, (k,)."""
+        ys = np.asarray(ys, dtype=float)
+        if ys.shape[-1] != 2 * self.n:
+            raise ConstraintViolationError(
+                f"state has {ys.shape[-1] // 2} positions, system has {self.n}")
+        p, mask, domain = self.guard_geometry(ys)
+        clearance = domain.boundary_clearance(p)
+        # NaN compares False, so a non-finite position fails the wall
+        wall = ~(clearance > boundary_margin).all(axis=1)
+        m = int(np.argmax(wall)) if wall.any() else len(ys)
+        # rows past the first wall failure may hold non-finite positions
+        d, pair = closest_pair(p[:m], mask)
+        hit = np.flatnonzero(d <= collision_tol)
+        if hit.size:
+            r = hit[0]
+            i, j = pair[r].tolist()
+            raise CollisionError(
+                f"vortices {i} and {j} are {d[r]:.3e} apart "
+                f"(tolerance {collision_tol:.1e})",
+                pair=(i, j), distance=float(d[r]), time=times[r])
+        if m < len(ys):
+            k = int(np.argmin(clearance[m]))  # argmin picks a NaN
+            raise DomainViolationError(
+                f"vortex {k} at {p[m, k]} is not interior to {self.domain.name} "
+                f"(clearance {clearance[m, k]:.3e}, margin "
+                f"{boundary_margin:.1e})", index=k, time=times[m])
+        return d
+
     def validate_state(self, y, time=None, collision_tol: float = COLLISION_TOL,
                        boundary_margin: float = BOUNDARY_MARGIN) -> float:
-        """Raise DomainViolationError for a guarded position that is not
-        finite or within boundary_margin of the wall, then CollisionError
-        for a guarded pair within collision_tol; else return the closest
-        guarded separation."""
-        y = as_state(y)
-        if y.size != 2 * self.n:
-            raise ConstraintViolationError(
-                f"state has {y.size // 2} positions, system has {self.n}")
-        p, mask, check_boundary = self.guard_geometry(y)
-        if check_boundary:
-            # one call per vortex (perfbench counts them)
-            clearance = [self.domain.boundary_clearance(x) for x in p]
-        else:
-            # no wall to clear, but closest_pair skips a NaN distance, so a
-            # non-finite position fails here
-            clearance = np.where(np.isfinite(p).all(axis=1), np.inf, np.nan)
-        k = int(np.argmin(clearance))  # argmin picks a NaN
-        if not clearance[k] > boundary_margin:
-            raise DomainViolationError(
-                f"vortex {k} at {p[k]} is not interior to {self.domain.name} "
-                f"(clearance {clearance[k]:.3e}, margin {boundary_margin:.1e})",
-                index=k, time=time)
-        d, pair = closest_pair(p, mask)
-        if d <= collision_tol:
-            raise CollisionError(
-                f"vortices {pair[0]} and {pair[1]} are {d:.3e} apart "
-                f"(tolerance {collision_tol:.1e})",
-                pair=pair, distance=d, time=time)
-        return d
+        """The one-row case of screen: check the state y, raise its
+        error, else return its closest guarded separation."""
+        return float(self.screen(as_state(y)[None], [time], collision_tol,
+                                 boundary_margin)[0])
 
     # -- energy --------------------------------------------------------------
     def hamiltonian(self, y) -> float:
@@ -255,9 +266,16 @@ class VortexSystem(FlowSystem):
     def n_clusters(self) -> int:
         return len(self.cluster_sizes)
 
-    @property
+    # gamma and _A are read on every field call, so each is formed once
+    @cached_property
     def gamma(self) -> np.ndarray:
-        return np.asarray(self.strengths)
+        gam = np.array(self.strengths)
+        gam.flags.writeable = False
+        return gam
+
+    @cached_property
+    def _A(self) -> np.ndarray:
+        return np.outer(self.gamma, self.gamma)
 
     @property
     def cluster_strengths(self) -> np.ndarray:
@@ -274,16 +292,14 @@ class VortexSystem(FlowSystem):
         """Diagonal of M as a flat (2N,) vector."""
         return np.repeat(self.gamma, 2)
 
-    def _coeff(self) -> np.ndarray:
-        return np.outer(self.gamma, self.gamma)
-
     def _assemble(self, z, order: int):
-        A = self._coeff()
-        return assemble_interaction(pairs(z), A, -A, self.domain, order=order)
+        return assemble_interaction(pairs(z), self._A, -self._A, self.domain,
+                                    order=order)
 
-    def guard_geometry(self, z):
-        """(positions to guard, pair mask or None, check_boundary)."""
-        return pairs(z), None, True
+    def guard_geometry(self, zs):
+        """(positions to guard, pair mask or None, domain to clear) of
+        the states zs, (..., 2N)."""
+        return np.reshape(zs, (*np.shape(zs)[:-1], -1, 2)), None, self.domain
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +350,7 @@ class RescaledSystem(FlowSystem):
         object.__setattr__(self, "scale", r)
         ci = self.base.cluster_index
         intra = ci[:, None] == ci[None, :]
-        A = self.base._coeff()
+        A = self.base._A
         ahat = np.repeat(a, self.base.cluster_sizes, axis=0)
         frame = (np.where(intra, 1.0, r), ahat[:, None, :] - ahat[None, :, :],
                  r, ahat)
@@ -403,9 +419,12 @@ class RescaledSystem(FlowSystem):
         return self.rescaled_field(u)
 
     # -- validation ------------------------------------------------------------
-    def guard_geometry(self, u):
-        """(positions to guard, pair mask or None, check_boundary): the
-        physical state for r > 0; at r = 0 the intra-cluster pairs of u."""
+    def guard_geometry(self, us):
+        """(positions to guard, pair mask or None, domain to clear) of
+        the states us, (..., 2N): the physical states for r > 0; at r = 0
+        u's intra-cluster pairs, with no wall but finite."""
+        shape = (*np.shape(us)[:-1], -1, 2)
         if self.scale > 0.0:
-            return pairs(self.to_physical(u)), None, True
-        return pairs(u), self._intra, False
+            z = self.scale * np.asarray(us) + self.anchor_hat
+            return z.reshape(shape), None, self.domain
+        return np.reshape(us, shape), self._intra, WholePlane()

@@ -214,6 +214,27 @@ def test_many_variants_match_scalar_loops(disc, rng):
             assert np.allclose(h21[i, j], full[:2, 2:], atol=1e-12)
 
 
+@pytest.mark.parametrize("domain", [UnitDisc(), PerturbedDisc(3e-2),
+                                    WholePlane()],
+                         ids=["disc", "perturbed-disc", "plane"])
+def test_weighted_regular_gradient_is_the_contracted_table(domain, rng):
+    # sum_j W_ij d_x g(px[i], py[j]) without the (n, m, 2) table, with
+    # points at clearance 1e-6 on both sides; there both forms subtract
+    # terms of size 1/clearance^2 and lose about eps/clearance, 1e-10,
+    # so each row must agree to 1e-8 of its norm
+    th = rng.uniform(0.0, 2.0 * np.pi, size=2)
+    wall = (1.0 - 1e-6) * np.column_stack([np.cos(th), np.sin(th)])
+    px = np.vstack([random_disc_points(rng, 5, min_sep=0.05), wall])
+    py = np.vstack([random_disc_points(rng, 3, min_sep=0.05), wall, px[:2]])
+    for a, b in ((px, px), (px, py)):
+        W = rng.normal(size=(len(a), len(b)))
+        want = np.einsum("ij,ija->ia", W, domain.grad_regular_many(a, b))
+        got = domain.grad_regular_many(a, b, weights=W)
+        assert got.shape == (len(a), 2)
+        err = np.linalg.norm(got - want, axis=1)
+        assert np.all(err <= 1e-8 * np.linalg.norm(want, axis=1))
+
+
 # ---------------------------------------------------------------------------
 # admissibility checks
 # ---------------------------------------------------------------------------
@@ -244,6 +265,14 @@ def test_boundary_clearance(disc, plane):
     assert disc.boundary_clearance(np.array([0.25, 0.0])) \
         == pytest.approx(0.75)
     assert plane.boundary_clearance(np.array([100.0, 3.0])) == np.inf
+    # a batch of points, (..., 2), reads one clearance per point
+    batch = np.array([[[0.25, 0.0], [0.0, 0.5], [np.nan, 0.0]]] * 2)
+    for domain in (disc, plane):
+        c = domain.boundary_clearance(batch)
+        assert c.shape == (2, 3)
+        assert np.array_equal(c[1], [domain.boundary_clearance(x)
+                                     for x in batch[1]], equal_nan=True)
+        assert np.ndim(domain.boundary_clearance(batch[0, 0])) == 0
 
 
 def test_domain_factory():

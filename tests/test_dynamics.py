@@ -518,16 +518,18 @@ def test_flow_with_jacobian_refines_a_grazing_collision_like_integrate(plane):
 
 def test_integrate_screens_each_sample_once(monkeypatch, disc_pair):
     system, z0 = disc_pair
-    calls = {"closest_pair": 0}
-    raw = systems.closest_pair
+    rows = []
+    raw = systems.FlowSystem.screen
 
-    def counting_closest_pair(*args, **kwargs):
-        calls["closest_pair"] += 1
-        return raw(*args, **kwargs)
+    def counting_screen(self, ys, *args, **kwargs):
+        rows.append(len(ys))
+        return raw(self, ys, *args, **kwargs)
 
-    monkeypatch.setattr(systems, "closest_pair", counting_closest_pair)
+    monkeypatch.setattr(systems.FlowSystem, "screen", counting_screen)
     traj = integrate(system, z0, (0.0, 1.0))
     steps = len(traj.times) - 1
     assert steps > 0
-    # the initial state, then one look per screening sample
-    assert calls["closest_pair"] == 1 + dynamics.GUARD_SAMPLES * steps
+    # the initial state, then one look per screening sample, each step's
+    # samples in one call
+    assert sum(rows) == 1 + dynamics.GUARD_SAMPLES * steps
+    assert rows == [1] + [dynamics.GUARD_SAMPLES] * steps

@@ -1,7 +1,11 @@
 """Interaction energies, their derivatives, and the rescaled system."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdtools import fd_gradient, fd_jacobian, rel_error
 
@@ -190,6 +194,78 @@ def test_validate_state_guards(disc):
         sys.validate_state(np.array([0.3, 0.0, 0.3, 1e-12]))
     with pytest.raises(DomainViolationError):
         sys.validate_state(np.array([0.3, 0.0, 1.2, 0.0]))
+
+
+def _screen_case(kind):
+    """A system of four vortices, in two clusters of two where it has
+    clusters, with whether it has a wall to clear."""
+    if kind in ("disc", "plane"):
+        domain = UnitDisc() if kind == "disc" else WholePlane()
+        return (VortexSystem((1.0, -0.7, 1.3, 0.5), (1, 1, 1, 1), domain),
+                kind == "disc")
+    scale = 0.1 if kind == "rescaled" else 0.0
+    base = VortexSystem((-1.0, -1.0, 1.0, 1.0), (2, 2), UnitDisc())
+    return RescaledSystem(base, [[-0.4, 0.0], [0.4, 0.0]], scale), scale > 0
+
+
+def _outcome(check):
+    try:
+        return check(), None
+    except (CollisionError, DomainViolationError) as exc:
+        return None, exc
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["disc", "plane", "rescaled", "rescaled-r0"]),
+       seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 9),
+       faults=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 3),
+                                 st.sampled_from(["wall", "collision",
+                                                  "nan", "inf"])),
+                       max_size=3))
+def test_batched_screen_matches_one_row_checks(kind, seed, n_rows, faults):
+    # the screen of a batch raises what a loop of one-row checks raises
+    # first, or returns what they return, and warns about nothing
+    system, has_wall = _screen_case(kind)
+    rng = np.random.default_rng(seed)
+    points = random_disc_points if kind == "disc" else random_plane_points
+    ys = np.array([points(rng, 4).reshape(-1) for _ in range(n_rows)])
+    if kind == "rescaled-r0":
+        # the clusters overlap in every other row, which the mask allows
+        ys[::2, 4:] = ys[::2, :4]
+    times = np.sort(rng.uniform(0.0, 1.0, n_rows))
+    failing = {}  # row -> whether the wall fails there
+    # collisions first, so that a later fault on a member is not undone
+    for row, k, fault in sorted(faults, key=lambda f: f[2] != "collision"):
+        row %= n_rows
+        p = ys[row].reshape(4, 2)
+        if fault == "wall" and has_wall:
+            p[k] = [30.0, 0.0]
+        elif fault == "collision":
+            i = k - k % 2  # a pair within a cluster
+            p[i + 1] = p[i] + [0.0, 1e-12]
+        elif fault in ("nan", "inf"):
+            p[k, k % 2] = np.nan if fault == "nan" else -np.inf
+        else:
+            continue
+        failing[row] = failing.get(row, False) or fault != "collision"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch, error = _outcome(lambda: system.screen(ys, times))
+        loop, first = _outcome(lambda: np.array(
+            [system.validate_state(y, t) for y, t in zip(ys, times)]))
+    assert type(error) is type(first)
+    if not failing:
+        assert error is None and np.array_equal(batch, loop)
+        return
+    row = min(failing)
+    assert isinstance(error, DomainViolationError if failing[row]
+                      else CollisionError)
+    assert error.time == first.time == times[row]
+    if failing[row]:
+        assert error.index == first.index
+    else:
+        assert error.pair == first.pair
+        assert error.distance == first.distance
 
 
 def test_min_separation():
