@@ -9,25 +9,39 @@ and the boundary self-interaction term h(x) = g(x, x), together with
 first and second derivatives of g in closed form.  Shipped domains:
 
 * WholePlane      g == 0, invariant under all rigid motions and scaling.
-* UnitDisc        Dirichlet disc: g(x,y) = -(1/4pi) log(|x|^2|y|^2 - 2<x,y> + 1).
+* UnitDisc        Dirichlet disc: g(x, y) = -(1/2pi) log|1 - x conj(y)|.
 * PerturbedDisc   UnitDisc regular part plus a small symmetric polynomial
                   bump; breaks the rotational symmetry, keeping g smooth
                   and symmetric.  Test fixture for the nondegenerate
                   stationary-point branch.
 
 Everything is analytic; finite differences appear only in the tests.
-Derivative layout: grad_regular returns (d_x g, d_y g) as two 2-vectors;
-hess_regular returns the 4x4 matrix [[d_x^2 g, d_y d_x g],
-[d_x d_y g, d_y^2 g]] in (x1, x2, y1, y2) coordinates.
 
-The all-pairs forms (suffix _many), which evaluate all pairs of two
-position arrays at once, are the implementation: each domain writes g
-and its derivatives only there, and the scalar forms regular_part,
-grad_regular and hess_regular read their entries from them (g is
-symmetric, so the y-derivatives are x-derivatives with the arguments
-swapped).  The dynamics and shooting hot loops call the _many forms,
-the field with grad_regular_many contracted by its coefficients
-(`weights`).  Each domain writes its boundary geometry once, in
+Points are read as complex numbers x = x1 + i x2, and each domain
+writes g and its derivatives once, in complex form, in
+`regular_coefficients` over all pairs of two point arrays: g itself,
+and with the Wirtinger derivatives d/dx = (d_x1 - i d_x2)/2 and
+d/d(conj x),
+
+    G_x = d_x1 g - i d_x2 g,  G_xx = dG_x/dx,  G_xy = dG_x/dy,
+    G_xyb = dG_x/d(conj y).
+
+g is harmonic in x, so dG_x/d(conj x) = 0.  For the disc, with
+m = 1/(1 - x conj(y)): G_x = conj(y) m/2pi, G_xx = conj(y)^2 m^2/2pi,
+G_xyb = m^2/2pi and G_xy = 0.  The gradient of g in x is conj(G_x),
+and each real 2x2 derivative block is v -> alpha v + beta conj(v)
+(`linalg.real_blocks`): d_x^2 g has beta = conj(G_xx), d_y d_x g has
+alpha = conj(G_xyb) and beta = conj(G_xy).
+
+The energy assembly (`systems.assemble_interaction`) contracts these
+coefficients directly.  The real all-pairs tables (suffix _many) are
+expanded from them once, on the base class, and the scalar forms
+regular_part, grad_regular and hess_regular read their entries from
+those tables (g is symmetric, so the y-derivatives are x-derivatives
+with the arguments swapped).  Derivative layout: grad_regular returns
+(d_x g, d_y g) as two 2-vectors; hess_regular returns the 4x4 matrix
+[[d_x^2 g, d_y d_x g], [d_x d_y g, d_y^2 g]] in (x1, x2, y1, y2)
+coordinates.  Each domain writes its boundary geometry once, in
 boundary_clearance, which reads a batch of points in one call.
 """
 
@@ -39,9 +53,8 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from .errors import ConstraintViolationError, DomainViolationError
+from .linalg import TWO_PI, complex_points, real_blocks
 
-FOUR_PI = 4.0 * np.pi
-TWO_PI = 2.0 * np.pi
 #: default clearance at or below which a point is not admissible
 BOUNDARY_MARGIN = 1e-9
 
@@ -76,19 +89,42 @@ class Domain(ABC):
             raise DomainViolationError(
                 f"position {np.asarray(x)} is not interior to {self.name}")
 
-    # -- regular part, all-pairs: the implementation ---------------------
+    # -- regular part in complex form: the implementation ---------------
     @abstractmethod
+    def regular_coefficients(self, zx, zy, order: int):
+        """g over all pairs (zx[i], zy[j]) of the complex points zx, (n,),
+        and zy, (m,): at order 0 the real table g; at order 1 G_x; at
+        order 2 the tuple (G_x, G_xx, G_xy, G_xyb).  Each is an (n, m)
+        array or a scalar that broadcasts to one."""
+
+    # -- regular part, real all-pairs tables: expanded from it -----------
+    def _coefficient_tables(self, px, py, order):
+        zx = complex_points(np.atleast_2d(px))
+        zy = complex_points(np.atleast_2d(py))
+        c = self.regular_coefficients(zx, zy, order)
+        shape = (zx.size, zy.size)
+        if order < 2:
+            return np.broadcast_to(c, shape)
+        return [np.broadcast_to(t, shape) for t in c]
+
     def regular_part_many(self, px, py) -> np.ndarray:
         """(n, m) array of g(px[i], py[j])."""
+        return self._coefficient_tables(px, py, 0).copy()
 
-    @abstractmethod
-    def grad_regular_many(self, px, py, weights=None) -> np.ndarray:
-        """(n, m, 2) array of d_x g(px[i], py[j]); with (n, m) weights
-        W, the (n, 2) contraction sum_j W_ij d_x g(px[i], py[j])."""
+    def grad_regular_many(self, px, py) -> np.ndarray:
+        """(n, m, 2) array of d_x g(px[i], py[j])."""
+        gx = self._coefficient_tables(px, py, 1)
+        return np.stack([gx.real, -gx.imag], axis=-1)
 
-    @abstractmethod
     def hess_regular_many(self, px, py):
         """Pair of (n, m, 2, 2) arrays: d_x^2 g and d_y d_x g."""
+        _, gxx, gxy, gxyb = self._coefficient_tables(px, py, 2)
+        n, m = gxx.shape
+
+        def blocks(L, K):
+            return real_blocks(L, K).reshape(n, 2, m, 2).transpose(0, 2, 1, 3)
+
+        return blocks(0.0, gxx), blocks(gxyb, gxy)
 
     # -- regular part, scalar: read from the all-pairs forms -------------
     # g is symmetric, so derivatives in y are x-derivatives with the
@@ -148,31 +184,20 @@ class WholePlane(Domain):
     def boundary_clearance(self, x):
         return np.where(np.isfinite(x).all(axis=-1), np.inf, np.nan)[()]
 
-    def regular_part_many(self, px, py):
-        px, py = np.atleast_2d(px), np.atleast_2d(py)
-        return np.zeros((px.shape[0], py.shape[0]))
-
-    def grad_regular_many(self, px, py, weights=None):
-        px, py = np.atleast_2d(px), np.atleast_2d(py)
-        m = () if weights is not None else (py.shape[0],)
-        return np.zeros((px.shape[0], *m, 2))
-
-    def hess_regular_many(self, px, py):
-        px, py = np.atleast_2d(px), np.atleast_2d(py)
-        z = np.zeros((px.shape[0], py.shape[0], 2, 2))
-        return z, z.copy()
+    def regular_coefficients(self, zx, zy, order):
+        return 0.0 if order < 2 else (0.0, 0.0, 0.0, 0.0)
 
 
 class UnitDisc(Domain):
     """Dirichlet Green's function of the open unit disc.
 
-    With q(x, y) = |x|^2 |y|^2 - 2 <x, y> + 1 (strictly positive for
-    interior points):
+    In complex form, with 1 - x conj(y) nonzero for interior points:
 
-        g(x, y) = -(1/4pi) log q
+        g(x, y) = -(1/2pi) log|1 - x conj(y)|
         h(x)    = -(1/2pi) log(1 - |x|^2)
 
-    Derivatives follow from d_x q = 2|y|^2 x - 2y.
+    and g = Re F with F holomorphic in x and in conj(y), so its
+    coefficients are F's derivatives (see the module docstring).
     """
 
     symmetry = SymmetryClass.ROTATIONAL
@@ -181,52 +206,18 @@ class UnitDisc(Domain):
     def boundary_clearance(self, x):
         return 1.0 - np.linalg.norm(np.asarray(x, dtype=float), axis=-1)
 
-    def robin(self, x) -> float:
-        # closed form: q(x, x) = (1 - |x|^2)^2 loses digits near the wall
-        # (relative error 2.5e-7 at |x| = 1 - 1e-6)
-        x = np.asarray(x, dtype=float)
-        self.check_interior(x)
-        return -np.log(1.0 - float(x @ x)) / TWO_PI
-
-    # -- vectorized all-pairs forms ------------------------------------
-    def regular_part_many(self, px, py):
-        px, py = np.atleast_2d(px), np.atleast_2d(py)
-        q = self._q_many(px, py)
-        return -np.log(q) / FOUR_PI
-
-    @staticmethod
-    def _q_many(px, py):
-        r2x = np.einsum("id,id->i", px, px)
-        r2y = np.einsum("jd,jd->j", py, py)
-        dots = px @ py.T
-        return np.multiply.outer(r2x, r2y) - 2.0 * dots + 1.0
-
-    def grad_regular_many(self, px, py, weights=None):
-        px, py = np.atleast_2d(px), np.atleast_2d(py)
-        q = self._q_many(px, py)
-        r2y = np.einsum("jd,jd->j", py, py)
-        if weights is not None:
-            V = weights / q
-            return -(px * (V @ r2y)[:, None] - V @ py) / TWO_PI
-        # qx[i,j] = 2|y_j|^2 x_i - 2 y_j
-        qx = 2.0 * r2y[None, :, None] * px[:, None, :] - 2.0 * py[None, :, :]
-        return -qx / (FOUR_PI * q[:, :, None])
-
-    def hess_regular_many(self, px, py):
-        px, py = np.atleast_2d(px), np.atleast_2d(py)
-        q = self._q_many(px, py)
-        r2x = np.einsum("id,id->i", px, px)
-        r2y = np.einsum("jd,jd->j", py, py)
-        qx = 2.0 * r2y[None, :, None] * px[:, None, :] - 2.0 * py[None, :, :]
-        qy = 2.0 * r2x[:, None, None] * py[None, :, :] - 2.0 * px[:, None, :]
-        I2 = np.eye(2)
-        qq = q[:, :, None, None]
-        h11 = -(2.0 * r2y[None, :, None, None] * I2 / qq
-                - np.einsum("ija,ijb->ijab", qx, qx) / qq**2) / FOUR_PI
-        xyT = np.einsum("ia,jb->ijab", px, py)
-        h21 = -((4.0 * xyT - 2.0 * I2) / qq
-                - np.einsum("ija,ijb->ijab", qx, qy) / qq**2) / FOUR_PI
-        return h11, h21
+    def regular_coefficients(self, zx, zy, order):
+        # on a self pair q = 1 - |x|^2 keeps full relative precision near
+        # the wall; its square, expanded in real coordinates, cancels there
+        yc = zy.conj()
+        q = np.multiply.outer(-zx, yc)
+        q += 1.0
+        if order == 0:
+            return np.log(np.abs(q)) / -TWO_PI
+        gx = (yc / TWO_PI) / q
+        if order == 1:
+            return gx
+        return gx, TWO_PI * gx * gx, 0.0, 1.0 / (TWO_PI * q * q)
 
 
 class PerturbedDisc(UnitDisc):
@@ -248,32 +239,21 @@ class PerturbedDisc(UnitDisc):
         if not np.isfinite(self.epsilon):
             raise ConstraintViolationError("epsilon must be finite")
 
-    def _bump(self, px, py):
-        """The bump over all pairs; its derivatives are added below."""
-        return self.epsilon * (
-            np.multiply.outer(px[:, 0], py[:, 0])
-            + 2.0 * np.multiply.outer(px[:, 1], py[:, 1])
-            + px[:, 0][:, None] + py[:, 0][None, :]
-        )
-
-    def robin(self, x) -> float:
-        # the inherited closed form misses the bump diagonal
-        p = np.atleast_2d(np.asarray(x, dtype=float))
-        return super().robin(x) + float(self._bump(p, p)[0, 0])
-
-    def regular_part_many(self, px, py):
-        px, py = np.atleast_2d(px), np.atleast_2d(py)
-        return super().regular_part_many(px, py) + self._bump(px, py)
-
-    def grad_regular_many(self, px, py, weights=None):
-        py = np.atleast_2d(py)
-        bump = self.epsilon * np.column_stack([py[:, 0] + 1.0, 2.0 * py[:, 1]])
-        disc = super().grad_regular_many(px, py, weights)
-        return disc + (weights @ bump if weights is not None else bump[None])
-
-    def hess_regular_many(self, px, py):
-        h11, h21 = super().hess_regular_many(px, py)
-        return h11, h21 + self.epsilon * np.diag([1.0, 2.0])
+    def regular_coefficients(self, zx, zy, order):
+        disc = super().regular_coefficients(zx, zy, order)
+        eps = self.epsilon
+        if order == 0:
+            x, y = zx[:, None], zy[None, :]
+            return disc + eps * (x.real * y.real + 2.0 * x.imag * y.imag
+                                 + x.real + y.real)
+        # G_x = eps (y1 + 1 - 2i y2) = eps (1 + 1.5 conj(y) - 0.5 y): the
+        # real block d_y d_x bump = eps diag(1, 2) is 1.5 eps conformal
+        # plus -0.5 eps anticonformal
+        bump = eps * (1.0 + 1.5 * zy.conj() - 0.5 * zy)
+        if order == 1:
+            return disc + bump
+        gx, gxx, gxy, gxyb = disc
+        return gx + bump, gxx, gxy - 0.5 * eps, gxyb + 1.5 * eps
 
 
 def make_domain(kind: str, **kwargs) -> Domain:

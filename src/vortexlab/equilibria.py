@@ -30,7 +30,10 @@ Phi_t = exp(omega*t*perp) expm(t*A).  Reported quantities:
   periodic solutions when the excess sits in a longer defective chain;
   such configurations are degenerate for continuation purposes even
   though the kernel count stays at 3.  The flags therefore require both
-  the minimal kernel and the minimal algebraic multiplicity.
+  the minimal kernel and the minimal algebraic multiplicity.  omega*tau
+  is a whole turn, so Phi_tau = expm(tau*A) and its multipliers are
+  exp(tau*lambda) over the eigenvalues lambda of A; the twisted ones of
+  a nontrivial symmetry are the eigenvalues of S_sigma Phi_{2pi}.
 
 Kernel dimensions count the singular values of (Phi - I) at or below
 min(KERNEL_TOL * ||Phi||, MULTIPLIER_TOL).  The relative cutoff follows
@@ -373,6 +376,7 @@ def certify(eq: RelativeEquilibrium) -> CertificationReport:
             "normalize() the configuration first")
 
     tau = TWO_PI * order
+    A = rotating_frame_matrix(eq)
     phi_tau = monodromy(eq, tau)
     phi_2pi = phi_tau if order == 1 else monodromy(eq, TWO_PI)
     S = permutation_matrix(eq.permutation)
@@ -381,8 +385,10 @@ def certify(eq: RelativeEquilibrium) -> CertificationReport:
     full_count, sv_full = _kernel_dim(phi_tau)
     tw_count, sv_tw = _kernel_dim(twisted)
 
-    ev_full = np.linalg.eigvals(phi_tau)
-    ev_tw = np.linalg.eigvals(twisted)
+    # eig(Phi_tau) would scatter the defective pair at 1 by about
+    # sqrt(eps ||Phi||), 1e-2 at ||Phi|| = 4e10; eig(A) does not
+    ev_full = np.exp(tau * np.linalg.eigvals(A))
+    ev_tw = ev_full if order == 1 else np.linalg.eigvals(twisted)
     alg_full = int((np.abs(ev_full - 1.0) <= MULTIPLIER_TOL).sum())
     alg_tw = int((np.abs(ev_tw - 1.0) <= MULTIPLIER_TOL).sum())
 

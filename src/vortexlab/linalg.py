@@ -41,6 +41,30 @@ def pairs(z: np.ndarray) -> np.ndarray:
     return as_state(z).reshape(-1, 2)
 
 
+def complex_points(p) -> np.ndarray:
+    """Positions (..., 2) as complex points x1 + i x2, (...)."""
+    return np.ascontiguousarray(p, dtype=float).view(complex)[..., 0]
+
+
+def real_blocks(L, K) -> np.ndarray:
+    """The real (2n, 2m) matrix of complex (n, m) derivatives L and K.
+
+    D_i = d_1 f_i - i d_2 f_i is the complex form of the gradient of a
+    real f_i, and L = dD/d(conj z), K = dD/dz over the complex points z_j.
+    Block (i, j) is the real derivative of (d_1 f_i, d_2 f_i) in z_j,
+    v -> conj(L) v + conj(K) conj(v): with P = L + K and M = L - K,
+    [[Re P, Im M], [-Im P, Re M]].
+    """
+    P, M = L + K, L - K
+    n, m = P.shape
+    out = np.empty((2 * n, 2 * m))
+    out[0::2, 0::2] = P.real
+    out[0::2, 1::2] = M.imag
+    np.negative(P.imag, out=out[1::2, 0::2])
+    out[1::2, 1::2] = M.real
+    return out
+
+
 def perp(z) -> np.ndarray:
     """Blockwise clockwise quarter turn: (x, y) -> (y, -x)."""
     p = pairs(z)

@@ -21,6 +21,9 @@ g.  Choosing the coefficient matrices recovers:
 
 `assemble_interaction` evaluates the value or the gradient/Hessian of that
 shape in closed form (no finite differences anywhere outside the tests).
+Its one implementation is in complex form: one complex difference per
+pair, one complex gradient entry per vortex, and the Hessian from two
+complex (N, N) matrices.
 
 Both systems derive from FlowSystem, which writes the energy and its
 derivatives, the vector field and its Jacobian, and the admissibility
@@ -47,7 +50,8 @@ import numpy as np
 from .domains import BOUNDARY_MARGIN, Domain, WholePlane
 from .errors import (CollisionError, ConstraintViolationError,
                      DomainViolationError)
-from .linalg import TWO_PI, as_state, closest_pair, pairs
+from .linalg import (TWO_PI, as_state, closest_pair, complex_points,
+                     pairs, real_blocks)
 
 COLLISION_TOL = 1e-8
 
@@ -55,6 +59,15 @@ COLLISION_TOL = 1e-8
 # ---------------------------------------------------------------------------
 # generic assembly
 # ---------------------------------------------------------------------------
+
+def kernel_offsets(A, C=0.0) -> np.ndarray:
+    """The complex pair offsets C, (N, N), set to inf on the pairs the
+    kernel does not read: the diagonal and the pairs where A is 0.  Their
+    pair difference is inf, so its reciprocal reads 0."""
+    C = np.where(np.asarray(A) != 0.0, C, np.inf).astype(complex)
+    np.fill_diagonal(C, np.inf)
+    return C
+
 
 def assemble_interaction(positions, A, B=None, domain: Domain | None = None,
                          order: int = 2, frame=None):
@@ -67,66 +80,64 @@ def assemble_interaction(positions, A, B=None, domain: Domain | None = None,
     itself, is only evaluated at order 0.
 
     frame: None, or (S, C, s, b) to evaluate the energy in affine
-    variables x = positions.  The kernel then reads the pair differences
-    S_ij (x_i - x_j) + C_ij, the regular part reads the points s*x + b,
-    and derivatives are taken with respect to x.
-    """
-    p = np.asarray(positions, dtype=float)
-    n = p.shape[0]
+    variables x = positions.  The kernel then reads the complex pair
+    differences S_ij (z_i - z_j) + C_ij of the points z = x1 + i x2, the
+    regular part reads the points s*z + b, and derivatives are taken
+    with respect to x.  C comes from `kernel_offsets(A, ...)`, which
+    marks the pairs the kernel does not read; without a frame it is
+    formed on each call.
 
-    diff = p[:, None, :] - p[None, :, :]
-    S = s = 1.0
-    if frame is not None:
-        S, C, s, b = frame
-        diff = S[:, :, None] * diff + C
-        p = s * p + b
-    d2 = np.einsum("ijd,ijd->ij", diff, diff)
-    Aoff = np.array(A, dtype=float)
-    np.fill_diagonal(Aoff, 0.0)
-    # the kernel is only read where A is nonzero; pad the rest (diagonal,
-    # masked-out pairs, possibly coincident) to keep log/division finite
-    d2s = np.where(Aoff != 0.0, d2, 1.0)
-    use_g = B is not None
-    if use_g:
+    Everything is in complex form (see `domains`): the kernel
+    -(1/2pi) log|w| has G_x = -1/(2pi w); the gradient's complex form
+    D_i = d_1 E - i d_2 E is (N,), and its derivatives L = dD/d(conj z)
+    and K = dD/dz are (N, N), written out by `linalg.real_blocks`.
+    """
+    z = complex_points(positions)
+    A = np.asarray(A, dtype=float)
+    S, C, s, b = (1.0, kernel_offsets(A), 1.0, 0.0) if frame is None else frame
+    w = np.subtract.outer(z, z)
+    w *= S
+    w += C
+    p = s * z + b
+    if B is not None:
         B = np.asarray(B, dtype=float)
 
-    value = grad = hess = None
     if order == 0:
-        value = float(np.sum(Aoff * (-0.5 * np.log(d2s) / TWO_PI)))
-        if use_g:
-            value += float(np.sum(B * domain.regular_part_many(p, p)))
+        logs = np.log(np.abs(w))
+        logs[np.isposinf(logs)] = 0.0  # pairs the kernel does not read
+        value = float(np.sum(A * logs)) / -TWO_PI
+        if B is not None:
+            value += float(np.sum(B * domain.regular_coefficients(p, p, 0)))
+        return value, None, None
 
-    # derivatives in x carry the chain factor S per kernel pair, s for g;
-    # 2 sum_j W_ij d_x k(x_i, x_j) with d_x k = -diff / (2 pi d2)
-    if order >= 1:
-        grad = np.einsum("ij,ija->ia", Aoff * S / d2s, diff) / -np.pi
-        if use_g:
-            grad = grad + 2.0 * domain.grad_regular_many(p, p, weights=s * B)
-        grad = grad.reshape(-1)
+    # each ordered pair twice: D_i = -(1/pi) sum_j A_ij S_ij / w_ij
+    #                                + 2 s sum_j B_ij G_x(p_i, p_j)
+    Sr = S / w
+    ASr = A * Sr
+    D = ASr.sum(axis=1) / -np.pi
+    if B is not None:
+        c = domain.regular_coefficients(p, p, order)
+        D += 2.0 * s * (B * (c if order == 1 else c[0])).sum(axis=1)
+    grad = D.conj().view(float)
+    if order == 1:
+        return None, grad, None
 
-    if order >= 2:
-        A2 = Aoff * S * S
-        I2 = np.eye(2)
-        dd = d2s[:, :, None, None]
-        k11 = -(I2 / dd - 2.0 * np.einsum("ija,ijb->ijab", diff, diff)
-                / dd**2) / TWO_PI
-        # d_y d_x k = -d_x^2 k for the log kernel
-        blocks = 2.0 * (-k11) * A2[:, :, None, None]
-        diag = 2.0 * np.einsum("ij,ijab->iab", A2, k11)
-        if use_g:
-            g11, g21 = domain.hess_regular_many(p, p)
-            B2 = s * s * B
-            Boff = np.where(~np.eye(n, dtype=bool), B2, 0.0)
-            blocks = blocks + 2.0 * g21 * Boff[:, :, None, None]
-            diag = diag + 2.0 * np.einsum("ij,ijab->iab", Boff, g11)
-            # self term B_ii g(x_i, x_i): full derivative of x -> g(x, x)
-            bdiag = np.diagonal(B2)
-            ii = np.arange(n)
-            diag = diag + 2.0 * bdiag[:, None, None] * (g11[ii, ii] + g21[ii, ii])
-        blocks[np.arange(n), np.arange(n)] = diag
-        hess = blocks.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
-
-    return value, grad, hess
+    # K: the kernel's (1/pi) (diag(sum_j T_ij) - T) with T = A S^2 / w^2,
+    # B's G_xx summed on the diagonal and G_xy; L: B's G_xyb.  The self
+    # term B_ii g(x_i, x_i) puts G_xy and G_xyb on the diagonal too.
+    n = z.size
+    K = ASr * Sr
+    K /= -np.pi
+    diag = K.reshape(-1)[::n + 1]
+    diag -= K.sum(axis=1)
+    L = 0.0
+    if B is not None:
+        _, gxx, gxy, gxyb = c
+        B2 = (2.0 * s * s) * B
+        K += B2 * gxy
+        diag += (B2 * gxx).sum(axis=1)
+        L = B2 * gxyb
+    return None, grad, real_blocks(L, K)
 
 
 def _weighted_perp_rows(mat: np.ndarray, strengths: np.ndarray) -> np.ndarray:
@@ -277,6 +288,10 @@ class VortexSystem(FlowSystem):
     def _A(self) -> np.ndarray:
         return np.outer(self.gamma, self.gamma)
 
+    @cached_property
+    def _frame(self):
+        return 1.0, kernel_offsets(self._A), 1.0, 0.0
+
     @property
     def cluster_strengths(self) -> np.ndarray:
         """Per-cluster strength sums."""
@@ -294,7 +309,7 @@ class VortexSystem(FlowSystem):
 
     def _assemble(self, z, order: int):
         return assemble_interaction(pairs(z), self._A, -self._A, self.domain,
-                                    order=order)
+                                    order=order, frame=self._frame)
 
     def guard_geometry(self, zs):
         """(positions to guard, pair mask or None, domain to clear) of
@@ -352,8 +367,9 @@ class RescaledSystem(FlowSystem):
         intra = ci[:, None] == ci[None, :]
         A = self.base._A
         ahat = np.repeat(a, self.base.cluster_sizes, axis=0)
-        frame = (np.where(intra, 1.0, r), ahat[:, None, :] - ahat[None, :, :],
-                 r, ahat)
+        zhat = complex_points(ahat)
+        frame = (np.where(intra, 1.0, r),
+                 kernel_offsets(A, np.subtract.outer(zhat, zhat)), r, zhat)
         ahat.flags.writeable = False
         for name, value in (("_offset", sk.hamiltonian(a.reshape(-1))),
                             ("_intra", intra), ("_A", A),

@@ -12,6 +12,7 @@ from vortexlab import (
     SymmetryClass,
     UnitDisc,
     WholePlane,
+    assemble_interaction,
     make_domain,
 )
 from vortexlab.domains import BOUNDARY_MARGIN
@@ -217,22 +218,20 @@ def test_many_variants_match_scalar_loops(disc, rng):
 @pytest.mark.parametrize("domain", [UnitDisc(), PerturbedDisc(3e-2),
                                     WholePlane()],
                          ids=["disc", "perturbed-disc", "plane"])
-def test_weighted_regular_gradient_is_the_contracted_table(domain, rng):
-    # sum_j W_ij d_x g(px[i], py[j]) without the (n, m, 2) table, with
-    # points at clearance 1e-6 on both sides; there both forms subtract
-    # terms of size 1/clearance^2 and lose about eps/clearance, 1e-10,
-    # so each row must agree to 1e-8 of its norm
+def test_assembled_regular_gradient_is_the_contracted_table(domain, rng):
+    # the assembly's regular-part gradient 2 sum_j W_ij d_x g(p_i, p_j),
+    # read from the complex coefficients without the (n, n, 2) table,
+    # with two points at clearance 1e-6, where terms of size
+    # 1/clearance^2 meet; each row must agree to 1e-8 of its norm
     th = rng.uniform(0.0, 2.0 * np.pi, size=2)
     wall = (1.0 - 1e-6) * np.column_stack([np.cos(th), np.sin(th)])
-    px = np.vstack([random_disc_points(rng, 5, min_sep=0.05), wall])
-    py = np.vstack([random_disc_points(rng, 3, min_sep=0.05), wall, px[:2]])
-    for a, b in ((px, px), (px, py)):
-        W = rng.normal(size=(len(a), len(b)))
-        want = np.einsum("ij,ija->ia", W, domain.grad_regular_many(a, b))
-        got = domain.grad_regular_many(a, b, weights=W)
-        assert got.shape == (len(a), 2)
-        err = np.linalg.norm(got - want, axis=1)
-        assert np.all(err <= 1e-8 * np.linalg.norm(want, axis=1))
+    p = np.vstack([random_disc_points(rng, 5, min_sep=0.05), wall])
+    W = rng.normal(size=(len(p), len(p)))
+    W = W + W.T
+    want = 2.0 * np.einsum("ij,ija->ia", W, domain.grad_regular_many(p, p))
+    _, got, _ = assemble_interaction(p, np.zeros_like(W), W, domain, order=1)
+    err = np.linalg.norm(got.reshape(-1, 2) - want, axis=1)
+    assert np.all(err <= 1e-8 * np.linalg.norm(want, axis=1))
 
 
 # ---------------------------------------------------------------------------
