@@ -18,7 +18,7 @@ from .dynamics import (IntegratorSettings, Trajectory,
                        check_rescaling_equivalence, flow_with_jacobian,
                        integrate)
 from .equilibria import (CertificationReport, RelativeEquilibrium, certify,
-                         from_catalog, make_collinear_hermite,
+                         from_catalog, from_positions, make_collinear_hermite,
                          make_equilateral, make_pair, make_thomson,
                          make_trivial, monodromy, normalize)
 from .errors import (BoundaryEventError, CoincidentPointError, CollisionError,
@@ -81,6 +81,7 @@ __all__ = [
     "find_critical_point",
     "flow_with_jacobian",
     "from_catalog",
+    "from_positions",
     "integrate",
     "m_gradient",
     "m_hamiltonian",

@@ -29,11 +29,11 @@ from . import __version__
 from .domains import make_domain
 from .dynamics import IntegratorSettings, integrate
 from .equilibria import (RelativeEquilibrium, certify, from_catalog,
-                         make_trivial, normalize)
+                         from_positions, make_trivial)
 from .errors import (BoundaryEventError, CollisionEventError,
                      ConvergenceError, VortexError)
 from .periodic import SuperpositionSpec, continue_in_r, scan_phases, shoot
-from .stationary import MAX_ITERATIONS, evaluate_point, find_critical_point
+from .stationary import evaluate_point, find_critical_point
 from .systems import VortexSystem
 
 EXIT_OK = 0
@@ -112,14 +112,14 @@ def _points(text: str) -> np.ndarray:
 
 
 _INTEGRATOR_KEYS = ("rtol", "atol", "collision_tol", "boundary_margin")
+#: the cluster keys catalog = custom reads; a named catalog reads params
+_CUSTOM_KEYS = ("strengths", "positions", "permutation")
 #: the keys each section accepts; [cluster.N] and [certify] read "cluster"
 _KEYS = {
-    "domain": ("kind", "epsilon"),
+    "domain": ("kind",),
     "task": ("kind", "output_dir", "seed"),
-    "anchors": ("strengths", "positions", "guess", "guess_jitter",
-                "max_iterations"),
-    "cluster": ("catalog", "params", "normalize_omega", "strengths",
-                "positions", "omega", "permutation"),
+    "anchors": ("strengths", "positions", "guess", "guess_jitter"),
+    "cluster": ("catalog", "params") + _CUSTOM_KEYS,
     "periodic": ("r", "phases") + _INTEGRATOR_KEYS,
     "simulate": ("t_end",) + _INTEGRATOR_KEYS,
     "vortices": ("strengths", "positions"),
@@ -151,10 +151,8 @@ class _Config:
         self._cp = parser
 
     def sections(self) -> dict:
+        """{section: {key: raw value}} of the whole file."""
         return {s: dict(self._cp.items(s)) for s in self._cp.sections()}
-
-    def has(self, section: str) -> bool:
-        return self._cp.has_section(section)
 
     def get(self, section: str, key: str, parse=str, default=None,
             required: bool = False):
@@ -189,10 +187,8 @@ def _dump_json(obj: dict, path: str):
 
 
 def _domain_from(cfg: _Config):
-    kind = cfg.get("domain", "kind", required=True)
-    eps = cfg.get("domain", "epsilon", float)
     try:
-        return make_domain(kind, **({} if eps is None else {"epsilon": eps}))
+        return make_domain(cfg.get("domain", "kind", required=True))
     except ValueError as exc:
         raise ConfigError(f"[domain] {exc}") from exc
 
@@ -208,21 +204,27 @@ def _settings_from(cfg: _Config, section: str) -> IntegratorSettings:
 
 def _cluster_from(cfg: _Config, section: str, anchor_strength: float
                   ) -> RelativeEquilibrium:
+    """The cluster of a [cluster.N] or [certify] section.  A key its
+    catalog does not read is a ConfigError (named catalogs read params,
+    custom _CUSTOM_KEYS); omega is derived by from_positions, not read."""
     catalog = cfg.get(section, "catalog", _choice(CATALOGS), required=True)
+    reads = {"trivial": (), "custom": _CUSTOM_KEYS}.get(catalog, ("params",))
+    for key in cfg.sections()[section]:
+        if key not in ("catalog",) + reads:
+            raise ConfigError(f"[{section}] {key} is not read by catalog "
+                              f"{catalog!r}")
     if catalog == "trivial":
         return make_trivial(anchor_strength)
-    if catalog == "custom":
-        strengths = cfg.get(section, "strengths", _list, required=True)
-        positions = cfg.get(section, "positions", _points, required=True)
-        omega = cfg.get(section, "omega", float, required=True)
-        perm = cfg.get(section, "permutation", _ints, range(len(strengths)))
-        return RelativeEquilibrium(tuple(strengths), positions, omega,
-                                   tuple(perm))
-    eq = _catalog(catalog, cfg.get(section, "params", _list, required=True))
-    target = cfg.get(section, "normalize_omega", float)
-    if target is not None:
-        eq = normalize(eq, target)
-    return eq
+    if catalog != "custom":
+        return _catalog(catalog,
+                        cfg.get(section, "params", _list, required=True))
+    strengths = cfg.get(section, "strengths", _list, required=True)
+    if len(strengths) == 1:
+        raise ConfigError(f"[{section}] a one-vortex custom cluster does "
+                          f"not rotate; use catalog = trivial")
+    positions = cfg.get(section, "positions", _points, required=True)
+    perm = cfg.get(section, "permutation", _ints, range(len(strengths)))
+    return from_positions(strengths, positions, perm)
 
 
 def _anchors_from(cfg: _Config, domain, rng, task: str):
@@ -234,10 +236,7 @@ def _anchors_from(cfg: _Config, domain, rng, task: str):
         if jitter:
             guess = guess + rng.normal(0.0, jitter, size=guess.shape)
         _log("info", task, "searching for a critical anchor configuration")
-        sp = find_critical_point(
-            strengths, domain, guess,
-            max_iterations=cfg.get("anchors", "max_iterations", int,
-                                   MAX_ITERATIONS))
+        sp = find_critical_point(strengths, domain, guess)
     else:
         if len(strengths) != positions.shape[0]:
             raise ConfigError("[anchors] strengths/positions length mismatch")
@@ -251,7 +250,7 @@ def _spec_from(cfg: _Config, domain, rng, task: str, scale: float,
     clusters = []
     for k, gam in enumerate(sp.strengths):
         section = f"cluster.{k + 1}"
-        if not cfg.has(section):
+        if section not in cfg.sections():
             raise ConfigError(f"missing [{section}] for anchor {k + 1}")
         clusters.append(_cluster_from(cfg, section, gam))
     nontrivial = sum(1 for c in clusters if not c.is_trivial)

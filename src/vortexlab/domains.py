@@ -256,19 +256,14 @@ class PerturbedDisc(UnitDisc):
         return gx + bump, gxx, gxy - 0.5 * eps, gxyb + 1.5 * eps
 
 
-def make_domain(kind: str, **kwargs) -> Domain:
-    """Factory keyed by the CLI's domain names; a keyword the kind does
-    not take (epsilon belongs to the perturbed disc) is a ValueError."""
+def make_domain(kind: str) -> Domain:
+    """Factory keyed by the CLI's domain names; the perturbed disc takes
+    its default bump amplitude (PerturbedDisc(epsilon) sets another)."""
     kind = kind.strip().lower()
     if kind in ("perturbed-disc", "perturbed-disk"):
-        return PerturbedDisc(**kwargs)
+        return PerturbedDisc()
     if kind in ("plane", "whole-plane", "wholeplane", "r2"):
-        domain = WholePlane
-    elif kind in ("disc", "disk", "unit-disc", "unit-disk"):
-        domain = UnitDisc
-    else:
-        raise ValueError(f"unknown domain kind: {kind!r}")
-    if kwargs:
-        raise ValueError(f"{', '.join(kwargs)} is not a parameter of "
-                         f"domain kind {kind!r}")
-    return domain()
+        return WholePlane()
+    if kind in ("disc", "disk", "unit-disc", "unit-disk"):
+        return UnitDisc()
+    raise ValueError(f"unknown domain kind: {kind!r}")

@@ -171,17 +171,14 @@ class RelativeEquilibrium:
             sys.gradient(z) - self.angular_velocity * sys.weights * z))
 
 
-def _projected_omega(sys: VortexSystem, z: np.ndarray) -> float:
-    """Least-squares omega for grad H(z) = omega * M z."""
-    g = sys.gradient(z)
-    mz = sys.weights * z
-    return float((g @ mz) / (mz @ mz))
-
-
-def _finish(strengths, positions, sigma) -> RelativeEquilibrium:
-    """Project omega, build, and defensively check the residual."""
+def from_positions(strengths, positions, sigma) -> RelativeEquilibrium:
+    """The relative equilibrium at positions, omega the least-squares
+    solution of grad H(z) = omega * M z; NotEquilibriumError if the
+    residual exceeds RESIDUAL_TOL.  Every catalog entry is built here."""
     eq = RelativeEquilibrium(tuple(strengths), positions, 0.0, tuple(sigma))
-    eq.angular_velocity = _projected_omega(eq.system, eq.flat())
+    sys, z = eq.system, eq.flat()
+    mz = sys.weights * z
+    eq.angular_velocity = float((sys.gradient(z) @ mz) / (mz @ mz))
     res = eq.residual()
     if not res <= RESIDUAL_TOL:
         raise NotEquilibriumError(
@@ -209,7 +206,7 @@ def make_pair(gamma1: float, gamma2: float) -> RelativeEquilibrium:
     d = np.sqrt(abs(total) / np.pi)
     positions = np.array([[d * gamma2 / total, 0.0],
                           [-d * gamma1 / total, 0.0]])
-    return _finish((gamma1, gamma2), positions, (0, 1))
+    return from_positions((gamma1, gamma2), positions, (0, 1))
 
 
 def make_equilateral(gamma1: float, gamma2: float,
@@ -224,7 +221,7 @@ def make_equilateral(gamma1: float, gamma2: float,
     verts = np.array([[0.0, 0.0], [s, 0.0], [0.5 * s, 0.5 * np.sqrt(3.0) * s]])
     gam = np.array([gamma1, gamma2, gamma3])
     center = (gam[:, None] * verts).sum(axis=0) / total
-    return _finish((gamma1, gamma2, gamma3), verts - center, (0, 1, 2))
+    return from_positions((gamma1, gamma2, gamma3), verts - center, (0, 1, 2))
 
 
 def make_thomson(n: int, gamma: float) -> RelativeEquilibrium:
@@ -249,7 +246,7 @@ def make_thomson(n: int, gamma: float) -> RelativeEquilibrium:
         sigma = tuple((j + 1) % n for j in range(n))
     else:
         sigma = tuple((j - 1) % n for j in range(n))
-    eq = _finish((gamma,) * n, positions, sigma)
+    eq = from_positions((gamma,) * n, positions, sigma)
     if abs(abs(eq.angular_velocity) * n - 1.0) > 1e-9:
         raise NotEquilibriumError("polygon normalization failed")
     return eq
@@ -277,7 +274,7 @@ def make_collinear_hermite(n: int, gamma: float) -> RelativeEquilibrium:
     lam = np.sqrt(abs(gamma) / np.pi)  # unscaled omega is -gamma/pi
     positions = np.zeros((n, 2))
     positions[:, 0] = lam * roots
-    return _finish((gamma,) * n, positions, tuple(range(n)))
+    return from_positions((gamma,) * n, positions, tuple(range(n)))
 
 
 def normalize(eq: RelativeEquilibrium, target_omega: float) -> RelativeEquilibrium:
@@ -369,11 +366,12 @@ def certify(eq: RelativeEquilibrium) -> CertificationReport:
         raise NotEquilibriumError(
             f"not a rigidly rotating configuration (residual {res:.2e})")
     order = eq.order
-    if abs(abs(eq.angular_velocity) * order - 1.0) > 1e-9:
+    scaling = abs(eq.angular_velocity) * order
+    if abs(scaling - 1.0) > 1e-9:
         raise ConstraintViolationError(
-            "certification expects the normalized scaling "
-            "|omega| * ord(sigma) = 1 (twisted period 2*pi); "
-            "normalize() the configuration first")
+            f"certification expects |omega| * ord(sigma) = 1 (twisted period "
+            f"2*pi), got {scaling:.6g}: normalize() the configuration, or "
+            f"scale the custom positions by {np.sqrt(scaling):.6g}")
 
     tau = TWO_PI * order
     A = rotating_frame_matrix(eq)

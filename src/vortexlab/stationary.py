@@ -153,20 +153,20 @@ def classify(sp: StationaryPoint, domain: Domain) -> Classification:
     return _classify_kernel(domain, sp.flat(), *_hessian_kernel(sp.hessian))
 
 
+#: the class of a kernel that the domain's symmetry generators span
+_SYMMETRY_CLASSES = {
+    SymmetryClass.ROTATIONAL: Classification.ROTATIONAL,
+    SymmetryClass.TRANSLATIONAL: Classification.TRANSLATIONAL,
+    SymmetryClass.PLANE_FULL: Classification.PLANE,
+}
+
+
 def _classify_kernel(domain, flat, dim, basis) -> Classification:
     if dim == 0:
         return Classification.NONDEGENERATE
     gens = kernel_generators(domain, flat)
-    sym = domain.symmetry
-    if (sym == SymmetryClass.ROTATIONAL and dim == 1
-            and _spanned_by(basis, gens)):
-        return Classification.ROTATIONAL
-    if (sym == SymmetryClass.TRANSLATIONAL and dim == 1
-            and _spanned_by(basis, gens)):
-        return Classification.TRANSLATIONAL
-    if (sym == SymmetryClass.PLANE_FULL and dim == 3
-            and _spanned_by(basis, gens)):
-        return Classification.PLANE
+    if dim == len(gens) and _spanned_by(basis, gens):
+        return _SYMMETRY_CLASSES[domain.symmetry]
     return Classification.UNCLASSIFIED
 
 
@@ -210,12 +210,11 @@ def disc_dipole() -> StationaryPoint:
                           [[DIPOLE_OFFSET, 0.0], [-DIPOLE_OFFSET, 0.0]])
 
 
-def find_critical_point(strengths, domain: Domain, guess, *,
-                        max_iterations: int = MAX_ITERATIONS
-                        ) -> StationaryPoint:
+def find_critical_point(strengths, domain: Domain, guess) -> StationaryPoint:
     """Local Newton search (linalg.newton) for a critical point of the
-    m-point energy, converged at gradient norm GRADIENT_TOL: the bound
-    classify and SuperpositionSpec require of an anchor configuration.
+    m-point energy, converged at gradient norm GRADIENT_TOL (the bound
+    classify and SuperpositionSpec require of an anchor configuration)
+    in at most MAX_ITERATIONS steps, read at call time.
 
     The Hessian is bordered by rows that keep the step orthogonal to the
     domain's symmetry generators at the current iterate (and to the
@@ -242,6 +241,6 @@ def find_critical_point(strengths, domain: Domain, guess, *,
 
     x, residuals = newton(gradient_and_bordered_hessian, x,
                           sys.validate_state, tol=GRADIENT_TOL,
-                          max_iterations=max_iterations)
+                          max_iterations=MAX_ITERATIONS)
     return _finish_point(strengths, domain, x, residuals[-1], hessians[-1],
                          residuals)

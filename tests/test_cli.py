@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vortexlab.cli import main
+from vortexlab import stationary
+from vortexlab.cli import _KEYS, main
 
 from conftest import MU
 
@@ -114,7 +115,6 @@ output_dir = {tmp_path / "out"}
 catalog = custom
 strengths = 1, 1
 positions = 0.3989422804014327 0; -0.3989422804014327 0
-omega = -1
 permutation = {permutation}
 """)
 
@@ -155,10 +155,30 @@ def file_as_output_dir_config(tmp_path):
                  id="undecodable-file"),
     pytest.param(file_as_output_dir_config, "[task] output_dir = ",
                  id="output-dir-is-a-file"),
-    pytest.param(lambda tmp: with_line(stationary_config(tmp)[0],
-                                       "kind = disc",
-                                       "kind = disc\nepsilon = 0.5"),
-                 "[domain] epsilon", id="epsilon-of-a-kind-without-one"),
+    pytest.param(lambda tmp: with_line(custom_certify_config(tmp, "0 1"),
+                                       "permutation = 0 1",
+                                       "permutation = 0 1\nparams = 9"),
+                 "[certify] params is not read by catalog 'custom'",
+                 id="params-of-a-custom-cluster"),
+    pytest.param(lambda tmp: figure1_config(
+        tmp, "r = 0.1", cluster1="trivial\nparams = -2")[0],
+        "[cluster.1] params is not read by catalog 'trivial'",
+        id="params-of-a-trivial-cluster"),
+    pytest.param(lambda tmp: figure1_config(
+        tmp, "r = 0.1", cluster1="pair\nparams = -1, -1\nstrengths = -1, -1")[0],
+        "[cluster.1] strengths is not read by catalog 'pair'",
+        id="strengths-of-a-named-cluster"),
+    pytest.param(lambda tmp: figure1_config(
+        tmp, "r = 0.1", cluster1="thomson\nparams = 2, -1\npermutation = 1 0")[0],
+        "[cluster.1] permutation is not read by catalog 'thomson'",
+        id="permutation-of-a-named-cluster"),
+    pytest.param(lambda tmp: figure1_config(
+        tmp, "r = 0.1", cluster1="trivial\npositions = 0 0")[0],
+        "[cluster.1] positions is not read by catalog 'trivial'",
+        id="positions-of-a-trivial-cluster"),
+    pytest.param(lambda tmp: figure1_config(
+        tmp, "r = 0.1", cluster1="custom\nstrengths = -2\npositions = 0 0")[0],
+        "use catalog = trivial", id="one-vortex-custom-cluster"),
 ])
 def test_bad_input_exits_with_one_config_error_line(
         tmp_path, capsys, make_config, message):
@@ -179,6 +199,10 @@ def test_bad_input_exits_with_one_config_error_line(
     ("periodic", "energy_projection = true"),
     ("periodic", "grid = 8"),
     ("periodic", "max_step = 0.1"),
+    ("anchors", "max_iterations = 100"),
+    ("cluster.2", "normalize_omega = 1"),
+    ("cluster.2", "omega = 1"),
+    ("domain", "epsilon = 0.01"),
 ])
 def test_unknown_key_is_a_config_error(tmp_path, capsys, section, line):
     path, _ = figure1_config(tmp_path, "r = 0.1")
@@ -207,6 +231,52 @@ def test_integer_permutation_reaches_the_equilibrium_checks(tmp_path, capsys):
     assert main(["run", custom_certify_config(tmp_path, "1, 0")]) == 3
     assert_one_error_line(capsys.readouterr().err)
     assert main(["run", custom_certify_config(tmp_path, "0 1")]) == 0
+
+
+def test_custom_cluster_certifies_as_its_catalog_twin(tmp_path, capsys):
+    # the custom pair is make_pair(1, 1): its angular velocity is
+    # projected from the positions, as the catalog's is
+    assert main(["run", custom_certify_config(tmp_path, "0 1")]) == 0
+    doc = json.loads((tmp_path / "out" / "certification.json").read_text())
+    capsys.readouterr()
+    assert main(["certify", "pair", "1", "1"]) == 0
+    twin = json.loads(capsys.readouterr().out)
+    del twin["catalog"], twin["params"]
+    assert {key: doc[key] for key in twin} == twin
+    assert doc["angular_velocity"] == -1.0
+
+
+@pytest.mark.parametrize("positions, message", [
+    pytest.param("0.7978845608028654 0; -0.7978845608028654 0",
+                 "|omega| * ord(sigma) = 1 (twisted period 2*pi), got 0.25: "
+                 "normalize() the configuration, or scale the custom "
+                 "positions by 0.5", id="twice-the-size"),
+    pytest.param("0.3 0; -0.5 0", "misses the rigid-rotation condition",
+                 id="off-center"),
+])
+def test_custom_cluster_off_the_normalized_equilibrium_uses_the_precondition_code(
+        tmp_path, capsys, positions, message):
+    path = with_line(custom_certify_config(tmp_path, "0 1"),
+                     "0.3989422804014327 0; -0.3989422804014327 0", positions)
+    assert main(["run", path]) == 3
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert message in err
+
+
+def test_config_reference_names_exactly_the_accepted_keys():
+    # every accepted key is named in its section of docs/config.md, and
+    # no key-table row there names a key the runner refuses
+    text = (ROOT / "docs" / "config.md").read_text()
+    sections = dict(re.findall(r"^## \[(\w+)[^\]]*\]\n(.*?)(?=^## |\Z)",
+                               text, re.M | re.S))
+    for kind, keys in _KEYS.items():
+        body = sections[kind]
+        assert set(keys) <= set(re.findall(r"`(\w+)`", body)), kind
+        rows = [ln.split("|")[1] for ln in body.splitlines()
+                if ln.startswith("| `")]
+        tabled = {key for row in rows for key in re.findall(r"`(\w+)`", row)}
+        assert tabled <= set(keys), kind
 
 
 def test_diagnostics_are_single_structured_lines(tmp_path, capsys):
@@ -238,18 +308,12 @@ def test_stationary_task_locates_the_disc_dipole(tmp_path):
     assert data["config"]["seed"] == 0
 
 
-def test_unconverged_anchor_search_uses_the_convergence_code(tmp_path, capsys):
-    path, _ = stationary_config(tmp_path, "max_iterations = 1")
+def test_unconverged_anchor_search_uses_the_convergence_code(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(stationary, "MAX_ITERATIONS", 1)
+    path, _ = stationary_config(tmp_path)
     assert main(["run", path]) == 4
     assert "no convergence" in capsys.readouterr().err
-
-
-def test_negative_anchor_budget_uses_the_precondition_code(tmp_path, capsys):
-    path, _ = stationary_config(tmp_path, "max_iterations = -1")
-    assert main(["run", path]) == 3
-    err = capsys.readouterr().err
-    assert "max_iterations must be >= 0" in err
-    assert "Traceback" not in err
 
 
 def test_identical_runs_write_identical_bytes(tmp_path):
@@ -375,12 +439,8 @@ def simulate_with(old, new):
                  id="vortices-strengths-inf"),
     pytest.param(lambda tmp: figure1_config(
         tmp, "r = 0.1", cluster1="custom\nstrengths = -1, -1\npositions = "
-        "0.3989422804014327 0; -0.3989422804014327 0\nomega = nan")[0],
-        id="custom-cluster-omega-nan"),
-    pytest.param(lambda tmp: with_line(stationary_config(tmp)[0],
-                                       "kind = disc",
-                                       "kind = perturbed-disc\nepsilon = nan"),
-                 id="domain-epsilon-nan"),
+        "nan 0; -0.3989422804014327 0")[0],
+        id="custom-cluster-positions-nan"),
     pytest.param(lambda tmp: with_line(stationary_config(tmp)[0],
                                        "strengths = 1, -1",
                                        "strengths = nan, -1"),

@@ -278,9 +278,9 @@ def test_domain_factory():
     assert isinstance(make_domain("plane"), WholePlane)
     assert isinstance(make_domain("disc"), UnitDisc)
     assert isinstance(make_domain("disk"), UnitDisc)
-    pd = make_domain("perturbed-disc", epsilon=3e-2)
+    pd = make_domain("perturbed-disc")
     assert isinstance(pd, PerturbedDisc)
-    assert pd.epsilon == pytest.approx(3e-2)
+    assert pd.epsilon == 1e-2
     with pytest.raises(ValueError):
         make_domain("annulus")
 

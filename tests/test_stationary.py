@@ -11,7 +11,7 @@ from vortexlab import (Classification, CollisionError,
                        UnitDisc, WholePlane, aligned_distance, classify,
                        disc_dipole, evaluate_point, find_critical_point,
                        m_gradient, m_hamiltonian, m_hessian, rotate_all)
-from vortexlab import systems
+from vortexlab import stationary, systems
 from vortexlab.domains import SymmetryClass
 from vortexlab.stationary import (DIPOLE_OFFSET, _classify_kernel,
                                   kernel_generators)
@@ -163,10 +163,11 @@ def test_same_sign_pair_terminates_with_a_definite_outcome(disc):
         assert sp.gradient_norm <= 1e-10
 
 
-def test_exhausted_iteration_budget_reports_the_last_iterate(disc):
+def test_exhausted_iteration_budget_reports_the_last_iterate(disc,
+                                                            monkeypatch):
+    monkeypatch.setattr(stationary, "MAX_ITERATIONS", 2)
     with pytest.raises(ConvergenceError) as info:
-        find_critical_point((1.0, -1.0), disc, [[0.45, 0.05], [-0.5, -0.03]],
-                            max_iterations=2)
+        find_critical_point((1.0, -1.0), disc, [[0.45, 0.05], [-0.5, -0.03]])
     err = info.value
     assert err.iterations == 2
     assert 1e-10 < err.residual < 1e-2
