@@ -174,10 +174,16 @@ class RelativeEquilibrium:
 def from_positions(strengths, positions, sigma) -> RelativeEquilibrium:
     """The relative equilibrium at positions, omega the least-squares
     solution of grad H(z) = omega * M z; NotEquilibriumError if the
-    residual exceeds RESIDUAL_TOL.  Every catalog entry is built here."""
+    residual exceeds RESIDUAL_TOL.  Every catalog entry is built here.
+    A configuration with M z = 0 (one vortex at the origin) has no
+    rotation to project and is refused; make_trivial builds it."""
     eq = RelativeEquilibrium(tuple(strengths), positions, 0.0, tuple(sigma))
     sys, z = eq.system, eq.flat()
     mz = sys.weights * z
+    if mz @ mz == 0.0:
+        raise ConstraintViolationError(
+            "positions with M z = 0 fix no angular velocity; a single "
+            "vortex at its anchor is make_trivial(gamma)")
     eq.angular_velocity = float((sys.gradient(z) @ mz) / (mz @ mz))
     res = eq.residual()
     if not res <= RESIDUAL_TOL:

@@ -43,6 +43,17 @@ Jacobians come from the variational flow.  Once Newton is superlinear,
 its residuals come from the orbit's closing integration and its steps
 reuse the last Jacobian, so the accepted iterate's integration is the
 orbit's trajectory and no flow is repeated.
+
+Newton is inexact (Dembo, Eisenstat and Steihaug, Inexact Newton
+methods, SIAM J. Numer. Anal. 19, 1982): a step needs F and J only to
+a fraction of |F|, so each variational flow runs at rtol =
+max(settings.rtol, min(FLOW_TOL_CAP, FORCING * rho^2)), and atol
+likewise never below settings.atol, rho the residual norm Newton
+evaluated last (infinite before the first): the tolerance tightens to
+the settings' own as Newton converges.  Only a closing integration,
+always at the settings' tolerance, certifies convergence: a flow whose
+residual reads <= SHOOT_TOL hands Newton the closing integration's
+residual instead.
 """
 
 from __future__ import annotations
@@ -66,6 +77,9 @@ from .stationary import GRADIENT_TOL, StationaryPoint, kernel_generators
 from .systems import RescaledSystem, VortexSystem
 
 SHOOT_TOL = 1e-10
+#: inexact-Newton tolerance of shoot's variational flows (see shoot)
+FLOW_TOL_CAP = 1e-9
+FORCING = 1e-3
 MAX_SHOOT_ITERATIONS = 50
 CLOSURE_TOL = 1e-9
 SYMMETRY_DEFECT_TOL = 1e-8
@@ -370,10 +384,15 @@ def shoot(spec: SuperpositionSpec, u0_guess=None,
     thresholds.
 
     Newton's residual-only evaluations integrate over the full period
-    tau and read phi_{2pi} there: the final state when tau = 2pi, the
-    dense output otherwise.  That integration of the accepted iterate is
-    the orbit's trajectory; one accepted on a variational flow is
-    integrated afterwards.
+    tau at the settings' tolerance and read phi_{2pi} there: the final
+    state when tau = 2pi, the dense output otherwise.  Only such an
+    integration certifies convergence, and the accepted iterate's is the
+    orbit's trajectory and its residual.  The variational flows, which
+    give Newton its Jacobians, run at the inexact-Newton tolerance
+    max(settings.rtol, min(FLOW_TOL_CAP, FORCING * rho^2)), rho the
+    last residual norm (Dembo, Eisenstat and Steihaug, 1982), and atol
+    likewise never below settings.atol; a flow whose residual reads
+    <= SHOOT_TOL returns the closing integration's residual instead.
     """
     if spec.scale <= 0.0:
         raise ConstraintViolationError("shooting requires scale > 0")
@@ -386,29 +405,35 @@ def shoot(spec: SuperpositionSpec, u0_guess=None,
         rs.validate_state(u, None, settings.collision_tol,
                           settings.boundary_margin)
 
-    def twisted_residual(u):
-        uT, W = flow_with_jacobian(rs, u, TWO_PI, settings)
-        return S @ uT - u, np.vstack(
-            [S @ W - np.eye(u.size), rs.vector_field(u),
-             *kernel_generators(spec.domain, rs.to_physical(u))])
-
-    closing = []  # (u, trajectory) of the last residual-only evaluation
+    last = [np.inf]  # norm of the residual Newton evaluated last
+    closing = [None]  # trajectory of the last closing integration
 
     def closing_residual(u):
         traj = integrate(rs, u, (0.0, spec.tau), settings)
-        closing[:] = [u, traj]
+        closing[0] = traj
         uT = traj.final_state if spec.order == 1 else traj.sample(TWO_PI)
-        return S @ uT - u
+        F = S @ uT - u
+        last[0] = float(np.linalg.norm(F))
+        return F
+
+    def twisted_residual(u):
+        eps = min(FLOW_TOL_CAP, FORCING * last[0]**2)
+        uT, W = flow_with_jacobian(rs, u, TWO_PI, dataclasses.replace(
+            settings, rtol=max(settings.rtol, eps),
+            atol=max(settings.atol, eps)))
+        F = S @ uT - u
+        last[0] = float(np.linalg.norm(F))
+        if last[0] <= SHOOT_TOL:
+            F = closing_residual(u)
+        return F, np.vstack(
+            [S @ W - np.eye(u.size), rs.vector_field(u),
+             *kernel_generators(spec.domain, rs.to_physical(u))])
 
     u0, residuals = newton(twisted_residual, u0, admissible,
                            tol=SHOOT_TOL, max_iterations=MAX_SHOOT_ITERATIONS,
                            residual=closing_residual)
     iterations = len(residuals) - 1
-
-    if closing and closing[0] is u0:
-        traj = closing[1]
-    else:
-        traj = integrate(rs, u0, (0.0, spec.tau), settings)
+    traj = closing[0]
     closure = float(np.linalg.norm(traj.final_state - u0))
     if closure > CLOSURE_TOL:
         raise ConvergenceError(

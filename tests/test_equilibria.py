@@ -1,6 +1,7 @@
 """Rotating-cluster catalog and its nondegeneracy certification."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from vortexlab import (
     certify,
     flow_with_jacobian,
     from_catalog,
+    from_positions,
     make_collinear_hermite,
     make_equilateral,
     make_pair,
@@ -179,6 +181,14 @@ def test_trivial_cluster():
     assert eq.angular_velocity == 0.0
     assert eq.period == np.inf
     assert np.allclose(eq.positions, 0.0)
+
+
+def test_one_vortex_at_the_origin_is_refused_before_the_projection():
+    # M z = 0 leaves omega 0/0; the refusal names the trivial cluster
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConstraintViolationError, match="make_trivial"):
+            from_positions((1.0,), [[0.0, 0.0]], (0,))
 
 
 def test_constructor_guards():

@@ -17,7 +17,7 @@ from vortexlab import (CollisionError, ConstraintViolationError,
                        flow_with_jacobian, integrate, make_equilateral,
                        make_pair, make_trivial, permutation_matrix, perp,
                        rotate_all, scan_phases, shoot, winding_number)
-from vortexlab import periodic
+from vortexlab import dynamics, periodic
 from vortexlab.periodic import (IDENTIFICATION_TOL, _orbit_distance,
                                 _scale_is_admissible)
 
@@ -205,7 +205,7 @@ def test_closing_check_failures_report_the_newton_iterations(monkeypatch,
 def test_reference_shoot_reuses_the_last_jacobian_and_trajectory(
         monkeypatch):
     # residuals 4.3e-2, 6.6e-5, then superlinear: the last two iterates
-    # (2.0e-10, 1.3e-14) are evaluated by the plain closing integration
+    # (2.5e-9, 2.3e-14) are evaluated by the plain closing integration
     # and step on the second flow's Jacobian, and the accepted iterate's
     # integration is the orbit's trajectory, so none follows Newton
     calls = []
@@ -227,6 +227,78 @@ def test_reference_shoot_reuses_the_last_jacobian_and_trajectory(
     assert [name for name, _ in calls] == ["flow_with_jacobian"] * 2 \
         + ["integrate"] * 2
     assert orbit.trajectory is calls[-1][1]
+    assert orbit.residual <= periodic.SHOOT_TOL
+
+
+def _traced_shoot(monkeypatch, spec, settings=None, guess=None):
+    """shoot(spec, guess, settings) with each flow and closing
+    integration recorded as (name, settings, accepted steps, result)."""
+    calls, steps = [], [0]
+    raw_step = dynamics._step_and_screen
+
+    def counted_step(*args, **kwargs):
+        steps[0] += 1
+        return raw_step(*args, **kwargs)
+
+    def traced(name, raw):
+        def call(*args):
+            steps[0] = 0
+            out = raw(*args)
+            calls.append((name, args[3], steps[0], out))
+            return out
+        return call
+
+    monkeypatch.setattr(dynamics, "_step_and_screen", counted_step)
+    monkeypatch.setattr(periodic, "flow_with_jacobian",
+                        traced("flow", periodic.flow_with_jacobian))
+    monkeypatch.setattr(periodic, "integrate",
+                        traced("integrate", periodic.integrate))
+    return shoot(spec, guess, settings), calls
+
+
+@pytest.mark.parametrize("start", ["torus", "converged"])
+def test_only_the_closing_integration_certifies_convergence(
+        monkeypatch, thomson3_orbit, start):
+    # Thomson-3 from the torus point: the second flow reads 3.8e-10,
+    # above SHOOT_TOL, and its Jacobian makes the step; the closing
+    # integration of the next iterate converges.  From the converged
+    # orbit: the flows' own fixed point is 3.8e-10 away, and the third
+    # flow, reading below SHOOT_TOL, hands over to the integration.
+    # Either way the orbit's residual is read from its trajectory
+    guess, names = {
+        "torus": (None, ["flow", "flow", "integrate"]),
+        "converged": (thomson3_orbit[0].u0, ["flow"] * 3 + ["integrate"]),
+    }[start]
+    orbit, calls = _traced_shoot(monkeypatch, build_thomson3_spec(0.1),
+                                 guess=guess)
+    assert [name for name, *_ in calls] == names
+    assert orbit.trajectory is calls[-1][3]
+    S = permutation_matrix(orbit.spec.sigma)
+    assert orbit.residual == np.linalg.norm(
+        S @ orbit.trajectory.sample(TWO_PI) - orbit.u0)
+    assert orbit.residual <= periodic.SHOOT_TOL
+
+
+def test_flows_run_at_a_residual_scaled_tolerance(monkeypatch):
+    # both figure-1 flows see rho >= 6.6e-5, so FORCING * rho^2 is
+    # capped at 1e-9; the closing integrations keep the default 1e-13.
+    # At 1e-13 throughout the flows take 58 + 59 accepted steps
+    orbit, calls = _traced_shoot(monkeypatch, build_figure1_spec(0.1))
+    flows = [(s, n) for name, s, n, _ in calls if name == "flow"]
+    assert [(s.rtol, s.atol) for s, _ in flows] == [(1e-9, 1e-9)] * 2
+    assert all(s.rtol == s.atol == 1e-13
+               for name, s, *_ in calls if name == "integrate")
+    assert sum(n for _, n in flows) <= 45
+    assert orbit.iterations == 3
+    assert orbit.residual <= periodic.SHOOT_TOL
+
+
+def test_flow_tolerance_never_falls_below_the_settings(monkeypatch):
+    orbit, calls = _traced_shoot(monkeypatch, build_figure1_spec(0.1),
+                                 IntegratorSettings(rtol=1e-11, atol=1e-11))
+    tols = [tol for name, s, *_ in calls if name == "flow"
+            for tol in (s.rtol, s.atol)]
+    assert tols and all(1e-11 <= tol <= 1e-9 for tol in tols)
     assert orbit.residual <= periodic.SHOOT_TOL
 
 
