@@ -111,7 +111,7 @@ def _points(text: str) -> np.ndarray:
     return np.array(points)
 
 
-_INTEGRATOR_KEYS = ("rtol", "atol", "collision_tol", "boundary_margin")
+_INTEGRATOR_KEYS = ("collision_tol", "boundary_margin")
 #: the cluster keys catalog = custom reads; a named catalog reads params
 _CUSTOM_KEYS = ("strengths", "positions", "permutation")
 #: the keys each section accepts; [cluster.N] and [certify] read "cluster"

@@ -60,6 +60,15 @@ GUARD_SAMPLES = 8
 
 @dataclass
 class IntegratorSettings:
+    """Tolerances and guard thresholds of one integration.
+
+    The default rtol = atol = 1e-13 is the tolerance the acceptance
+    criteria are built on, and the one the CLI always uses:
+    periodic.shoot certifies orbits only at it or a tighter one and
+    refuses looser settings.  integrate and flow_with_jacobian take any
+    finite positive tolerance.
+    """
+
     rtol: float = 1e-13
     atol: float = 1e-13
     collision_tol: float = COLLISION_TOL

@@ -52,8 +52,17 @@ likewise never below settings.atol, rho the residual norm Newton
 evaluated last (infinite before the first): the tolerance tightens to
 the settings' own as Newton converges.  Only a closing integration,
 always at the settings' tolerance, certifies convergence: a flow whose
-residual reads <= SHOOT_TOL hands Newton the closing integration's
-residual instead.
+residual reads <= max(SHOOT_TOL, HANDOVER * its own rtol), which is as
+far as its own accuracy can tell, hands Newton the closing
+integration's residual instead.
+
+A residual <= SHOOT_TOL means an orbit only at the tolerance the
+acceptance criteria are built on, IntegratorSettings()'s rtol = atol =
+1e-13: at 1e-10 a closing integration reads 2.9e-11 where one at 1e-13
+reads 1.3e-9 from the same u0.  So shoot, continue_in_r and
+scan_phases refuse settings looser than the default with a
+ConstraintViolationError before they integrate; tighter ones are used
+as given.
 """
 
 from __future__ import annotations
@@ -80,6 +89,8 @@ SHOOT_TOL = 1e-10
 #: inexact-Newton tolerance of shoot's variational flows (see shoot)
 FLOW_TOL_CAP = 1e-9
 FORCING = 1e-3
+#: a flow reading <= HANDOVER times its own rtol has met its own accuracy
+HANDOVER = 10
 MAX_SHOOT_ITERATIONS = 50
 CLOSURE_TOL = 1e-9
 SYMMETRY_DEFECT_TOL = 1e-8
@@ -202,9 +213,9 @@ class SuperpositionSpec:
     def system(self) -> VortexSystem:
         return VortexSystem(self.strengths, self.cluster_sizes, self.domain)
 
-    def rescaled(self, scale: Optional[float] = None) -> RescaledSystem:
-        r = self.scale if scale is None else float(scale)
-        return RescaledSystem(self.system(), self.stationary.positions, r)
+    def rescaled(self) -> RescaledSystem:
+        return RescaledSystem(self.system(), self.stationary.positions,
+                              self.scale)
 
     def full_phases(self) -> np.ndarray:
         """Phase per cluster, zeros on trivial ones."""
@@ -264,7 +275,8 @@ class SuperpositionSpec:
 
 def _scale_is_admissible(spec: SuperpositionSpec, u0, r: float) -> bool:
     try:
-        spec.rescaled(r).validate_state(u0)
+        RescaledSystem(spec.system(), spec.stationary.positions,
+                       r).validate_state(u0)
         return True
     except VortexError:
         return False
@@ -306,9 +318,6 @@ def build_initial_guess(spec: SuperpositionSpec) -> np.ndarray:
 class PeriodicOrbit:
     spec: SuperpositionSpec = field(repr=False)
     u0: np.ndarray
-    scale: float
-    rescaled_period: float
-    period: float
     residual: float
     closure: float
     symmetry_defect: float
@@ -318,8 +327,20 @@ class PeriodicOrbit:
     trajectory: Trajectory = field(repr=False)
     residuals: tuple  # twisted residual of each Newton iterate
 
+    @property
+    def scale(self) -> float:
+        return self.spec.scale
+
+    @property
+    def rescaled_period(self) -> float:
+        return self.spec.tau
+
+    @property
+    def period(self) -> float:
+        return self.spec.period
+
     def physical_initial_state(self) -> np.ndarray:
-        return self.spec.rescaled(self.scale).to_physical(self.u0)
+        return self.spec.rescaled().to_physical(self.u0)
 
     def physical_arrays(self):
         """(times, states, energies) of the orbit in physical variables.
@@ -330,7 +351,7 @@ class PeriodicOrbit:
         """
         times = self.scale**2 * self.trajectory.times
         states = (self.scale * self.trajectory.states
-                  + self.spec.rescaled(self.scale).anchor_hat)
+                  + self.spec.rescaled().anchor_hat)
         energies = self.trajectory.energies
         shift = self.spec.system().hamiltonian(states[0]) - energies[0]
         return times, states, energies + shift
@@ -369,6 +390,20 @@ def _symmetry_defect(spec: SuperpositionSpec, traj: Trajectory) -> float:
     return float(np.max(np.linalg.norm(defects, axis=1)))
 
 
+def _certifying(settings: Optional[IntegratorSettings]
+                ) -> IntegratorSettings:
+    """settings, or IntegratorSettings() when None; refused when its rtol
+    or atol is looser than the default's, at which alone a residual
+    <= SHOOT_TOL certifies an orbit."""
+    default = IntegratorSettings()
+    settings = settings or default
+    if settings.rtol > default.rtol or settings.atol > default.atol:
+        raise ConstraintViolationError(
+            f"shoot certifies orbits at rtol, atol <= {default.rtol:g}, "
+            f"{default.atol:g}; got {settings.rtol:g}, {settings.atol:g}")
+    return settings
+
+
 def shoot(spec: SuperpositionSpec, u0_guess=None,
           settings: Optional[IntegratorSettings] = None) -> PeriodicOrbit:
     """Newton-polish a guess into a periodic orbit of the rescaled flow.
@@ -392,11 +427,16 @@ def shoot(spec: SuperpositionSpec, u0_guess=None,
     max(settings.rtol, min(FLOW_TOL_CAP, FORCING * rho^2)), rho the
     last residual norm (Dembo, Eisenstat and Steihaug, 1982), and atol
     likewise never below settings.atol; a flow whose residual reads
-    <= SHOOT_TOL returns the closing integration's residual instead.
+    <= max(SHOOT_TOL, HANDOVER * its rtol) returns the closing
+    integration's residual instead.
+
+    Settings whose rtol or atol is looser than IntegratorSettings()'s
+    raise ConstraintViolationError before any integration: the
+    certificate holds only at the default tolerance or a tighter one.
     """
     if spec.scale <= 0.0:
         raise ConstraintViolationError("shooting requires scale > 0")
-    settings = settings or IntegratorSettings()
+    settings = _certifying(settings)
     rs = spec.rescaled()
     u0 = build_initial_guess(spec) if u0_guess is None else as_state(u0_guess).copy()
     S = permutation_matrix(spec.sigma)
@@ -418,12 +458,12 @@ def shoot(spec: SuperpositionSpec, u0_guess=None,
 
     def twisted_residual(u):
         eps = min(FLOW_TOL_CAP, FORCING * last[0]**2)
-        uT, W = flow_with_jacobian(rs, u, TWO_PI, dataclasses.replace(
-            settings, rtol=max(settings.rtol, eps),
-            atol=max(settings.atol, eps)))
+        flow = dataclasses.replace(settings, rtol=max(settings.rtol, eps),
+                                   atol=max(settings.atol, eps))
+        uT, W = flow_with_jacobian(rs, u, TWO_PI, flow)
         F = S @ uT - u
         last[0] = float(np.linalg.norm(F))
-        if last[0] <= SHOOT_TOL:
+        if last[0] <= max(SHOOT_TOL, HANDOVER * flow.rtol):
             F = closing_residual(u)
         return F, np.vstack(
             [S @ W - np.eye(u.size), rs.vector_field(u),
@@ -450,9 +490,6 @@ def shoot(spec: SuperpositionSpec, u0_guess=None,
     return PeriodicOrbit(
         spec=spec,
         u0=u0,
-        scale=spec.scale,
-        rescaled_period=spec.tau,
-        period=spec.period,
         residual=residuals[-1],
         closure=closure,
         symmetry_defect=defect,
@@ -511,7 +548,8 @@ def distance_to_M(spec: SuperpositionSpec, u) -> float:
 def continue_in_r(spec: SuperpositionSpec, r_list,
                   settings: Optional[IntegratorSettings] = None) -> list:
     """Shoot along a descending list of scales, warm-starting each orbit
-    from the previous one.  Returns the orbits in r_list order."""
+    from the previous one.  Returns the orbits in r_list order.  Settings
+    looser than the default are refused as shoot refuses them."""
     rs = [float(r) for r in r_list]
     if not rs:
         raise ConstraintViolationError("r_list is empty")
@@ -543,7 +581,7 @@ def _orbit_distance(a: PeriodicOrbit, b: PeriodicOrbit) -> float:
     shift and relabelling are the best of a grid; the shift is refined
     on the offset from it."""
     tau = a.rescaled_period
-    c = a.spec.rescaled(a.scale).anchor_hat / a.scale
+    c = a.spec.rescaled().anchor_hat / a.scale
     relabelled = np.array([permutation_matrix(pi) @ b.u0
                            for pi in a.spec.relabellings])
 
@@ -592,6 +630,8 @@ def scan_phases(spec: SuperpositionSpec,
     the one start is the spec's own phases.  The starts are shot one
     after another; a shot that fails with a VortexError is recorded in
     the result, not raised, and any other exception propagates.
+    Settings looser than the default, which shoot refuses, raise that
+    ConstraintViolationError before the first shot.
     """
     if spec.l <= 1:
         phase_vectors = [spec.phases]
@@ -603,6 +643,7 @@ def scan_phases(spec: SuperpositionSpec,
         phase_vectors = [tuple(float(t) for t in free) + (0.0,)
                          for free in product(*axes)]
 
+    _certifying(settings)
     classes = []
     failures = []
     for pv in phase_vectors:

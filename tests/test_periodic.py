@@ -259,15 +259,16 @@ def _traced_shoot(monkeypatch, spec, settings=None, guess=None):
 @pytest.mark.parametrize("start", ["torus", "converged"])
 def test_only_the_closing_integration_certifies_convergence(
         monkeypatch, thomson3_orbit, start):
-    # Thomson-3 from the torus point: the second flow reads 3.8e-10,
-    # above SHOOT_TOL, and its Jacobian makes the step; the closing
-    # integration of the next iterate converges.  From the converged
-    # orbit: the flows' own fixed point is 3.8e-10 away, and the third
-    # flow, reading below SHOOT_TOL, hands over to the integration.
-    # Either way the orbit's residual is read from its trajectory
+    # Thomson-3 from the torus point: the second flow, at 1e-13, reads
+    # 3.8e-10, above SHOOT_TOL, and its Jacobian makes the step; the
+    # closing integration of the next iterate converges.  From the
+    # converged orbit: the first flow, at 1e-9, reads its own error
+    # (3.8e-10), within HANDOVER times its rtol, so it hands over to the
+    # integration, which certifies the start with no step.  Either way
+    # the orbit's residual is read from its trajectory
     guess, names = {
         "torus": (None, ["flow", "flow", "integrate"]),
-        "converged": (thomson3_orbit[0].u0, ["flow"] * 3 + ["integrate"]),
+        "converged": (thomson3_orbit[0].u0, ["flow", "integrate"]),
     }[start]
     orbit, calls = _traced_shoot(monkeypatch, build_thomson3_spec(0.1),
                                  guess=guess)
@@ -294,12 +295,35 @@ def test_flows_run_at_a_residual_scaled_tolerance(monkeypatch):
 
 
 def test_flow_tolerance_never_falls_below_the_settings(monkeypatch):
-    orbit, calls = _traced_shoot(monkeypatch, build_figure1_spec(0.1),
-                                 IntegratorSettings(rtol=1e-11, atol=1e-11))
-    tols = [tol for name, s, *_ in calls if name == "flow"
-            for tol in (s.rtol, s.atol)]
-    assert tols and all(1e-11 <= tol <= 1e-9 for tol in tols)
+    # Thomson-3 from the torus point: the second flow's FORCING * rho^2
+    # lies below the tighter setting, so that flow runs at the floor
+    tight = IntegratorSettings(rtol=5e-14, atol=5e-14)
+    orbit, calls = _traced_shoot(monkeypatch, build_thomson3_spec(0.1),
+                                 tight)
+    flows = [(s.rtol, s.atol) for name, s, *_ in calls if name == "flow"]
+    assert flows == [(1e-9, 1e-9), (5e-14, 5e-14)]
+    assert all(s == tight for name, s, *_ in calls if name == "integrate")
     assert orbit.residual <= periodic.SHOOT_TOL
+
+
+@pytest.mark.parametrize("loose", [dict(rtol=1e-10, atol=1e-10),
+                                   dict(rtol=1e-12), dict(atol=1e-12)])
+def test_shoot_refuses_a_looser_tolerance(monkeypatch, loose):
+    # a residual <= SHOOT_TOL certifies an orbit only at the default
+    # tolerance: at 1e-10 figure 1 closes to 2.9e-11, but its u0 closes
+    # to 1.3e-9 at 1e-13.  Nothing is integrated before the refusal
+    def forbidden(*args, **kwargs):
+        raise AssertionError("integrated before refusing the settings")
+
+    monkeypatch.setattr(periodic, "flow_with_jacobian", forbidden)
+    monkeypatch.setattr(periodic, "integrate", forbidden)
+    settings = IntegratorSettings(**loose)
+    spec = build_figure1_spec(0.1)
+    for call in (lambda: shoot(spec, None, settings),
+                 lambda: continue_in_r(spec, [0.1, 0.05], settings),
+                 lambda: scan_phases(spec, settings)):
+        with pytest.raises(ConstraintViolationError, match="certifies"):
+            call()
 
 
 def test_shooting_jacobian_nulls_are_the_time_shift_and_the_rotation(
@@ -419,7 +443,7 @@ def test_orbit_exports_rescaled_and_physical_trajectories(figure1_orbit):
     last = np.array([float(c) for c in p_lines[-1].split(",")])
     assert last[0] == pytest.approx(orbit.period)
     # the batch map gives the floats of the row-by-row map
-    rs = orbit.spec.rescaled(orbit.scale)
+    rs = orbit.spec.rescaled()
     _, states, _ = orbit.physical_arrays()
     assert np.array_equal(states, [rs.to_physical(u)
                                    for u in orbit.trajectory.states])
