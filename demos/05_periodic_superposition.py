@@ -7,7 +7,7 @@ small rigidly rotating cluster, and shoot for a genuinely periodic
 orbit of the full interacting system.  The smaller the cluster scale r,
 the closer the orbit hugs the manifold of superposed rigid motions.
 
-Runtime: about 5 seconds (the phase scan shoots four initial guesses).
+Runtime: about 1 second (the phase scan shoots four initial guesses).
 """
 
 import numpy as np

@@ -18,6 +18,13 @@ vector field: on the whole state for integrate, whose Trajectory joins
 them through scipy's OdeSolution, and on the base state alone for
 flow_with_jacobian, whose extra stages then take the field only.
 
+The stepper advances the co-rotating state v of systems.FlowSystem
+(v = exp(i omega t) u per vortex, omega its cluster frame's angular
+velocity; v = u for a VortexSystem), whose field V(t, v) depends on t.
+Everything the integrators hand back reads u: screening samples,
+Trajectory's states, energies and dense output, and flow_with_jacobian's
+(phi, Dphi), turned back at t_end.
+
 Orbit-level work should integrate the rescaled system, whose period is
 O(1); the plain system covers the same orbit only with a step-size
 spread of order r^2.  The integrators are written against
@@ -28,8 +35,11 @@ is sharp, so its global error sits close to the requested tolerance,
 where a 5(4) pair's pessimistic estimate buys an order of magnitude
 more accuracy than asked for.  At 1e-12 the flow-map monodromy of a
 hermite(3) cluster (entries near 3e4) is 4e-8 from the closed form; at
-1e-13 it is 1e-9.  The figure-1 reference orbit takes about 47 steps
-per period at 1e-13 (RK45 took 385 at 1e-12).
+1e-13 it is 1e-9.  The figure-1 reference orbit takes 32 steps per
+period at 1e-13 in its clusters' co-rotating frames, where DOP853
+resolves only the O(r^2) motion on top of the rigid rotation (47 in the
+lab frame, whatever r is; RK45 took 385 at 1e-12), and Thomson-3's
+takes 5 (49).
 
 No structural energy conservation: drift is recorded, not corrected.
 At the default tolerance it stays near roundoff (3e-14 over ten time
@@ -40,7 +50,7 @@ start to end.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import DOP853, OdeSolution
@@ -129,19 +139,21 @@ def _base_dense_output(stepper, field, d: int):
     components only (Hairer, Norsett and Wanner, Solving ODEs I, II.6).
 
     The first d components of a stage depend on the first d of its
-    argument only, so field, the right-hand side of those components,
-    evaluates the three extra stages on d components (field is
-    autonomous, so the stage times are not needed).  With d the whole
-    state this is scipy's dense_output().  The stepper's stages are
-    read, never written, so its step sequence does not change.
+    argument only, so field(t, y), the right-hand side of those
+    components, evaluates the three extra stages on d components, at
+    their times t_old + C_EXTRA h.  With d the whole state this is
+    scipy's dense_output().  The stepper's stages are read, never
+    written, so its step sequence does not change.
     """
     h = stepper.h_previous
     y_old = stepper.y_old[:d]
     start = len(stepper.K_extended) - len(stepper.A_EXTRA)
     K = np.empty((len(stepper.K_extended), d))
     K[:start] = stepper.K_extended[:start, :d]
-    for s, a in enumerate(stepper.A_EXTRA, start=start):
-        K[s] = field(y_old + np.dot(K[:s].T, a[:s]) * h)
+    for s, (a, c) in enumerate(zip(stepper.A_EXTRA, stepper.C_EXTRA),
+                               start=start):
+        K[s] = field(stepper.t_old + c * h,
+                     y_old + np.dot(K[:s].T, a[:s]) * h)
     # the same coefficients as DOP853._dense_output_impl
     delta_y = stepper.y[:d] - y_old
     F = np.empty((3 + len(stepper.D), d))
@@ -155,12 +167,13 @@ def _base_dense_output(stepper, field, d: int):
 def _step_and_screen(system: FlowSystem, stepper, d: int,
                      settings: IntegratorSettings, what: str):
     """Take one step and screen its interpolant of the first d
-    components, whose right-hand side is system.vector_field, on
-    GUARD_SAMPLES points before the step is committed.
+    components, the co-rotating state whose right-hand side is
+    system.vector_field(v, t), on GUARD_SAMPLES points, turned back to
+    the system's states (system.to_lab), before the step is committed.
 
-    Returns (interpolant, smallest guarded separation on the grid);
-    raises ConvergenceError when the stepper fails and the refined
-    event when a guard trips.
+    Returns (interpolant of v, smallest guarded separation on the
+    grid); raises ConvergenceError when the stepper fails and the
+    refined event when a guard trips.
     """
     message = stepper.step()
     if stepper.status == "failed":
@@ -168,15 +181,18 @@ def _step_and_screen(system: FlowSystem, stepper, d: int,
             f"{what} failed at t = {stepper.t:.9g}: {message}",
             iterations=stepper.nfev, last_iterate=stepper.y[:d].copy(),
             residual=np.nan)
-    interp = _base_dense_output(stepper, system.vector_field, d)
+    interp = _base_dense_output(
+        stepper, lambda t, v: system.vector_field(v, t), d)
     times = np.linspace(stepper.t_old, stepper.t, GUARD_SAMPLES + 1)
     try:
-        seps = system.screen(interp(times[1:]).T, times[1:],
-                             settings.collision_tol, settings.boundary_margin)
+        seps = system.screen(system.to_lab(times[1:], interp(times[1:]).T),
+                             times[1:], settings.collision_tol,
+                             settings.boundary_margin)
     except (CollisionError, DomainViolationError) as exc:
         # bracket the crossing between the failing sample and the one before
         k = int(np.flatnonzero(times == exc.time)[0])
-        _refine_and_raise(system, interp, *times[k - 1:k + 1], exc, settings)
+        _refine_and_raise(system, lambda t: system.to_lab(t, interp(t)),
+                          *times[k - 1:k + 1], exc, settings)
     return interp, float(np.min(seps))
 
 
@@ -185,16 +201,17 @@ class Trajectory:
     """Accepted-step samples of one integration, with dense output.
 
     times are in integration order (decreasing for a backward run).
-    energies are recorded at the sample states; min_separation is the
-    smallest guarded pair distance seen on the screening grid.  _dense
-    joins the steps' interpolants (None when there are no steps).
+    states are the system's states, never co-rotating ones; energies
+    are recorded at them; min_separation is the smallest guarded pair
+    distance seen on the screening grid.  _dense maps times to states
+    through the steps' interpolants (None when there are no steps).
     """
 
     times: np.ndarray
     states: np.ndarray  # (n_samples, dim)
     energies: np.ndarray
     min_separation: float
-    _dense: Optional[OdeSolution] = field(default=None, repr=False)
+    _dense: Optional[Callable] = field(default=None, repr=False)
 
     @property
     def t0(self) -> float:
@@ -223,7 +240,7 @@ class Trajectory:
             raise ValueError(f"t = {t} outside [{lo}, {hi}]")
         if self._dense is None:
             return np.tile(self.states[0], t.shape + (1,))
-        return self._dense(t).T
+        return self._dense(t)
 
     def to_csv(self, target):
         """Write `t,x1,y1,...,H` rows with round-trip float formatting."""
@@ -247,6 +264,9 @@ def integrate(system: FlowSystem, z0, t_span,
               settings: Optional[IntegratorSettings] = None) -> Trajectory:
     """Integrate from z0 over t_span = (t0, t1); t1 < t0 runs backward.
 
+    The stepper advances the co-rotating state of system.to_frame, and
+    the trajectory reads the system's states.
+
     Raises CollisionError / DomainViolationError when z0 is not
     admissible, CollisionEventError / BoundaryEventError when a guard
     trips (time and offender attached), ConvergenceError on step-size
@@ -267,33 +287,37 @@ def integrate(system: FlowSystem, z0, t_span,
         return Trajectory(np.array(times), np.array(states),
                           np.array(energies), float(min_sep))
 
-    def field(t, y):
-        return system.vector_field(y)
+    def field(t, v):
+        return system.vector_field(v, t)
 
-    stepper = _stepper(field, t0, y0, t1, settings)
+    stepper = _stepper(field, t0, system.to_frame(t0, y0), t1, settings)
     while stepper.status == "running":
         interp, sep = _step_and_screen(system, stepper, y0.size, settings,
                                        "integrator")
         min_sep = min(min_sep, sep)
         times.append(stepper.t)
-        states.append(stepper.y.copy())
-        energies.append(system.hamiltonian(stepper.y))
+        # scipy replaces stepper.y each step, never writes into it
+        states.append(system.to_lab(stepper.t, stepper.y))
+        energies.append(system.hamiltonian(states[-1]))
         segments.append(interp)
 
+    dense = OdeSolution(times, segments, alt_segment=True)
     return Trajectory(np.array(times), np.array(states), np.array(energies),
                       float(min_sep),
-                      OdeSolution(times, segments, alt_segment=True))
+                      lambda t: system.to_lab(t, dense(t).T))
 
 
 def flow_with_jacobian(system: FlowSystem, z0, t_end: float,
                        settings: Optional[IntegratorSettings] = None):
     """Flow map and its state derivative at time t_end.
 
-    Co-integrates the matrix variational equation W' = Df(z(t)) W,
-    W(0) = I, through one shared step sequence with the base state, so
-    the pair (phi_t(z0), Dphi_t(z0)) is internally consistent.  Each
-    right-hand side takes the field and its Jacobian from one assembly.
-    The steps are screened on the interpolant of the base state alone
+    Co-integrates the matrix variational equation W' = DV(t, v(t)) W,
+    W(0) = I, of the co-rotating state v (system.to_frame, v = z at
+    t = 0) through one shared step sequence with it, so the pair
+    (phi_t(z0), Dphi_t(z0)) is internally consistent; both are turned
+    back to the system's states at t_end.  Each right-hand side takes
+    the field and its Jacobian from one assembly.  The steps are
+    screened on the interpolant of the base state alone
     (_base_dense_output), whose extra stages take the field only.
     """
     settings = settings or IntegratorSettings()
@@ -305,7 +329,7 @@ def flow_with_jacobian(system: FlowSystem, z0, t_end: float,
         return y0, np.eye(d)
 
     def rhs(t, aug):
-        f, J = system.field_and_jacobian(aug[:d])
+        f, J = system.field_and_jacobian(aug[:d], t)
         return np.concatenate([f, (J @ aug[d:].reshape(d, d)).reshape(-1)])
 
     aug0 = np.concatenate([y0, np.eye(d).reshape(-1)])
@@ -315,8 +339,9 @@ def flow_with_jacobian(system: FlowSystem, z0, t_end: float,
         _step_and_screen(system, stepper, d, settings,
                          "variational integration")
 
-    zT = stepper.y[:d].copy()
-    WT = stepper.y[d:].reshape(d, d).copy()
+    # the turn is linear, so it turns each column of W as it turns v
+    zT = system.to_lab(t_end, stepper.y[:d])
+    WT = system.to_lab(t_end, stepper.y[d:].reshape(d, d).T).T
     return zT, WT
 
 

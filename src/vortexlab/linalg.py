@@ -8,12 +8,13 @@ generator, so a positive physical (counterclockwise) rotation rate shows
 up as a negative angular velocity.
 
 perp is the only quarter turn and rotate_all (with spin, its flow form)
-the only rotation; matrices of either are built by applying them to
-columns.  aligned_distance is the only rotation fit: it compares states,
-or batches of states, up to one global rotation.  newton is the only
-Newton loop, shared by the anchor search and shooting; a caller borders
-its least-squares steps with rows (the generators of its symmetries),
-never with columns.
+the only rotation of whole states; matrices of either are built by
+applying them to columns.  (The co-rotating frames of `systems` turn
+each vortex by its own angle, in complex form.)  aligned_distance is
+the only rotation fit: it compares states, or batches of states, up to
+one global rotation.  newton is the only Newton loop, shared by the
+anchor search and shooting; a caller borders its least-squares steps
+with rows (the generators of its symmetries), never with columns.
 """
 
 from __future__ import annotations

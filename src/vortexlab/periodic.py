@@ -25,7 +25,11 @@ rotation fit per cluster.
 
 All shooting happens in rescaled coordinates, where the period is the
 r-independent  tau = 2*pi*ord(sigma); the physical orbit is recovered as
-z(t) = r*u(t/r^2) + anchor_hat with period T = tau*r^2 exactly.
+z(t) = r*u(t/r^2) + anchor_hat with period T = tau*r^2 exactly.  The
+integrators advance each cluster in its co-rotating frame
+(SuperpositionSpec.rescaled), where only the O(r^2) motion on top of
+its rigid rotation is left to resolve; everything this module reads,
+trajectories and flow maps, is in u.
 
 The shooting unknown is the loop's initial state only; the period is
 prescribed, and the twisted boundary condition
@@ -214,8 +218,13 @@ class SuperpositionSpec:
         return VortexSystem(self.strengths, self.cluster_sizes, self.domain)
 
     def rescaled(self) -> RescaledSystem:
+        """The rescaled system at the spec's scale, integrated in each
+        cluster's co-rotating frame (trivial clusters do not turn)."""
         return RescaledSystem(self.system(), self.stationary.positions,
-                              self.scale)
+                              self.scale,
+                              tuple(0.0 if eq.is_trivial
+                                    else eq.angular_velocity
+                                    for eq in self.clusters))
 
     def full_phases(self) -> np.ndarray:
         """Phase per cluster, zeros on trivial ones."""
@@ -465,6 +474,8 @@ def shoot(spec: SuperpositionSpec, u0_guess=None,
         last[0] = float(np.linalg.norm(F))
         if last[0] <= max(SHOOT_TOL, HANDOVER * flow.rtol):
             F = closing_residual(u)
+        # the time shift's generator is the field of u, not the
+        # co-rotating field of the frames
         return F, np.vstack(
             [S @ W - np.eye(u.size), rs.vector_field(u),
              *kernel_generators(spec.domain, rs.to_physical(u))])

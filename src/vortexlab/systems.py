@@ -27,7 +27,7 @@ complex (N, N) matrices.
 
 Both systems derive from FlowSystem, which writes the energy and its
 derivatives, the vector field and its Jacobian, and the admissibility
-check once, on each subclass's `_assemble(y, order)`, energy offset
+check once, on each subclass's energy coefficients, energy offset
 `_offset` and `guard_geometry`.  The check, `screen`, takes a step's
 screening samples in one call; `validate_state`, for start states and
 Newton iterates, is its one-row case.  RescaledSystem routes
@@ -37,7 +37,19 @@ because the benchmark's tracer counts calls to them.
 
 States are flat float64 vectors (x1, y1, ..., xN, yN).  The equations of
 motion are  M ż = P ∇H(z)  with M = diag(Gamma_i I_2) and P the blockwise
-clockwise quarter turn, so ż_i = perp(∇_{z_i} H) / Gamma_i.
+clockwise quarter turn, so ż_i = perp(∇_{z_i} H) / Gamma_i.  In complex
+form that is the field c o conj(D): D the gradient's complex form from
+the assembly, c = -i/Gamma one factor per vortex, and the Jacobian is
+`real_blocks` of L and K scaled by conj(c) = i/Gamma on the rows.
+
+The integrators advance each vortex in a co-rotating frame: v = exp(i
+omega t) u, omega the angular velocity of its cluster's frame
+(RescaledSystem's `omega`; 0 in VortexSystem, whose v is u).  The field
+of v, V(t, v) = exp(i omega t) F(exp(-i omega t) v) + i omega v, is the
+same expression with c turned by exp(i omega t) and the drift added
+(FlowSystem._flow); `to_lab` turns co-rotating states back.  A superposed
+orbit's clusters rotate almost rigidly, so in their own frames only the
+O(r^2) motion on top of the rotation is left to resolve.
 """
 
 from __future__ import annotations
@@ -70,11 +82,13 @@ def kernel_offsets(A, C=0.0) -> np.ndarray:
 
 
 def assemble_interaction(positions, A, B=None, domain: Domain | None = None,
-                         order: int = 2, frame=None):
+                         order: int = 2, frame=None,
+                         complex_form: bool = False):
     """Evaluate the generic pairwise energy or its derivatives.
 
-    positions: (N, 2).  A: (N, N) symmetric, diagonal ignored.  B: (N, N)
-    symmetric or None; requires `domain` for its regular part g.  order:
+    positions: (N, 2), or the complex points x1 + i x2, (N,).  A: (N, N)
+    symmetric, diagonal ignored.  B: (N, N) symmetric or None; requires
+    `domain` for its regular part g.  order:
     0 value, 1 gradient, 2 gradient and Hessian.  Returns (value, grad,
     hess) with None for what was not requested: the value, and with it g
     itself, is only evaluated at order 0.
@@ -91,8 +105,11 @@ def assemble_interaction(positions, A, B=None, domain: Domain | None = None,
     -(1/2pi) log|w| has G_x = -1/(2pi w); the gradient's complex form
     D_i = d_1 E - i d_2 E is (N,), and its derivatives L = dD/d(conj z)
     and K = dD/dz are (N, N), written out by `linalg.real_blocks`.
+    complex_form returns D and (L, K) themselves in place of the real
+    gradient and Hessian (L is the scalar 0 without B).
     """
-    z = complex_points(positions)
+    z = (np.asarray(positions) if np.iscomplexobj(positions)
+         else complex_points(positions))
     A = np.asarray(A, dtype=float)
     S, C, s, b = (1.0, kernel_offsets(A), 1.0, 0.0) if frame is None else frame
     w = np.subtract.outer(z, z)
@@ -118,9 +135,8 @@ def assemble_interaction(positions, A, B=None, domain: Domain | None = None,
     if B is not None:
         c = domain.regular_coefficients(p, p, order)
         D += 2.0 * s * (B * (c if order == 1 else c[0])).sum(axis=1)
-    grad = D.conj().view(float)
     if order == 1:
-        return None, grad, None
+        return None, (D if complex_form else D.conj().view(float)), None
 
     # K: the kernel's (1/pi) (diag(sum_j T_ij) - T) with T = A S^2 / w^2,
     # B's G_xx summed on the diagonal and G_xy; L: B's G_xyb.  The self
@@ -137,18 +153,9 @@ def assemble_interaction(positions, A, B=None, domain: Domain | None = None,
         K += B2 * gxy
         diag += (B2 * gxx).sum(axis=1)
         L = B2 * gxyb
-    return None, grad, real_blocks(L, K)
-
-
-def _weighted_perp_rows(mat: np.ndarray, strengths: np.ndarray) -> np.ndarray:
-    """Rows of M^{-1} P applied to a (2N,) vector or a (2N, k) matrix."""
-    n = strengths.size
-    H = mat.reshape(n, 2, -1)
-    out = np.empty_like(H)
-    out[:, 0, :] = H[:, 1, :]
-    out[:, 1, :] = -H[:, 0, :]
-    out /= strengths[:, None, None]
-    return out.reshape(mat.shape)
+    if complex_form:
+        return None, D, (L, K)
+    return None, D.conj().view(float), real_blocks(L, K)
 
 
 # ---------------------------------------------------------------------------
@@ -157,13 +164,17 @@ def _weighted_perp_rows(mat: np.ndarray, strengths: np.ndarray) -> np.ndarray:
 
 class FlowSystem:
     """Energy, flow and admissibility of a vortex system in its own
-    coordinates.  A subclass provides n, gamma, domain,
-    `_assemble(y, order)`, `_offset` and `guard_geometry(ys)` ->
-    (positions to guard, (..., N, 2), pair mask or None, the domain
-    whose wall they clear).
+    coordinates.  A subclass provides n, gamma, domain, the energy's
+    coefficients `_A` (with B = -A) and `_frame` (see
+    assemble_interaction), `_offset`, `_ig` (the (N,) factors i/Gamma)
+    and `guard_geometry(ys)` -> (positions to guard, (..., N, 2), pair
+    mask or None, the domain whose wall they clear); a subclass that
+    integrates in co-rotating frames sets `_rotating` and `_iomega`, i
+    times each vortex's frame angular velocity, (N,).
     """
 
     _offset = 0.0
+    _rotating = False
 
     def screen(self, ys, times, collision_tol: float = COLLISION_TOL,
                boundary_margin: float = BOUNDARY_MARGIN) -> np.ndarray:
@@ -208,6 +219,14 @@ class FlowSystem:
                                  boundary_margin)[0])
 
     # -- energy --------------------------------------------------------------
+    def _assemble(self, y, order: int, complex_form: bool = False):
+        """The energy's assembly at the state y, (2N,), or at its
+        complex points, (N,)."""
+        return assemble_interaction(
+            y if np.iscomplexobj(y) else pairs(y), self._A, -self._A,
+            self.domain, order=order, frame=self._frame,
+            complex_form=complex_form)
+
     def hamiltonian(self, y) -> float:
         return self._assemble(y, 0)[0] - self._offset
 
@@ -223,17 +242,73 @@ class FlowSystem:
         return g, H
 
     # -- flow ----------------------------------------------------------------
-    def vector_field(self, y) -> np.ndarray:
-        return _weighted_perp_rows(self.gradient(y), self.gamma)
+    def vector_field(self, y, t=None) -> np.ndarray:
+        """The field F(y) of the state y; with a time t, the field
+        V(t, y) of the co-rotating state y at t (see `to_lab`), which is
+        F(y) when the system does not rotate."""
+        return self._flow(y, t, 1)
 
-    def field_jacobian(self, y) -> np.ndarray:
-        return _weighted_perp_rows(self.hessian(y), self.gamma)
+    def field_jacobian(self, y, t=None) -> np.ndarray:
+        """The Jacobian of vector_field(y, t) in y."""
+        return self._flow(y, t, 2)[1]
 
-    def field_and_jacobian(self, y):
+    def field_and_jacobian(self, y, t=None):
         """(vector field, its Jacobian) from one order-2 assembly."""
-        g, H = self.gradient_and_hessian(y)
-        return (_weighted_perp_rows(g, self.gamma),
-                _weighted_perp_rows(H, self.gamma))
+        return self._flow(y, t, 2)
+
+    def _flow(self, y, t, order: int):
+        """The field at order 1, (field, Jacobian) at order 2.
+
+        In complex form the field is c o conj(D), D the energy
+        gradient's complex form and c = -i/Gamma per vortex: u' =
+        perp(grad H)/Gamma.  A co-rotating state v = y at time t is the
+        state u = b v, b = exp(-i omega t) per vortex, and its field is
+        V = conj(ig D(u)) + i omega v with ig = (i/Gamma) b, so c turns
+        with the frame.  The Jacobian, in the form of `real_blocks`,
+        scales the energy's L and K by ig on the rows and by conj(b)
+        and b on the columns, with -i omega on L's diagonal.
+        """
+        turned = t is not None and self._rotating
+        u = complex_points(pairs(y))
+        ig = self._ig
+        if turned:
+            b = np.exp(-self._iomega * t)
+            v, u = u, b * u
+            ig = ig * b
+        _, D, LK = self._assemble(u, order, complex_form=True)
+        field = np.conj(ig * D)
+        if turned:
+            field += self._iomega * v
+        field = field.view(float)
+        if order == 1:
+            return field
+        L, K = LK
+        ig = ig[:, None]
+        if not turned:
+            return field, real_blocks(ig * L, ig * K)
+        L = ig * L * b.conj()
+        L.reshape(-1)[::len(b) + 1] -= self._iomega
+        return field, real_blocks(L, ig * K * b)
+
+    # -- co-rotating frames --------------------------------------------------
+    def to_lab(self, t, vs) -> np.ndarray:
+        """The states u = exp(-i omega t) v, per vortex, of the
+        co-rotating states vs, (..., 2N), at the times t: a scalar, or
+        one per leading index of vs.  omega is each vortex's frame
+        angular velocity, so a cluster rotating rigidly at its own
+        angular velocity (linalg.spin) has a constant v.  vs itself
+        when the system does not rotate."""
+        if not self._rotating:
+            return vs
+        vs = np.asarray(vs, dtype=float)
+        z = complex_points(vs.reshape(*vs.shape[:-1], -1, 2))
+        z = z * np.exp(np.multiply.outer(-np.asarray(t, dtype=float),
+                                         self._iomega))
+        return z.view(float).reshape(vs.shape)
+
+    def to_frame(self, t, us) -> np.ndarray:
+        """The inverse of to_lab: co-rotating states of the states us."""
+        return self.to_lab(-np.asarray(t, dtype=float), us)
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +367,10 @@ class VortexSystem(FlowSystem):
     def _frame(self):
         return 1.0, kernel_offsets(self._A), 1.0, 0.0
 
+    @cached_property
+    def _ig(self) -> np.ndarray:
+        return 1j / self.gamma
+
     @property
     def cluster_strengths(self) -> np.ndarray:
         """Per-cluster strength sums."""
@@ -306,10 +385,6 @@ class VortexSystem(FlowSystem):
     def weights(self) -> np.ndarray:
         """Diagonal of M as a flat (2N,) vector."""
         return np.repeat(self.gamma, 2)
-
-    def _assemble(self, z, order: int):
-        return assemble_interaction(pairs(z), self._A, -self._A, self.domain,
-                                    order=order, frame=self._frame)
 
     def guard_geometry(self, zs):
         """(positions to guard, pair mask or None, domain to clear) of
@@ -343,26 +418,41 @@ class RescaledSystem(FlowSystem):
     r*(u_i - u_j) with the factor r divided out of the log kernel's
     derivatives; they keep full relative precision at small r, and r = 0
     is the decoupled limit.
+
+    omega, one angular velocity per cluster (None: all 0), sets each
+    cluster's co-rotating frame, in which the integrators advance the
+    state (`FlowSystem.to_lab`): with each cluster's own relative-
+    equilibrium angular velocity, v stays within O(r^2) of its start
+    along a superposed orbit.  It changes no energy and no lab-frame
+    field.
     """
 
     base: VortexSystem
     anchor: np.ndarray
     scale: float
+    omega: tuple | None = None
 
     def __post_init__(self):
+        m = self.base.n_clusters
         a = np.asarray(self.anchor, dtype=float).reshape(-1, 2)
-        if a.shape[0] != self.base.n_clusters:
+        if a.shape[0] != m:
             raise ConstraintViolationError(
-                f"anchor has {a.shape[0]} points, system has "
-                f"{self.base.n_clusters} clusters")
+                f"anchor has {a.shape[0]} points, system has {m} clusters")
         if not 0.0 <= self.scale < np.inf:
             raise ConstraintViolationError("scale r must be finite and >= 0")
+        omega = np.zeros(m) if self.omega is None else np.asarray(
+            self.omega, dtype=float)
+        if omega.shape != (m,) or not np.isfinite(omega).all():
+            raise ConstraintViolationError(
+                f"omega {self.omega} for {m} clusters: frame angular "
+                "velocities must be finite, one per cluster")
         sk = VortexSystem(tuple(self.base.cluster_strengths),
                           (1,) * self.base.n_clusters, self.base.domain)
         sk.validate_state(a)
         r = float(self.scale)
         object.__setattr__(self, "anchor", a)
         object.__setattr__(self, "scale", r)
+        object.__setattr__(self, "omega", tuple(float(w) for w in omega))
         ci = self.base.cluster_index
         intra = ci[:, None] == ci[None, :]
         A = self.base._A
@@ -374,7 +464,11 @@ class RescaledSystem(FlowSystem):
         for name, value in (("_offset", sk.hamiltonian(a.reshape(-1))),
                             ("_intra", intra), ("_A", A),
                             ("_A_cross", np.where(intra, 0.0, A)),
-                            ("_ahat", ahat), ("_frame", frame)):
+                            ("_ahat", ahat), ("_frame", frame),
+                            ("_ig", self.base._ig),
+                            ("_iomega", 1j * np.repeat(
+                                omega, self.base.cluster_sizes)),
+                            ("_rotating", bool(omega.any()))):
             object.__setattr__(self, name, value)
 
     # -- layout helpers ----------------------------------------------------
@@ -413,26 +507,22 @@ class RescaledSystem(FlowSystem):
         return self._coupling_parts(w, 2)[2]
 
     # -- rescaled energy E_r and its flow --------------------------------------
-    def _assemble(self, u, order: int):
-        return assemble_interaction(pairs(u), self._A, -self._A, self.domain,
-                                    order=order, frame=self._frame)
-
     # the benchmark's tracer wraps these three names, so the energy and
     # the field the integrators call go through them
     def rescaled_hamiltonian(self, u) -> float:
         return super().hamiltonian(u)
 
-    def rescaled_field(self, u) -> np.ndarray:
-        return super().vector_field(u)
+    def rescaled_field(self, u, t=None) -> np.ndarray:
+        return super().vector_field(u, t)
 
-    def rescaled_field_jacobian(self, u) -> np.ndarray:
-        return super().field_jacobian(u)
+    def rescaled_field_jacobian(self, u, t=None) -> np.ndarray:
+        return super().field_jacobian(u, t)
 
     def hamiltonian(self, u) -> float:
         return self.rescaled_hamiltonian(u)
 
-    def vector_field(self, u) -> np.ndarray:
-        return self.rescaled_field(u)
+    def vector_field(self, u, t=None) -> np.ndarray:
+        return self.rescaled_field(u, t)
 
     # -- validation ------------------------------------------------------------
     def guard_geometry(self, us):

@@ -443,29 +443,34 @@ def test_variational_rhs_assembles_once(monkeypatch, disc, rescaled):
 
 def _figure1_steppers(spec):
     """DOP853 steppers over one rescaled figure-1 period: on the
-    augmented state (u, W), as flow_with_jacobian builds it, and on u
-    alone, as integrate builds it."""
+    augmented co-rotating state (v, W), as flow_with_jacobian builds it,
+    and on v alone, as integrate builds it; and the field of v."""
     rs, u0 = spec.rescaled(), spec.torus_point()
     d = u0.size
 
     def rhs(t, aug):
-        f, J = rs.field_and_jacobian(aug[:d])
+        f, J = rs.field_and_jacobian(aug[:d], t)
         return np.concatenate([f, (J @ aug[d:].reshape(d, d)).reshape(-1)])
+
+    def field(t, v):
+        return rs.vector_field(v, t)
 
     aug0 = np.concatenate([u0, np.eye(d).reshape(-1)])
     settings = IntegratorSettings()
-    return rs, d, (dynamics._stepper(rhs, 0.0, aug0, TWO_PI, settings),
-                   dynamics._stepper(lambda t, u: rs.vector_field(u), 0.0,
-                                     u0, TWO_PI, settings))
+    return d, field, (
+        dynamics._stepper(rhs, 0.0, aug0, TWO_PI, settings),
+        dynamics._stepper(field, 0.0, u0, TWO_PI, settings))
 
 
 def test_base_dense_output_is_the_base_rows_of_scipys(figure1_spec_builder):
-    rs, d, steppers = _figure1_steppers(figure1_spec_builder(0.1))
+    # the co-rotating field depends on t, so the extra stages must be
+    # taken at their own times to match scipy's
+    d, field, steppers = _figure1_steppers(figure1_spec_builder(0.1))
     for stepper in steppers:
         for _ in range(4):
             stepper.step()
             # read before scipy's dense_output() overwrites its extra stages
-            base = dynamics._base_dense_output(stepper, rs.vector_field, d)
+            base = dynamics._base_dense_output(stepper, field, d)
             full = stepper.dense_output()
             grid = np.linspace(stepper.t_old, stepper.t,
                                dynamics.GUARD_SAMPLES + 1)[1:]
@@ -473,6 +478,29 @@ def test_base_dense_output_is_the_base_rows_of_scipys(figure1_spec_builder):
             assert base(grid).shape == ref.shape
             assert (np.max(np.abs(base(grid) - ref))
                     <= 1e-15 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("case", ["figure1", "thomson3"])
+def test_flow_map_is_the_physical_flow_mapped_by_the_rescaling(
+        case, figure1_spec_builder, thomson3_spec_builder):
+    # z = r u + anchor_hat with physical time r^2 t maps the rescaled
+    # flow onto the physical one, whatever frame either is integrated
+    # in, so Dphi_u = Dphi_z.  Thomson-3's frame ends a third of a turn
+    # from its start, so its W is turned back at 2 pi; figure 1's frames
+    # end where they started.  Measured at 1e-13: u gaps 1.4e-13 and
+    # 2.8e-14, Dphi gaps 3.4e-12 and 3.0e-13, the error of the
+    # physical, non-rotating integration (the rescaled flows are 1.7e-15
+    # and 1.0e-15 from their own at 1e-15)
+    spec = {"figure1": figure1_spec_builder,
+            "thomson3": thomson3_spec_builder}[case](0.1)
+    rs, u0, r = spec.rescaled(), spec.torus_point(), spec.scale
+    phi, W = flow_with_jacobian(rs, u0, TWO_PI)
+    zT, Wz = flow_with_jacobian(spec.system(), rs.to_physical(u0),
+                                TWO_PI * r**2)
+    assert np.max(np.abs((zT - rs.anchor_hat) / r - phi)) <= 1e-12
+    assert np.max(np.abs(Wz - W)) <= 2e-11
+    turn = np.max(np.abs(rs.to_frame(TWO_PI, phi) - phi))
+    assert turn > 0.1 if case == "thomson3" else turn <= 1e-14
 
 
 def test_base_only_screening_leaves_the_flow_bitwise_unchanged(

@@ -205,7 +205,7 @@ def test_closing_check_failures_report_the_newton_iterations(monkeypatch,
 def test_reference_shoot_reuses_the_last_jacobian_and_trajectory(
         monkeypatch):
     # residuals 4.3e-2, 6.6e-5, then superlinear: the last two iterates
-    # (2.5e-9, 2.3e-14) are evaluated by the plain closing integration
+    # (2.0e-10, 5.0e-15) are evaluated by the plain closing integration
     # and step on the second flow's Jacobian, and the accepted iterate's
     # integration is the orbit's trajectory, so none follows Newton
     calls = []
@@ -260,12 +260,12 @@ def _traced_shoot(monkeypatch, spec, settings=None, guess=None):
 def test_only_the_closing_integration_certifies_convergence(
         monkeypatch, thomson3_orbit, start):
     # Thomson-3 from the torus point: the second flow, at 1e-13, reads
-    # 3.8e-10, above SHOOT_TOL, and its Jacobian makes the step; the
-    # closing integration of the next iterate converges.  From the
-    # converged orbit: the first flow, at 1e-9, reads its own error
-    # (3.8e-10), within HANDOVER times its rtol, so it hands over to the
-    # integration, which certifies the start with no step.  Either way
-    # the orbit's residual is read from its trajectory
+    # 4.2e-15 (3.8e-10 in the lab frame, where its Jacobian made one
+    # more step), within HANDOVER times its rtol, so it hands over to
+    # the closing integration, which certifies the iterate.  From the
+    # converged orbit: the first flow, at 1e-9, reads 3.2e-15 and hands
+    # over the same way, so the start is certified with no step.  Either
+    # way the orbit's residual is read from its trajectory
     guess, names = {
         "torus": (None, ["flow", "flow", "integrate"]),
         "converged": (thomson3_orbit[0].u0, ["flow", "integrate"]),
@@ -291,6 +291,25 @@ def test_flows_run_at_a_residual_scaled_tolerance(monkeypatch):
                for name, s, *_ in calls if name == "integrate")
     assert sum(n for _, n in flows) <= 45
     assert orbit.iterations == 3
+    assert orbit.residual <= periodic.SHOOT_TOL
+
+
+@pytest.mark.parametrize("case", ["figure1", "thomson3"])
+def test_corotating_frames_cut_the_accepted_steps(monkeypatch, case):
+    # in each cluster's co-rotating frame DOP853 resolves only the O(r^2)
+    # motion on top of the rigid rotation.  Accepted steps in the lab
+    # frame: 47 per figure-1 closing integration at 1e-13, 19 + 20 for
+    # its two flows at 1e-9, 49 for Thomson-3's; in the frames 32, 14 +
+    # 14 and 5
+    build, max_integration, max_flows = {
+        "figure1": (build_figure1_spec, 35, 32),
+        "thomson3": (build_thomson3_spec, 10, None)}[case]
+    orbit, calls = _traced_shoot(monkeypatch, build(0.1))
+    integrations = [n for name, _, n, _ in calls if name == "integrate"]
+    assert integrations and max(integrations) <= max_integration
+    if max_flows is not None:
+        flows = [n for name, _, n, _ in calls if name == "flow"]
+        assert len(flows) == 2 and sum(flows) <= max_flows
     assert orbit.residual <= periodic.SHOOT_TOL
 
 

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fdtools import fd_gradient, fd_jacobian, rel_error
@@ -17,17 +17,22 @@ from vortexlab import (
     PerturbedDisc,
     RelativeEquilibrium,
     RescaledSystem,
+    SuperpositionSpec,
     UnitDisc,
     VortexSystem,
     WholePlane,
     assemble_interaction,
+    evaluate_point,
     m_gradient,
     m_hamiltonian,
+    make_pair,
+    make_trivial,
     perp,
     spin,
 )
 from vortexlab.linalg import pairs
-from conftest import MU, random_disc_points, random_plane_points
+from conftest import (MU, build_figure1_spec, build_thomson3_spec,
+                      random_disc_points, random_plane_points)
 
 PI = np.pi
 
@@ -52,6 +57,9 @@ def test_bad_cluster_layout_rejected():
     lambda bad: VortexSystem((bad, 1.0), (2,)),
     lambda bad: RescaledSystem(VortexSystem((1.0, -1.0), (1, 1), UnitDisc()),
                                np.array([[MU, 0.0], [-MU, 0.0]]), bad),
+    lambda bad: RescaledSystem(VortexSystem((1.0, -1.0), (1, 1), UnitDisc()),
+                               np.array([[MU, 0.0], [-MU, 0.0]]), 0.1,
+                               (bad, 0.0)),
     lambda bad: PerturbedDisc(bad),
     lambda bad: RelativeEquilibrium((bad, 1.0), [[0.5, 0], [-0.5, 0]], -1.0,
                                     (0, 1)),
@@ -59,8 +67,9 @@ def test_bad_cluster_layout_rejected():
                                     (0, 1)),
     lambda bad: RelativeEquilibrium((1.0, 1.0), [[0.5, 0], [-0.5, 0]], bad,
                                     (0, 1)),
-], ids=["strengths", "scale", "epsilon", "equilibrium-strengths",
-        "equilibrium-positions", "angular-velocity"])
+], ids=["strengths", "scale", "frame-omega", "epsilon",
+        "equilibrium-strengths", "equilibrium-positions",
+        "angular-velocity"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_number_is_refused_where_it_enters(build, bad):
     with pytest.raises(ConstraintViolationError, match="must be finite"):
@@ -400,6 +409,8 @@ def test_rescaled_constructor_guards(disc):
         RescaledSystem(base, np.array([[0.3, 0], [0.3, 0]]), 0.1)
     with pytest.raises(DomainViolationError):
         RescaledSystem(base, np.array([[0.3, 0], [1.4, 0]]), 0.1)
+    with pytest.raises(ConstraintViolationError, match="one per cluster"):
+        RescaledSystem(base, np.array([[0.3, 0], [-0.3, 0]]), 0.1, (1.0,))
 
 
 def test_anchor_hat_and_physical_map():
@@ -540,6 +551,95 @@ def test_fused_field_and_jacobian_match_split_and_fd(rng, domain, scale):
         assert rel_error(jac, fd_jacobian(rs.rescaled_field, u)) <= 1e-6
         assert rel_error(rs.gradient(u),
                          fd_gradient(rs.rescaled_hamiltonian, u)) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# co-rotating frames
+# ---------------------------------------------------------------------------
+
+def _trivial_cluster_spec(scale):
+    """A lone vortex (omega 0) and a pair on the disc dipole's anchors."""
+    anchors = evaluate_point((-2.0, 2.0), UnitDisc(), [[MU, 0.0], [-MU, 0.0]])
+    return SuperpositionSpec(anchors,
+                             (make_trivial(-2.0), make_pair(0.5, 1.5)),
+                             UnitDisc(), (0.0,), scale)
+
+
+FRAME_SPECS = {"figure1": build_figure1_spec,
+               "thomson3": build_thomson3_spec,
+               "trivial": _trivial_cluster_spec}
+
+
+@pytest.fixture(scope="session")
+def frame_cases():
+    """(name, scale) -> (rescaled system, torus point, each vortex's
+    frame angular velocity read off the clusters, 0 on a trivial one)."""
+    cases = {}
+    for name, build in FRAME_SPECS.items():
+        for scale in (0.1, 0.0):
+            spec = build(scale)
+            omega = np.repeat([0.0 if eq.is_trivial else eq.angular_velocity
+                               for eq in spec.clusters], spec.cluster_sizes)
+            cases[name, scale] = spec.rescaled(), spec.torus_point(), omega
+    return cases
+
+
+def _turn_by_hand(omega, t):
+    """(R, Omega): the real block-diagonal matrices of multiplying each
+    vortex's complex point by exp(i omega t) and by i omega."""
+    n = omega.size
+    c, s = np.cos(omega * t), np.sin(omega * t)
+    R, Omega = np.zeros((2 * n, 2 * n)), np.zeros((2 * n, 2 * n))
+    for i in range(n):
+        R[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[c[i], -s[i]], [s[i], c[i]]]
+        Omega[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[0.0, -omega[i]],
+                                                   [omega[i], 0.0]]
+    return R, Omega
+
+
+@settings(derandomize=True, database=None, max_examples=90, deadline=None)
+@given(case=st.sampled_from(sorted(FRAME_SPECS)), t=st.floats(-40.0, 40.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_corotating_field_is_the_lab_assembly_turned_by_hand(frame_cases,
+                                                             case, t, seed):
+    # v = exp(i omega t) u per vortex: V(t, v) = R f(R^T v) + Omega v and
+    # DV = R J R^T + Omega, with f and J the lab field and Jacobian
+    rs, u0, omega = frame_cases[case, 0.1]
+    # a whole number of turns (t = 0 among them) would hide a wrong sign
+    assume(np.max(np.abs(np.sin(omega * t / 2.0))) > 0.1)
+    v = u0 + 0.05 * np.random.default_rng(seed).standard_normal(u0.size)
+    R, Omega = _turn_by_hand(omega, t)
+    u = R.T @ v
+    field, jac = rs.field_and_jacobian(v, t)
+    assert rel_error(field, R @ rs.vector_field(u) + Omega @ v) <= 1e-13
+    assert rel_error(jac, R @ rs.field_jacobian(u) @ R.T + Omega) <= 1e-13
+    assert np.array_equal(field, rs.vector_field(v, t))
+    assert np.array_equal(jac, rs.field_jacobian(v, t))
+    assert np.max(np.abs(rs.to_lab(t, v) - u)) <= 1e-15
+    assert np.max(np.abs(rs.to_frame(t, u) - v)) <= 1e-15
+
+
+@pytest.mark.parametrize("case", sorted(FRAME_SPECS))
+def test_rigidly_rotating_clusters_rest_in_their_frames(frame_cases, case):
+    # at r = 0 each cluster's rigid motion solves the decoupled system
+    # exactly, so its co-rotating state is at rest; a drift i omega v of
+    # the wrong sign reads 2 |omega u| instead (the oracle test above
+    # ties the turn's sign to the drift's)
+    rs, u0, omega = frame_cases[case, 0.0]
+    assert np.any(omega != 0.0)
+    for t in (0.0, 0.3, 2.0, -5.0):
+        assert np.max(np.abs(rs.vector_field(u0, t))) <= 1e-13
+
+
+def test_a_system_without_rotation_reads_the_same_field_at_any_time(disc,
+                                                                    rng):
+    system = VortexSystem((1.0, -0.5, 2.0), (1, 1, 1), disc)
+    z = random_disc_points(rng, 3).reshape(-1)
+    field, jac = system.field_and_jacobian(z)
+    for t in (0.0, 1.7):
+        assert np.array_equal(system.vector_field(z, t), field)
+        assert np.array_equal(system.field_jacobian(z, t), jac)
+        assert system.to_lab(t, z) is z and system.to_frame(t, z) is z
 
 
 def test_zero_scale_decouples_clusters(rng):
