@@ -8,9 +8,9 @@ accuracy without any projection.
 
 import numpy as np
 
-from vortexlab import (BoundaryEventError, IntegratorSettings, UnitDisc,
-                       VortexSystem, WholePlane, check_rescaling_equivalence,
-                       integrate)
+from vortexlab import (BoundaryEventError, IntegratorSettings, RescaledSystem,
+                       UnitDisc, VortexSystem, WholePlane,
+                       check_rescaling_equivalence, integrate)
 
 disc = UnitDisc()
 
@@ -42,5 +42,6 @@ plane_pair = VortexSystem((1.0, 1.0), (2,), WholePlane())
 anchor = np.array([[0.3, -0.2]])
 u0 = np.array([0.5, 0.0, -0.5, 0.0])
 for r in (1.0, 0.5):
-    dev = check_rescaling_equivalence(plane_pair, anchor, r, u0, 2.0)
+    dev = check_rescaling_equivalence(RescaledSystem(plane_pair, anchor, r),
+                                      u0, 2.0)
     print(f"rescaling equivalence at r={r}: {dev:.2e}")

@@ -29,7 +29,7 @@ from . import __version__
 from .domains import make_domain
 from .dynamics import IntegratorSettings, integrate
 from .equilibria import (RelativeEquilibrium, certify, from_catalog,
-                         from_positions, make_trivial)
+                         make_trivial)
 from .errors import (BoundaryEventError, CollisionEventError,
                      ConvergenceError, VortexError)
 from .periodic import SuperpositionSpec, continue_in_r, scan_phases, shoot
@@ -99,10 +99,6 @@ def _list(text: str, item=float) -> list:
     return values
 
 
-def _ints(text: str) -> list:
-    return _list(text, int)
-
-
 def _points(text: str) -> np.ndarray:
     """Semicolon-separated planar points: 'x1 y1; x2 y2; ...'."""
     points = [_list(chunk) for chunk in text.split(";") if chunk.strip()]
@@ -113,7 +109,7 @@ def _points(text: str) -> np.ndarray:
 
 _INTEGRATOR_KEYS = ("collision_tol", "boundary_margin")
 #: the cluster keys catalog = custom reads; a named catalog reads params
-_CUSTOM_KEYS = ("strengths", "positions", "permutation")
+_CUSTOM_KEYS = ("strengths", "positions")
 #: the keys each section accepts; [cluster.N] and [certify] read "cluster"
 _KEYS = {
     "domain": ("kind",),
@@ -206,7 +202,8 @@ def _cluster_from(cfg: _Config, section: str, anchor_strength: float
                   ) -> RelativeEquilibrium:
     """The cluster of a [cluster.N] or [certify] section.  A key its
     catalog does not read is a ConfigError (named catalogs read params,
-    custom _CUSTOM_KEYS); omega is derived by from_positions, not read."""
+    custom _CUSTOM_KEYS); omega and sigma are derived from the
+    positions, not read."""
     catalog = cfg.get(section, "catalog", _choice(CATALOGS), required=True)
     reads = {"trivial": (), "custom": _CUSTOM_KEYS}.get(catalog, ("params",))
     for key in cfg.sections()[section]:
@@ -223,8 +220,7 @@ def _cluster_from(cfg: _Config, section: str, anchor_strength: float
         raise ConfigError(f"[{section}] a one-vortex custom cluster does "
                           f"not rotate; use catalog = trivial")
     positions = cfg.get(section, "positions", _points, required=True)
-    perm = cfg.get(section, "permutation", _ints, range(len(strengths)))
-    return from_positions(strengths, positions, perm)
+    return RelativeEquilibrium(strengths, positions)
 
 
 def _anchors_from(cfg: _Config, domain, rng, task: str):

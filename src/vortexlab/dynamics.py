@@ -62,7 +62,7 @@ from .errors import (BoundaryEventError, CollisionError,
                      ConvergenceError, DomainViolationError)
 from .domains import BOUNDARY_MARGIN
 from .linalg import as_state
-from .systems import COLLISION_TOL, FlowSystem, RescaledSystem, VortexSystem
+from .systems import COLLISION_TOL, FlowSystem, RescaledSystem
 
 #: dense-output screening points per accepted step
 GUARD_SAMPLES = 8
@@ -345,24 +345,24 @@ def flow_with_jacobian(system: FlowSystem, z0, t_end: float,
     return zT, WT
 
 
-def check_rescaling_equivalence(system: VortexSystem, anchor, r: float, u0,
-                                t_span: float,
+def check_rescaling_equivalence(rs: RescaledSystem, u0, t_span: float,
                                 settings: Optional[IntegratorSettings] = None
                                 ) -> float:
     """Max deviation between the physical flow and the rescaled flow
     transported back to physical variables.
 
-    Integrates u under the rescaled energy over [0, t_span/r^2] and z
-    under the plain energy from r*u0 + anchor_hat over [0, t_span], then
-    compares  z(t)  against  r*u(t/r^2) + anchor_hat  on a shared grid.
+    Integrates u under rs, in its clusters' co-rotating frames, over
+    [0, t_span/r^2] and z under rs.base from r*u0 + anchor_hat over
+    [0, t_span], then compares  z(t)  against  r*u(t/r^2) + anchor_hat
+    on a shared grid.
     """
+    r = rs.scale
     if r <= 0.0:
         raise ConstraintViolationError("equivalence check needs r > 0")
-    rs = RescaledSystem(system, np.asarray(anchor, dtype=float), float(r))
     u0 = as_state(u0)
     z0 = rs.to_physical(u0)
     traj_u = integrate(rs, u0, (0.0, float(t_span) / r**2), settings)
-    traj_z = integrate(system, z0, (0.0, float(t_span)), settings)
+    traj_z = integrate(rs.base, z0, (0.0, float(t_span)), settings)
     ahat = rs.anchor_hat
     grid = np.linspace(0.0, float(t_span), 257)
     zu = r * traj_u.sample(grid / r**2) + ahat

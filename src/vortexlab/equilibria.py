@@ -3,9 +3,14 @@ certification.
 
 A relative equilibrium is a configuration z with  grad H(z) = omega*M z
 and center of vorticity at the origin; the trajectory is the rigid
-rotation Z(t) = exp(omega*t*perp) z.  Constructors return configurations
-normalized so that the symmetry-twisted period is 2*pi: |omega| = 1 for
-plain configurations, |omega| = 1/ord(sigma) for the cyclic polygon.
+rotation Z(t) = exp(omega*t*perp) z.  A RelativeEquilibrium is built
+from strengths and positions alone: omega is projected from them, and
+sigma, with sigma*Z(. + 2*pi) = Z, is the relabelling of identical
+vortices at shift 2*pi in the table of time shifts that relabel the
+cluster (the identity when 2*pi is none of them).  Catalog constructors
+return configurations normalized so that the symmetry-twisted period is
+2*pi: |omega| = 1 for plain configurations, |omega| = 1/ord(sigma) for
+the cyclic polygon.
 
 Certification counts independent periodic solutions of the linearized
 equation along Z(t).  In the co-rotating frame the linearization is the
@@ -48,6 +53,7 @@ refuses the configuration.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import hermite as _hermite
@@ -67,46 +73,78 @@ MAX_MONODROMY_NORM = 1e12
 STRENGTH_TOL = 1e-13
 #: relabelled positions match within this share of the cluster radius
 RELABEL_TOL = 1e-9
+#: sigma's shift matches 2*pi, and certify's |omega| * ord(sigma) matches
+#: 1, within this share
+TWIST_TOL = 1e-9
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class RelativeEquilibrium:
-    """A rigidly rotating configuration with its symmetry bookkeeping."""
+    """A rigidly rotating configuration: its strengths and positions.
+
+    The constructor projects omega, the least-squares solution of
+    grad H(z) = omega * M z, and refuses positions whose residual
+    exceeds RESIDUAL_TOL, so every instance rotates rigidly.  A single
+    vortex is the trivial cluster: omega = 0, at the origin.  A
+    configuration of several vortices with M z = 0 has no rotation to
+    project and is refused.  sigma (`permutation`) is derived from the
+    positions too; positions are read-only, so neither goes stale.
+    """
 
     strengths: tuple
     positions: np.ndarray  # (N, 2)
-    angular_velocity: float
-    permutation: tuple  # sigma, 0-based images; identity for most entries
+    angular_velocity: float = field(init=False)
 
     def __post_init__(self):
-        self.positions = np.asarray(self.positions, dtype=float).reshape(-1, 2)
-        self.strengths = tuple(float(g) for g in self.strengths)
-        n = len(self.strengths)
-        if self.positions.shape[0] != n:
+        positions = np.array(self.positions, dtype=float).reshape(-1, 2)
+        positions.flags.writeable = False
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "strengths",
+                           tuple(float(g) for g in self.strengths))
+        if positions.shape[0] != self.n:
             raise ConstraintViolationError("strengths/positions length mismatch")
-        if not np.isfinite([*self.strengths, *self.positions.reshape(-1),
-                            self.angular_velocity]).all():
+        if not np.isfinite(positions).all():
+            raise ConstraintViolationError("positions must be finite")
+        sys, z = self.system, self.flat()
+        mz = sys.weights * z
+        if self.is_trivial and mz.any():
             raise ConstraintViolationError(
-                "strengths, positions and angular velocity must be finite")
-        self.permutation = tuple(int(i) for i in self.permutation)
-        if sorted(self.permutation) != list(range(n)):
-            raise ConstraintViolationError(f"invalid permutation {self.permutation}")
-        gam = np.asarray(self.strengths)
-        inv = np.argsort(np.asarray(self.permutation))
-        if not np.allclose(gam, gam[inv], rtol=0, atol=STRENGTH_TOL):
+                "a single vortex is the trivial cluster, at the origin")
+        if not self.is_trivial and mz @ mz == 0.0:
             raise ConstraintViolationError(
-                "permutation must preserve vortex strengths")
+                "positions with M z = 0 fix no angular velocity; a single "
+                "vortex at its anchor is make_trivial(gamma)")
+        omega = (0.0 if self.is_trivial
+                 else float((sys.gradient(z) @ mz) / (mz @ mz)))
+        object.__setattr__(self, "angular_velocity", omega)
+        res = self.residual()
+        if not res <= RESIDUAL_TOL:
+            raise NotEquilibriumError(
+                f"configuration misses the rigid-rotation condition "
+                f"(residual {res:.2e})")
 
     # -- derived -----------------------------------------------------------
     @property
     def n(self) -> int:
         return len(self.strengths)
 
+    @cached_property
+    def permutation(self) -> tuple:
+        """sigma, 0-based images: the relabelling at shift 2*pi modulo
+        the period, so S_sigma Z(t + 2*pi) = Z(t); the identity when 2*pi
+        is no shift of the table."""
+        period = self.period
+        for shift, pi in self.relabellings:
+            gap = abs(shift - TWO_PI % period)
+            if min(gap, period - gap) <= TWIST_TOL * period:
+                return pi
+        return tuple(range(self.n))
+
     @property
     def order(self) -> int:
         return permutation_order(self.permutation)
 
-    @property
+    @cached_property
     def relabellings(self) -> tuple:
         """(shift, pi) of each strength-preserving permutation pi with
         S_pi Z(t + shift) = Z(t), S_pi as in permutation_matrix; sigma is
@@ -153,15 +191,16 @@ class RelativeEquilibrium:
         """Single-vortex placeholder cluster (no internal motion)."""
         return self.n == 1
 
-    @property
+    @cached_property
     def system(self) -> VortexSystem:
         return VortexSystem(self.strengths, (self.n,), WholePlane())
 
     def flat(self) -> np.ndarray:
         return self.positions.reshape(-1)
 
-    def solution(self, t: float) -> np.ndarray:
-        """The rigid rotation Z(t) as a flat state."""
+    def solution(self, t) -> np.ndarray:
+        """The rigid rotation Z(t) as a flat state (one row per time of
+        an array t)."""
         return spin(self.flat(), self.angular_velocity, t)
 
     def residual(self) -> float:
@@ -171,40 +210,16 @@ class RelativeEquilibrium:
             sys.gradient(z) - self.angular_velocity * sys.weights * z))
 
 
-def from_positions(strengths, positions, sigma) -> RelativeEquilibrium:
-    """The relative equilibrium at positions, omega the least-squares
-    solution of grad H(z) = omega * M z; NotEquilibriumError if the
-    residual exceeds RESIDUAL_TOL.  Every catalog entry is built here.
-    A configuration with M z = 0 (one vortex at the origin) has no
-    rotation to project and is refused; make_trivial builds it."""
-    eq = RelativeEquilibrium(tuple(strengths), positions, 0.0, tuple(sigma))
-    sys, z = eq.system, eq.flat()
-    mz = sys.weights * z
-    if mz @ mz == 0.0:
-        raise ConstraintViolationError(
-            "positions with M z = 0 fix no angular velocity; a single "
-            "vortex at its anchor is make_trivial(gamma)")
-    eq.angular_velocity = float((sys.gradient(z) @ mz) / (mz @ mz))
-    res = eq.residual()
-    if not res <= RESIDUAL_TOL:
-        raise NotEquilibriumError(
-            f"constructed configuration misses the rigid-rotation "
-            f"condition (residual {res:.2e})")
-    return eq
-
-
 def make_trivial(gamma: float) -> RelativeEquilibrium:
     """Single-vortex placeholder cluster: sits at its anchor, no
     internal rotation.  Not certifiable; superposition specs treat it
     as a zero block."""
-    if gamma == 0.0:
-        raise ConstraintViolationError("vortex strength must be nonzero")
-    return RelativeEquilibrium((float(gamma),), np.zeros((1, 2)), 0.0, (0,))
+    return RelativeEquilibrium((gamma,), np.zeros((1, 2)))
 
 
 def make_pair(gamma1: float, gamma2: float) -> RelativeEquilibrium:
     """Two vortices on the x-axis about their center of vorticity,
-    scaled to |omega| = 1; identity symmetry."""
+    scaled to |omega| = 1."""
     total = gamma1 + gamma2
     if total == 0.0:
         raise ZeroTotalStrengthError(
@@ -212,14 +227,14 @@ def make_pair(gamma1: float, gamma2: float) -> RelativeEquilibrium:
     d = np.sqrt(abs(total) / np.pi)
     positions = np.array([[d * gamma2 / total, 0.0],
                           [-d * gamma1 / total, 0.0]])
-    return from_positions((gamma1, gamma2), positions, (0, 1))
+    return RelativeEquilibrium((gamma1, gamma2), positions)
 
 
 def make_equilateral(gamma1: float, gamma2: float,
                      gamma3: float) -> RelativeEquilibrium:
-    """Equilateral triangle about the center of vorticity, |omega| = 1,
-    identity symmetry.  Built for any nonzero total strength; whether the
-    configuration is degenerate is the certifier's business."""
+    """Equilateral triangle about the center of vorticity, |omega| = 1.
+    Built for any nonzero total strength; whether the configuration is
+    degenerate is the certifier's business."""
     total = gamma1 + gamma2 + gamma3
     if total == 0.0:
         raise ZeroTotalStrengthError("zero total strength: no rotation center")
@@ -227,40 +242,29 @@ def make_equilateral(gamma1: float, gamma2: float,
     verts = np.array([[0.0, 0.0], [s, 0.0], [0.5 * s, 0.5 * np.sqrt(3.0) * s]])
     gam = np.array([gamma1, gamma2, gamma3])
     center = (gam[:, None] * verts).sum(axis=0) / total
-    return from_positions((gamma1, gamma2, gamma3), verts - center, (0, 1, 2))
+    return RelativeEquilibrium((gamma1, gamma2, gamma3), verts - center)
 
 
 def make_thomson(n: int, gamma: float) -> RelativeEquilibrium:
-    """n identical vortices on a regular n-gon with the cyclic symmetry.
+    """n identical vortices on a regular n-gon.
 
     Scaled so |omega| = 1/n: one 2*pi time unit advances the rotation by
-    exactly one polygon step, making the cyclic permutation a twisted
-    period:  sigma*Z(. + 2*pi) = Z.
+    exactly one polygon step, so sigma is the cyclic shift of the
+    vertices, a twisted period: sigma*Z(. + 2*pi) = Z.
     """
     n = int(n)
     if n < 2:
         raise ConstraintViolationError("polygon needs at least 2 vortices")
-    if gamma == 0.0:
-        raise ConstraintViolationError("vortex strength must be nonzero")
     # omega = -gamma (n-1) / (2 pi R^2); |omega| = 1/n fixes R
     radius = np.sqrt(n * (n - 1) * abs(gamma) / (2.0 * np.pi))
     angles = TWO_PI * np.arange(n) / n
     positions = radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    # rotation direction decides which neighbour each vortex replaces
-    omega_sign = -np.sign(gamma)
-    if omega_sign < 0:
-        sigma = tuple((j + 1) % n for j in range(n))
-    else:
-        sigma = tuple((j - 1) % n for j in range(n))
-    eq = from_positions((gamma,) * n, positions, sigma)
-    if abs(abs(eq.angular_velocity) * n - 1.0) > 1e-9:
-        raise NotEquilibriumError("polygon normalization failed")
-    return eq
+    return RelativeEquilibrium((gamma,) * n, positions)
 
 
 def make_collinear_hermite(n: int, gamma: float) -> RelativeEquilibrium:
     """n identical vortices at the roots of the degree-n Hermite
-    polynomial on the x-axis, scaled to |omega| = 1; identity symmetry.
+    polynomial on the x-axis, scaled to |omega| = 1.
 
     Roots come from the companion-matrix eigenvalues of the recurrence
     basis (numpy.polynomial.hermite), reliable for n <= 20.
@@ -268,8 +272,6 @@ def make_collinear_hermite(n: int, gamma: float) -> RelativeEquilibrium:
     n = int(n)
     if n < 2:
         raise ConstraintViolationError("need at least 2 vortices")
-    if gamma == 0.0:
-        raise ConstraintViolationError("vortex strength must be nonzero")
     if n > 20:
         raise ConstraintViolationError("root finding unvalidated for n > 20")
     roots = np.sort(_hermite.hermroots([0.0] * n + [1.0]))
@@ -280,7 +282,7 @@ def make_collinear_hermite(n: int, gamma: float) -> RelativeEquilibrium:
     lam = np.sqrt(abs(gamma) / np.pi)  # unscaled omega is -gamma/pi
     positions = np.zeros((n, 2))
     positions[:, 0] = lam * roots
-    return from_positions((gamma,) * n, positions, tuple(range(n)))
+    return RelativeEquilibrium((gamma,) * n, positions)
 
 
 def normalize(eq: RelativeEquilibrium, target_omega: float) -> RelativeEquilibrium:
@@ -294,20 +296,16 @@ def normalize(eq: RelativeEquilibrium, target_omega: float) -> RelativeEquilibri
     """
     if eq.angular_velocity == 0.0:
         raise ConstraintViolationError("cannot normalize omega = 0")
-    if target_omega == 0.0:
-        raise ConstraintViolationError("target omega must be nonzero")
+    if not (np.isfinite(target_omega) and target_omega != 0.0):
+        raise ConstraintViolationError(
+            "target omega must be finite and nonzero")
     if target_omega * eq.angular_velocity < 0.0:
         raise ConstraintViolationError(
             f"rotation direction is fixed by the strengths "
             f"(omega = {eq.angular_velocity:+.3e}); cannot reach "
             f"target {target_omega:+.3e}")
     lam = np.sqrt(abs(eq.angular_velocity) / abs(target_omega))
-    out = RelativeEquilibrium(eq.strengths, lam * eq.positions,
-                              eq.angular_velocity / lam**2, eq.permutation)
-    res = out.residual()
-    if not res <= RESIDUAL_TOL:
-        raise NotEquilibriumError(f"normalization broke the residual ({res:.2e})")
-    return out
+    return RelativeEquilibrium(eq.strengths, lam * eq.positions)
 
 
 # ---------------------------------------------------------------------------
@@ -367,13 +365,9 @@ def certify(eq: RelativeEquilibrium) -> CertificationReport:
     if eq.is_trivial:
         raise ConstraintViolationError(
             "single-vortex placeholder clusters are not certifiable")
-    res = eq.residual()
-    if not res <= RESIDUAL_TOL:
-        raise NotEquilibriumError(
-            f"not a rigidly rotating configuration (residual {res:.2e})")
     order = eq.order
     scaling = abs(eq.angular_velocity) * order
-    if abs(scaling - 1.0) > 1e-9:
+    if abs(scaling - 1.0) > TWIST_TOL:
         raise ConstraintViolationError(
             f"certification expects |omega| * ord(sigma) = 1 (twisted period "
             f"2*pi), got {scaling:.6g}: normalize() the configuration, or "
@@ -405,7 +399,7 @@ def certify(eq: RelativeEquilibrium) -> CertificationReport:
         nondegenerate=bool(is_id and full_count == 3 and alg_full == 4),
         sigma_nondegenerate=bool(tw_count == 3 and alg_tw == 4),
         angular_velocity=eq.angular_velocity,
-        residual=res,
+        residual=eq.residual(),
         order=order,
         period=tau,
         singular_values=[float(s) for s in np.sort(sv_full)],

@@ -85,7 +85,7 @@ from .equilibria import RelativeEquilibrium, certify
 from .errors import (ConstraintViolationError, ConvergenceError,
                      ScaleTooLargeError, VortexError)
 from .linalg import (TWO_PI, aligned_distance, as_state, permutation_matrix,
-                     newton, permutation_order, spin)
+                     newton, permutation_order)
 from .stationary import GRADIENT_TOL, StationaryPoint, kernel_generators
 from .systems import RescaledSystem, VortexSystem
 
@@ -244,9 +244,7 @@ class SuperpositionSpec:
         times = np.asarray(times, dtype=float)
         out = np.zeros((times.size, 2 * self.n))
         for k in self.nontrivial_indices:
-            eq = self.clusters[k]
-            out[:, self.blocks[k]] = spin(eq.flat(), eq.angular_velocity,
-                                          times + full[k])
+            out[:, self.blocks[k]] = self.clusters[k].solution(times + full[k])
         return out
 
     def torus_point(self, phases=None) -> np.ndarray:

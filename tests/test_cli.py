@@ -104,7 +104,9 @@ def test_unknown_task_is_a_config_error(tmp_path, capsys):
     assert_one_error_line(capsys.readouterr().err)
 
 
-def custom_certify_config(tmp_path, permutation):
+def custom_certify_config(tmp_path, strengths="1, 1",
+                          positions="0.3989422804014327 0; "
+                                    "-0.3989422804014327 0"):
     return write_config(tmp_path, f"""
 [domain]
 kind = plane
@@ -115,9 +117,8 @@ output_dir = {tmp_path / "out"}
 
 [certify]
 catalog = custom
-strengths = 1, 1
-positions = 0.3989422804014327 0; -0.3989422804014327 0
-permutation = {permutation}
+strengths = {strengths}
+positions = {positions}
 """)
 
 
@@ -150,16 +151,19 @@ def file_as_output_dir_config(tmp_path):
     pytest.param(lambda tmp: stationary_config(tmp, "guess_jitter = -0.1")[0],
                  "[anchors] guess_jitter = '-0.1': must be >= 0",
                  id="negative-guess-jitter"),
-    pytest.param(lambda tmp: custom_certify_config(tmp, "0.4 1.2"),
-                 "[certify] permutation = '0.4 1.2'",
+    # sigma is derived from the positions: any permutation is refused
+    pytest.param(lambda tmp: with_line(
+        custom_certify_config(tmp), "strengths = 1, 1",
+        "strengths = 1, 1\npermutation = 0.4 1.2"),
+                 "unknown key [certify] permutation",
                  id="fractional-permutation"),
     pytest.param(undecodable_config, "codec can't decode",
                  id="undecodable-file"),
     pytest.param(file_as_output_dir_config, "[task] output_dir = ",
                  id="output-dir-is-a-file"),
-    pytest.param(lambda tmp: with_line(custom_certify_config(tmp, "0 1"),
-                                       "permutation = 0 1",
-                                       "permutation = 0 1\nparams = 9"),
+    pytest.param(lambda tmp: with_line(custom_certify_config(tmp),
+                                       "strengths = 1, 1",
+                                       "strengths = 1, 1\nparams = 9"),
                  "[certify] params is not read by catalog 'custom'",
                  id="params-of-a-custom-cluster"),
     pytest.param(lambda tmp: figure1_config(
@@ -172,7 +176,7 @@ def file_as_output_dir_config(tmp_path):
         id="strengths-of-a-named-cluster"),
     pytest.param(lambda tmp: figure1_config(
         tmp, "r = 0.1", cluster1="thomson\nparams = 2, -1\npermutation = 1 0")[0],
-        "[cluster.1] permutation is not read by catalog 'thomson'",
+        "unknown key [cluster.1] permutation",
         id="permutation-of-a-named-cluster"),
     pytest.param(lambda tmp: figure1_config(
         tmp, "r = 0.1", cluster1="trivial\npositions = 0 0")[0],
@@ -210,10 +214,15 @@ def test_bad_input_exits_with_one_config_error_line(
     ("periodic", "atol = 1e-10"),
     ("simulate", "rtol = 1e-10"),
     ("simulate", "atol = 1e-10"),
+    # the program derives sigma from the positions
+    ("cluster.2", "permutation = 1 0"),
+    ("certify", "permutation = 1 0"),
 ])
 def test_unknown_key_is_a_config_error(tmp_path, capsys, section, line):
     if section == "simulate":
         path = disc_dipole_simulate_config(tmp_path, "0.5 0.05; 0.5 -0.05", "")
+    elif section == "certify":
+        path = custom_certify_config(tmp_path)
     else:
         path, _ = figure1_config(tmp_path, "r = 0.1")
     text = Path(path).read_text().replace(f"[{section}]\n",
@@ -226,7 +235,7 @@ def test_unknown_key_is_a_config_error(tmp_path, capsys, section, line):
 
 
 def test_unknown_section_and_certify_keys(tmp_path, capsys):
-    path = custom_certify_config(tmp_path, "0 1")
+    path = custom_certify_config(tmp_path)
     text = Path(path).read_text()
     Path(path).write_text(text + "catalogue = pair\n")
     assert main(["run", path]) == 2
@@ -236,17 +245,24 @@ def test_unknown_section_and_certify_keys(tmp_path, capsys):
     assert "unknown section [simulat]" in capsys.readouterr().err
 
 
-def test_integer_permutation_reaches_the_equilibrium_checks(tmp_path, capsys):
-    # a well-formed permutation is passed on, not replaced by the identity
-    assert main(["run", custom_certify_config(tmp_path, "1, 0")]) == 3
-    assert_one_error_line(capsys.readouterr().err)
-    assert main(["run", custom_certify_config(tmp_path, "0 1")]) == 0
+@pytest.mark.parametrize("positions, sigma, order", [
+    ("0.3989422804014327 0; -0.3989422804014327 0", [0, 1], 1),
+    # the thomson 2-gon at omega = -1/2: one base period swaps the two
+    ("0.5641895835477563 0; -0.5641895835477563 0", [1, 0], 2),
+], ids=["pair", "two-gon"])
+def test_custom_cluster_permutation_is_derived_from_its_positions(
+        tmp_path, capsys, positions, sigma, order):
+    path = custom_certify_config(tmp_path, positions=positions)
+    assert main(["run", path]) == 0
+    doc = json.loads((tmp_path / "out" / "certification.json").read_text())
+    assert doc["permutation"] == sigma and doc["order"] == order
+    assert doc["sigma_nondegenerate"]
 
 
 def test_custom_cluster_certifies_as_its_catalog_twin(tmp_path, capsys):
     # the custom pair is make_pair(1, 1): its angular velocity is
     # projected from the positions, as the catalog's is
-    assert main(["run", custom_certify_config(tmp_path, "0 1")]) == 0
+    assert main(["run", custom_certify_config(tmp_path)]) == 0
     doc = json.loads((tmp_path / "out" / "certification.json").read_text())
     capsys.readouterr()
     assert main(["certify", "pair", "1", "1"]) == 0
@@ -266,8 +282,7 @@ def test_custom_cluster_certifies_as_its_catalog_twin(tmp_path, capsys):
 ])
 def test_custom_cluster_off_the_normalized_equilibrium_uses_the_precondition_code(
         tmp_path, capsys, positions, message):
-    path = with_line(custom_certify_config(tmp_path, "0 1"),
-                     "0.3989422804014327 0; -0.3989422804014327 0", positions)
+    path = custom_certify_config(tmp_path, positions=positions)
     assert main(["run", path]) == 3
     err = capsys.readouterr().err
     assert_one_error_line(err)
@@ -480,9 +495,8 @@ def test_non_finite_number_uses_the_precondition_code(tmp_path, capsys,
 
 # numpy would warn on the way to the explicit finiteness checks
 @pytest.mark.parametrize("argv", [
-    pytest.param(lambda tmp: ["run", with_line(
-        custom_certify_config(tmp, "0 1"),
-        "0.3989422804014327 0; -0.3989422804014327 0", "0.3 0; 0.3 0")],
+    pytest.param(lambda tmp: ["run", custom_certify_config(
+        tmp, positions="0.3 0; 0.3 0")],
         id="certify-coincident-custom-members"),
     pytest.param(lambda tmp: ["run", simulate_with(
         "strengths = 1, -1", "strengths = 1e308, 1e308")(tmp)],

@@ -364,8 +364,8 @@ def test_flow_map_agrees_with_plain_integration(disc_pair):
 
 def test_unit_scale_reduces_to_a_constant_shift(plane):
     base = VortexSystem((1.0, 1.0), (2,), plane)
-    dev = check_rescaling_equivalence(base, [[0.3, -0.2]], 1.0,
-                                      [0.5, 0.0, -0.5, 0.0], 2.0)
+    rs = RescaledSystem(base, np.array([[0.3, -0.2]]), 1.0)
+    dev = check_rescaling_equivalence(rs, [0.5, 0.0, -0.5, 0.0], 2.0)
     assert dev <= 1e-10
 
 
@@ -379,8 +379,9 @@ def test_rescaling_equivalence_on_the_reference_orbits(figure1_rescaling):
 def test_rescaling_check_requires_positive_scale(plane):
     base = VortexSystem((1.0, 1.0), (2,), plane)
     with pytest.raises(ConstraintViolationError):
-        check_rescaling_equivalence(base, [[0.0, 0.0]], 0.0,
-                                    [0.5, 0.0, -0.5, 0.0], 1.0)
+        check_rescaling_equivalence(
+            RescaledSystem(base, np.zeros((1, 2)), 0.0),
+            [0.5, 0.0, -0.5, 0.0], 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from vortexlab import (
     certify,
     flow_with_jacobian,
     from_catalog,
-    from_positions,
     make_collinear_hermite,
     make_equilateral,
     make_pair,
@@ -106,14 +105,31 @@ def test_thomson_polygon():
     assert eq.residual() <= 1e-12
 
 
-def test_thomson_shift_symmetry():
-    # advancing one base period permutes the vertices: S z(t + 2pi) = z(t)
-    for n in (3, 4):
-        eq = make_thomson(n, 1.0 / n)
-        S = permutation_matrix(eq.permutation)
-        for t in np.linspace(0.0, 4 * PI, 9):
-            assert np.allclose(S @ eq.solution(t + 2 * PI), eq.solution(t),
-                               atol=1e-12)
+def _cycle(n, step):
+    return tuple((j + step) % n for j in range(n))
+
+
+@pytest.mark.parametrize("eq, sigma", [
+    (make_pair(0.5, 0.5), (0, 1)),
+    (make_pair(2.0, 1.0), (0, 1)),
+    (make_equilateral(1.0, 2.0, 3.0), (0, 1, 2)),
+    (make_equilateral(1.0, 1.0, 1.0), (0, 1, 2)),
+    *[(make_thomson(n, g / n), _cycle(n, 1 if g > 0 else -1))
+      for n in (2, 3, 4, 5) for g in (1.0, -1.0)],
+    (make_collinear_hermite(3, 1.0), (0, 1, 2)),
+    (make_collinear_hermite(5, 1.0), (0, 1, 2, 3, 4)),
+    (make_trivial(2.0), (0,)),
+], ids=["pair-equal", "pair-uneven", "equilateral-123", "equilateral-111",
+        *[f"thomson{n}{s}" for n in (2, 3, 4, 5) for s in "+-"],
+        "hermite3", "hermite5", "trivial"])
+def test_thomson_shift_symmetry(eq, sigma):
+    # sigma, derived from the positions, is the relabelling one base
+    # period performs: S z(t + 2pi) = z(t)
+    assert eq.permutation == sigma
+    S = permutation_matrix(eq.permutation)
+    for t in np.linspace(0.0, 4 * PI, 9):
+        assert np.allclose(S @ eq.solution(t + 2 * PI), eq.solution(t),
+                           rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("eq, shifts, perms", [
@@ -147,8 +163,22 @@ def test_thomson_two_gon_is_the_pair_up_to_rotation():
 
     th = normalize(make_thomson(2, 0.5), -1.0)
     pair = make_pair(0.5, 0.5)
-    assert th.permutation == (1, 0)
+    # at omega = -1 one base period is a whole turn: no relabelling
+    assert make_thomson(2, 0.5).permutation == (1, 0)
+    assert th.permutation == pair.permutation == (0, 1)
     assert aligned_distance(th.flat(), pair.flat()) <= 1e-12
+
+
+def test_normalized_two_gon_certifies_as_the_pair():
+    # sigma is derived from the positions, so normalize cannot carry the
+    # 2-gon's (1, 0) over to a speed at which 2pi is a whole turn
+    th = certify(normalize(make_thomson(2, 0.5), -1.0)).as_dict()
+    pair = certify(make_pair(0.5, 0.5)).as_dict()
+    assert th["nondegenerate"] and th["order"] == 1
+    for key in ("periodic_solution_count", "symmetric_count",
+                "unit_multiplier_count", "twisted_unit_multiplier_count",
+                "nondegenerate", "sigma_nondegenerate", "order", "period"):
+        assert th[key] == pair[key], key
 
 
 def test_hermite_roots_and_scaling():
@@ -181,23 +211,34 @@ def test_trivial_cluster():
     assert eq.angular_velocity == 0.0
     assert eq.period == np.inf
     assert np.allclose(eq.positions, 0.0)
+    # one vortex at the origin is the trivial cluster whoever builds it
+    same = RelativeEquilibrium((2.0,), [[0.0, 0.0]])
+    assert same.is_trivial and same.angular_velocity == 0.0
+    assert same.permutation == (0,)
 
 
-def test_one_vortex_at_the_origin_is_refused_before_the_projection():
-    # M z = 0 leaves omega 0/0; the refusal names the trivial cluster
+def test_m_z_zero_is_refused_before_the_projection():
+    # several vortices with M z = 0 leave omega 0/0; the refusal comes
+    # before the gradient of the coincident points is formed
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConstraintViolationError, match="make_trivial"):
-            from_positions((1.0,), [[0.0, 0.0]], (0,))
+            RelativeEquilibrium((1.0, 1.0), np.zeros((2, 2)))
 
 
 def test_constructor_guards():
-    with pytest.raises(ConstraintViolationError):
-        RelativeEquilibrium((1.0, 2.0), np.zeros((2, 2)), -1.0, (1, 0))
-    with pytest.raises(ConstraintViolationError):
-        RelativeEquilibrium((1.0, 1.0), np.zeros((3, 2)), -1.0, (0, 1))
-    with pytest.raises(ConstraintViolationError):
-        RelativeEquilibrium((1.0, 1.0), np.zeros((2, 2)), -1.0, (0, 0))
+    with pytest.raises(ConstraintViolationError, match="length mismatch"):
+        RelativeEquilibrium((1.0, 1.0), np.zeros((3, 2)))
+    with pytest.raises(ConstraintViolationError, match="trivial cluster"):
+        RelativeEquilibrium((1.0,), [[0.5, 0.0]])
+    with pytest.raises(ConstraintViolationError, match="nonzero"):
+        make_thomson(3, 0.0)
+    # the derived values cannot drift from the positions
+    eq = make_pair(0.5, 0.5)
+    with pytest.raises(ValueError):
+        eq.positions[0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        eq.angular_velocity = 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -304,17 +345,19 @@ def test_certify_requires_unit_speed_orbit():
 
 
 def test_certify_rejects_non_equilibrium():
+    # a non-equilibrium never reaches certify: construction refuses it
     eq = make_pair(0.5, 0.5)
-    bad = RelativeEquilibrium(eq.strengths, eq.positions * 1.1, -1.0,
-                              eq.permutation)
-    with pytest.raises(NotEquilibriumError):
-        certify(bad)
+    with pytest.raises(NotEquilibriumError, match="rigid-rotation"):
+        RelativeEquilibrium(eq.strengths, [[0.3, 0.0], [-0.5, 0.0]])
     # coincident members make the residual NaN, which must not pass
-    coincident = RelativeEquilibrium(eq.strengths, [[0.3, 0.0], [0.3, 0.0]],
-                                     -1.0, eq.permutation)
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(NotEquilibriumError, match="residual nan"):
-            certify(coincident)
+            RelativeEquilibrium(eq.strengths, [[0.3, 0.0], [0.3, 0.0]])
+    # the pair scaled by 1.1 is an equilibrium, just not a normalized one
+    wide = RelativeEquilibrium(eq.strengths, eq.positions * 1.1)
+    assert wide.angular_velocity == pytest.approx(-1.0 / 1.21, abs=1e-12)
+    with pytest.raises(ConstraintViolationError, match="normalize"):
+        certify(wide)
 
 
 def test_report_serializes_to_json():

@@ -27,6 +27,7 @@ from vortexlab import (
     m_hamiltonian,
     make_pair,
     make_trivial,
+    normalize,
     perp,
     spin,
 )
@@ -61,12 +62,10 @@ def test_bad_cluster_layout_rejected():
                                np.array([[MU, 0.0], [-MU, 0.0]]), 0.1,
                                (bad, 0.0)),
     lambda bad: PerturbedDisc(bad),
-    lambda bad: RelativeEquilibrium((bad, 1.0), [[0.5, 0], [-0.5, 0]], -1.0,
-                                    (0, 1)),
-    lambda bad: RelativeEquilibrium((1.0, 1.0), [[bad, 0], [-0.5, 0]], -1.0,
-                                    (0, 1)),
-    lambda bad: RelativeEquilibrium((1.0, 1.0), [[0.5, 0], [-0.5, 0]], bad,
-                                    (0, 1)),
+    lambda bad: RelativeEquilibrium((bad, 1.0), [[0.5, 0], [-0.5, 0]]),
+    lambda bad: RelativeEquilibrium((1.0, 1.0), [[bad, 0], [-0.5, 0]]),
+    # an angular velocity enters only as normalize's target
+    lambda bad: normalize(make_pair(0.5, 0.5), bad),
 ], ids=["strengths", "scale", "frame-omega", "epsilon",
         "equilibrium-strengths", "equilibrium-positions",
         "angular-velocity"])
