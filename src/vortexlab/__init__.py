@@ -25,8 +25,7 @@ from .errors import (BoundaryEventError, CoincidentPointError, CollisionError,
                      CollisionEventError, ConstraintViolationError,
                      ConvergenceError, DomainViolationError, NotEquilibriumError,
                      ScaleTooLargeError, VortexError, ZeroTotalStrengthError)
-from .linalg import (aligned_distance, permutation_matrix, perp, rotate_all,
-                     spin)
+from .linalg import aligned_distance, permutation_matrix, perp, rotate_all
 from .periodic import (PeriodicOrbit, PhaseScanResult, SuperpositionSpec,
                        build_initial_guess, cluster_winding_numbers,
                        continue_in_r, distance_to_M, scan_phases, shoot,
@@ -98,7 +97,6 @@ __all__ = [
     "rotate_all",
     "scan_phases",
     "shoot",
-    "spin",
     "winding_number",
     "__version__",
 ]

@@ -62,8 +62,8 @@ from scipy.linalg import expm
 from .domains import WholePlane
 from .errors import (ConstraintViolationError, NotEquilibriumError,
                      ZeroTotalStrengthError)
-from .linalg import (TWO_PI, pairs, permutation_matrix, permutation_order,
-                     perp, rotate_all, spin)
+from .linalg import (TWO_PI, complex_points, pairs, permutation_matrix,
+                     permutation_order, perp, rotate_all)
 from .systems import VortexSystem
 
 RESIDUAL_TOL = 1e-10
@@ -158,11 +158,11 @@ class RelativeEquilibrium:
         p, n = self.positions, self.n
         if self.angular_velocity == 0.0:
             return ((0.0, tuple(range(n))),)
-        radii = np.hypot(p[:, 0], p[:, 1])
+        w = complex_points(p)
+        radii, angles = np.abs(w), np.angle(w)
         tol = RELABEL_TOL * radii.max()
         gam = np.asarray(self.strengths)
         other = np.abs(gam[:, None] - gam[None, :]) > STRENGTH_TOL
-        angles = np.arctan2(p[:, 1], p[:, 0])
         a = int(np.argmax(radii))
         found = []
         for j in np.flatnonzero(~other[a] & (np.abs(radii - radii[a]) <= tol)):
@@ -173,7 +173,6 @@ class RelativeEquilibrium:
             gaps[other] = np.inf
             pi = np.argmin(gaps, axis=1)
             if gaps[np.arange(n), pi].max() <= tol:
-                # spin(z, omega, shift) turns z by -omega * shift
                 found.append(((-alpha / self.angular_velocity) % self.period,
                               tuple(int(i) for i in pi)))
         step = self.period / len(found)
@@ -199,9 +198,10 @@ class RelativeEquilibrium:
         return self.positions.reshape(-1)
 
     def solution(self, t) -> np.ndarray:
-        """The rigid rotation Z(t) as a flat state (one row per time of
-        an array t)."""
-        return spin(self.flat(), self.angular_velocity, t)
+        """The rigid rotation Z(t), the turn by -omega * t, as a flat
+        state (one row per time of an array t)."""
+        theta = -self.angular_velocity * np.asarray(t, dtype=float)
+        return rotate_all(self.flat(), theta[..., None])
 
     def residual(self) -> float:
         z = self.flat()
@@ -343,8 +343,8 @@ def rotating_frame_matrix(eq: RelativeEquilibrium) -> np.ndarray:
 def monodromy(eq: RelativeEquilibrium, t: float) -> np.ndarray:
     """Fundamental matrix Phi_t of the linearization along Z(.)."""
     # the rigid rotation exp(omega*t*perp), applied to each column
-    return spin(expm(t * rotating_frame_matrix(eq)).T, eq.angular_velocity,
-                t).T
+    return rotate_all(expm(t * rotating_frame_matrix(eq)).T,
+                      -eq.angular_velocity * t).T
 
 
 def _kernel_dim(phi: np.ndarray):

@@ -1,20 +1,24 @@
 """Small linear-algebra helpers shared across the package.
 
-Convention: planar states are flat float64 vectors (x1, y1, x2, y2, ...).
-The symplectic rotation used throughout is the clockwise quarter turn
-perp(x, y) = (y, -x); exp(theta * perp) rotates every pair clockwise by
-theta.  All catalog angular velocities are expressed against this
-generator, so a positive physical (counterclockwise) rotation rate shows
-up as a negative angular velocity.
+Convention: planar states are flat float64 vectors (x1, y1, x2, y2, ...),
+whose complex points are x1 + i y1, x2 + i y2, ....  The symplectic
+quarter turn used throughout is the clockwise perp(x, y) = (y, -x);
+exp(theta * perp) rotates every pair clockwise by theta.  All catalog
+angular velocities are expressed against this generator, so a positive
+physical (counterclockwise) rotation rate shows up as a negative angular
+velocity, and a rigid rotation at angular velocity omega turns a state
+by the angle -omega * t.
 
-perp is the only quarter turn and rotate_all (with spin, its flow form)
-the only rotation of whole states; matrices of either are built by
-applying them to columns.  (The co-rotating frames of `systems` turn
-each vortex by its own angle, in complex form.)  aligned_distance is
-the only rotation fit: it compares states, or batches of states, up to
-one global rotation.  newton is the only Newton loop, shared by the
-anchor search and shooting; a caller borders its least-squares steps
-with rows (the generators of its symmetries), never with columns.
+perp is the only quarter turn; its matrix is built by applying it to
+columns.  rotate_all is the only turn of states: each vortex's complex
+point times exp(i theta), with one angle for all of them or one per
+vortex, and as many copies as rows of angles.  The co-rotating frames
+of `systems` read its core, _turn, with factors they form themselves.
+aligned_distance is the only rotation fit: it compares states, or
+batches of states, up to one global rotation.  newton is the only
+Newton loop, shared by the anchor search and shooting; a caller borders
+its least-squares steps with rows (the generators of its symmetries),
+never with columns.
 """
 
 from __future__ import annotations
@@ -76,26 +80,22 @@ def perp(z) -> np.ndarray:
 
 
 def rotate_all(z, theta) -> np.ndarray:
-    """Rotate every (x, y) pair counterclockwise by theta:
-    cos(theta) z - sin(theta) perp(z).
+    """The states z, (..., 2N), with every vortex turned counterclockwise
+    by theta: its complex point times exp(i theta).
 
-    theta broadcasts against the leading axes of z: a scalar turns a
-    state or every row of a (..., 2N) batch; an array of angles gives a
-    flat state one rotated copy per angle, stacked along the angles'
-    shape, and a batch one angle per row.
+    theta broadcasts against the complex points, (..., N): a scalar
+    turns every vortex alike, (N,) each vortex by its own angle, (k, 1)
+    makes k turned copies of a flat state (or turns each of k rows by
+    its own angle), and (k, N) does both.
     """
-    z = np.asarray(z, dtype=float)
-    th = np.asarray(theta, dtype=float)[..., None]
-    return np.cos(th) * z - np.sin(th) * perp(z)
+    return _turn(z, np.exp(1j * np.asarray(theta, dtype=float)))
 
 
-def spin(z, omega: float, t) -> np.ndarray:
-    """Rigid rotation flow exp(omega*t*perp) applied to a state.
-
-    With the clockwise generator, spin(z, omega, t) is a counterclockwise
-    rotation by -omega*t; an array of times stacks as in rotate_all.
-    """
-    return rotate_all(z, -omega * np.asarray(t, dtype=float))
+def _turn(z, factor) -> np.ndarray:
+    """The states z, (..., 2N), with their complex points times the unit
+    factors `factor`, which broadcast against (..., N)."""
+    return (np.ascontiguousarray(z, dtype=float).view(complex)
+            * factor).view(float)
 
 
 def closest_pair(p: np.ndarray, mask=None):
@@ -217,11 +217,12 @@ def aligned_distance(a, b):
 
     a and b are (..., 2N) arrays whose leading axes broadcast; the result
     has one distance per leading index (a scalar for two flat states).
-    The optimal angle is arctan2(<ccw quarter turn of a, b>, <a, b>); the
+    The optimal angle is arg sum conj(a) b over the complex points; the
     distance is then the norm of the aligned difference, not the root of
-    the closed form |a|^2 + |b|^2 - 2 hypot of those two products, which
-    cancels to a roundoff floor near zero.
+    the closed form |a|^2 + |b|^2 - 2 |sum conj(a) b|, which cancels to a
+    roundoff floor near zero.
     """
-    a = np.asarray(a, dtype=float)
-    theta = np.arctan2(-np.sum(perp(a) * b, axis=-1), np.sum(a * b, axis=-1))
-    return np.linalg.norm(rotate_all(a, theta) - b, axis=-1)
+    a = np.ascontiguousarray(a, dtype=float)
+    b = np.ascontiguousarray(b, dtype=float)
+    theta = np.angle(np.sum(a.view(complex).conj() * b.view(complex), axis=-1))
+    return np.linalg.norm(rotate_all(a, theta[..., None]) - b, axis=-1)

@@ -85,7 +85,7 @@ from .equilibria import RelativeEquilibrium, certify
 from .errors import (ConstraintViolationError, ConvergenceError,
                      ScaleTooLargeError, VortexError)
 from .linalg import (TWO_PI, aligned_distance, as_state, permutation_matrix,
-                     newton, permutation_order)
+                     newton, permutation_order, rotate_all)
 from .stationary import GRADIENT_TOL, StationaryPoint, kernel_generators
 from .systems import RescaledSystem, VortexSystem
 
@@ -118,10 +118,12 @@ class SuperpositionSpec:
     certification with its twisted-nondegeneracy flag set, and the phase
     vector carries one entry per nontrivial cluster.  The cluster layout
     is formed there too: `blocks` (the slice of each cluster's
-    coordinates in a flat state), `strengths`, `sigma` (the clusters'
-    permutations combined blockwise), and `relabellings` (each
-    combination of the clusters' relabelling tables, combined the same
-    way, the identity first).
+    coordinates in a flat state), `strengths`, `positions` (the
+    clusters' positions stacked into one flat state), `angular_velocities`
+    (each vortex's cluster's, (N,)), `sigma` (the clusters' permutations
+    combined blockwise), and `relabellings` (each combination of the
+    clusters' relabelling tables, combined the same way, the identity
+    first).
     """
 
     stationary: StationaryPoint
@@ -156,6 +158,9 @@ class SuperpositionSpec:
         self.blocks = tuple(slice(2 * a, 2 * b)
                             for a, b in zip(offsets, offsets[1:]))
         self.strengths = tuple(g for eq in self.clusters for g in eq.strengths)
+        self.positions = np.concatenate([eq.flat() for eq in self.clusters])
+        self.angular_velocities = np.repeat(
+            [eq.angular_velocity for eq in self.clusters], self.cluster_sizes)
         self.sigma = tuple(a + i for a, eq in zip(offsets, self.clusters)
                            for i in eq.permutation)
         self.relabellings = tuple(
@@ -222,8 +227,7 @@ class SuperpositionSpec:
         cluster's co-rotating frame (trivial clusters do not turn)."""
         return RescaledSystem(self.system(), self.stationary.positions,
                               self.scale,
-                              tuple(0.0 if eq.is_trivial
-                                    else eq.angular_velocity
+                              tuple(eq.angular_velocity
                                     for eq in self.clusters))
 
     def full_phases(self) -> np.ndarray:
@@ -235,17 +239,17 @@ class SuperpositionSpec:
 
     def torus_samples(self, times, phases=None) -> np.ndarray:
         """(len(times), 2N) samples of the superposed rigid motions
-        (Z^1(t + theta_1), ..., Z^m(t + theta_m)), the points of M.
+        (Z^1(t + theta_1), ..., Z^m(t + theta_m)), the points of M: the
+        stacked positions with vortex v turned by -omega_v (t + theta_v).
 
         `phases` holds one phase per cluster (default: the spec's phases,
-        zero on trivial clusters), whose blocks stay zero.
+        zero on trivial clusters).  A trivial cluster sits at the origin
+        and does not rotate, so its block stays zero.
         """
         full = self.full_phases() if phases is None else np.asarray(phases)
-        times = np.asarray(times, dtype=float)
-        out = np.zeros((times.size, 2 * self.n))
-        for k in self.nontrivial_indices:
-            out[:, self.blocks[k]] = self.clusters[k].solution(times + full[k])
-        return out
+        t = np.add.outer(np.asarray(times, dtype=float),
+                         np.repeat(full, self.cluster_sizes))
+        return rotate_all(self.positions, -self.angular_velocities * t)
 
     def torus_point(self, phases=None) -> np.ndarray:
         """The loop value (theta*Z)(0) as a flat rescaled state."""

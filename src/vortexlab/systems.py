@@ -62,7 +62,7 @@ import numpy as np
 from .domains import BOUNDARY_MARGIN, Domain, WholePlane
 from .errors import (CollisionError, ConstraintViolationError,
                      DomainViolationError)
-from .linalg import (TWO_PI, as_state, closest_pair, complex_points,
+from .linalg import (TWO_PI, _turn, as_state, closest_pair, complex_points,
                      pairs, real_blocks)
 
 COLLISION_TOL = 1e-8
@@ -295,16 +295,14 @@ class FlowSystem:
         """The states u = exp(-i omega t) v, per vortex, of the
         co-rotating states vs, (..., 2N), at the times t: a scalar, or
         one per leading index of vs.  omega is each vortex's frame
-        angular velocity, so a cluster rotating rigidly at its own
-        angular velocity (linalg.spin) has a constant v.  vs itself
-        when the system does not rotate."""
+        angular velocity, so u is linalg.rotate_all(vs, -omega t), and a
+        cluster rotating rigidly at its own angular velocity
+        (RelativeEquilibrium.solution) has a constant v.  vs itself when
+        the system does not rotate."""
         if not self._rotating:
             return vs
-        vs = np.asarray(vs, dtype=float)
-        z = complex_points(vs.reshape(*vs.shape[:-1], -1, 2))
-        z = z * np.exp(np.multiply.outer(-np.asarray(t, dtype=float),
-                                         self._iomega))
-        return z.view(float).reshape(vs.shape)
+        return _turn(vs, np.exp(np.multiply.outer(-np.asarray(t, dtype=float),
+                                                  self._iomega)))
 
     def to_frame(self, t, us) -> np.ndarray:
         """The inverse of to_lab: co-rotating states of the states us."""

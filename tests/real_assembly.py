@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from vortexlab import PerturbedDisc, UnitDisc, WholePlane
+from vortexlab import Domain, PerturbedDisc, UnitDisc, WholePlane
 
 FOUR_PI = 4.0 * np.pi
 TWO_PI = 2.0 * np.pi

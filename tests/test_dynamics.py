@@ -12,9 +12,9 @@ from scipy.optimize import minimize_scalar
 from vortexlab import (BoundaryEventError, CollisionError,
                        CollisionEventError, ConstraintViolationError,
                        DomainViolationError, IntegratorSettings,
-                       RescaledSystem, VortexSystem, WholePlane,
+                       RescaledSystem, VortexSystem,
                        check_rescaling_equivalence, flow_with_jacobian,
-                       integrate, make_pair, rotate_all, spin)
+                       integrate, make_pair, rotate_all)
 from vortexlab import dynamics, systems
 
 from conftest import MU
@@ -50,7 +50,7 @@ def test_corotating_pair_returns_after_one_period(plane):
     assert np.linalg.norm(traj.final_state - eq.flat()) <= 1e-9
     # dense output follows the closed-form rigid rotation
     for t in np.linspace(0.0, TWO_PI, 17):
-        ref = spin(eq.flat(), eq.angular_velocity, t)
+        ref = rotate_all(eq.flat(), -eq.angular_velocity * t)
         assert np.linalg.norm(traj.sample(t) - ref) <= 1e-9
 
 

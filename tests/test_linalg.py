@@ -15,7 +15,7 @@ from vortexlab.linalg import newton
 def test_batched_aligned_distance_equals_row_by_row_calls(batched):
     rng = np.random.default_rng(5)
     a = rng.normal(size=(6, 8))
-    b = rotate_all(a, rng.uniform(0.0, 2 * np.pi, size=6)) \
+    b = rotate_all(a, rng.uniform(0.0, 2 * np.pi, size=(6, 1))) \
         + 1e-2 * rng.normal(size=(6, 8))
     if batched == "a":
         b = b[0]
@@ -24,6 +24,37 @@ def test_batched_aligned_distance_equals_row_by_row_calls(batched):
     rows = np.broadcast_arrays(a, b)
     expected = [aligned_distance(x, y) for x, y in zip(*rows)]
     assert np.array_equal(aligned_distance(a, b), expected)
+
+
+N_VORTICES = 4
+
+
+def _turned_by_hand(z, theta):
+    """cos(theta) z - sin(theta) perp(z), perp(x, y) = (y, -x), with
+    theta broadcast against the vortices, (..., N), and each vortex's
+    angle applied to both of its coordinates."""
+    shape = np.broadcast_shapes(np.shape(theta), z.shape[:-1] + (N_VORTICES,))
+    th = np.repeat(np.broadcast_to(theta, shape), 2, axis=-1)
+    quarter = np.empty_like(z)
+    quarter[..., 0::2] = z[..., 1::2]
+    quarter[..., 1::2] = -z[..., 0::2]
+    return np.cos(th) * z - np.sin(th) * quarter
+
+
+# k = N rows, so an angle per row shaped (k,) would read as one per vortex
+@pytest.mark.parametrize("z_shape", [(2 * N_VORTICES,),
+                                     (N_VORTICES, 2 * N_VORTICES)],
+                         ids=["state", "batch"])
+@pytest.mark.parametrize("theta_shape", [(), (N_VORTICES,), (N_VORTICES, 1),
+                                         (N_VORTICES, N_VORTICES)],
+                         ids=["scalar", "per-vortex", "per-row", "both"])
+def test_rotate_all_turns_each_vortex_by_its_angle(z_shape, theta_shape):
+    rng = np.random.default_rng(11)
+    z = rng.uniform(-1.0, 1.0, size=z_shape)
+    theta = rng.uniform(-2 * np.pi, 2 * np.pi, size=theta_shape)
+    turned, expected = rotate_all(z, theta), _turned_by_hand(z, theta)
+    assert turned.shape == expected.shape
+    assert np.max(np.abs(turned - expected)) <= 1e-15
 
 
 def test_exports_resolve_and_are_unique():

@@ -7,10 +7,10 @@ import pytest
 
 from vortexlab import (Classification, CollisionError,
                        ConstraintViolationError, ConvergenceError,
-                       DomainViolationError, PerturbedDisc,
-                       UnitDisc, WholePlane, aligned_distance, classify,
-                       disc_dipole, evaluate_point, find_critical_point,
-                       m_gradient, m_hamiltonian, m_hessian, rotate_all)
+                       DomainViolationError, PerturbedDisc, WholePlane,
+                       aligned_distance, classify, evaluate_point,
+                       find_critical_point, m_gradient, m_hamiltonian,
+                       m_hessian, rotate_all)
 from vortexlab import stationary, systems
 from vortexlab.domains import SymmetryClass
 from vortexlab.stationary import (DIPOLE_OFFSET, _classify_kernel,

@@ -29,7 +29,7 @@ from vortexlab import (
     make_trivial,
     normalize,
     perp,
-    spin,
+    rotate_all,
 )
 from vortexlab.linalg import pairs
 from conftest import (MU, build_figure1_spec, build_thomson3_spec,
@@ -172,7 +172,7 @@ def test_rigid_rotation_field_of_the_reference_pair():
     z = np.array([d / 2, 0.0, -d / 2, 0.0])
     omega = -1.0
     h = 1e-7
-    dz = (spin(z, omega, h) - spin(z, omega, -h)) / (2.0 * h)
+    dz = (rotate_all(z, -omega * h) - rotate_all(z, omega * h)) / (2.0 * h)
     assert np.allclose(sys.vector_field(z), dz, atol=1e-7)
 
 
@@ -181,7 +181,7 @@ def test_energy_rotation_invariance_in_disc(disc, rng):
     for _ in range(20):
         z = random_disc_points(rng, 3).reshape(-1)
         theta = rng.uniform(0, 2 * PI)
-        assert abs(sys.hamiltonian(spin(z, 1.0, theta))
+        assert abs(sys.hamiltonian(rotate_all(z, -theta))
                    - sys.hamiltonian(z)) <= 1e-12
 
 
@@ -628,6 +628,18 @@ def test_rigidly_rotating_clusters_rest_in_their_frames(frame_cases, case):
     assert np.any(omega != 0.0)
     for t in (0.0, 0.3, 2.0, -5.0):
         assert np.max(np.abs(rs.vector_field(u0, t))) <= 1e-13
+
+
+@pytest.mark.parametrize("case", sorted(FRAME_SPECS))
+def test_to_lab_turns_each_vortex_by_minus_its_frame_angle(frame_cases,
+                                                           case):
+    rs, u0, omega = frame_cases[case, 0.1]
+    vs = u0 + 0.05 * np.random.default_rng(2).standard_normal((5, u0.size))
+    ts = np.linspace(-3.0, 7.0, 5)
+    assert np.array_equal(rs.to_lab(0.7, vs[0]),
+                          rotate_all(vs[0], -omega * 0.7))
+    assert np.array_equal(rs.to_lab(ts, vs),
+                          rotate_all(vs, -np.multiply.outer(ts, omega)))
 
 
 def test_a_system_without_rotation_reads_the_same_field_at_any_time(disc,
