@@ -7,7 +7,8 @@ small rigidly rotating cluster, and shoot for a genuinely periodic
 orbit of the full interacting system.  The smaller the cluster scale r,
 the closer the orbit hugs the manifold of superposed rigid motions.
 
-Runtime: about 1 second (the phase scan shoots four initial guesses).
+Runtime: about 1 second (the phase scan shoots once from each of the
+two critical points of the reduced functional).
 """
 
 import numpy as np
@@ -57,11 +58,14 @@ print(f"\nsanity: distance of the model loop itself: "
 
 # different relative cluster phases can converge to genuinely distinct
 # orbits, so one skeleton yields several orbit classes at the same r.
-# Swapping an equal pair's members is a half turn of its rotation, so
-# the scan starts on [0, pi) and counts orbits modulo that swap
+# The scan shoots from each critical point of the reduced functional,
+# the period mean of the coupling energy on M as a function of the
+# relative phase.  Swapping an equal pair's members is a half turn of
+# its rotation, so that phase ranges over [0, pi) and orbits are
+# counted modulo the swap
 result = scan_phases(spec)
 print(f"\nphase scan: {result.distinct_count} distinct classes "
-      f"from {result.attempted} starts, {len(result.failures)} failures")
+      f"from {result.attempted} shoots, {len(result.failures)} failures")
 for o in result.orbits:
     print(f"  class with phases {np.round(o.spec.phases, 3)}: "
           f"distance to M {o.distance_to_m:.6f}")

@@ -362,6 +362,8 @@ def _task_sweep(cfg: _Config, domain, outdir, rng, echo) -> int:
 
 
 def _task_scan(cfg: _Config, domain, outdir, rng, echo) -> int:
+    if cfg.get("periodic", "phases") is not None:
+        raise ConfigError("[periodic] phases is not read by task 'scan'")
     scale = cfg.get("periodic", "r", float, required=True)
     spec = _spec_from(cfg, domain, rng, "scan", scale, None)
     settings = _settings_from(cfg, "periodic")

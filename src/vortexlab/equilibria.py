@@ -376,12 +376,13 @@ def certify(eq: RelativeEquilibrium) -> CertificationReport:
     tau = TWO_PI * order
     A = rotating_frame_matrix(eq)
     phi_tau = monodromy(eq, tau)
-    phi_2pi = phi_tau if order == 1 else monodromy(eq, TWO_PI)
-    S = permutation_matrix(eq.permutation)
-    twisted = S @ phi_2pi
+    # at ord(sigma) = 1, sigma is the identity: the twisted matrix is Phi_tau
+    twisted = phi_tau if order == 1 else (
+        permutation_matrix(eq.permutation) @ monodromy(eq, TWO_PI))
 
     full_count, sv_full = _kernel_dim(phi_tau)
-    tw_count, sv_tw = _kernel_dim(twisted)
+    tw_count, sv_tw = ((full_count, sv_full) if order == 1
+                       else _kernel_dim(twisted))
 
     # eig(Phi_tau) would scatter the defective pair at 1 by about
     # sqrt(eps ||Phi||), 1e-2 at ||Phi|| = 4e10; eig(A) does not

@@ -10,12 +10,14 @@ one phase per nontrivial cluster.  For small r the rescaled system has
 genuine periodic orbits close to M.  This module assembles torus points
 as initial guesses, polishes them to orbits by symmetry-reduced
 shooting, continues the family in r, scans phases for distinct orbit
-classes, and measures the discrete H^1 distance to M.
+classes from the critical points of the reduced functional Phi (the
+period mean of the coupling energy on M), and measures the discrete
+H^1 distance to M.
 
 A relabelling of identical vortices that equals a time shift of a
-cluster's rigid motion moves its phase by that shift, so the scan starts
-on each free phase's fundamental domain only and tells orbit classes
-apart modulo the relabellings as well.
+cluster's rigid motion moves its phase by that shift, so the scan
+samples Phi on each free phase's fundamental domain only and tells
+orbit classes apart modulo the relabellings as well.
 
 Points of M are built in one place, SuperpositionSpec.torus_samples,
 on the cluster blocks the spec lays out once.  Orbits are compared up
@@ -99,8 +101,9 @@ MAX_SHOOT_ITERATIONS = 50
 CLOSURE_TOL = 1e-9
 SYMMETRY_DEFECT_TOL = 1e-8
 IDENTIFICATION_TOL = 1e-6
-#: scan starts per free phase, uniform on its fundamental domain
-PHASE_STARTS = 4
+#: samples of the reduced functional per free phase, uniform on its
+#: fundamental domain
+PHI_SAMPLES = 8
 STRENGTH_MATCH_TOL = 1e-12
 GRID_SAMPLES = 256
 
@@ -625,38 +628,67 @@ class PhaseScanResult:
         return len(self.orbits)
 
 
+def _critical_phases(spec: SuperpositionSpec) -> list:
+    """The critical points of Phi on the free phases' fundamental domain,
+    as phase vectors whose pinned last phase is 0: one linalg.newton on
+    the gradient of Phi's trigonometric interpolant from each of its
+    PHI_SAMPLES samples per free phase, converged at SHOOT_TOL of the
+    gradient's bound.  A seed whose Newton fails adds none, and points
+    within IDENTIFICATION_TOL modulo the domain are one."""
+    rs, free = spec.rescaled(), list(spec.nontrivial_indices[:-1])
+    period = np.array([spec.clusters[k].period
+                       / len(spec.clusters[k].relabellings) for k in free])
+    index = np.indices((PHI_SAMPLES,) * len(free)).reshape(len(free), -1).T
+    grid = index * (period / PHI_SAMPLES)
+    phases = grid @ np.eye(spec.m)[free]  # zero on the other clusters
+    ts = np.linspace(0.0, spec.tau, GRID_SAMPLES, endpoint=False)
+    values = np.array([np.mean([rs.coupling(w) for w in spec.scale
+                                * spec.torus_samples(ts, p)]) for p in phases])
+    coef = np.fft.fftn((values - values.mean()).reshape(
+        (PHI_SAMPLES,) * len(free))).reshape(-1) / len(grid)
+    waves = (np.fft.fftfreq(PHI_SAMPLES, 1.0 / PHI_SAMPLES)[index]
+             * (TWO_PI / period))
+
+    def gradient_and_hessian(theta):
+        modes = coef * np.exp(1j * (waves @ theta))
+        return (1j * modes @ waves).real, -((waves.T * modes) @ waves).real
+
+    tol, found = SHOOT_TOL * np.abs(coef) @ np.abs(waves).sum(1), []
+    for seed in grid:
+        try:
+            theta, _ = newton(gradient_and_hessian, seed, lambda _: None,
+                              tol=tol, max_iterations=MAX_SHOOT_ITERATIONS)
+        except ConvergenceError:
+            continue
+        # into the cell centred on the samples: a point at 0 stays at 0
+        theta = theta - period * np.floor(theta / period + 0.5 / PHI_SAMPLES)
+        if all(np.abs((theta - t + period / 2) % period - period / 2).max()
+               > IDENTIFICATION_TOL for t in found):
+            found.append(theta)
+    return [tuple(float(t) for t in theta) + (0.0,) for theta in found]
+
+
 def scan_phases(spec: SuperpositionSpec,
                 settings: Optional[IntegratorSettings] = None
                 ) -> PhaseScanResult:
-    """Shoot from relative-phase guesses on the fundamental domain of the
-    (l-1)-torus and cluster the converged orbits into distinct classes.
+    """Shoot once from each critical point of the reduced functional Phi
+    on the (l-1)-torus and cluster the orbits into distinct classes.
 
     The last nontrivial cluster's phase is pinned to zero (a synchronous
     shift moves all phases together, so only relative phases label orbit
     classes).  Relabelling cluster k by its table entry at shift s moves
-    its phase by s, so each free phase takes PHASE_STARTS uniform starts
-    on [0, P_k / s_k), P_k the cluster's period and s_k the length of its
-    table.  Two orbits are identified when, after optimizing the time
-    shift, the relabelling (and, on a rotational domain, the rotation
-    about its center), they are within IDENTIFICATION_TOL of each other.
-    With at most one nontrivial cluster there is no relative phase, and
-    the one start is the spec's own phases.  The starts are shot one
-    after another; a shot that fails with a VortexError is recorded in
-    the result, not raised, and any other exception propagates.
-    Settings looser than the default, which shoot refuses, raise that
-    ConstraintViolationError before the first shot.
+    its phase by s, so each free phase ranges over [0, P_k / s_k), P_k
+    the cluster's period and s_k the length of its table.  Two orbits
+    are identified when, after optimizing the time shift, the relabelling
+    (and, on a rotational domain, the rotation about its center), they
+    are within IDENTIFICATION_TOL of each other.  With at most one
+    nontrivial cluster the one start is the spec's own phases.  A shot
+    that fails with a VortexError is recorded in the result, not raised;
+    any other exception propagates.  Settings looser than the default,
+    which shoot refuses, raise that ConstraintViolationError first.
     """
-    if spec.l <= 1:
-        phase_vectors = [spec.phases]
-    else:
-        domains = [spec.clusters[k].period
-                   / len(spec.clusters[k].relabellings)
-                   for k in spec.nontrivial_indices[:-1]]
-        axes = [np.arange(PHASE_STARTS) * (d / PHASE_STARTS) for d in domains]
-        phase_vectors = [tuple(float(t) for t in free) + (0.0,)
-                         for free in product(*axes)]
-
     _certifying(settings)
+    phase_vectors = [spec.phases] if spec.l <= 1 else _critical_phases(spec)
     classes = []
     failures = []
     for pv in phase_vectors:

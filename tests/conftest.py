@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from vortexlab import (
+    PerturbedDisc,
     SuperpositionSpec,
     UnitDisc,
     WholePlane,
@@ -19,6 +20,7 @@ from vortexlab import (
     continue_in_r,
     disc_dipole,
     evaluate_point,
+    find_critical_point,
     make_pair,
     make_thomson,
     scan_phases,
@@ -91,6 +93,29 @@ def build_thomson3_spec(scale, phases=(0.0,)):
                              phases=tuple(phases), scale=scale)
 
 
+def build_perturbed_disc_spec(scale):
+    """The figure-1 clusters on the perturbed disc, whose dipole (found
+    from the disc's) sits at (+-0.4734, 0); no symmetry of the domain."""
+    domain = PerturbedDisc()
+    anchors = find_critical_point((-2.0, 2.0), domain,
+                                  [[MU, 0.0], [-MU, 0.0]])
+    clusters = (make_pair(-1.0, -1.0), make_pair(1.0, 1.0))
+    return SuperpositionSpec(anchors, clusters, domain, phases=(0.0, 0.0),
+                             scale=scale)
+
+
+def build_three_anchor_spec(scale):
+    """Strengths 1, -2, 1 at (-0.8091, 0), (0, 0), (0.8091, 0) in the
+    disc, each anchor carrying an equal pair: l = 3, two free phases."""
+    disc = UnitDisc()
+    anchors = find_critical_point((1.0, -2.0, 1.0), disc,
+                                  [[-0.8091, 0.0], [0.0, 0.0], [0.8091, 0.0]])
+    clusters = (make_pair(0.5, 0.5), make_pair(-1.0, -1.0),
+                make_pair(0.5, 0.5))
+    return SuperpositionSpec(anchors, clusters, disc,
+                             phases=(0.0, 0.0, 0.0), scale=scale)
+
+
 @pytest.fixture(scope="session")
 def figure1_spec_builder():
     return build_figure1_spec
@@ -121,8 +146,28 @@ def figure1_continuation():
 
 @pytest.fixture(scope="session")
 def figure1_scan():
-    """(scan result, seconds) over the fundamental domain's starts."""
+    """(scan result, seconds) from the critical points of the reduced
+    functional on the fundamental domain."""
     spec = build_figure1_spec(0.1)
+    start = time.perf_counter()
+    result = scan_phases(spec)
+    return result, time.perf_counter() - start
+
+
+@pytest.fixture(scope="session")
+def perturbed_disc_scan():
+    """(scan result, seconds) for the figure-1 clusters on the perturbed
+    disc at r = 0.05."""
+    spec = build_perturbed_disc_spec(0.05)
+    start = time.perf_counter()
+    result = scan_phases(spec)
+    return result, time.perf_counter() - start
+
+
+@pytest.fixture(scope="session")
+def three_anchor_scan():
+    """(scan result, seconds) for the three-anchor example at r = 0.05."""
+    spec = build_three_anchor_spec(0.05)
     start = time.perf_counter()
     result = scan_phases(spec)
     return result, time.perf_counter() - start

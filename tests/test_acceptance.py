@@ -341,7 +341,8 @@ def test_criterion_10_phase_multiplicity(capsys, figure1_scan):
         pytest.skip("only one phase class found at r=0.1; inconclusive "
                     "rather than failed")
     _report(capsys, 10, "phase-class multiplicity", True,
-            f"{result.distinct_count} classes from {result.attempted} starts")
+            f"{result.distinct_count} classes, {result.attempted} shoots, "
+            f"{len(result.failures)} failures")
     assert result.distinct_count >= 2
 
 

@@ -185,6 +185,9 @@ def file_as_output_dir_config(tmp_path):
     pytest.param(lambda tmp: figure1_config(
         tmp, "r = 0.1", cluster1="custom\nstrengths = -2\npositions = 0 0")[0],
         "use catalog = trivial", id="one-vortex-custom-cluster"),
+    pytest.param(lambda tmp: figure1_config(
+        tmp, "r = 0.1\nphases = 0.5, 0", task="scan")[0],
+        "[periodic] phases is not read by task 'scan'", id="phases-of-a-scan"),
 ])
 def test_bad_input_exits_with_one_config_error_line(
         tmp_path, capsys, make_config, message):

@@ -613,16 +613,75 @@ def test_second_figure1_class_continues_down_to_r_0_025():
 # ---------------------------------------------------------------------------
 
 def test_phase_scan_finds_multiple_orbit_classes(figure1_scan):
-    # four starts on [0, pi), the fundamental domain of the first pair's
-    # phase; modulo relabelling, figure 1 has two classes on the branch
+    # one shoot per critical point of the reduced functional on [0, pi),
+    # the fundamental domain of the first pair's phase: theta = 0 and
+    # pi/2; modulo relabelling, figure 1 has two classes on the branch
     result, _ = figure1_scan
-    assert result.attempted == 4
+    assert result.attempted == 2
     assert result.distinct_count == 2
     assert result.distinct_count == len(result.orbits)
     assert result.failures == []
     for orbit in result.orbits:
         assert orbit.residual <= 1e-10
         assert abs(orbit.distance_to_m / orbit.scale**2 - 2.2) <= 0.22
+    by_phase = sorted((o.spec.phases[0], o.distance_to_m / o.scale**2)
+                      for o in result.orbits)
+    assert np.allclose([d for _, d in by_phase], [2.2055, 2.2089],
+                       rtol=0.0, atol=1e-4)
+
+
+def test_reduced_functional_critical_points_on_figure1():
+    # Phi on [0, pi) is cos(2 theta) up to a second mode 1.7e-5 of it:
+    # its critical points are theta = 0 and pi/2, and its 8 samples
+    # resolve it, so the Nyquist mode is at the samples' rounding level
+    spec = build_figure1_spec(0.1)
+    phases = sorted(periodic._critical_phases(spec))
+    assert np.allclose(phases, [(0.0, 0.0), (np.pi / 2, 0.0)],
+                       rtol=0.0, atol=1e-9)
+    rs = spec.rescaled()
+    ts = np.linspace(0.0, spec.tau, periodic.GRID_SAMPLES, endpoint=False)
+    thetas = np.arange(periodic.PHI_SAMPLES) * (np.pi / periodic.PHI_SAMPLES)
+    phi = np.array([np.mean([rs.coupling(spec.scale * w) for w in
+                             spec.torus_samples(ts, (theta, 0.0))])
+                    for theta in thetas])
+    modes = np.abs(np.fft.rfft(phi - phi.mean()))
+    assert modes[1] == modes.max()
+    assert modes[-1] <= 1e-8 * modes[1]
+
+
+def test_perturbed_disc_scan_shoots_once_per_critical_point(
+        perturbed_disc_scan):
+    # the figure-1 clusters on the perturbed disc at r = 0.05, where the
+    # uniform starts at pi/4 and 3pi/4 left the disc: the critical points
+    # 0 and pi/2 each give one class on the branch
+    result, _ = perturbed_disc_scan
+    assert result.attempted == 2
+    assert result.failures == []
+    assert result.distinct_count == 2
+    starts = sorted(orbit.spec.phases for orbit in result.orbits)
+    assert np.allclose(starts, [(0.0, 0.0), (np.pi / 2, 0.0)],
+                       rtol=0.0, atol=1e-6)
+    for orbit in result.orbits:
+        assert orbit.residual <= 1e-10
+        assert abs(orbit.distance_to_m / orbit.scale**2 - 2.255) <= 0.01
+
+
+def test_three_anchor_scan_meets_the_lusternik_schnirelmann_bound(
+        three_anchor_scan):
+    # l = 3, so the free phases range over [0, pi)^2; the reflection of
+    # the anchors makes Phi even, so the four points of {0, pi/2}^2 are
+    # critical, and the interpolant has no others.  Lusternik-Schnirelmann
+    # on T^2 asks for at least 3 classes; each start stays on the branch
+    result, _ = three_anchor_scan
+    assert result.attempted == 4
+    assert result.failures == []
+    assert result.distinct_count >= 3
+    corners = [(a, b, 0.0) for a in (0.0, np.pi / 2) for b in (0.0, np.pi / 2)]
+    for orbit in result.orbits:
+        assert orbit.residual <= 1e-10
+        assert abs(orbit.distance_to_m / orbit.scale**2 - 5.11) <= 0.05
+        assert min(np.abs(np.subtract(orbit.spec.phases, c)).max()
+                   for c in corners) <= 1e-9, orbit.spec.phases
 
 
 def test_scan_classes_are_pairwise_separated(figure1_scan):
