@@ -261,7 +261,8 @@ def _spec_from(cfg: _Config, domain, rng, task: str, scale: float,
 # ---------------------------------------------------------------------------
 
 def _fmt_r(r: float) -> str:
-    return f"{r:g}"
+    """r as names and logs write it, distinct for distinct scales."""
+    return repr(float(r))
 
 
 def _write_orbit(orbit, outdir: str, echo: dict):

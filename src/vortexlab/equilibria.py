@@ -419,7 +419,7 @@ _CATALOG = {
 def from_catalog(name: str, *params) -> RelativeEquilibrium:
     """Build a catalog configuration by name.
 
-    pair g1 g2 | equilateral g1 g2 g3 | thomson n g | hermite n g
+    pair g1 g2 | equilateral g1 g2 g3 | thomson n g | hermite n g (n whole)
     """
     key = name.strip().lower()
     if key not in _CATALOG:
@@ -429,6 +429,8 @@ def from_catalog(name: str, *params) -> RelativeEquilibrium:
     if len(params) != argc:
         raise TypeError(f"{key} expects {argc} parameters, got {len(params)}")
     if key in ("thomson", "hermite"):
-        count = int(round(float(params[0])))
-        return maker(count, float(params[1]))
+        n = float(params[0])
+        if not n.is_integer():
+            raise ValueError(f"{key} needs a whole vortex count, got {n}")
+        return maker(int(n), float(params[1]))
     return maker(*[float(p) for p in params])

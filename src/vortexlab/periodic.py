@@ -88,7 +88,8 @@ from .errors import (ConstraintViolationError, ConvergenceError,
                      ScaleTooLargeError, VortexError)
 from .linalg import (TWO_PI, aligned_distance, as_state, permutation_matrix,
                      newton, permutation_order, rotate_all)
-from .stationary import GRADIENT_TOL, StationaryPoint, kernel_generators
+from .stationary import (GRADIENT_TOL, StationaryPoint, kernel_generators,
+                         m_gradient)
 from .systems import RescaledSystem, VortexSystem
 
 SHOOT_TOL = 1e-10
@@ -104,6 +105,10 @@ IDENTIFICATION_TOL = 1e-6
 #: samples of the reduced functional per free phase, uniform on its
 #: fundamental domain
 PHI_SAMPLES = 8
+#: times of Phi's period mean: on the figure-1, perturbed-disc and
+#: three-anchor scans its critical points agree with those from 256 times
+#: within 4e-10 (within 7e-10 at 16 times), at an eighth of the cost
+PHI_TIMES = 32
 STRENGTH_MATCH_TOL = 1e-12
 GRID_SAMPLES = 256
 
@@ -116,10 +121,11 @@ GRID_SAMPLES = 256
 class SuperpositionSpec:
     """Anchors, clusters, phases, and scale of one superposition ansatz.
 
-    Validation happens at construction: cluster strength sums must match
-    their anchor strengths, every nontrivial cluster must pass
-    certification with its twisted-nondegeneracy flag set, and the phase
-    vector carries one entry per nontrivial cluster.  The cluster layout
+    Validation happens at construction: the anchors must be critical on
+    the spec's own domain, cluster strength sums must match their anchor
+    strengths, every nontrivial cluster must pass certification with its
+    twisted-nondegeneracy flag set, and the phase vector carries one
+    entry per nontrivial cluster.  The cluster layout
     is formed there too: `blocks` (the slice of each cluster's
     coordinates in a flat state), `strengths`, `positions` (the
     clusters' positions stacked into one flat state), `angular_velocities`
@@ -141,10 +147,12 @@ class SuperpositionSpec:
         if len(self.clusters) != m:
             raise ConstraintViolationError(
                 f"{len(self.clusters)} clusters for {m} anchors")
-        if self.stationary.gradient_norm > GRADIENT_TOL:
+        grad = np.linalg.norm(m_gradient(self.stationary.strengths,
+                                         self.domain, self.stationary.flat()))
+        if grad > GRADIENT_TOL:
             raise ConstraintViolationError(
-                "anchors must form a critical point "
-                f"(gradient norm {self.stationary.gradient_norm:.2e})")
+                f"anchors must form a critical point on {self.domain.name} "
+                f"(gradient norm {grad:.2e})")
         for k, (eq, gam) in enumerate(zip(self.clusters,
                                           self.stationary.strengths)):
             if not isinstance(eq, RelativeEquilibrium):
@@ -632,7 +640,8 @@ def _critical_phases(spec: SuperpositionSpec) -> list:
     """The critical points of Phi on the free phases' fundamental domain,
     as phase vectors whose pinned last phase is 0: one linalg.newton on
     the gradient of Phi's trigonometric interpolant from each of its
-    PHI_SAMPLES samples per free phase, converged at SHOOT_TOL of the
+    PHI_SAMPLES samples per free phase, each the mean of the coupling
+    over PHI_TIMES times of the period, converged at SHOOT_TOL of the
     gradient's bound.  A seed whose Newton fails adds none, and points
     within IDENTIFICATION_TOL modulo the domain are one."""
     rs, free = spec.rescaled(), list(spec.nontrivial_indices[:-1])
@@ -641,7 +650,7 @@ def _critical_phases(spec: SuperpositionSpec) -> list:
     index = np.indices((PHI_SAMPLES,) * len(free)).reshape(len(free), -1).T
     grid = index * (period / PHI_SAMPLES)
     phases = grid @ np.eye(spec.m)[free]  # zero on the other clusters
-    ts = np.linspace(0.0, spec.tau, GRID_SAMPLES, endpoint=False)
+    ts = np.linspace(0.0, spec.tau, PHI_TIMES, endpoint=False)
     values = np.array([np.mean([rs.coupling(w) for w in spec.scale
                                 * spec.torus_samples(ts, p)]) for p in phases])
     coef = np.fft.fftn((values - values.mean()).reshape(

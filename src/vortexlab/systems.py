@@ -21,14 +21,16 @@ g.  Choosing the coefficient matrices recovers:
 
 `assemble_interaction` evaluates the value or the gradient/Hessian of that
 shape in closed form (no finite differences anywhere outside the tests).
-Its one implementation is in complex form: one complex difference per
-pair, one complex gradient entry per vortex, and the Hessian from two
-complex (N, N) matrices.
+It has one form: complex points in, a complex gradient entry per vortex
+and the Hessian's two complex (N, N) matrices out, read in an affine
+frame that each system forms once, at construction (RescaledSystem
+holds two, for E_r and for F).
 
 Both systems derive from FlowSystem, which writes the energy and its
 derivatives, the vector field and its Jacobian, and the admissibility
-check once, on each subclass's energy coefficients, energy offset
-`_offset` and `guard_geometry`.  The check, `screen`, takes a step's
+check once, on each subclass's energy coefficients, frame, energy
+offset `_offset` and `guard_geometry`; a gradient or Hessian is put in
+real form only where one is returned.  The check, `screen`, takes a step's
 screening samples in one call; `validate_state`, for start states and
 Newton iterates, is its one-row case.  RescaledSystem routes
 `hamiltonian` and `vector_field` through `rescaled_hamiltonian` and
@@ -73,58 +75,46 @@ COLLISION_TOL = 1e-8
 # ---------------------------------------------------------------------------
 
 def kernel_offsets(A, C=0.0) -> np.ndarray:
-    """The complex pair offsets C, (N, N), set to inf on the pairs the
-    kernel does not read: the diagonal and the pairs where A is 0.  Their
-    pair difference is inf, so its reciprocal reads 0."""
-    C = np.where(np.asarray(A) != 0.0, C, np.inf).astype(complex)
+    """A frame's complex pair offsets C, (N, N), set to inf on the pairs
+    the kernel does not read: the diagonal and the pairs where A is 0.
+    Their pair difference is inf, so its reciprocal reads 0."""
+    C = np.where(A != 0.0, C, np.inf).astype(complex)
     np.fill_diagonal(C, np.inf)
     return C
 
 
-def assemble_interaction(positions, A, B=None, domain: Domain | None = None,
-                         order: int = 2, frame=None,
-                         complex_form: bool = False):
+def assemble_interaction(z, A, B, domain: Domain, frame, order: int = 2):
     """Evaluate the generic pairwise energy or its derivatives.
 
-    positions: (N, 2), or the complex points x1 + i x2, (N,).  A: (N, N)
-    symmetric, diagonal ignored.  B: (N, N) symmetric or None; requires
-    `domain` for its regular part g.  order:
-    0 value, 1 gradient, 2 gradient and Hessian.  Returns (value, grad,
-    hess) with None for what was not requested: the value, and with it g
-    itself, is only evaluated at order 0.
+    z: the complex points x1 + i x2, (N,).  A: (N, N) symmetric,
+    diagonal ignored.  B: (N, N) symmetric, for the domain's regular
+    part g.  order: 0 value, 1 gradient, 2 gradient and Hessian.
+    Returns (value, D, (L, K)) with None for what was not requested: the
+    value, and with it g itself, is only evaluated at order 0.
 
-    frame: None, or (S, C, s, b) to evaluate the energy in affine
-    variables x = positions.  The kernel then reads the complex pair
-    differences S_ij (z_i - z_j) + C_ij of the points z = x1 + i x2, the
-    regular part reads the points s*z + b, and derivatives are taken
-    with respect to x.  C comes from `kernel_offsets(A, ...)`, which
-    marks the pairs the kernel does not read; without a frame it is
-    formed on each call.
+    frame: (S, C, s, b), the affine frame in which the energy is read.
+    The kernel reads the complex pair differences S_ij (z_i - z_j) + C_ij,
+    the regular part reads the points s*z + b, and derivatives are taken
+    with respect to z.  C comes from `kernel_offsets(A, ...)`, which
+    marks the pairs the kernel does not read.
 
     Everything is in complex form (see `domains`): the kernel
     -(1/2pi) log|w| has G_x = -1/(2pi w); the gradient's complex form
     D_i = d_1 E - i d_2 E is (N,), and its derivatives L = dD/d(conj z)
-    and K = dD/dz are (N, N), written out by `linalg.real_blocks`.
-    complex_form returns D and (L, K) themselves in place of the real
-    gradient and Hessian (L is the scalar 0 without B).
+    and K = dD/dz are (N, N); `linalg.real_blocks` writes them out as
+    the real Hessian.
     """
-    z = (np.asarray(positions) if np.iscomplexobj(positions)
-         else complex_points(positions))
-    A = np.asarray(A, dtype=float)
-    S, C, s, b = (1.0, kernel_offsets(A), 1.0, 0.0) if frame is None else frame
+    S, C, s, b = frame
     w = np.subtract.outer(z, z)
     w *= S
     w += C
     p = s * z + b
-    if B is not None:
-        B = np.asarray(B, dtype=float)
 
     if order == 0:
         logs = np.log(np.abs(w))
         logs[np.isposinf(logs)] = 0.0  # pairs the kernel does not read
         value = float(np.sum(A * logs)) / -TWO_PI
-        if B is not None:
-            value += float(np.sum(B * domain.regular_coefficients(p, p, 0)))
+        value += float(np.sum(B * domain.regular_coefficients(p, p, 0)))
         return value, None, None
 
     # each ordered pair twice: D_i = -(1/pi) sum_j A_ij S_ij / w_ij
@@ -132,11 +122,10 @@ def assemble_interaction(positions, A, B=None, domain: Domain | None = None,
     Sr = S / w
     ASr = A * Sr
     D = ASr.sum(axis=1) / -np.pi
-    if B is not None:
-        c = domain.regular_coefficients(p, p, order)
-        D += 2.0 * s * (B * (c if order == 1 else c[0])).sum(axis=1)
+    c = domain.regular_coefficients(p, p, order)
+    D += 2.0 * s * (B * (c if order == 1 else c[0])).sum(axis=1)
     if order == 1:
-        return None, (D if complex_form else D.conj().view(float)), None
+        return None, D, None
 
     # K: the kernel's (1/pi) (diag(sum_j T_ij) - T) with T = A S^2 / w^2,
     # B's G_xx summed on the diagonal and G_xy; L: B's G_xyb.  The self
@@ -146,16 +135,11 @@ def assemble_interaction(positions, A, B=None, domain: Domain | None = None,
     K /= -np.pi
     diag = K.reshape(-1)[::n + 1]
     diag -= K.sum(axis=1)
-    L = 0.0
-    if B is not None:
-        _, gxx, gxy, gxyb = c
-        B2 = (2.0 * s * s) * B
-        K += B2 * gxy
-        diag += (B2 * gxx).sum(axis=1)
-        L = B2 * gxyb
-    if complex_form:
-        return None, D, (L, K)
-    return None, D.conj().view(float), real_blocks(L, K)
+    _, gxx, gxy, gxyb = c
+    B2 = (2.0 * s * s) * B
+    K += B2 * gxy
+    diag += (B2 * gxx).sum(axis=1)
+    return None, D, (B2 * gxyb, K)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +149,7 @@ def assemble_interaction(positions, A, B=None, domain: Domain | None = None,
 class FlowSystem:
     """Energy, flow and admissibility of a vortex system in its own
     coordinates.  A subclass provides n, gamma, domain, the energy's
-    coefficients `_A` (with B = -A) and `_frame` (see
+    coefficients `_A` (with B = -A) and `_frame`, formed once (see
     assemble_interaction), `_offset`, `_ig` (the (N,) factors i/Gamma)
     and `guard_geometry(ys)` -> (positions to guard, (..., N, 2), pair
     mask or None, the domain whose wall they clear); a subclass that
@@ -219,27 +203,25 @@ class FlowSystem:
                                  boundary_margin)[0])
 
     # -- energy --------------------------------------------------------------
-    def _assemble(self, y, order: int, complex_form: bool = False):
-        """The energy's assembly at the state y, (2N,), or at its
-        complex points, (N,)."""
-        return assemble_interaction(
-            y if np.iscomplexobj(y) else pairs(y), self._A, -self._A,
-            self.domain, order=order, frame=self._frame,
-            complex_form=complex_form)
+    def _assemble(self, u, order: int):
+        """The energy's assembly at the complex points u, (N,)."""
+        return assemble_interaction(u, self._A, -self._A, self.domain,
+                                    self._frame, order=order)
 
     def hamiltonian(self, y) -> float:
-        return self._assemble(y, 0)[0] - self._offset
+        return self._assemble(complex_points(pairs(y)), 0)[0] - self._offset
 
     def gradient(self, y) -> np.ndarray:
-        return self._assemble(y, 1)[1]
+        D = self._assemble(complex_points(pairs(y)), 1)[1]
+        return D.conj().view(float)
 
     def hessian(self, y) -> np.ndarray:
-        return self._assemble(y, 2)[2]
+        return real_blocks(*self._assemble(complex_points(pairs(y)), 2)[2])
 
     def gradient_and_hessian(self, y):
         """(gradient, Hessian) of the energy from one order-2 assembly."""
-        _, g, H = self._assemble(y, 2)
-        return g, H
+        _, D, LK = self._assemble(complex_points(pairs(y)), 2)
+        return D.conj().view(float), real_blocks(*LK)
 
     # -- flow ----------------------------------------------------------------
     def vector_field(self, y, t=None) -> np.ndarray:
@@ -275,7 +257,7 @@ class FlowSystem:
             b = np.exp(-self._iomega * t)
             v, u = u, b * u
             ig = ig * b
-        _, D, LK = self._assemble(u, order, complex_form=True)
+        _, D, LK = self._assemble(u, order)
         field = np.conj(ig * D)
         if turned:
             field += self._iomega * v
@@ -408,14 +390,15 @@ class RescaledSystem(FlowSystem):
     E_skeleton, the energy of one vortex of the summed strength per
     cluster at the anchor, is the `_offset` fixed at construction.
 
-    Coefficients, masks and anchor offsets are fixed at construction.
+    Coefficients, masks and both frames are formed once, at construction.
     Each energy, gradient or Hessian is one assembly in the frame
     u -> (pair differences, physical points): cross-cluster pairs read
     r*(u_i - u_j) + (anchor_hat_i - anchor_hat_j) and the regular part g
     reads r*u + anchor_hat.  Intra-cluster pairs read u_i - u_j, i.e.
     r*(u_i - u_j) with the factor r divided out of the log kernel's
     derivatives; they keep full relative precision at small r, and r = 0
-    is the decoupled limit.
+    is the decoupled limit.  F is read at w = r*u in a second frame,
+    which adds anchor_hat to w.
 
     omega, one angular velocity per cluster (None: all 0), sets each
     cluster's co-rotating frame, in which the integrators advance the
@@ -456,13 +439,16 @@ class RescaledSystem(FlowSystem):
         A = self.base._A
         ahat = np.repeat(a, self.base.cluster_sizes, axis=0)
         zhat = complex_points(ahat)
-        frame = (np.where(intra, 1.0, r),
-                 kernel_offsets(A, np.subtract.outer(zhat, zhat)), r, zhat)
+        A_cross = np.where(intra, 0.0, A)
+        dzhat = np.subtract.outer(zhat, zhat)
+        frame = (np.where(intra, 1.0, r), kernel_offsets(A, dzhat), r, zhat)
         ahat.flags.writeable = False
         for name, value in (("_offset", sk.hamiltonian(a.reshape(-1))),
                             ("_intra", intra), ("_A", A),
-                            ("_A_cross", np.where(intra, 0.0, A)),
-                            ("_ahat", ahat), ("_frame", frame),
+                            ("_A_cross", A_cross), ("_ahat", ahat),
+                            ("_frame", frame),
+                            ("_coupling_frame", (1.0, kernel_offsets(
+                                A_cross, dzhat), 1.0, zhat)),
                             ("_ig", self.base._ig),
                             ("_iomega", 1j * np.repeat(
                                 omega, self.base.cluster_sizes)),
@@ -492,17 +478,18 @@ class RescaledSystem(FlowSystem):
 
     # -- coupling term F -----------------------------------------------------
     def _coupling_parts(self, w, order: int):
-        return assemble_interaction(pairs(w) + self._ahat, self._A_cross,
-                                    -self._A, self.domain, order=order)
+        return assemble_interaction(complex_points(pairs(w)), self._A_cross,
+                                    -self._A, self.domain,
+                                    self._coupling_frame, order=order)
 
     def coupling(self, w) -> float:
         return self._coupling_parts(w, 0)[0]
 
     def coupling_grad(self, w) -> np.ndarray:
-        return self._coupling_parts(w, 1)[1]
+        return self._coupling_parts(w, 1)[1].conj().view(float)
 
     def coupling_hess(self, w) -> np.ndarray:
-        return self._coupling_parts(w, 2)[2]
+        return real_blocks(*self._coupling_parts(w, 2)[2])
 
     # -- rescaled energy E_r and its flow --------------------------------------
     # the benchmark's tracer wraps these three names, so the energy and

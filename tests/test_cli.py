@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vortexlab import stationary
+from vortexlab import from_catalog, stationary
 from vortexlab.cli import _KEYS, _Config, main
 
 from conftest import MU
@@ -570,6 +570,20 @@ def test_sweep_task_reports_monotone_distances(tmp_path):
         assert (out / name).exists()
 
 
+def test_sweep_writes_one_orbit_file_per_scale(tmp_path):
+    # the two scales agree to 6 significant digits: "%g" would name them
+    # alike, and the second orbit would overwrite the first
+    path, out = figure1_config(tmp_path, "r = 0.1000002, 0.1000001",
+                               task="sweep")
+    assert main(["run", path]) == 0
+    data = json.loads((out / "sweep.json").read_text())
+    assert data["orbits"] == ["orbit_r0.1000002.json", "orbit_r0.1000001.json"]
+    for name, r in zip(data["orbits"], data["r_values"]):
+        assert json.loads((out / name).read_text())["scale"] == r
+        assert (out / name.replace("orbit", "traj").replace(".json",
+                                                            ".csv")).exists()
+
+
 def test_scan_task_writes_a_class_summary(tmp_path):
     out = tmp_path / "out"
     path = write_config(tmp_path, f"""
@@ -659,6 +673,34 @@ params = 1
     assert_one_error_line(capsys.readouterr().err)
     assert main(["certify", "thomson", "inf", "1"]) == 2
     assert_one_error_line(capsys.readouterr().err)
+
+
+def test_fractional_vortex_counts_are_a_config_error(tmp_path, capsys):
+    # a ring or line of 3.4 vortices is no catalog entry; rounding the
+    # count would certify another one
+    path = write_config(tmp_path, f"""
+[domain]
+kind = plane
+
+[task]
+kind = certify
+output_dir = {tmp_path / "out"}
+
+[certify]
+catalog = thomson
+params = 2.5, 1
+""")
+    assert main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "whole vortex count" in err
+    for name in ("thomson", "hermite"):
+        assert main(["certify", name, "3.4", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_error_line(captured.err)
+    with pytest.raises(ValueError, match="whole vortex count"):
+        from_catalog("thomson", 2.5, 1.0)
 
 
 def test_certify_subcommand_flags_zero_total_strength(capsys):

@@ -16,6 +16,8 @@ from vortexlab import (
     make_domain,
 )
 from vortexlab.domains import BOUNDARY_MARGIN
+from vortexlab.linalg import complex_points
+from vortexlab.systems import kernel_offsets
 from conftest import MU, random_disc_points
 
 TWO_PI = 2.0 * np.pi
@@ -229,8 +231,10 @@ def test_assembled_regular_gradient_is_the_contracted_table(domain, rng):
     W = rng.normal(size=(len(p), len(p)))
     W = W + W.T
     want = 2.0 * np.einsum("ij,ija->ia", W, domain.grad_regular_many(p, p))
-    _, got, _ = assemble_interaction(p, np.zeros_like(W), W, domain, order=1)
-    err = np.linalg.norm(got.reshape(-1, 2) - want, axis=1)
+    A = np.zeros_like(W)
+    _, D, _ = assemble_interaction(complex_points(p), A, W, domain,
+                                   (1.0, kernel_offsets(A), 1.0, 0.0), order=1)
+    err = np.linalg.norm(D.conj().view(float).reshape(-1, 2) - want, axis=1)
     assert np.all(err <= 1e-8 * np.linalg.norm(want, axis=1))
 
 

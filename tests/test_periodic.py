@@ -11,7 +11,8 @@ from scipy.optimize import minimize_scalar
 
 from vortexlab import (CollisionError, ConstraintViolationError,
                        ConvergenceError, DomainViolationError,
-                       IntegratorSettings, ScaleTooLargeError, SuperpositionSpec,
+                       IntegratorSettings, PerturbedDisc, ScaleTooLargeError,
+                       SuperpositionSpec,
                        build_initial_guess, cluster_winding_numbers,
                        continue_in_r, distance_to_M, evaluate_point,
                        flow_with_jacobian, integrate, make_equilateral,
@@ -21,7 +22,8 @@ from vortexlab import dynamics, periodic
 from vortexlab.periodic import (IDENTIFICATION_TOL, _orbit_distance,
                                 _scale_is_admissible)
 
-from conftest import MU, build_figure1_spec, build_thomson3_spec
+from conftest import (MU, build_figure1_spec, build_perturbed_disc_spec,
+                      build_thomson3_spec)
 
 TWO_PI = 2.0 * np.pi
 GOLDEN_ORBIT = os.path.join(os.path.dirname(__file__), os.pardir, "out",
@@ -44,6 +46,19 @@ def test_anchors_must_be_critical(disc):
     with pytest.raises(ConstraintViolationError):
         SuperpositionSpec(anchors, (make_pair(-1.0, -1.0), make_pair(1.0, 1.0)),
                           disc, (0.0, 0.0), 0.1)
+
+
+def test_anchors_must_be_critical_on_the_spec_domain(disc):
+    # the disc's dipole is critical on the disc (gradient norm below
+    # 1e-10) but not on the perturbed disc, where its gradient norm is
+    # 0.11; the perturbed disc's own dipole builds
+    anchors = evaluate_point((-2.0, 2.0), disc, [[MU, 0.0], [-MU, 0.0]])
+    assert anchors.gradient_norm <= 1e-10
+    clusters = (make_pair(-1.0, -1.0), make_pair(1.0, 1.0))
+    with pytest.raises(ConstraintViolationError, match="perturbed"):
+        SuperpositionSpec(anchors, clusters, PerturbedDisc(), (0.0, 0.0), 0.1)
+    spec = build_perturbed_disc_spec(0.05)
+    assert isinstance(spec.domain, PerturbedDisc)
 
 
 def test_cluster_strength_sums_must_match_the_anchors(disc):

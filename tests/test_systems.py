@@ -31,7 +31,8 @@ from vortexlab import (
     perp,
     rotate_all,
 )
-from vortexlab.linalg import pairs
+from vortexlab.linalg import complex_points, pairs, real_blocks
+from vortexlab.systems import kernel_offsets
 from conftest import (MU, build_figure1_spec, build_thomson3_spec,
                       random_disc_points, random_plane_points)
 
@@ -206,9 +207,23 @@ def _wall_point(rng):
     return (1.0 - 1e-6) * np.array([np.cos(th), np.sin(th)])
 
 
+def _plane_frame(A):
+    """The identity frame, with the pairs A does not read marked."""
+    return 1.0, kernel_offsets(A), 1.0, 0.0
+
+
+def _real_form(parts):
+    """(value, real gradient, real Hessian) of a complex assembly's
+    (value, D, (L, K)), None where it has None."""
+    value, D, LK = parts
+    return (value, None if D is None else D.conj().view(float),
+            None if LK is None else real_blocks(*LK))
+
+
 def _oracle_case(case, domain, ref_domain, scale, wall, rng):
     """(complex assembly, reference assembly), each order -> (value,
-    grad, hess), for one case drawn by the oracle test."""
+    D, (L, K)) and (value, grad, hess), for one case drawn by the oracle
+    test."""
     if case in ("generic", "system"):
         p = random_disc_points(rng, 5, min_sep=0.05)
         if wall:
@@ -222,13 +237,14 @@ def _oracle_case(case, domain, ref_domain, scale, wall, rng):
         p[3] = p[2]
         B = rng.normal(size=(5, 5))
         B = B + B.T
-        return (lambda k: assemble_interaction(p, A, B, domain, k),
+        return (lambda k: assemble_interaction(complex_points(p), A, B, domain,
+                                               _plane_frame(A), k),
                 lambda k: real_assembly.assemble_interaction(
                     p, A, B, ref_domain, k))
     if case == "system":
         gam = rng.choice([-1.0, 1.0], size=5) * rng.uniform(0.5, 2.0, size=5)
         system = VortexSystem(tuple(gam), (1,) * 5, domain)
-        return (lambda k: system._assemble(p.reshape(-1), k),
+        return (lambda k: system._assemble(complex_points(p), k),
                 lambda k: real_assembly.assemble_interaction(
                     p, system._A, -system._A, ref_domain, k))
     # anchors off the critical point, where the coupling gradient vanishes
@@ -239,7 +255,7 @@ def _oracle_case(case, domain, ref_domain, scale, wall, rng):
     if wall and scale > 0.0:
         u[:2] = (_wall_point(rng) - rs.anchor[0]) / scale
     if case == "rescaled":
-        return (lambda k: rs._assemble(u, k),
+        return (lambda k: rs._assemble(complex_points(pairs(u)), k),
                 lambda k: real_assembly.assemble_interaction(
                     pairs(u), rs._A, -rs._A, ref_domain, k,
                     frame=real_assembly.real_frame(rs)))
@@ -262,8 +278,9 @@ def _rows_agree(got, want, tol):
        seed=st.integers(0, 2**32 - 1))
 def test_complex_assembly_matches_the_real_einsum_assembly(kind, case, scale,
                                                            wall, seed):
-    # value, gradient and Hessian at orders 0, 1 and 2 against the
-    # (N, N, 2, 2) einsum assembly (tests/real_assembly.py).  With points
+    # value, gradient and Hessian at orders 0, 1 and 2, written out in
+    # real form, against the (N, N, 2, 2) einsum assembly
+    # (tests/real_assembly.py).  With points
     # at wall clearance 1e-6 the reference takes q exactly, and each row
     # must agree to 1e-8 of its norm (measured: 3.5e-10); elsewhere to
     # 1e-12 (measured: 8.2e-15)
@@ -276,7 +293,7 @@ def test_complex_assembly_matches_the_real_einsum_assembly(kind, case, scale,
     value, ref_value = got(0)[0], want(0)[0]
     assert abs(value - ref_value) <= tol * max(1.0, abs(ref_value))
     for order in (1, 2):
-        _, grad, hess = got(order)
+        _, grad, hess = _real_form(got(order))
         _, ref_grad, ref_hess = want(order)
         assert _rows_agree(grad.reshape(-1, 2), ref_grad.reshape(-1, 2), tol)
         assert (hess is None) == (order == 1)
@@ -526,7 +543,9 @@ def _split_field_and_jacobian(rs, u):
     gam = rs.base.gamma
     ci = rs.base.cluster_index
     A_intra = np.outer(gam, gam) * (ci[:, None] == ci[None, :])
-    _, g0, H0 = assemble_interaction(u.reshape(-1, 2), A_intra, order=2)
+    _, g0, H0 = _real_form(assemble_interaction(
+        complex_points(pairs(u)), A_intra, np.zeros_like(A_intra),
+        WholePlane(), _plane_frame(A_intra)))
     grad = g0 + r * rs.coupling_grad(r * u)
     hess = H0 + r**2 * rs.coupling_hess(r * u)
     w = np.repeat(gam, 2)
