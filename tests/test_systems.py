@@ -280,10 +280,9 @@ def test_complex_assembly_matches_the_real_einsum_assembly(kind, case, scale,
                                                            wall, seed):
     # value, gradient and Hessian at orders 0, 1 and 2, written out in
     # real form, against the (N, N, 2, 2) einsum assembly
-    # (tests/real_assembly.py).  With points
-    # at wall clearance 1e-6 the reference takes q exactly, and each row
-    # must agree to 1e-8 of its norm (measured: 3.5e-10); elsewhere to
-    # 1e-12 (measured: 8.2e-15)
+    # (tests/real_assembly.py).  With points at wall clearance 1e-6 the
+    # reference takes q exactly, and each row must agree to 1e-8 of its
+    # norm (measured: 3.5e-10); elsewhere to 1e-12 (measured: 8.2e-15)
     rng = np.random.default_rng(seed)
     domain = ORACLE_DOMAINS[kind]
     tol = 1e-8 if wall else 1e-12
