@@ -3,12 +3,14 @@ Periodic orbits from superposed rotating clusters
 =================================================
 
 Pin a stationary skeleton of cluster centers, replace each center by a
-small rigidly rotating cluster, and shoot for a genuinely periodic
+small rigidly rotating cluster, and collocate a genuinely periodic
 orbit of the full interacting system.  The smaller the cluster scale r,
 the closer the orbit hugs the manifold of superposed rigid motions.
 
-Runtime: about 1 second (the phase scan shoots once from each of the
-two critical points of the reduced functional).
+Runtime: about 1 second, most of it imports.  Each orbit takes a few
+collocation steps and one certifying integration, about 0.05 s; the
+phase scan computes one orbit from each of the two critical points of
+the reduced functional.
 """
 
 import numpy as np

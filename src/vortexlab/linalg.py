@@ -16,16 +16,20 @@ vortex, and as many copies as rows of angles.  The co-rotating frames
 of `systems` read its core, _turn, with factors they form themselves.
 aligned_distance is the only rotation fit: it compares states, or
 batches of states, up to one global rotation.  newton is the only
-Newton loop, shared by the anchor search and shooting; a caller borders
-its least-squares steps with rows (the generators of its symmetries),
-never with columns.
+Newton loop, shared by the anchor search, the phase scan and the
+collocation of periodic orbits, with one step rule: a square solve of
+the Jacobian bordered by rows (the directions the step must not take)
+and columns (the directions the residual may take), multipliers
+dropped.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from math import lcm
 
 import numpy as np
+from scipy.sparse import bmat
+from scipy.sparse.linalg import splu
 
 from .errors import (CollisionError, ConstraintViolationError,
                      ConvergenceError, DomainViolationError)
@@ -135,46 +139,36 @@ def permutation_matrix(sigma) -> np.ndarray:
 
 def permutation_order(sigma) -> int:
     """Least common multiple of the cycle lengths of sigma."""
-    sigma = list(sigma)
-    seen = [False] * len(sigma)
-    order = 1
+    sigma, seen, order = list(sigma), set(), 1
     for start in range(len(sigma)):
-        if seen[start]:
-            continue
-        length = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = sigma[i]
-            length += 1
-        order = order * length // gcd(order, length)
+        length, i = 0, start
+        while i not in seen:
+            seen.add(i)
+            i, length = sigma[i], length + 1
+        order = lcm(order, length or 1)
     return order
 
 
-#: a residual at most this share of the one before marks the superlinear
-#: phase, and a step on the previous Jacobian must contract by as much
-SUPERLINEAR_CONTRACTION = 1e-2
+def newton(fun, x, check, *, tol, max_iterations):
+    """Newton iteration on (F, J, G, C) = fun(x) until |F| <= tol;
+    returns x and the residual |F| of every evaluated iterate.
 
+    Each step solves the square system [[J, C^T], [G, 0]] (dx, mu) =
+    (-F, 0) and drops the multipliers mu.  The rows G keep the step off
+    directions J leaves free, such as the generators of a symmetry; the
+    columns C take up the part of F that J cannot reach, such as the
+    gradients of first integrals, or the generators themselves when J is
+    symmetric.  G holds vectors like x, C vectors like F, as many as
+    make the matrix square; either may be empty.
 
-def newton(fun, x, check, *, tol, max_iterations, residual=None):
-    """Newton iteration on (F, J) = fun(x) until |F| <= tol; returns x
-    and the residual |F| of every evaluated iterate.
+    SuperLU factors the matrix, on one thread: an orbit's collocation
+    matrix is about 200 rows wide and 18% nonzero, and a dense LAPACK
+    solve of that size wakes the BLAS thread pool, which on two cores
+    slowed a whole orbit computation about twofold.
 
-    The step is lstsq(J, -F) at numpy's default rcond, with F padded by
-    zeros to J's row count: a caller keeps the step off a direction,
-    such as a symmetry generator, by appending it as a row to J.
     ConvergenceError, carrying the last admissible iterate, reports an
-    exhausted budget or a new iterate that check rejects with
-    DomainViolationError or CollisionError.
-
-    residual, optional, returns the F of fun(x) alone.  Once the newest
-    residual is at most SUPERLINEAR_CONTRACTION times the one before, the
-    iterates' F comes from residual and the step reuses the previous J
-    (a chord step; Kelley, Solving Nonlinear Equations with Newton's
-    Method, 2003).  fun runs again at an iterate whose F from residual
-    has neither converged nor contracted by that factor, and its F is
-    that iterate's residual.  Without residual every iterate calls fun
-    once.
+    exhausted budget, a singular matrix, or a new iterate that check
+    rejects with DomainViolationError or CollisionError.
     """
     if max_iterations < 0:
         raise ConstraintViolationError(
@@ -183,31 +177,31 @@ def newton(fun, x, check, *, tol, max_iterations, residual=None):
         raise ConstraintViolationError(f"tol must be finite, got {tol}")
     residuals = []
     for iteration in range(max_iterations + 1):
-        chord = (residual is not None and len(residuals) >= 2
-                 and residuals[-1] <= SUPERLINEAR_CONTRACTION * residuals[-2])
-        if chord:
-            F = residual(x)
-            norm = float(np.linalg.norm(F))
-            chord = norm <= max(tol, SUPERLINEAR_CONTRACTION * residuals[-1])
-        if not chord:
-            F, J = fun(x)
-            norm = float(np.linalg.norm(F))
-        residuals.append(norm)
+        F, J, G, C = fun(x)
+        residuals.append(float(np.linalg.norm(F)))
         if residuals[-1] <= tol:
             return x, residuals
+        failure = dict(last_iterate=x, residual=residuals[-1])
         if iteration == max_iterations:
             raise ConvergenceError(
                 f"no convergence in {max_iterations} iterations "
-                f"(residual {residuals[-1]:.3e})", iterations=max_iterations,
-                last_iterate=x, residual=residuals[-1])
-        x_new = x + np.linalg.lstsq(J, np.pad(-F, (0, len(J) - F.size)))[0]
+                f"(residual {residuals[-1]:.3e})", iterations=iteration,
+                **failure)
+        G, C = np.reshape(G, (-1, x.size)), np.reshape(C, (-1, F.size))
+        try:
+            step = splu(bmat([[J, C.T], [G, None]], format="csc")).solve(
+                np.concatenate([-F, np.zeros(len(G))]))
+        except RuntimeError as exc:  # SuperLU: exactly singular
+            raise ConvergenceError(
+                f"singular Newton matrix after {iteration} steps",
+                iterations=iteration, **failure) from exc
+        x_new = x + step[:x.size]
         try:
             check(x_new)
         except (DomainViolationError, CollisionError) as exc:
             raise ConvergenceError(
                 f"iterate left the admissible set after {iteration + 1} "
-                f"steps: {exc}", iterations=iteration + 1, last_iterate=x,
-                residual=residuals[-1]) from exc
+                f"steps: {exc}", iterations=iteration + 1, **failure) from exc
         x = x_new
 
 

@@ -8,11 +8,11 @@ coordinates u the candidate loops live on the phase torus
 
 one phase per nontrivial cluster.  For small r the rescaled system has
 genuine periodic orbits close to M.  This module assembles torus points
-as initial guesses, polishes them to orbits by symmetry-reduced
-shooting, continues the family in r, scans phases for distinct orbit
-classes from the critical points of the reduced functional Phi (the
-period mean of the coupling energy on M), and measures the discrete
-H^1 distance to M.
+as initial guesses, polishes them to orbits by collocation in the
+clusters' co-rotating frames, continues the family in r, scans phases
+for distinct orbit classes from the critical points of the reduced
+functional Phi (the period mean of the coupling energy on M), and
+measures the discrete H^1 distance to M.
 
 A relabelling of identical vortices that equals a time shift of a
 cluster's rigid motion moves its phase by that shift, so the scan
@@ -25,42 +25,34 @@ to rotation by one fit, linalg.aligned_distance: a phase of one
 cluster is a global rotation of its block, so the distance to M is one
 rotation fit per cluster.
 
-All shooting happens in rescaled coordinates, where the period is the
-r-independent  tau = 2*pi*ord(sigma); the physical orbit is recovered as
-z(t) = r*u(t/r^2) + anchor_hat with period T = tau*r^2 exactly.  The
-integrators advance each cluster in its co-rotating frame
-(SuperpositionSpec.rescaled), where only the O(r^2) motion on top of
-its rigid rotation is left to resolve; everything this module reads,
-trajectories and flow maps, is in u.
+All orbits are computed in rescaled coordinates, where the period is
+the r-independent tau = 2*pi*ord(sigma); the physical orbit is recovered
+as z(t) = r*u(t/r^2) + anchor_hat with period T = tau*r^2 exactly.  Each
+cluster is followed in its co-rotating frame (SuperpositionSpec.rescaled),
+where only the O(r^2) motion on top of its rigid rotation is left: along
+an orbit near M the co-rotating loop v(t) is nearly constant, and its
+Fourier modes reach roundoff by about the twelfth.  Everything this
+module returns, trajectories included, is in u.
 
-The shooting unknown is the loop's initial state only; the period is
-prescribed, and the twisted boundary condition
+shoot finds an orbit by trigonometric collocation: Newton (linalg.newton)
+on K samples v_k of the co-rotating loop at t_k = k tau / K, with
+residual V(t_k, v_k) - (D v)_k, D the Fourier differentiation matrix of
+_spectral_derivative.  The Jacobian blockdiag(DV_k) - D (x) I has null
+directions along the time shift and the domain's symmetries (the
+rotation about the center of a disc).  Each is a border row of the
+square Newton matrix (the phase conditions of Doedel, Keller and
+Kernevez, Int. J. Bifurcation and Chaos 1, 1991), and each border column
+is the gradient of the first integral it generates, the energy and the
+angular impulse (Munoz-Almaraz, Freire, Galan, Doedel and
+Vanderbauwhede, Physica D 181, 2003); the multipliers are dropped.  No
+variational flow is made.  One integration over tau of the loop's state
+at t = 0 then certifies the orbit: its twisted residual
 
-    S_sigma phi_{2pi}(u0) - u0 = 0
+    S_sigma phi_{2pi}(u0) - u0
 
-(S_sigma the block permutation; plain tau-periodicity when sigma = id)
-removes the sigma-related degeneracy.  The Newton matrix still has null
-directions along the time shift f(u0) and the domain's symmetries (the
-rotation about the center of a disc); each is appended to it as a row
-(the phase condition of Doedel, Keller and Kernevez, Int. J. Bifurcation
-and Chaos 1, 1991), as in the anchor search, and orbit classes are told
-apart modulo the same symmetries.  The iteration is linalg.newton; its
-Jacobians come from the variational flow.  Once Newton is superlinear,
-its residuals come from the orbit's closing integration and its steps
-reuse the last Jacobian, so the accepted iterate's integration is the
-orbit's trajectory and no flow is repeated.
-
-Newton is inexact (Dembo, Eisenstat and Steihaug, Inexact Newton
-methods, SIAM J. Numer. Anal. 19, 1982): a step needs F and J only to
-a fraction of |F|, so each variational flow runs at rtol =
-max(settings.rtol, min(FLOW_TOL_CAP, FORCING * rho^2)), and atol
-likewise never below settings.atol, rho the residual norm Newton
-evaluated last (infinite before the first): the tolerance tightens to
-the settings' own as Newton converges.  Only a closing integration,
-always at the settings' tolerance, certifies convergence: a flow whose
-residual reads <= max(SHOOT_TOL, HANDOVER * its own rtol), which is as
-far as its own accuracy can tell, hands Newton the closing
-integration's residual instead.
+(S_sigma the block permutation; plain tau-periodicity when sigma = id),
+closure and symmetry defect are checked, and it is the orbit's
+trajectory.  Orbit classes are told apart modulo the same symmetries.
 
 A residual <= SHOOT_TOL means an orbit only at the tolerance the
 acceptance criteria are built on, IntegratorSettings()'s rtol = atol =
@@ -81,24 +73,34 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from . import dynamics
 from .domains import Domain, SymmetryClass
-from .dynamics import IntegratorSettings, Trajectory, flow_with_jacobian, integrate
+from .dynamics import IntegratorSettings, Trajectory, integrate
 from .equilibria import RelativeEquilibrium, certify
 from .errors import (ConstraintViolationError, ConvergenceError,
                      ScaleTooLargeError, VortexError)
 from .linalg import (TWO_PI, aligned_distance, as_state, permutation_matrix,
-                     newton, permutation_order, rotate_all)
+                     newton, permutation_order, perp, rotate_all)
 from .stationary import (GRADIENT_TOL, StationaryPoint, kernel_generators,
                          m_gradient)
 from .systems import RescaledSystem, VortexSystem
 
+# not called here; perfbench/spans.py wraps this name, and
+# tests/test_trace_targets.py requires that it find every name it wraps
+flow_with_jacobian = dynamics.flow_with_jacobian
+
 SHOOT_TOL = 1e-10
-#: inexact-Newton tolerance of shoot's variational flows (see shoot)
-FLOW_TOL_CAP = 1e-9
-FORCING = 1e-3
-#: a flow reading <= HANDOVER times its own rtol has met its own accuracy
-HANDOVER = 10
 MAX_SHOOT_ITERATIONS = 50
+#: collocation samples per period, tried in turn: 2k + 1 for the modes
+#: up to k = 12, 24, 48.  Odd, so every mode has a derivative on the grid
+#: (an even count's Nyquist mode has none and is left undetermined); the
+#: loop's modes reach roundoff by the 12th on figure 1 (4e-15 at r = 0.1)
+COLLOCATION_SAMPLES = (25, 49, 97)
+#: collocation residual at which Newton stops, and the largest highest
+#: mode of a loop its samples resolve: a loop's integration can read
+#: several times either (1.2e-10 from a residual of 4.6e-11 on figure 1),
+#: and one more quadratic step costs less than an integration that fails
+COLLOCATION_TOL = 1e-2 * SHOOT_TOL
 CLOSURE_TOL = 1e-9
 SYMMETRY_DEFECT_TOL = 1e-8
 IDENTIFICATION_TOL = 1e-6
@@ -244,8 +246,7 @@ class SuperpositionSpec:
     def full_phases(self) -> np.ndarray:
         """Phase per cluster, zeros on trivial ones."""
         out = np.zeros(self.m)
-        for theta, k in zip(self.phases, self.nontrivial_indices):
-            out[k] = theta
+        out[list(self.nontrivial_indices)] = self.phases
         return out
 
     def torus_samples(self, times, phases=None) -> np.ndarray:
@@ -304,17 +305,6 @@ def _scale_is_admissible(spec: SuperpositionSpec, u0, r: float) -> bool:
         return False
 
 
-def _max_admissible_scale(spec: SuperpositionSpec, u0, r_bad: float) -> float:
-    lo, hi = 0.0, float(r_bad)
-    for _ in range(48):
-        mid = 0.5 * (lo + hi)
-        if _scale_is_admissible(spec, u0, mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def build_initial_guess(spec: SuperpositionSpec) -> np.ndarray:
     """Rescaled initial state u0 = (theta*Z)(0) at the given phases.
 
@@ -324,11 +314,15 @@ def build_initial_guess(spec: SuperpositionSpec) -> np.ndarray:
     """
     u0 = spec.torus_point()
     if not _scale_is_admissible(spec, u0, spec.scale):
-        est = _max_admissible_scale(spec, u0, spec.scale)
+        lo, hi = 0.0, spec.scale  # bisection
+        for _ in range(48):
+            mid = 0.5 * (lo + hi)
+            lo, hi = ((mid, hi) if _scale_is_admissible(spec, u0, mid)
+                      else (lo, mid))
         raise ScaleTooLargeError(
             f"scale {spec.scale} places the superposed state outside the "
-            f"admissible set (largest admissible scale est. {est:.6g})",
-            max_admissible=est)
+            f"admissible set (largest admissible scale est. {lo:.6g})",
+            max_admissible=lo)
     return u0
 
 
@@ -347,7 +341,7 @@ class PeriodicOrbit:
     distance_to_m: float
     iterations: int
     trajectory: Trajectory = field(repr=False)
-    residuals: tuple  # twisted residual of each Newton iterate
+    residuals: tuple  # collocation residual of each Newton iterate
 
     @property
     def scale(self) -> float:
@@ -401,13 +395,11 @@ class PeriodicOrbit:
 
 
 def _symmetry_defect(spec: SuperpositionSpec, traj: Trajectory) -> float:
-    """max over a grid of || S_sigma u(t + 2*pi) - u(t) ||."""
+    """max over a grid of [0, tau - 2*pi] of || S_sigma u(t + 2*pi) -
+    u(t) ||; with the identity symmetry the grid is t = 0 alone, and the
+    defect is the plain closure."""
     S = permutation_matrix(spec.sigma)
-    span = spec.tau - TWO_PI
-    if span <= 0.0:
-        # identity symmetry: the defect degenerates to the plain closure
-        return float(np.linalg.norm(S @ traj.sample(TWO_PI) - traj.sample(0.0)))
-    grid = np.linspace(0.0, span, GRID_SAMPLES + 1)
+    grid = np.linspace(0.0, spec.tau - TWO_PI, GRID_SAMPLES + 1)
     defects = traj.sample(grid + TWO_PI) @ S.T - traj.sample(grid)
     return float(np.max(np.linalg.norm(defects, axis=1)))
 
@@ -426,31 +418,123 @@ def _certifying(settings: Optional[IntegratorSettings]
     return settings
 
 
+def _loop_integration(spec: SuperpositionSpec, rs: RescaledSystem, u0,
+                      settings: IntegratorSettings):
+    """(trajectory over tau from u0 at the settings' tolerance, twisted
+    residual |S_sigma phi_{2pi}(u0) - u0|, phi_{2pi} read from the dense
+    output)."""
+    traj = integrate(rs, u0, (0.0, spec.tau), settings)
+    S = permutation_matrix(spec.sigma)
+    return traj, float(np.linalg.norm(S @ traj.sample(TWO_PI) - u0))
+
+
+def _certified(spec: SuperpositionSpec, u0, integration,
+               residuals=()) -> PeriodicOrbit:
+    """The orbit through u0 once its integration over tau, (trajectory,
+    twisted residual) from _loop_integration, passes every check, else
+    ConvergenceError; `residuals` are the collocation residuals that led
+    to u0, if any."""
+    traj, residual = integration
+    closure = float(np.linalg.norm(traj.final_state - u0))
+    defect = _symmetry_defect(spec, traj)  # the residual when sigma = id
+    iterations = max(len(residuals) - 1, 0)
+    for value, tol, what in (
+            (residual, SHOOT_TOL, "twisted residual"),
+            (closure, CLOSURE_TOL, "the full period does not close: closure"),
+            (defect, SYMMETRY_DEFECT_TOL, "twisted symmetry defect")):
+        if value > tol:
+            raise ConvergenceError(f"{what} {value:.3e}", last_iterate=u0,
+                                   iterations=iterations, residual=value)
+    return PeriodicOrbit(
+        spec=spec, u0=u0, residual=residual, closure=closure,
+        symmetry_defect=defect, energy_drift=traj.energy_drift(),
+        distance_to_m=distance_to_M(spec, traj), iterations=iterations,
+        trajectory=traj, residuals=tuple(residuals))
+
+
+def _collocated_orbit(spec: SuperpositionSpec, rs: RescaledSystem, start,
+                      settings: IntegratorSettings) -> PeriodicOrbit:
+    """The orbit collocated from the lab-frame loop start(ts), (K, 2N),
+    and certified by one integration of its u0.
+
+    linalg.newton solves for the loop's co-rotating samples v_k at t_k =
+    k tau / K, K = COLLOCATION_SAMPLES[0], or the next count while the
+    converged loop's highest mode exceeds COLLOCATION_TOL; u0 is v_0,
+    where the frames agree with the lab.  The residual is V(t_k, v_k) -
+    (D v)_k, D the Fourier differentiation matrix, and the Jacobian
+    blockdiag(DV_k) - D (x) I.  Its rows G are the time shift, the lab
+    field turned into the frames, V_k - i omega v_k, and the domain's
+    kernel_generators about u + anchor_hat / r turned likewise; its
+    columns are the gradients of the first integrals those generate,
+    Gamma perp(G): the energy and, on a rotational domain, the angular
+    impulse.  With G as the columns the matrix is singular (Hamiltonian
+    Jordan blocks).  Each iterate's samples are screened in the lab
+    frame at the settings' thresholds.
+    """
+    n, center = 2 * spec.n, rs.anchor_hat / spec.scale
+    for K in COLLOCATION_SAMPLES:
+        ts = np.linspace(0.0, spec.tau, K, endpoint=False)
+        D = _spectral_derivative(np.eye(K), spec.tau)
+
+        def residual_and_bordered_jacobian(x):
+            v = x.reshape(K, n)
+            fields, jacobians = zip(*map(rs.field_and_jacobian, v, ts))
+            V, J = np.array(fields), np.kron(-D, np.eye(n))
+            J.reshape(K, n, K, n)[np.arange(K), :, np.arange(K)] += jacobians
+            shift = V.view(complex) - 1j * spec.angular_velocities * v.view(
+                complex)
+            G = [shift.view(float).reshape(-1)] + [
+                rs.to_frame(ts, g.reshape(K, n)).reshape(-1) for g in
+                kernel_generators(spec.domain, rs.to_lab(ts, v) + center)]
+            return (V - D @ v).reshape(-1), J, G, [
+                np.tile(np.repeat(rs.gamma, 2), K) * perp(g) for g in G]
+
+        def admissible(x):
+            rs.screen(rs.to_lab(ts, x.reshape(K, n)), ts,
+                      settings.collision_tol, settings.boundary_margin)
+
+        try:
+            x, residuals = newton(
+                residual_and_bordered_jacobian,
+                rs.to_frame(ts, start(ts)).reshape(-1), admissible,
+                tol=COLLOCATION_TOL, max_iterations=MAX_SHOOT_ITERATIONS)
+        except ConvergenceError as exc:
+            exc.last_iterate = exc.last_iterate[:n]  # its u0
+            raise
+        highest = np.abs(np.fft.fft(x.reshape(K, n), axis=0)[K // 2]).max() / K
+        if highest <= COLLOCATION_TOL:
+            return _certified(spec, x[:n], _loop_integration(
+                spec, rs, x[:n], settings), residuals)
+    raise ConvergenceError(
+        f"{K} samples do not resolve the loop (highest mode {highest:.3e})",
+        iterations=len(residuals) - 1, last_iterate=x[:n], residual=highest)
+
+
 def shoot(spec: SuperpositionSpec, u0_guess=None,
           settings: Optional[IntegratorSettings] = None) -> PeriodicOrbit:
-    """Newton-polish a guess into a periodic orbit of the rescaled flow.
+    """Polish a guess into a periodic orbit of the rescaled flow by
+    trigonometric collocation, and certify it by one integration.
 
-    Solves S_sigma phi_{2pi}(u0) = u0 by linalg.newton; the linear steps
-    are least-squares solves with S_sigma Dphi - I bordered by the rows
-    f(u0) and the domain's kernel_generators at the physical state, so
-    the steps do not drift along the time shift or a symmetry of the
-    domain.  Converged when the twisted residual is <= 1e-10; the
-    returned orbit additionally satisfies full-period closure <= 1e-9
-    and, for nontrivial sigma, symmetry defect <= 1e-8, both enforced,
-    not just reported.  Every iterate meets the settings' guard
-    thresholds.
+    The unknowns are K samples of the loop in its clusters' co-rotating
+    frames over the full period tau, where an orbit near M is nearly
+    constant (_collocated_orbit); the orbit's iterations are the Newton
+    steps of the accepted K, which is COLLOCATION_SAMPLES[0] unless the
+    converged loop's highest mode exceeds COLLOCATION_TOL.  The start is
+    the torus loop when u0_guess is None.  A PeriodicOrbit at another
+    scale starts it from the torus plus that orbit's deviation from it,
+    scaled by (r / r_orbit)^2, as the superposition's deviation is
+    O(r^2).  A state is integrated over tau first: if that integration
+    certifies it, it is the orbit, with 0 iterations; else that
+    trajectory's samples start the collocation.
 
-    Newton's residual-only evaluations integrate over the full period
-    tau at the settings' tolerance and read phi_{2pi} there: the final
-    state when tau = 2pi, the dense output otherwise.  Only such an
-    integration certifies convergence, and the accepted iterate's is the
-    orbit's trajectory and its residual.  The variational flows, which
-    give Newton its Jacobians, run at the inexact-Newton tolerance
-    max(settings.rtol, min(FLOW_TOL_CAP, FORCING * rho^2)), rho the
-    last residual norm (Dembo, Eisenstat and Steihaug, 1982), and atol
-    likewise never below settings.atol; a flow whose residual reads
-    <= max(SHOOT_TOL, HANDOVER * its rtol) returns the closing
-    integration's residual instead.
+    The loop's state at t = 0 is u0, and one integration over tau at the
+    settings' tolerance certifies it: the twisted residual
+    |S_sigma phi_{2pi}(u0) - u0| must be <= SHOOT_TOL, the full-period
+    closure <= CLOSURE_TOL and, for nontrivial sigma, the symmetry
+    defect <= SYMMETRY_DEFECT_TOL.  That integration is the orbit's
+    trajectory.  Each failure is a ConvergenceError; there is no other
+    solver to fall back on.  Every collocation iterate meets the
+    settings' guard thresholds.
 
     Settings whose rtol or atol is looser than IntegratorSettings()'s
     raise ConstraintViolationError before any integration: the
@@ -458,71 +542,23 @@ def shoot(spec: SuperpositionSpec, u0_guess=None,
     """
     if spec.scale <= 0.0:
         raise ConstraintViolationError("shooting requires scale > 0")
-    settings = _certifying(settings)
-    rs = spec.rescaled()
-    u0 = build_initial_guess(spec) if u0_guess is None else as_state(u0_guess).copy()
-    S = permutation_matrix(spec.sigma)
+    settings, rs = _certifying(settings), spec.rescaled()
+    if u0_guess is None:
+        build_initial_guess(spec)
+        start = spec.torus_samples
+    elif isinstance(u0_guess, PeriodicOrbit):
+        q, loop = (spec.scale / u0_guess.scale)**2, u0_guess.trajectory.sample
 
-    def admissible(u):
-        rs.validate_state(u, None, settings.collision_tol,
-                          settings.boundary_margin)
-
-    last = [np.inf]  # norm of the residual Newton evaluated last
-    closing = [None]  # trajectory of the last closing integration
-
-    def closing_residual(u):
-        traj = integrate(rs, u, (0.0, spec.tau), settings)
-        closing[0] = traj
-        uT = traj.final_state if spec.order == 1 else traj.sample(TWO_PI)
-        F = S @ uT - u
-        last[0] = float(np.linalg.norm(F))
-        return F
-
-    def twisted_residual(u):
-        eps = min(FLOW_TOL_CAP, FORCING * last[0]**2)
-        flow = dataclasses.replace(settings, rtol=max(settings.rtol, eps),
-                                   atol=max(settings.atol, eps))
-        uT, W = flow_with_jacobian(rs, u, TWO_PI, flow)
-        F = S @ uT - u
-        last[0] = float(np.linalg.norm(F))
-        if last[0] <= max(SHOOT_TOL, HANDOVER * flow.rtol):
-            F = closing_residual(u)
-        # the time shift's generator is the field of u, not the
-        # co-rotating field of the frames
-        return F, np.vstack(
-            [S @ W - np.eye(u.size), rs.vector_field(u),
-             *kernel_generators(spec.domain, rs.to_physical(u))])
-
-    u0, residuals = newton(twisted_residual, u0, admissible,
-                           tol=SHOOT_TOL, max_iterations=MAX_SHOOT_ITERATIONS,
-                           residual=closing_residual)
-    iterations = len(residuals) - 1
-    traj = closing[0]
-    closure = float(np.linalg.norm(traj.final_state - u0))
-    if closure > CLOSURE_TOL:
-        raise ConvergenceError(
-            f"twisted residual converged but the full period does not "
-            f"close (closure {closure:.3e})", iterations=iterations,
-            last_iterate=u0, residual=closure)
-    defect = _symmetry_defect(spec, traj)
-    if spec.order > 1 and defect > SYMMETRY_DEFECT_TOL:
-        raise ConvergenceError(
-            f"orbit violates the twisted symmetry (defect {defect:.3e})",
-            iterations=iterations, last_iterate=u0, residual=defect)
-
-    dist = distance_to_M(spec, traj)
-    return PeriodicOrbit(
-        spec=spec,
-        u0=u0,
-        residual=residuals[-1],
-        closure=closure,
-        symmetry_defect=defect,
-        energy_drift=traj.energy_drift(),
-        distance_to_m=dist,
-        iterations=iterations,
-        trajectory=traj,
-        residuals=tuple(residuals),
-    )
+        def start(ts):
+            torus = spec.torus_samples(ts)
+            return torus + q * (loop(ts) - torus)
+    else:
+        u0 = as_state(u0_guess).copy()
+        integration = _loop_integration(spec, rs, u0, settings)
+        if integration[1] <= SHOOT_TOL:
+            return _certified(spec, u0, integration)
+        start = integration[0].sample
+    return _collocated_orbit(spec, rs, start, settings)
 
 
 # ---------------------------------------------------------------------------
@@ -571,9 +607,10 @@ def distance_to_M(spec: SuperpositionSpec, u) -> float:
 
 def continue_in_r(spec: SuperpositionSpec, r_list,
                   settings: Optional[IntegratorSettings] = None) -> list:
-    """Shoot along a descending list of scales, warm-starting each orbit
-    from the previous one.  Returns the orbits in r_list order.  Settings
-    looser than the default are refused as shoot refuses them."""
+    """Shoot along a descending list of scales, each orbit after the
+    first started from the one before (see shoot).  Returns the orbits
+    in r_list order.  Settings looser than the default are refused as
+    shoot refuses them."""
     rs = [float(r) for r in r_list]
     if not rs:
         raise ConstraintViolationError("r_list is empty")
@@ -583,17 +620,15 @@ def continue_in_r(spec: SuperpositionSpec, r_list,
         raise ConstraintViolationError("r_list must be strictly decreasing")
 
     orbits = []
-    guess = None
     for r in rs:
-        sub = spec.replace(scale=r)
         try:
-            orbits.append(shoot(sub, guess, settings))
+            orbits.append(shoot(spec.replace(scale=r),
+                                orbits[-1] if orbits else None, settings))
         except ConvergenceError as exc:
             raise ConvergenceError(
                 f"continuation failed at r = {r}: {exc}",
                 iterations=exc.iterations, last_iterate=exc.last_iterate,
                 residual=exc.residual) from exc
-        guess = orbits[-1].u0
     return orbits
 
 
@@ -660,7 +695,8 @@ def _critical_phases(spec: SuperpositionSpec) -> list:
 
     def gradient_and_hessian(theta):
         modes = coef * np.exp(1j * (waves @ theta))
-        return (1j * modes @ waves).real, -((waves.T * modes) @ waves).real
+        return ((1j * modes @ waves).real, -((waves.T * modes) @ waves).real,
+                (), ())
 
     tol, found = SHOOT_TOL * np.abs(coef) @ np.abs(waves).sum(1), []
     for seed in grid:
@@ -698,8 +734,7 @@ def scan_phases(spec: SuperpositionSpec,
     """
     _certifying(settings)
     phase_vectors = [spec.phases] if spec.l <= 1 else _critical_phases(spec)
-    classes = []
-    failures = []
+    classes, failures = [], []
     for pv in phase_vectors:
         try:
             orbit = shoot(spec.replace(phases=pv), None, settings)
@@ -734,8 +769,5 @@ def cluster_winding_numbers(orbit: PeriodicOrbit) -> list:
     spec = orbit.spec
     ts = np.linspace(0.0, orbit.rescaled_period, 2 * GRID_SAMPLES + 1)
     samples = orbit.trajectory.sample(ts)
-    out = []
-    for k in spec.nontrivial_indices:
-        block = samples[:, spec.blocks[k]]
-        out.append(winding_number(block[:, 2:4] - block[:, :2]))
-    return out
+    blocks = [samples[:, spec.blocks[k]] for k in spec.nontrivial_indices]
+    return [winding_number(b[:, 2:4] - b[:, :2]) for b in blocks]

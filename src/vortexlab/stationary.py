@@ -8,7 +8,7 @@ Gamma^k is the trivially clustered system energy
 
 with G the domain's two-point function and h its self-interaction term.
 Critical points anchor the rescaled cluster dynamics; find_critical_point
-locates them with linalg.newton, the Newton driver shooting shares.
+locates them with linalg.newton, the Newton loop orbits share too.
 What matters is not just criticality but the kernel of the Hessian,
 which is forced by whatever continuous symmetry the domain has.
 classify() names the four admissible kernel shapes:
@@ -216,12 +216,13 @@ def find_critical_point(strengths, domain: Domain, guess) -> StationaryPoint:
     classify and SuperpositionSpec require of an anchor configuration)
     in at most MAX_ITERATIONS steps, read at call time.
 
-    The Hessian is bordered by rows that keep the step orthogonal to the
-    domain's symmetry generators at the current iterate (and to the
-    dilation on the whole plane); linalg.newton pads the gradient with
-    the matching zeros.  The rows remove the symmetry kernel but pin the
-    representative on its group orbit to first order only, so the copy
-    a search ends on depends on its path.
+    The symmetric Hessian is bordered by the domain's symmetry
+    generators at the current iterate (and the dilation on the whole
+    plane), as both rows and columns: the rows keep the step orthogonal
+    to them, the columns take up the gradient's part along them.  The
+    border removes the symmetry kernel but pins the representative on
+    its group orbit to first order only, so the copy a search ends on
+    depends on its path.
 
     Raises ConvergenceError (with the last iterate attached) if the
     iteration budget runs out or an iterate leaves the admissible set.
@@ -237,7 +238,7 @@ def find_critical_point(strengths, domain: Domain, guess) -> StationaryPoint:
         C = kernel_generators(domain, x)
         if domain.symmetry == SymmetryClass.PLANE_FULL:
             C.append(x)
-        return grad, np.vstack([hess, *C])
+        return grad, hess, C, C
 
     x, residuals = newton(gradient_and_bordered_hessian, x,
                           sys.validate_state, tol=GRADIENT_TOL,

@@ -71,7 +71,7 @@ def square_minus(c, calls=None):
     def fun(x):
         if calls is not None:
             calls.append(x.copy())
-        return x**2 - c, np.diag(2.0 * x)
+        return x**2 - c, np.diag(2.0 * x), (), ()
     return fun
 
 
@@ -118,13 +118,13 @@ def test_newton_turns_an_inadmissible_step_into_a_convergence_error(event):
 
 
 def test_newton_keeps_the_step_on_its_constraint_rows():
-    # F = x0 + x1 - 1 with the row (1, 0) appended to J, F padded with
-    # a zero by newton: the step from 0 keeps x0 fixed and lands on
-    # (0, 1), not on the minimum-norm solution (0.5, 0.5) of the
-    # unbordered problem
-    J = np.array([[1.0, 1.0], [1.0, 0.0]])
-    x, residuals = newton(lambda x: (np.array([x[0] + x[1] - 1.0]), J),
-                          np.zeros(2), accept, tol=1e-12, max_iterations=1)
+    # F = x0 + x1 - 1 on the 1 x 2 Jacobian (1, 1), bordered by the row
+    # (1, 0) and no column: the square step from 0 keeps x0 fixed and
+    # lands on (0, 1), not on the minimum-norm solution (0.5, 0.5)
+    J = np.array([[1.0, 1.0]])
+    x, residuals = newton(
+        lambda x: (np.array([x[0] + x[1] - 1.0]), J, [[1.0, 0.0]], ()),
+        np.zeros(2), accept, tol=1e-12, max_iterations=1)
     assert x == pytest.approx([0.0, 1.0], abs=1e-15)
     assert residuals == pytest.approx([1.0, 0.0], abs=1e-15)
 
@@ -146,73 +146,50 @@ def test_newton_rejects_a_tolerance_that_is_not_finite(tol):
     assert calls == []
 
 
-# ---------------------------------------------------------------------------
-# Jacobian reuse once Newton is superlinear
-# ---------------------------------------------------------------------------
+def test_newton_borders_a_symmetric_jacobian_with_rows_and_columns():
+    # the gradient F = (|x|^2 - 1) x of (|x|^2 - 1)^2 / 4, whose Hessian
+    # is singular along the rotation perp(x) on the unit circle: bordered
+    # by perp(x) as row and column, every step is radial, so Newton ends
+    # on the circle at the start's angle.  Rows alone make a matrix that
+    # is not square, a caller's error
+    def fun(x, columns=True):
+        rotation = [np.array([x[1], -x[0]])]
+        return ((x @ x - 1.0) * x,
+                (x @ x - 1.0) * np.eye(2) + 2.0 * np.outer(x, x),
+                rotation, rotation if columns else ())
 
-def logged(F, J, log):
-    """fun and residual of one problem, each logging (kind, x) per call."""
-    def fun(x):
-        log.append(("fun", x.copy()))
-        return F(x), J(x)
-
-    def residual(x):
-        log.append(("residual", x.copy()))
-        return F(x)
-    return fun, residual
-
-
-def test_newton_accepts_a_superlinear_iterate_without_calling_fun():
-    # x^2 - 2 from 1: residuals 1, 0.25, 6.9e-3, 6.0e-6 (superlinear), ...
-    log = []
-    fun, residual = logged(lambda x: x**2 - 2.0, lambda x: np.diag(2.0 * x),
-                           log)
-    x, residuals = newton(fun, np.array([1.0]), accept, tol=1e-14,
-                          max_iterations=20, residual=residual)
-    assert x == pytest.approx([np.sqrt(2.0)], abs=1e-15)
-    assert [kind for kind, _ in log] == ["fun"] * 4 + ["residual"] * 2
-    assert residuals[3] <= 1e-2 * residuals[2]
-    assert len(residuals) == len(log)
-    # the accepted iterate is evaluated once, by residual
-    assert log[-1][0] == "residual" and np.array_equal(log[-1][1], x)
-    assert not any(kind == "fun" and np.array_equal(y, x) for kind, y in log)
-    # the stale steps reuse the Jacobian of the last fun call
-    x4 = log[3][1] - (log[3][1]**2 - 2.0) / (2.0 * log[3][1])
-    assert np.array_equal(log[4][1], x4)
-    assert np.array_equal(log[5][1], x4 - (x4**2 - 2.0) / (2.0 * log[3][1]))
+    x0 = np.array([1.5, 0.5])
+    x, residuals = newton(fun, x0, accept, tol=1e-14, max_iterations=20)
+    assert x == pytest.approx(x0 / np.linalg.norm(x0), abs=1e-15)
+    assert residuals[-1] <= 1e-14 < residuals[-2]
+    with pytest.raises(ValueError, match="square"):
+        newton(lambda x: fun(x, columns=False), x0, accept, tol=1e-14,
+               max_iterations=20)
 
 
-def test_newton_calls_fun_where_a_stale_step_fails_to_contract():
-    # the first component converges quadratically; the second has a
-    # double root, so Newton halves it, and once the first has converged
-    # the residual shrinks by 4 per step: too slow for a stale Jacobian
-    log = []
-    fun, residual = logged(lambda x: np.array([x[0]**2 - 2.0, x[1]**2]),
-                           lambda x: np.diag(2.0 * x), log)
-    x, residuals = newton(fun, np.array([1.0, 1e-2]), accept, tol=1e-12,
-                          max_iterations=30, residual=residual)
-    kinds = [kind for kind, _ in log]
-    assert kinds[:6] == ["fun"] * 4 + ["residual", "fun"]
-    assert np.array_equal(log[4][1], log[5][1])
-    assert "residual" not in kinds[6:]
-    # one residual per iterate: fun's replaces the stale one
-    assert len(residuals) == len(log) - 1
-    x4 = log[5][1]
-    assert residuals[4] == np.linalg.norm([x4[0]**2 - 2.0, x4[1]**2])
-    assert residuals[-1] <= 1e-12 and x[1] == 1e-2 / 2**(len(residuals) - 1)
+def test_newton_reports_a_singular_matrix():
+    x0 = np.array([1.0, 2.0])
+    with pytest.raises(ConvergenceError, match="singular Newton matrix "
+                       "after 0 steps") as info:
+        newton(lambda x: (x, np.zeros((2, 2)), (), ()), x0, accept,
+               tol=1e-12, max_iterations=10)
+    err = info.value
+    assert err.iterations == 0
+    assert np.array_equal(err.last_iterate, x0)
+    assert err.residual == np.linalg.norm(x0)
 
 
 def test_newton_without_residual_takes_one_full_step_per_iterate():
-    log = []
-    fun, _ = logged(lambda x: x**2 - 2.0, lambda x: np.diag(2.0 * x), log)
-    x, residuals = newton(fun, np.array([1.0]), accept, tol=1e-14,
-                          max_iterations=20)
+    # no residual-only evaluation: every iterate is one fun call and one
+    # full solve on that call's Jacobian
+    calls = []
+    x, residuals = newton(square_minus(2.0, calls), np.array([1.0]), accept,
+                          tol=1e-14, max_iterations=20)
     expected = [np.array([1.0])]
     while abs(expected[-1][0]**2 - 2.0) > 1e-14:
         y = expected[-1]
-        expected.append(y + np.linalg.lstsq(np.diag(2.0 * y),
-                                            -(y**2 - 2.0))[0])
-    assert [kind for kind, _ in log] == ["fun"] * len(expected)
-    assert all(np.array_equal(y, e) for (_, y), e in zip(log, expected))
+        expected.append(y + np.linalg.solve(np.diag(2.0 * y), -(y**2 - 2.0)))
+    assert len(calls) == len(expected)
+    assert all(np.array_equal(y, e) for y, e in zip(calls, expected))
     assert np.array_equal(x, expected[-1])
     assert residuals == [abs(e[0]**2 - 2.0) for e in expected]

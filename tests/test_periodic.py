@@ -15,15 +15,16 @@ from vortexlab import (CollisionError, ConstraintViolationError,
                        SuperpositionSpec,
                        build_initial_guess, cluster_winding_numbers,
                        continue_in_r, distance_to_M, evaluate_point,
-                       flow_with_jacobian, integrate, make_equilateral,
-                       make_pair, make_trivial, permutation_matrix, perp,
-                       rotate_all, scan_phases, shoot, winding_number)
+                       integrate, make_equilateral, make_pair, make_trivial,
+                       permutation_matrix, rotate_all, scan_phases, shoot,
+                       winding_number)
 from vortexlab import dynamics, periodic
+from vortexlab.systems import FlowSystem
 from vortexlab.periodic import (IDENTIFICATION_TOL, _orbit_distance,
                                 _scale_is_admissible)
 
 from conftest import (MU, build_figure1_spec, build_perturbed_disc_spec,
-                      build_thomson3_spec)
+                      build_three_anchor_spec, build_thomson3_spec)
 
 TWO_PI = 2.0 * np.pi
 GOLDEN_ORBIT = os.path.join(os.path.dirname(__file__), os.pardir, "out",
@@ -180,10 +181,11 @@ def _guard_gaps(spec, u):
 ], ids=["boundary_margin", "collision_tol"])
 def test_newton_iterate_inside_the_user_thresholds_is_a_convergence_error(
         guard, spec, cause, k, shift):
-    # the guess (and its flow, a rigid rotation) clears the threshold;
-    # the first Newton step moves a vortex 6e-6 toward the wall (Thomson
-    # ring at r = 0.3) or a pair 3e-4 closer (figure 1 at r = 0.1), so
-    # it lands inside the threshold and Newton reports the step
+    # the guess (and its torus loop, a rigid rotation) clears the
+    # threshold; the first collocation iterate has a sample with a
+    # vortex 6e-6 closer to the wall (Thomson ring at r = 0.3) or a pair
+    # 3.3e-4 closer (figure 1 at r = 0.1), so it lands inside the
+    # threshold and Newton reports the step
     u0 = build_initial_guess(spec)
     threshold = _guard_gaps(spec, u0)[k] - shift
     with pytest.raises(ConvergenceError) as info:
@@ -217,39 +219,14 @@ def test_closing_check_failures_report_the_newton_iterations(monkeypatch,
     assert 0 < info.value.iterations < periodic.MAX_SHOOT_ITERATIONS
 
 
-def test_reference_shoot_reuses_the_last_jacobian_and_trajectory(
-        monkeypatch):
-    # residuals 4.3e-2, 6.6e-5, then superlinear: the last two iterates
-    # (2.0e-10, 5.0e-15) are evaluated by the plain closing integration
-    # and step on the second flow's Jacobian, and the accepted iterate's
-    # integration is the orbit's trajectory, so none follows Newton
-    calls = []
-    raw_flow, raw_integrate = periodic.flow_with_jacobian, periodic.integrate
-
-    def counted_flow(*args, **kwargs):
-        calls.append(("flow_with_jacobian", None))
-        return raw_flow(*args, **kwargs)
-
-    def counted_integrate(*args, **kwargs):
-        traj = raw_integrate(*args, **kwargs)
-        calls.append(("integrate", traj))
-        return traj
-
-    monkeypatch.setattr(periodic, "flow_with_jacobian", counted_flow)
-    monkeypatch.setattr(periodic, "integrate", counted_integrate)
-    orbit = shoot(build_figure1_spec(0.1))
-    assert orbit.iterations == 3
-    assert [name for name, _ in calls] == ["flow_with_jacobian"] * 2 \
-        + ["integrate"] * 2
-    assert orbit.trajectory is calls[-1][1]
-    assert orbit.residual <= periodic.SHOOT_TOL
-
-
 def _traced_shoot(monkeypatch, spec, settings=None, guess=None):
-    """shoot(spec, guess, settings) with each flow and closing
-    integration recorded as (name, settings, accepted steps, result)."""
-    calls, steps = [], [0]
-    raw_step = dynamics._step_and_screen
+    """(orbit, calls, screens) of shoot(spec, guess, settings): each
+    variational flow and integration recorded in calls as (name,
+    settings, accepted steps, result), and each screening of
+    COLLOCATION_SAMPLES[0] states in screens as (states, times,
+    collision_tol, boundary_margin)."""
+    calls, screens, steps = [], [], [0]
+    raw_step, raw_screen = dynamics._step_and_screen, FlowSystem.screen
 
     def counted_step(*args, **kwargs):
         steps[0] += 1
@@ -263,31 +240,89 @@ def _traced_shoot(monkeypatch, spec, settings=None, guess=None):
             return out
         return call
 
+    def recorded_screen(self, ys, times, *tols):
+        if len(ys) == periodic.COLLOCATION_SAMPLES[0]:
+            screens.append((np.array(ys), np.array(times), *tols))
+        return raw_screen(self, ys, times, *tols)
+
     monkeypatch.setattr(dynamics, "_step_and_screen", counted_step)
-    monkeypatch.setattr(periodic, "flow_with_jacobian",
-                        traced("flow", periodic.flow_with_jacobian))
+    monkeypatch.setattr(FlowSystem, "screen", recorded_screen)
+    for module in (dynamics, periodic):
+        monkeypatch.setattr(module, "flow_with_jacobian",
+                            traced("flow", module.flow_with_jacobian))
     monkeypatch.setattr(periodic, "integrate",
                         traced("integrate", periodic.integrate))
-    return shoot(spec, guess, settings), calls
+    return shoot(spec, guess, settings), calls, screens
+
+
+TIER1_ORBITS = {
+    "figure1": lambda: build_figure1_spec(0.1),
+    "figure1-pi/2": lambda: build_figure1_spec(0.1, phases=(np.pi / 2, 0.0)),
+    "thomson3": lambda: build_thomson3_spec(0.1),
+    "perturbed-disc": lambda: build_perturbed_disc_spec(0.05),
+    **{f"three-anchor-{a}-{b}": lambda a=a, b=b: build_three_anchor_spec(
+        0.05).replace(phases=(a * np.pi / 2, b * np.pi / 2, 0.0))
+       for a in (0, 1) for b in (0, 1)},
+}
+
+
+@pytest.mark.parametrize("case", list(TIER1_ORBITS))
+def test_tier1_orbits_make_no_flow_and_one_integration(monkeypatch, case):
+    # collocation from the torus: no variational flow, at most 4 Newton
+    # evaluations (figure 1 reads 3.8e-2, 2.2e-4, 1.3e-9, 3.0e-15), and
+    # one integration at the settings certifies the loop's u0 and is
+    # the orbit's trajectory.  Each new iterate's samples are screened
+    # once, in the lab frame, at the user's guard thresholds
+    settings = IntegratorSettings(collision_tol=2e-8, boundary_margin=2e-3)
+    orbit, calls, screens = _traced_shoot(monkeypatch, TIER1_ORBITS[case](),
+                                          settings)
+    assert [(name, s) for name, s, *_ in calls] == [("integrate", settings)]
+    assert orbit.trajectory is calls[0][3]
+    assert orbit.residual <= periodic.SHOOT_TOL
+    assert len(orbit.residuals) <= 4
+    assert orbit.iterations == len(orbit.residuals) - 1
+    if case == "figure1":
+        assert orbit.iterations == 3
+    K = periodic.COLLOCATION_SAMPLES[0]
+    assert len(screens) == orbit.iterations
+    for states, times, collision_tol, boundary_margin in screens:
+        assert states.shape == (K, 2 * orbit.spec.n)
+        assert np.array_equal(times, np.linspace(0.0, orbit.spec.tau, K,
+                                                 endpoint=False))
+        assert (collision_tol, boundary_margin) == (2e-8, 2e-3)
+    # the last iterate's sample at t = 0, where frame and lab agree
+    assert np.array_equal(screens[-1][0][0], orbit.u0)
+
+
+@pytest.mark.parametrize("case", ["figure1", "thomson3"])
+def test_a_certified_guess_is_its_own_orbit(monkeypatch, figure1_orbit,
+                                            thomson3_orbit, case):
+    # the guess is integrated once; that integration certifies it, so it
+    # is returned with 0 iterations and no collocation
+    def forbidden(*args, **kwargs):
+        raise AssertionError("collocated a certified guess")
+
+    converged = {"figure1": figure1_orbit, "thomson3": thomson3_orbit}[case][0]
+    monkeypatch.setattr(periodic, "_collocated_orbit", forbidden)
+    orbit, calls, _ = _traced_shoot(monkeypatch, converged.spec,
+                                    guess=converged.u0)
+    assert [name for name, *_ in calls] == ["integrate"]
+    assert orbit.iterations == 0 and orbit.residuals == ()
+    assert np.array_equal(orbit.u0, converged.u0)
+    assert orbit.residual <= periodic.SHOOT_TOL
 
 
 @pytest.mark.parametrize("start", ["torus", "converged"])
 def test_only_the_closing_integration_certifies_convergence(
         monkeypatch, thomson3_orbit, start):
-    # Thomson-3 from the torus point: the second flow, at 1e-13, reads
-    # 4.2e-15 (3.8e-10 in the lab frame, where its Jacobian made one
-    # more step), within HANDOVER times its rtol, so it hands over to
-    # the closing integration, which certifies the iterate.  From the
-    # converged orbit: the first flow, at 1e-9, reads 3.2e-15 and hands
-    # over the same way, so the start is certified with no step.  Either
-    # way the orbit's residual is read from its trajectory
-    guess, names = {
-        "torus": (None, ["flow", "flow", "integrate"]),
-        "converged": (thomson3_orbit[0].u0, ["flow", "integrate"]),
-    }[start]
-    orbit, calls = _traced_shoot(monkeypatch, build_thomson3_spec(0.1),
-                                 guess=guess)
-    assert [name for name, *_ in calls] == names
+    # Thomson-3 from the torus point: collocation (residuals 1.8e-7,
+    # 4.6e-15), then one integration of its loop's u0 certifies it.  From
+    # the converged orbit's u0 the one integration certifies the guess
+    # itself.  Either way the orbit's residual is read from its trajectory
+    guess = {"torus": None, "converged": thomson3_orbit[0].u0}[start]
+    orbit, calls, _ = _traced_shoot(monkeypatch, build_thomson3_spec(0.1),
+                                    guess=guess)
+    assert [name for name, *_ in calls] == ["integrate"]
     assert orbit.trajectory is calls[-1][3]
     S = permutation_matrix(orbit.spec.sigma)
     assert orbit.residual == np.linalg.norm(
@@ -295,48 +330,29 @@ def test_only_the_closing_integration_certifies_convergence(
     assert orbit.residual <= periodic.SHOOT_TOL
 
 
-def test_flows_run_at_a_residual_scaled_tolerance(monkeypatch):
-    # both figure-1 flows see rho >= 6.6e-5, so FORCING * rho^2 is
-    # capped at 1e-9; the closing integrations keep the default 1e-13.
-    # At 1e-13 throughout the flows take 58 + 59 accepted steps
-    orbit, calls = _traced_shoot(monkeypatch, build_figure1_spec(0.1))
-    flows = [(s, n) for name, s, n, _ in calls if name == "flow"]
-    assert [(s.rtol, s.atol) for s, _ in flows] == [(1e-9, 1e-9)] * 2
-    assert all(s.rtol == s.atol == 1e-13
-               for name, s, *_ in calls if name == "integrate")
-    assert sum(n for _, n in flows) <= 45
-    assert orbit.iterations == 3
+@pytest.mark.parametrize("tolerance", [1e-13, 5e-14], ids=["default", "tight"])
+def test_the_certifying_integration_runs_at_the_given_tolerance(
+        monkeypatch, tolerance):
+    # no flow at a looser tolerance: the one integration, Thomson-3's
+    # from the torus point, runs at the settings as given
+    settings = IntegratorSettings(rtol=tolerance, atol=tolerance)
+    orbit, calls, _ = _traced_shoot(monkeypatch, build_thomson3_spec(0.1),
+                                    settings)
+    assert [(name, s) for name, s, *_ in calls] == [("integrate", settings)]
     assert orbit.residual <= periodic.SHOOT_TOL
 
 
 @pytest.mark.parametrize("case", ["figure1", "thomson3"])
 def test_corotating_frames_cut_the_accepted_steps(monkeypatch, case):
     # in each cluster's co-rotating frame DOP853 resolves only the O(r^2)
-    # motion on top of the rigid rotation.  Accepted steps in the lab
-    # frame: 47 per figure-1 closing integration at 1e-13, 19 + 20 for
-    # its two flows at 1e-9, 49 for Thomson-3's; in the frames 32, 14 +
-    # 14 and 5
-    build, max_integration, max_flows = {
-        "figure1": (build_figure1_spec, 35, 32),
-        "thomson3": (build_thomson3_spec, 10, None)}[case]
-    orbit, calls = _traced_shoot(monkeypatch, build(0.1))
-    integrations = [n for name, _, n, _ in calls if name == "integrate"]
-    assert integrations and max(integrations) <= max_integration
-    if max_flows is not None:
-        flows = [n for name, _, n, _ in calls if name == "flow"]
-        assert len(flows) == 2 and sum(flows) <= max_flows
-    assert orbit.residual <= periodic.SHOOT_TOL
-
-
-def test_flow_tolerance_never_falls_below_the_settings(monkeypatch):
-    # Thomson-3 from the torus point: the second flow's FORCING * rho^2
-    # lies below the tighter setting, so that flow runs at the floor
-    tight = IntegratorSettings(rtol=5e-14, atol=5e-14)
-    orbit, calls = _traced_shoot(monkeypatch, build_thomson3_spec(0.1),
-                                 tight)
-    flows = [(s.rtol, s.atol) for name, s, *_ in calls if name == "flow"]
-    assert flows == [(1e-9, 1e-9), (5e-14, 5e-14)]
-    assert all(s == tight for name, s, *_ in calls if name == "integrate")
+    # motion on top of the rigid rotation.  Accepted steps of the
+    # certifying integration at 1e-13: 47 for figure 1 and 49 for
+    # Thomson-3 in the lab frame, 32 and 5 in the frames
+    build, max_integration = {"figure1": (build_figure1_spec, 35),
+                              "thomson3": (build_thomson3_spec, 10)}[case]
+    orbit, calls, _ = _traced_shoot(monkeypatch, build(0.1))
+    assert [name for name, *_ in calls] == ["integrate"]
+    assert calls[0][2] <= max_integration
     assert orbit.residual <= periodic.SHOOT_TOL
 
 
@@ -361,25 +377,41 @@ def test_shoot_refuses_a_looser_tolerance(monkeypatch, loose):
 
 
 def test_shooting_jacobian_nulls_are_the_time_shift_and_the_rotation(
-        figure1_orbit):
-    # J = S W - I at the reference orbit.  The time shift f(u0) and the
-    # rotation about the disc center, perp(u0 + anchor_hat / r) in
-    # rescaled coordinates, are exact null directions of J that also
-    # lie in its range (Hamiltonian Jordan blocks), so appending them as
-    # rows leaves a well-conditioned matrix
-    orbit, _ = figure1_orbit
-    spec, u0 = orbit.spec, orbit.u0
-    rs = spec.rescaled()
-    _, W = flow_with_jacobian(rs, u0, TWO_PI)
-    J = permutation_matrix(spec.sigma) @ W - np.eye(u0.size)
-    f_hat = rs.vector_field(u0)
-    rot_hat = perp(u0 + rs.anchor_hat / spec.scale)
-    nulls = np.array([v / np.linalg.norm(v) for v in (f_hat, rot_hat)])
-    U, s, _ = np.linalg.svd(J)
-    assert np.all(np.linalg.norm(nulls @ J.T, axis=1) <= 1e-9 * s[0])
-    assert np.all(np.abs(nulls @ U[:, -2:]) <= 1e-9)
-    bordered = np.linalg.svd(np.vstack([J, nulls]), compute_uv=False)
-    assert bordered[-1] / bordered[0] >= 1e-6
+        monkeypatch):
+    # the collocation Jacobian J = blockdiag(DV_k) - D (x) I at the
+    # reference orbit.  Its border rows G, the time shift and the
+    # rotation about the disc center, span its right null space, and its
+    # border columns C, the energy and angular impulse gradients, its
+    # left null space.  Bordered by both, the matrix is well conditioned;
+    # with G as its columns too it is singular, since G also lies in J's
+    # range (Hamiltonian Jordan blocks)
+    newton, last = periodic.newton, {}
+
+    def spy(fun, x, *args, **kwargs):
+        x, residuals = newton(fun, x, *args, **kwargs)
+        last.update(fun=fun, x=x)
+        return x, residuals
+
+    monkeypatch.setattr(periodic, "newton", spy)
+    shoot(build_figure1_spec(0.1))
+    _, J, G, C = last["fun"](last["x"])
+    G, C = (np.array([v / np.linalg.norm(v) for v in B]) for B in (G, C))
+    U, s, Vt = np.linalg.svd(J)
+    assert np.all(s[-2:] <= 1e-12 * s[0])
+    assert np.all(np.linalg.norm(J @ G.T, axis=0) <= 1e-12 * s[0])
+    assert np.all(np.linalg.norm(C @ J, axis=1) <= 1e-12 * s[0])
+    assert np.allclose(np.linalg.norm(G @ Vt[-2:].T, axis=1), 1.0,
+                       rtol=0.0, atol=1e-9)
+    assert np.allclose(np.linalg.norm(C @ U[:, -2:], axis=1), 1.0,
+                       rtol=0.0, atol=1e-9)
+
+    def conditioning(columns):
+        sv = np.linalg.svd(np.block([[J, columns.T], [G, np.zeros((2, 2))]]),
+                           compute_uv=False)
+        return sv[-1] / sv[0]
+
+    assert conditioning(C) >= 1e-6
+    assert conditioning(G) <= 1e-12
 
 
 def test_reference_orbit_meets_every_tolerance(figure1_orbit):
@@ -610,6 +642,23 @@ def test_uneven_pair_continuation_stays_on_the_branch(disc):
 
     ratios = [o.distance_to_m / o.scale**2 for o in orbits]
     assert all(abs(q - ratios[0]) <= 0.1 * ratios[0] for q in ratios), ratios
+
+
+def test_second_figure1_class_continues_over_every_scale():
+    # the pi/2 class, which a warm-started shoot lost at r = 0.15, from
+    # r = 0.2 down to 0.025: each later scale starts from the last loop
+    # carried to its scale, and d/r^2 falls toward its r -> 0 limit
+    scales = [0.2, 0.15, 0.1, 0.07, 0.05, 0.035, 0.025]
+    spec = build_figure1_spec(0.2, phases=(np.pi / 2, 0.0))
+    orbits = continue_in_r(spec, scales)
+    ratios = [orbit.distance_to_m / orbit.scale**2 for orbit in orbits]
+    assert [orbit.scale for orbit in orbits] == scales
+    assert all(a > b for a, b in zip(ratios, ratios[1:])), ratios
+    assert np.allclose(ratios, [2.2174, 2.2132, 2.2089, 2.2069, 2.2059,
+                                2.2054, 2.2051], rtol=0.0, atol=1e-4)
+    for orbit in orbits:
+        assert orbit.residual <= 1e-10
+        assert len(orbit.residuals) <= 4
 
 
 def test_second_figure1_class_continues_down_to_r_0_025():
