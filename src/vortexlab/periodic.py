@@ -92,10 +92,11 @@ flow_with_jacobian = dynamics.flow_with_jacobian
 SHOOT_TOL = 1e-10
 MAX_SHOOT_ITERATIONS = 50
 #: collocation samples per period, tried in turn: 2k + 1 for the modes
-#: up to k = 12, 24, 48.  Odd, so every mode has a derivative on the grid
+#: up to k = 12, 24.  Odd, so every mode has a derivative on the grid
 #: (an even count's Nyquist mode has none and is left undetermined); the
 #: loop's modes reach roundoff by the 12th on figure 1 (4e-15 at r = 0.1)
-COLLOCATION_SAMPLES = (25, 49, 97)
+#: and by the 24th at r = 0.2 (2e-11 at the 12th, 1e-17 at the 24th)
+COLLOCATION_SAMPLES = (25, 49)
 #: collocation residual at which Newton stops, and the largest highest
 #: mode of a loop its samples resolve: a loop's integration can read
 #: several times either (1.2e-10 from a residual of 4.6e-11 on figure 1),
@@ -524,8 +525,10 @@ def shoot(spec: SuperpositionSpec, u0_guess=None,
     scale starts it from the torus plus that orbit's deviation from it,
     scaled by (r / r_orbit)^2, as the superposition's deviation is
     O(r^2).  A state is integrated over tau first: if that integration
-    certifies it, it is the orbit, with 0 iterations; else that
-    trajectory's samples start the collocation.
+    certifies it, it is the orbit, with 0 iterations; else the torus
+    loop starts the collocation, as a state's own trajectory need not
+    close and starts it worse (a first residual of 0.80 against 0.038
+    from the torus, figure 1's r = 0.2 orbit state at r = 0.1).
 
     The loop's state at t = 0 is u0, and one integration over tau at the
     settings' tolerance certifies it: the twisted residual
@@ -543,22 +546,20 @@ def shoot(spec: SuperpositionSpec, u0_guess=None,
     if spec.scale <= 0.0:
         raise ConstraintViolationError("shooting requires scale > 0")
     settings, rs = _certifying(settings), spec.rescaled()
-    if u0_guess is None:
-        build_initial_guess(spec)
-        start = spec.torus_samples
-    elif isinstance(u0_guess, PeriodicOrbit):
+    if isinstance(u0_guess, PeriodicOrbit):
         q, loop = (spec.scale / u0_guess.scale)**2, u0_guess.trajectory.sample
 
         def start(ts):
             torus = spec.torus_samples(ts)
             return torus + q * (loop(ts) - torus)
-    else:
+        return _collocated_orbit(spec, rs, start, settings)
+    if u0_guess is not None:
         u0 = as_state(u0_guess).copy()
         integration = _loop_integration(spec, rs, u0, settings)
         if integration[1] <= SHOOT_TOL:
             return _certified(spec, u0, integration)
-        start = integration[0].sample
-    return _collocated_orbit(spec, rs, start, settings)
+    build_initial_guess(spec)
+    return _collocated_orbit(spec, rs, spec.torus_samples, settings)
 
 
 # ---------------------------------------------------------------------------

@@ -312,6 +312,20 @@ def test_a_certified_guess_is_its_own_orbit(monkeypatch, figure1_orbit,
     assert orbit.residual <= periodic.SHOOT_TOL
 
 
+def test_an_uncertified_state_guess_starts_from_the_torus(
+        monkeypatch, figure1_orbit, figure1_continuation):
+    # the r = 0.2 orbit's u0 at r = 0.1: its integration does not close,
+    # so the collocation starts from the torus, as it does with no guess,
+    # and the certifying integration is the second one
+    reference = figure1_orbit[0]
+    guess = figure1_continuation[0][0].u0
+    orbit, calls, _ = _traced_shoot(monkeypatch, reference.spec, guess=guess)
+    assert [name for name, *_ in calls] == ["integrate", "integrate"]
+    assert orbit.trajectory is calls[-1][3]
+    assert orbit.iterations == reference.iterations == 3
+    assert np.array_equal(orbit.u0, reference.u0)
+
+
 @pytest.mark.parametrize("start", ["torus", "converged"])
 def test_only_the_closing_integration_certifies_convergence(
         monkeypatch, thomson3_orbit, start):
@@ -644,7 +658,7 @@ def test_uneven_pair_continuation_stays_on_the_branch(disc):
     assert all(abs(q - ratios[0]) <= 0.1 * ratios[0] for q in ratios), ratios
 
 
-def test_second_figure1_class_continues_over_every_scale():
+def test_second_figure1_class_continues_down_to_r_0_025():
     # the pi/2 class, which a warm-started shoot lost at r = 0.15, from
     # r = 0.2 down to 0.025: each later scale starts from the last loop
     # carried to its scale, and d/r^2 falls toward its r -> 0 limit
@@ -659,17 +673,6 @@ def test_second_figure1_class_continues_over_every_scale():
     for orbit in orbits:
         assert orbit.residual <= 1e-10
         assert len(orbit.residuals) <= 4
-
-
-def test_second_figure1_class_continues_down_to_r_0_025():
-    # the pi/2 start at r = 0.025, where the relative-phase singular
-    # value of S W - I is 2.6e-7 of the largest; every orbit stays on
-    # the branch, d/r^2 near 2.2
-    spec = build_figure1_spec(0.05, phases=(np.pi / 2, 0.0))
-    orbits = continue_in_r(spec, [0.05, 0.035, 0.025])
-    for orbit in orbits:
-        assert orbit.residual <= 1e-10
-        assert abs(orbit.distance_to_m / orbit.scale**2 - 2.2) <= 0.22
 
 
 # ---------------------------------------------------------------------------
