@@ -12,11 +12,11 @@ system's screen checks in one call, in time order, at the settings'
 thresholds; the initial state gets the same check from validate_state,
 its one-row case.  A guard tripped on a sample is refined to its
 crossing time by root bracketing and raised as a typed event carrying
-the time and the offending pair or vortex.  One builder,
-_base_dense_output, forms every step's interpolant from the system's
-vector field: on the whole state for integrate, whose Trajectory joins
-them through scipy's OdeSolution, and on the base state alone for
-flow_with_jacobian, whose extra stages then take the field only.
+the time and the offending pair or vortex.  Every step's interpolant is
+scipy's own (DOP853.dense_output), screened on its first 2N components,
+the vortex positions: integrate's Trajectory joins them through scipy's
+OdeSolution, and flow_with_jacobian's extra stages evaluate the
+augmented right-hand side.
 
 The stepper advances the co-rotating state v of systems.FlowSystem
 (v = exp(i omega t) u per vortex, omega its cluster frame's angular
@@ -54,7 +54,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import DOP853, OdeSolution
-from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.optimize import brentq
 
 from .errors import (BoundaryEventError, CollisionError,
@@ -134,65 +133,37 @@ def _refine_and_raise(system, state, t_ok, t_bad, exc, settings):
         index=exc.index, time=t_star)
 
 
-def _base_dense_output(stepper, field, d: int):
-    """The DOP853 interpolant of stepper's last step, for the first d
-    components only (Hairer, Norsett and Wanner, Solving ODEs I, II.6).
-
-    The first d components of a stage depend on the first d of its
-    argument only, so field(t, y), the right-hand side of those
-    components, evaluates the three extra stages on d components, at
-    their times t_old + C_EXTRA h.  With d the whole state this is
-    scipy's dense_output().  The stepper's stages are read, never
-    written, so its step sequence does not change.
-    """
-    h = stepper.h_previous
-    y_old = stepper.y_old[:d]
-    start = len(stepper.K_extended) - len(stepper.A_EXTRA)
-    K = np.empty((len(stepper.K_extended), d))
-    K[:start] = stepper.K_extended[:start, :d]
-    for s, (a, c) in enumerate(zip(stepper.A_EXTRA, stepper.C_EXTRA),
-                               start=start):
-        K[s] = field(stepper.t_old + c * h,
-                     y_old + np.dot(K[:s].T, a[:s]) * h)
-    # the same coefficients as DOP853._dense_output_impl
-    delta_y = stepper.y[:d] - y_old
-    F = np.empty((3 + len(stepper.D), d))
-    F[0] = delta_y
-    F[1] = h * K[0] - delta_y
-    F[2] = 2 * delta_y - h * (stepper.f[:d] + K[0])
-    F[3:] = h * np.dot(stepper.D, K)
-    return Dop853DenseOutput(stepper.t_old, stepper.t, y_old, F)
-
-
-def _step_and_screen(system: FlowSystem, stepper, d: int,
+def _step_and_screen(system: FlowSystem, stepper,
                      settings: IntegratorSettings, what: str):
-    """Take one step and screen its interpolant of the first d
-    components, the co-rotating state whose right-hand side is
+    """Take one step and screen scipy's interpolant of it on its first
+    2N components, the co-rotating state whose right-hand side is
     system.vector_field(v, t), on GUARD_SAMPLES points, turned back to
     the system's states (system.to_lab), before the step is committed.
 
-    Returns (interpolant of v, smallest guarded separation on the
+    Returns (the step's interpolant, smallest guarded separation on the
     grid); raises ConvergenceError when the stepper fails and the
     refined event when a guard trips.
     """
+    d = 2 * system.n
     message = stepper.step()
     if stepper.status == "failed":
         raise ConvergenceError(
             f"{what} failed at t = {stepper.t:.9g}: {message}",
             iterations=stepper.nfev, last_iterate=stepper.y[:d].copy(),
             residual=np.nan)
-    interp = _base_dense_output(
-        stepper, lambda t, v: system.vector_field(v, t), d)
+    interp = stepper.dense_output()
+
+    def state(t):
+        return system.to_lab(t, interp(t)[:d].T)
+
     times = np.linspace(stepper.t_old, stepper.t, GUARD_SAMPLES + 1)
     try:
-        seps = system.screen(system.to_lab(times[1:], interp(times[1:]).T),
-                             times[1:], settings.collision_tol,
-                             settings.boundary_margin)
+        seps = system.screen(state(times[1:]), times[1:],
+                             settings.collision_tol, settings.boundary_margin)
     except (CollisionError, DomainViolationError) as exc:
         # bracket the crossing between the failing sample and the one before
         k = int(np.flatnonzero(times == exc.time)[0])
-        _refine_and_raise(system, lambda t: system.to_lab(t, interp(t)),
-                          *times[k - 1:k + 1], exc, settings)
+        _refine_and_raise(system, state, *times[k - 1:k + 1], exc, settings)
     return interp, float(np.min(seps))
 
 
@@ -292,7 +263,7 @@ def integrate(system: FlowSystem, z0, t_span,
 
     stepper = _stepper(field, t0, system.to_frame(t0, y0), t1, settings)
     while stepper.status == "running":
-        interp, sep = _step_and_screen(system, stepper, y0.size, settings,
+        interp, sep = _step_and_screen(system, stepper, settings,
                                        "integrator")
         min_sep = min(min_sep, sep)
         times.append(stepper.t)
@@ -316,9 +287,9 @@ def flow_with_jacobian(system: FlowSystem, z0, t_end: float,
     t = 0) through one shared step sequence with it, so the pair
     (phi_t(z0), Dphi_t(z0)) is internally consistent; both are turned
     back to the system's states at t_end.  Each right-hand side takes
-    the field and its Jacobian from one assembly.  The steps are
-    screened on the interpolant of the base state alone
-    (_base_dense_output), whose extra stages take the field only.
+    the field and its Jacobian from one assembly, the 3 extra stages of
+    each step's interpolant included; the steps are screened on that
+    interpolant's first 2N components, v.
     """
     settings = settings or IntegratorSettings()
     y0 = as_state(z0).copy()
@@ -336,8 +307,7 @@ def flow_with_jacobian(system: FlowSystem, z0, t_end: float,
     stepper = _stepper(rhs, 0.0, aug0, float(t_end), settings)
 
     while stepper.status == "running":
-        _step_and_screen(system, stepper, d, settings,
-                         "variational integration")
+        _step_and_screen(system, stepper, settings, "variational integration")
 
     # the turn is linear, so it turns each column of W as it turns v
     zT = system.to_lab(t_end, stepper.y[:d])

@@ -400,7 +400,8 @@ def _symmetry_defect(spec: SuperpositionSpec, traj: Trajectory) -> float:
     u(t) ||; with the identity symmetry the grid is t = 0 alone, and the
     defect is the plain closure."""
     S = permutation_matrix(spec.sigma)
-    grid = np.linspace(0.0, spec.tau - TWO_PI, GRID_SAMPLES + 1)
+    grid = (np.zeros(1) if spec.order == 1
+            else np.linspace(0.0, spec.tau - TWO_PI, GRID_SAMPLES + 1))
     defects = traj.sample(grid + TWO_PI) @ S.T - traj.sample(grid)
     return float(np.max(np.linalg.norm(defects, axis=1)))
 
@@ -460,7 +461,9 @@ def _collocated_orbit(spec: SuperpositionSpec, rs: RescaledSystem, start,
 
     linalg.newton solves for the loop's co-rotating samples v_k at t_k =
     k tau / K, K = COLLOCATION_SAMPLES[0], or the next count while the
-    converged loop's highest mode exceeds COLLOCATION_TOL; u0 is v_0,
+    converged loop's highest mode exceeds COLLOCATION_TOL, started from
+    the trigonometric interpolant of the loop converged at the count
+    before (_trigonometric_interpolant); u0 is v_0,
     where the frames agree with the lab.  The residual is V(t_k, v_k) -
     (D v)_k, D the Fourier differentiation matrix, and the Jacobian
     blockdiag(DV_k) - D (x) I.  Its rows G are the time shift, the lab
@@ -475,6 +478,8 @@ def _collocated_orbit(spec: SuperpositionSpec, rs: RescaledSystem, start,
     n, center = 2 * spec.n, rs.anchor_hat / spec.scale
     for K in COLLOCATION_SAMPLES:
         ts = np.linspace(0.0, spec.tau, K, endpoint=False)
+        v0 = (rs.to_frame(ts, start(ts)) if K == COLLOCATION_SAMPLES[0]
+              else _trigonometric_interpolant(x.reshape(-1, n), ts, spec.tau))
         D = _spectral_derivative(np.eye(K), spec.tau)
 
         def residual_and_bordered_jacobian(x):
@@ -496,8 +501,7 @@ def _collocated_orbit(spec: SuperpositionSpec, rs: RescaledSystem, start,
 
         try:
             x, residuals = newton(
-                residual_and_bordered_jacobian,
-                rs.to_frame(ts, start(ts)).reshape(-1), admissible,
+                residual_and_bordered_jacobian, v0.reshape(-1), admissible,
                 tol=COLLOCATION_TOL, max_iterations=MAX_SHOOT_ITERATIONS)
         except ConvergenceError as exc:
             exc.last_iterate = exc.last_iterate[:n]  # its u0
@@ -565,6 +569,16 @@ def shoot(spec: SuperpositionSpec, u0_guess=None,
 # ---------------------------------------------------------------------------
 # distance to the phase torus
 # ---------------------------------------------------------------------------
+
+def _trigonometric_interpolant(samples: np.ndarray, times,
+                               period: float) -> np.ndarray:
+    """The trigonometric interpolant of an odd number K of uniformly
+    spaced periodic samples, (K, n), at the times: (len(times), n)."""
+    g = samples.shape[0]
+    freqs = np.fft.fftfreq(g, d=1.0 / g)
+    waves = np.exp(np.multiply.outer(times, 1j * freqs * (TWO_PI / period)))
+    return np.real(waves @ np.fft.fft(samples, axis=0)) / g
+
 
 def _spectral_derivative(samples: np.ndarray, period: float) -> np.ndarray:
     """Time derivative of uniformly spaced periodic samples by FFT."""

@@ -405,10 +405,9 @@ def test_csv_round_trips_exactly(disc_pair):
 
 @pytest.mark.parametrize("rescaled", [False, True], ids=["plain", "rescaled"])
 def test_variational_rhs_assembles_once(monkeypatch, disc, rescaled):
-    # one order-2 assembly per augmented right-hand side; the screening
-    # interpolant's 3 extra stages take the field only, one order-1
-    # assembly each per accepted step
-    calls = {"rhs": 0, "steps": 0, 0: 0, 1: 0, 2: 0}
+    # one order-2 assembly per augmented right-hand side, the 3 extra
+    # stages of each step's interpolant among them, and no other assembly
+    calls = {"rhs": 0, 0: 0, 1: 0, 2: 0}
 
     class CountingDOP853(DOP853):
         def __init__(self, fun, *args, **kwargs):
@@ -416,10 +415,6 @@ def test_variational_rhs_assembles_once(monkeypatch, disc, rescaled):
                 calls["rhs"] += 1
                 return fun(t, y)
             super().__init__(counted, *args, **kwargs)
-
-        def step(self):
-            calls["steps"] += 1
-            return super().step()
 
     raw = systems.assemble_interaction
 
@@ -436,49 +431,10 @@ def test_variational_rhs_assembles_once(monkeypatch, disc, rescaled):
     monkeypatch.setattr(dynamics, "DOP853", CountingDOP853)
     monkeypatch.setattr(systems, "assemble_interaction", counting_assemble)
     flow_with_jacobian(system, y0, t_end)
-    assert calls["rhs"] > 0 and calls["steps"] > 0
+    assert calls["rhs"] > 0
     assert calls[2] == calls["rhs"]
-    assert calls[1] == 3 * calls["steps"]
+    assert calls[1] == 0
     assert calls[0] == 0
-
-
-def _figure1_steppers(spec):
-    """DOP853 steppers over one rescaled figure-1 period: on the
-    augmented co-rotating state (v, W), as flow_with_jacobian builds it,
-    and on v alone, as integrate builds it; and the field of v."""
-    rs, u0 = spec.rescaled(), spec.torus_point()
-    d = u0.size
-
-    def rhs(t, aug):
-        f, J = rs.field_and_jacobian(aug[:d], t)
-        return np.concatenate([f, (J @ aug[d:].reshape(d, d)).reshape(-1)])
-
-    def field(t, v):
-        return rs.vector_field(v, t)
-
-    aug0 = np.concatenate([u0, np.eye(d).reshape(-1)])
-    settings = IntegratorSettings()
-    return d, field, (
-        dynamics._stepper(rhs, 0.0, aug0, TWO_PI, settings),
-        dynamics._stepper(field, 0.0, u0, TWO_PI, settings))
-
-
-def test_base_dense_output_is_the_base_rows_of_scipys(figure1_spec_builder):
-    # the co-rotating field depends on t, so the extra stages must be
-    # taken at their own times to match scipy's
-    d, field, steppers = _figure1_steppers(figure1_spec_builder(0.1))
-    for stepper in steppers:
-        for _ in range(4):
-            stepper.step()
-            # read before scipy's dense_output() overwrites its extra stages
-            base = dynamics._base_dense_output(stepper, field, d)
-            full = stepper.dense_output()
-            grid = np.linspace(stepper.t_old, stepper.t,
-                               dynamics.GUARD_SAMPLES + 1)[1:]
-            ref = full(grid)[:d]
-            assert base(grid).shape == ref.shape
-            assert (np.max(np.abs(base(grid) - ref))
-                    <= 1e-15 * np.max(np.abs(ref)))
 
 
 @pytest.mark.parametrize("case", ["figure1", "thomson3"])
@@ -504,20 +460,41 @@ def test_flow_map_is_the_physical_flow_mapped_by_the_rescaling(
     assert turn > 0.1 if case == "thomson3" else turn <= 1e-14
 
 
-def test_base_only_screening_leaves_the_flow_bitwise_unchanged(
-        monkeypatch, figure1_spec_builder):
-    spec = figure1_spec_builder(0.1)
+@pytest.mark.parametrize("case", ["figure1", "thomson3"])
+def test_screening_never_perturbs_the_step_sequence(
+        case, figure1_spec_builder, thomson3_spec_builder):
+    # integrate and flow_with_jacobian read scipy's interpolant of each
+    # step and never write into the stepper, so both are bitwise a bare
+    # DOP853 loop over one rescaled period, turned back to the lab
+    spec = {"figure1": figure1_spec_builder,
+            "thomson3": thomson3_spec_builder}[case](0.1)
     rs, u0 = spec.rescaled(), spec.torus_point()
-    phi, W = flow_with_jacobian(rs, u0, TWO_PI)
+    d, settings = u0.size, IntegratorSettings()
 
-    def full_dense_output(stepper, field, d):
-        interp = stepper.dense_output()
-        return lambda t: interp(t)[:d]
+    def bare(fun, y0):
+        stepper = DOP853(fun, 0.0, y0, TWO_PI, rtol=settings.rtol,
+                         atol=settings.atol)
+        ts, ys = [0.0], [y0]
+        while stepper.status == "running":
+            stepper.step()
+            ts.append(stepper.t)
+            ys.append(stepper.y)
+        return np.array(ts), np.array(ys)
 
-    monkeypatch.setattr(dynamics, "_base_dense_output", full_dense_output)
-    phi_ref, W_ref = flow_with_jacobian(rs, u0, TWO_PI)
-    assert np.array_equal(phi, phi_ref)
-    assert np.array_equal(W, W_ref)
+    def rhs(t, aug):
+        f, J = rs.field_and_jacobian(aug[:d], t)
+        return np.concatenate([f, (J @ aug[d:].reshape(d, d)).reshape(-1)])
+
+    traj = integrate(rs, u0, (0.0, TWO_PI), settings)
+    ts, vs = bare(lambda t, v: rs.vector_field(v, t), rs.to_frame(0.0, u0))
+    assert np.array_equal(traj.times, ts)
+    assert np.array_equal(traj.states, rs.to_lab(ts, vs))
+
+    phi, W = flow_with_jacobian(rs, u0, TWO_PI, settings)
+    _, augs = bare(rhs, np.concatenate([u0, np.eye(d).reshape(-1)]))
+    assert np.array_equal(phi, rs.to_lab(TWO_PI, augs[-1, :d]))
+    assert np.array_equal(
+        W, rs.to_lab(TWO_PI, augs[-1, d:].reshape(d, d).T).T)
 
 
 def test_flow_with_jacobian_refines_a_grazing_collision_like_integrate(plane):

@@ -5,7 +5,10 @@ Every name a module imports is read in it, and every name an annotation
 reads is bound at module level or is a builtin: with postponed
 annotations (`from __future__ import annotations`) a missing import in
 an annotation never runs, so only a parse finds it.  The package's
-`__init__.py` is left out, since it imports names to export them.
+`__init__.py` is left out, since it imports names to export them.  No
+package module imports a private module, one whose dotted path has a
+`_`-prefixed component: its contents may change in any release of the
+library that owns it.
 """
 
 import ast
@@ -13,9 +16,9 @@ import builtins
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = sorted((ROOT / "src" / "vortexlab").glob("*.py"))
 MODULES = sorted(
-    [p for p in (ROOT / "src" / "vortexlab").glob("*.py")
-     if p.name != "__init__.py"]
+    [p for p in PACKAGE if p.name != "__init__.py"]
     + list((ROOT / "tests").glob("*.py")) + list((ROOT / "demos").glob("*.py")))
 
 
@@ -92,3 +95,22 @@ def test_every_annotation_name_is_bound():
         if missing:
             unbound[name] = sorted(missing)
     assert unbound == {}
+
+
+def test_no_package_module_imports_a_private_module():
+    private = []
+    for path in PACKAGE:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                paths = [alias.name for alias in node.names]
+            elif (isinstance(node, ast.ImportFrom) and node.level == 0
+                  and node.module != "__future__"):
+                # an imported name may itself be a module
+                paths = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            private += [f"{path.name}:{node.lineno} {dotted}"
+                        for dotted in paths
+                        if any(part.startswith("_")
+                               for part in dotted.split("."))]
+    assert private == []

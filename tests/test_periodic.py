@@ -294,6 +294,35 @@ def test_tier1_orbits_make_no_flow_and_one_integration(monkeypatch, case):
     assert np.array_equal(screens[-1][0][0], orbit.u0)
 
 
+@pytest.mark.parametrize("phase", [0.0, np.pi / 2], ids=["0", "pi/2"])
+def test_the_finer_collocation_starts_from_the_coarser_loop(monkeypatch,
+                                                            phase):
+    # at r = 0.2 the 25-sample loop's highest mode is 2e-11, so 49
+    # samples follow; started from the 25-sample loop's trigonometric
+    # interpolant, their Newton takes one step (3.2e-10, then 6.8e-15 at
+    # phase 0), where a restart from the torus took three
+    solves, raw = [], periodic.newton
+
+    def recorded(fun, x0, *args, **kwargs):
+        x, residuals = raw(fun, x0, *args, **kwargs)
+        solves.append((x0.size, residuals))
+        return x, residuals
+
+    monkeypatch.setattr(periodic, "newton", recorded)
+    orbit = shoot(build_figure1_spec(0.2, phases=(phase, 0.0)))
+    n = 2 * orbit.spec.n
+    assert [size for size, _ in solves] == [
+        K * n for K in periodic.COLLOCATION_SAMPLES]
+    assert tuple(solves[-1][1]) == orbit.residuals
+    assert orbit.iterations == 1
+    assert orbit.residuals[0] <= 1e-9
+    assert orbit.residual <= periodic.SHOOT_TOL
+    # d/r^2 of either class at r = 0.2, as the continuations read it
+    ratio = orbit.distance_to_m / orbit.scale**2
+    assert abs(ratio - 2.2) <= 0.22
+    assert abs(ratio - {0.0: 2.2056, np.pi / 2: 2.2174}[phase]) <= 1e-4
+
+
 @pytest.mark.parametrize("case", ["figure1", "thomson3"])
 def test_a_certified_guess_is_its_own_orbit(monkeypatch, figure1_orbit,
                                             thomson3_orbit, case):
@@ -496,6 +525,28 @@ def test_choreography_orbit_respects_the_twisted_symmetry(thomson3_orbit):
     assert orbit.symmetry_defect <= 1e-8
     assert orbit.spec.order == 3
     assert orbit.rescaled_period == pytest.approx(3 * TWO_PI)
+
+
+def test_symmetry_defect_is_the_twisted_residual_at_the_identity(
+        figure1_orbit, thomson3_orbit):
+    # with sigma = id the defect is read at t = 0 alone, where it is the
+    # plain closure |phi_{2pi}(u0) - u0|; a choreography's grid spans
+    # [0, tau - 2 pi]
+    for (orbit, _), rows in ((figure1_orbit, 1),
+                             (thomson3_orbit, periodic.GRID_SAMPLES + 1)):
+        shapes = []
+
+        class Recorded:
+            def sample(self, t, orbit=orbit):
+                shapes.append(np.shape(t))
+                return orbit.trajectory.sample(t)
+
+        defect = periodic._symmetry_defect(orbit.spec, Recorded())
+        assert shapes == [(rows,), (rows,)]
+        assert defect == orbit.symmetry_defect
+    orbit = figure1_orbit[0]
+    assert orbit.spec.order == 1
+    assert orbit.symmetry_defect == orbit.residual
 
 
 def test_orbit_serializes_to_json(figure1_orbit):
