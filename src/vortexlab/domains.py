@@ -19,9 +19,9 @@ Everything is analytic; finite differences appear only in the tests.
 
 Points are read as complex numbers x = x1 + i x2, and each domain
 writes g and its derivatives once, in complex form, in
-`regular_coefficients` over all pairs of two point arrays: g itself,
-and with the Wirtinger derivatives d/dx = (d_x1 - i d_x2)/2 and
-d/d(conj x),
+`regular_coefficients` over all pairs of two point arrays, or of two
+batches of them along leading axes: g itself, and with the Wirtinger
+derivatives d/dx = (d_x1 - i d_x2)/2 and d/d(conj x),
 
     G_x = d_x1 g - i d_x2 g,  G_xx = dG_x/dx,  G_xy = dG_x/dy,
     G_xyb = dG_x/d(conj y).
@@ -92,10 +92,12 @@ class Domain(ABC):
     # -- regular part in complex form: the implementation ---------------
     @abstractmethod
     def regular_coefficients(self, zx, zy, order: int):
-        """g over all pairs (zx[i], zy[j]) of the complex points zx, (n,),
-        and zy, (m,): at order 0 the real table g; at order 1 G_x; at
-        order 2 the tuple (G_x, G_xx, G_xy, G_xyb).  Each is an (n, m)
-        array or a scalar that broadcasts to one."""
+        """g over all pairs (zx[..., i], zy[..., j]) of the complex
+        points zx, (..., n), and zy, (..., m), whose leading axes
+        broadcast: at order 0 the real table g; at order 1 G_x; at order
+        2 the tuple (G_x, G_xx, G_xy, G_xyb).  Each is a (..., n, m)
+        array or one that broadcasts to it: a scalar, or (n, m) when
+        the coefficient does not depend on the points."""
 
     # -- regular part, real all-pairs tables: expanded from it -----------
     def _coefficient_tables(self, px, py, order):
@@ -209,8 +211,8 @@ class UnitDisc(Domain):
     def regular_coefficients(self, zx, zy, order):
         # on a self pair q = 1 - |x|^2 keeps full relative precision near
         # the wall; its square, expanded in real coordinates, cancels there
-        yc = zy.conj()
-        q = np.multiply.outer(-zx, yc)
+        yc = zy.conj()[..., None, :]
+        q = -zx[..., :, None] * yc
         q += 1.0
         if order == 0:
             return np.log(np.abs(q)) / -TWO_PI
@@ -243,13 +245,13 @@ class PerturbedDisc(UnitDisc):
         disc = super().regular_coefficients(zx, zy, order)
         eps = self.epsilon
         if order == 0:
-            x, y = zx[:, None], zy[None, :]
+            x, y = zx[..., :, None], zy[..., None, :]
             return disc + eps * (x.real * y.real + 2.0 * x.imag * y.imag
                                  + x.real + y.real)
         # G_x = eps (y1 + 1 - 2i y2) = eps (1 + 1.5 conj(y) - 0.5 y): the
         # real block d_y d_x bump = eps diag(1, 2) is 1.5 eps conformal
         # plus -0.5 eps anticonformal
-        bump = eps * (1.0 + 1.5 * zy.conj() - 0.5 * zy)
+        bump = eps * (1.0 + 1.5 * zy.conj() - 0.5 * zy)[..., None, :]
         if order == 1:
             return disc + bump
         gx, gxx, gxy, gxyb = disc

@@ -14,6 +14,8 @@ columns.  rotate_all is the only turn of states: each vortex's complex
 point times exp(i theta), with one angle for all of them or one per
 vortex, and as many copies as rows of angles.  The co-rotating frames
 of `systems` read its core, _turn, with factors they form themselves.
+state_points is the one complex view of states (..., 2N): _turn reads
+it, and so does every energy of `systems`, on one state or a batch.
 aligned_distance is the only rotation fit: it compares states, or
 batches of states, up to one global rotation.  newton is the only
 Newton loop, shared by the anchor search, the phase scan and the
@@ -28,7 +30,7 @@ from __future__ import annotations
 from math import lcm
 
 import numpy as np
-from scipy.sparse import bmat
+from scipy.sparse import csc_array
 from scipy.sparse.linalg import splu
 
 from .errors import (CollisionError, ConstraintViolationError,
@@ -55,8 +57,14 @@ def complex_points(p) -> np.ndarray:
     return np.ascontiguousarray(p, dtype=float).view(complex)[..., 0]
 
 
+def state_points(z) -> np.ndarray:
+    """The complex points (..., N) of the states z, (..., 2N)."""
+    return np.ascontiguousarray(z, dtype=float).view(complex)
+
+
 def real_blocks(L, K) -> np.ndarray:
-    """The real (2n, 2m) matrix of complex (n, m) derivatives L and K.
+    """The real (..., 2n, 2m) matrices of complex (..., n, m) derivatives
+    L and K, whose leading axes broadcast.
 
     D_i = d_1 f_i - i d_2 f_i is the complex form of the gradient of a
     real f_i, and L = dD/d(conj z), K = dD/dz over the complex points z_j.
@@ -65,12 +73,12 @@ def real_blocks(L, K) -> np.ndarray:
     [[Re P, Im M], [-Im P, Re M]].
     """
     P, M = L + K, L - K
-    n, m = P.shape
-    out = np.empty((2 * n, 2 * m))
-    out[0::2, 0::2] = P.real
-    out[0::2, 1::2] = M.imag
-    np.negative(P.imag, out=out[1::2, 0::2])
-    out[1::2, 1::2] = M.real
+    *lead, n, m = P.shape
+    out = np.empty((*lead, 2 * n, 2 * m))
+    out[..., 0::2, 0::2] = P.real
+    out[..., 0::2, 1::2] = M.imag
+    np.negative(P.imag, out=out[..., 1::2, 0::2])
+    out[..., 1::2, 1::2] = M.real
     return out
 
 
@@ -98,8 +106,7 @@ def rotate_all(z, theta) -> np.ndarray:
 def _turn(z, factor) -> np.ndarray:
     """The states z, (..., 2N), with their complex points times the unit
     factors `factor`, which broadcast against (..., N)."""
-    return (np.ascontiguousarray(z, dtype=float).view(complex)
-            * factor).view(float)
+    return (state_points(z) * factor).view(float)
 
 
 def closest_pair(p: np.ndarray, mask=None):
@@ -164,7 +171,10 @@ def newton(fun, x, check, *, tol, max_iterations):
     SuperLU factors the matrix, on one thread: an orbit's collocation
     matrix is about 200 rows wide and 18% nonzero, and a dense LAPACK
     solve of that size wakes the BLAS thread pool, which on two cores
-    slowed a whole orbit computation about twofold.
+    slowed a whole orbit computation about twofold.  The matrix is
+    assembled dense with np.block and handed over as CSC, which keeps
+    its nonzeros only: at these sizes that is about twice as fast as
+    assembling it with scipy.sparse.bmat.
 
     ConvergenceError, carrying the last admissible iterate, reports an
     exhausted budget, a singular matrix, or a new iterate that check
@@ -189,7 +199,8 @@ def newton(fun, x, check, *, tol, max_iterations):
                 **failure)
         G, C = np.reshape(G, (-1, x.size)), np.reshape(C, (-1, F.size))
         try:
-            step = splu(bmat([[J, C.T], [G, None]], format="csc")).solve(
+            step = splu(csc_array(np.block(
+                [[J, C.T], [G, np.zeros((len(G), len(C)))]]))).solve(
                 np.concatenate([-F, np.zeros(len(G))]))
         except RuntimeError as exc:  # SuperLU: exactly singular
             raise ConvergenceError(

@@ -256,12 +256,14 @@ class SuperpositionSpec:
         stacked positions with vortex v turned by -omega_v (t + theta_v).
 
         `phases` holds one phase per cluster (default: the spec's phases,
-        zero on trivial clusters).  A trivial cluster sits at the origin
+        zero on trivial clusters), or phase vectors (..., m) whose
+        leading axes broadcast against times' shape: phases (P, 1, m)
+        give (P, len(times), 2N).  A trivial cluster sits at the origin
         and does not rotate, so its block stays zero.
         """
         full = self.full_phases() if phases is None else np.asarray(phases)
-        t = np.add.outer(np.asarray(times, dtype=float),
-                         np.repeat(full, self.cluster_sizes))
+        t = (np.asarray(times, dtype=float)[..., None]
+             + np.repeat(full, self.cluster_sizes, axis=-1))
         return rotate_all(self.positions, -self.angular_velocities * t)
 
     def torus_point(self, phases=None) -> np.ndarray:
@@ -463,10 +465,12 @@ def _collocated_orbit(spec: SuperpositionSpec, rs: RescaledSystem, start,
     k tau / K, K = COLLOCATION_SAMPLES[0], or the next count while the
     converged loop's highest mode exceeds COLLOCATION_TOL, started from
     the trigonometric interpolant of the loop converged at the count
-    before (_trigonometric_interpolant); u0 is v_0,
-    where the frames agree with the lab.  The residual is V(t_k, v_k) -
-    (D v)_k, D the Fourier differentiation matrix, and the Jacobian
-    blockdiag(DV_k) - D (x) I.  Its rows G are the time shift, the lab
+    before (_trigonometric_interpolant); u0 is v_0, where the frames
+    agree with the lab.  The residual is V(t_k, v_k) - (D v)_k, D the
+    Fourier differentiation matrix, and the Jacobian blockdiag(DV_k) -
+    D (x) I: each evaluation takes V and DV at all K samples from one
+    batched field_and_jacobian call, and adds DV's blocks to a copy of
+    -D (x) I, formed once per K.  Its rows G are the time shift, the lab
     field turned into the frames, V_k - i omega v_k, and the domain's
     kernel_generators about u + anchor_hat / r turned likewise; its
     columns are the gradients of the first integrals those generate,
@@ -481,12 +485,12 @@ def _collocated_orbit(spec: SuperpositionSpec, rs: RescaledSystem, start,
         v0 = (rs.to_frame(ts, start(ts)) if K == COLLOCATION_SAMPLES[0]
               else _trigonometric_interpolant(x.reshape(-1, n), ts, spec.tau))
         D = _spectral_derivative(np.eye(K), spec.tau)
+        minus_d = np.kron(-D, np.eye(n))
 
         def residual_and_bordered_jacobian(x):
             v = x.reshape(K, n)
-            fields, jacobians = zip(*map(rs.field_and_jacobian, v, ts))
-            V, J = np.array(fields), np.kron(-D, np.eye(n))
-            J.reshape(K, n, K, n)[np.arange(K), :, np.arange(K)] += jacobians
+            (V, DV), J = rs.field_and_jacobian(v, ts), minus_d.copy()
+            J.reshape(K, n, K, n)[np.arange(K), :, np.arange(K)] += DV
             shift = V.view(complex) - 1j * spec.angular_velocities * v.view(
                 complex)
             G = [shift.view(float).reshape(-1)] + [
@@ -691,9 +695,10 @@ def _critical_phases(spec: SuperpositionSpec) -> list:
     as phase vectors whose pinned last phase is 0: one linalg.newton on
     the gradient of Phi's trigonometric interpolant from each of its
     PHI_SAMPLES samples per free phase, each the mean of the coupling
-    over PHI_TIMES times of the period, converged at SHOOT_TOL of the
-    gradient's bound.  A seed whose Newton fails adds none, and points
-    within IDENTIFICATION_TOL modulo the domain are one."""
+    over PHI_TIMES times of the period (all the samples' states in one
+    coupling call), converged at SHOOT_TOL of the gradient's bound.  A
+    seed whose Newton fails adds none, and points within
+    IDENTIFICATION_TOL modulo the domain are one."""
     rs, free = spec.rescaled(), list(spec.nontrivial_indices[:-1])
     period = np.array([spec.clusters[k].period
                        / len(spec.clusters[k].relabellings) for k in free])
@@ -701,8 +706,8 @@ def _critical_phases(spec: SuperpositionSpec) -> list:
     grid = index * (period / PHI_SAMPLES)
     phases = grid @ np.eye(spec.m)[free]  # zero on the other clusters
     ts = np.linspace(0.0, spec.tau, PHI_TIMES, endpoint=False)
-    values = np.array([np.mean([rs.coupling(w) for w in spec.scale
-                                * spec.torus_samples(ts, p)]) for p in phases])
+    values = rs.coupling(spec.scale * spec.torus_samples(
+        ts, phases[:, None])).mean(axis=-1)
     coef = np.fft.fftn((values - values.mean()).reshape(
         (PHI_SAMPLES,) * len(free))).reshape(-1) / len(grid)
     waves = (np.fft.fftfreq(PHI_SAMPLES, 1.0 / PHI_SAMPLES)[index]

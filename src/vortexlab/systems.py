@@ -24,7 +24,13 @@ shape in closed form (no finite differences anywhere outside the tests).
 It has one form: complex points in, a complex gradient entry per vortex
 and the Hessian's two complex (N, N) matrices out, read in an affine
 frame that each system forms once, at construction (RescaledSystem
-holds two, for E_r and for F).
+holds two, for E_r and for F).  The points are (..., N): leading axes
+are a batch of states, each assembled as it would be alone, bit for
+bit, and a single state has no leading axis.  So every energy, field
+and Jacobian below reads states (..., 2N) and returns one result per
+state; the integrators call them one state at a time, as DOP853's
+stages follow one another, while the collocation of a periodic orbit
+and the samples of Phi (`periodic`) make one call on all their states.
 
 Both systems derive from FlowSystem, which writes the energy and its
 derivatives, the vector field and its Jacobian, and the admissibility
@@ -65,7 +71,7 @@ from .domains import BOUNDARY_MARGIN, Domain, WholePlane
 from .errors import (CollisionError, ConstraintViolationError,
                      DomainViolationError)
 from .linalg import (TWO_PI, _turn, as_state, closest_pair, complex_points,
-                     pairs, real_blocks)
+                     real_blocks, state_points)
 
 COLLISION_TOL = 1e-8
 
@@ -86,9 +92,10 @@ def kernel_offsets(A, C=0.0) -> np.ndarray:
 def assemble_interaction(z, A, B, domain: Domain, frame, order: int = 2):
     """Evaluate the generic pairwise energy or its derivatives.
 
-    z: the complex points x1 + i x2, (N,).  A: (N, N) symmetric,
-    diagonal ignored.  B: (N, N) symmetric, for the domain's regular
-    part g.  order: 0 value, 1 gradient, 2 gradient and Hessian.
+    z: the complex points x1 + i x2, (..., N): one state, or a batch of
+    states along the leading axes, each assembled alone.  A: (N, N)
+    symmetric, diagonal ignored.  B: (N, N) symmetric, for the domain's
+    regular part g.  order: 0 value, 1 gradient, 2 gradient and Hessian.
     Returns (value, D, (L, K)) with None for what was not requested: the
     value, and with it g itself, is only evaluated at order 0.
 
@@ -100,12 +107,15 @@ def assemble_interaction(z, A, B, domain: Domain, frame, order: int = 2):
 
     Everything is in complex form (see `domains`): the kernel
     -(1/2pi) log|w| has G_x = -1/(2pi w); the gradient's complex form
-    D_i = d_1 E - i d_2 E is (N,), and its derivatives L = dD/d(conj z)
-    and K = dD/dz are (N, N); `linalg.real_blocks` writes them out as
-    the real Hessian.
+    D_i = d_1 E - i d_2 E is (..., N), and its derivatives L = dD/d(conj
+    z) and K = dD/dz are (..., N, N); `linalg.real_blocks` writes them
+    out as the real Hessian.  L may come back (N, N), the same for every
+    state, when the domain's G_xyb does not depend on the points.  The
+    value is (...,).  Pair sums run over the last axis, so each state's
+    numbers do not depend on the batch it is in.
     """
     S, C, s, b = frame
-    w = np.subtract.outer(z, z)
+    w = z[..., :, None] - z[..., None, :]
     w *= S
     w += C
     p = s * z + b
@@ -113,32 +123,32 @@ def assemble_interaction(z, A, B, domain: Domain, frame, order: int = 2):
     if order == 0:
         logs = np.log(np.abs(w))
         logs[np.isposinf(logs)] = 0.0  # pairs the kernel does not read
-        value = float(np.sum(A * logs)) / -TWO_PI
-        value += float(np.sum(B * domain.regular_coefficients(p, p, 0)))
+        value = np.sum(A * logs, axis=(-2, -1)) / -TWO_PI
+        value += np.sum(B * domain.regular_coefficients(p, p, 0),
+                        axis=(-2, -1))
         return value, None, None
 
     # each ordered pair twice: D_i = -(1/pi) sum_j A_ij S_ij / w_ij
     #                                + 2 s sum_j B_ij G_x(p_i, p_j)
     Sr = S / w
     ASr = A * Sr
-    D = ASr.sum(axis=1) / -np.pi
+    D = ASr.sum(axis=-1) / -np.pi
     c = domain.regular_coefficients(p, p, order)
-    D += 2.0 * s * (B * (c if order == 1 else c[0])).sum(axis=1)
+    D += 2.0 * s * (B * (c if order == 1 else c[0])).sum(axis=-1)
     if order == 1:
         return None, D, None
 
     # K: the kernel's (1/pi) (diag(sum_j T_ij) - T) with T = A S^2 / w^2,
     # B's G_xx summed on the diagonal and G_xy; L: B's G_xyb.  The self
     # term B_ii g(x_i, x_i) puts G_xy and G_xyb on the diagonal too.
-    n = z.size
     K = ASr * Sr
     K /= -np.pi
-    diag = K.reshape(-1)[::n + 1]
-    diag -= K.sum(axis=1)
+    diag = K.reshape(*K.shape[:-2], -1)[..., ::z.shape[-1] + 1]
+    diag -= K.sum(axis=-1)
     _, gxx, gxy, gxyb = c
     B2 = (2.0 * s * s) * B
     K += B2 * gxy
-    diag += (B2 * gxx).sum(axis=1)
+    diag += (B2 * gxx).sum(axis=-1)
     return None, D, (B2 * gxyb, K)
 
 
@@ -204,30 +214,31 @@ class FlowSystem:
 
     # -- energy --------------------------------------------------------------
     def _assemble(self, u, order: int):
-        """The energy's assembly at the complex points u, (N,)."""
+        """The energy's assembly at the complex points u, (..., N)."""
         return assemble_interaction(u, self._A, -self._A, self.domain,
                                     self._frame, order=order)
 
-    def hamiltonian(self, y) -> float:
-        return self._assemble(complex_points(pairs(y)), 0)[0] - self._offset
+    # each reads the states y, (..., 2N), and returns one result per state
+    def hamiltonian(self, y):
+        return self._assemble(state_points(y), 0)[0] - self._offset
 
     def gradient(self, y) -> np.ndarray:
-        D = self._assemble(complex_points(pairs(y)), 1)[1]
-        return D.conj().view(float)
+        return self._assemble(state_points(y), 1)[1].conj().view(float)
 
     def hessian(self, y) -> np.ndarray:
-        return real_blocks(*self._assemble(complex_points(pairs(y)), 2)[2])
+        return real_blocks(*self._assemble(state_points(y), 2)[2])
 
     def gradient_and_hessian(self, y):
         """(gradient, Hessian) of the energy from one order-2 assembly."""
-        _, D, LK = self._assemble(complex_points(pairs(y)), 2)
+        _, D, LK = self._assemble(state_points(y), 2)
         return D.conj().view(float), real_blocks(*LK)
 
     # -- flow ----------------------------------------------------------------
     def vector_field(self, y, t=None) -> np.ndarray:
-        """The field F(y) of the state y; with a time t, the field
-        V(t, y) of the co-rotating state y at t (see `to_lab`), which is
-        F(y) when the system does not rotate."""
+        """The field F(y) of the states y, (..., 2N); with times t, a
+        scalar or one per state, the field V(t, y) of the co-rotating
+        states y at t (see `to_lab`), which is F(y) when the system does
+        not rotate."""
         return self._flow(y, t, 1)
 
     def field_jacobian(self, y, t=None) -> np.ndarray:
@@ -239,7 +250,10 @@ class FlowSystem:
         return self._flow(y, t, 2)
 
     def _flow(self, y, t, order: int):
-        """The field at order 1, (field, Jacobian) at order 2.
+        """The field at order 1, (field, Jacobian) at order 2, of the
+        states y, (..., 2N), at the times t: None, a scalar or (...,),
+        one per state.  One assembly serves the whole batch; the fields
+        are (..., 2N) and the Jacobians (..., 2N, 2N).
 
         In complex form the field is c o conj(D), D the energy
         gradient's complex form and c = -i/Gamma per vortex: u' =
@@ -251,10 +265,9 @@ class FlowSystem:
         and b on the columns, with -i omega on L's diagonal.
         """
         turned = t is not None and self._rotating
-        u = complex_points(pairs(y))
-        ig = self._ig
+        u, ig = state_points(y), self._ig
         if turned:
-            b = np.exp(-self._iomega * t)
+            b = np.exp(-self._iomega * np.asarray(t)[..., None])
             v, u = u, b * u
             ig = ig * b
         _, D, LK = self._assemble(u, order)
@@ -265,12 +278,12 @@ class FlowSystem:
         if order == 1:
             return field
         L, K = LK
-        ig = ig[:, None]
+        ig = ig[..., :, None]
         if not turned:
             return field, real_blocks(ig * L, ig * K)
-        L = ig * L * b.conj()
-        L.reshape(-1)[::len(b) + 1] -= self._iomega
-        return field, real_blocks(L, ig * K * b)
+        L = ig * L * b.conj()[..., None, :]
+        L.reshape(*L.shape[:-2], -1)[..., ::len(self._ig) + 1] -= self._iomega
+        return field, real_blocks(L, ig * K * b[..., None, :])
 
     # -- co-rotating frames --------------------------------------------------
     def to_lab(self, t, vs) -> np.ndarray:
@@ -478,11 +491,11 @@ class RescaledSystem(FlowSystem):
 
     # -- coupling term F -----------------------------------------------------
     def _coupling_parts(self, w, order: int):
-        return assemble_interaction(complex_points(pairs(w)), self._A_cross,
+        return assemble_interaction(state_points(w), self._A_cross,
                                     -self._A, self.domain,
                                     self._coupling_frame, order=order)
 
-    def coupling(self, w) -> float:
+    def coupling(self, w):
         return self._coupling_parts(w, 0)[0]
 
     def coupling_grad(self, w) -> np.ndarray:
@@ -494,7 +507,7 @@ class RescaledSystem(FlowSystem):
     # -- rescaled energy E_r and its flow --------------------------------------
     # the benchmark's tracer wraps these three names, so the energy and
     # the field the integrators call go through them
-    def rescaled_hamiltonian(self, u) -> float:
+    def rescaled_hamiltonian(self, u):
         return super().hamiltonian(u)
 
     def rescaled_field(self, u, t=None) -> np.ndarray:
@@ -503,7 +516,7 @@ class RescaledSystem(FlowSystem):
     def rescaled_field_jacobian(self, u, t=None) -> np.ndarray:
         return super().field_jacobian(u, t)
 
-    def hamiltonian(self, u) -> float:
+    def hamiltonian(self, u):
         return self.rescaled_hamiltonian(u)
 
     def vector_field(self, u, t=None) -> np.ndarray:

@@ -18,7 +18,7 @@ from vortexlab import (CollisionError, ConstraintViolationError,
                        integrate, make_equilateral, make_pair, make_trivial,
                        permutation_matrix, rotate_all, scan_phases, shoot,
                        winding_number)
-from vortexlab import dynamics, periodic
+from vortexlab import dynamics, periodic, systems
 from vortexlab.systems import FlowSystem
 from vortexlab.periodic import (IDENTIFICATION_TOL, _orbit_distance,
                                 _scale_is_admissible)
@@ -292,6 +292,24 @@ def test_tier1_orbits_make_no_flow_and_one_integration(monkeypatch, case):
         assert (collision_tol, boundary_margin) == (2e-8, 2e-3)
     # the last iterate's sample at t = 0, where frame and lab agree
     assert np.array_equal(screens[-1][0][0], orbit.u0)
+
+
+def test_each_collocation_evaluation_is_one_order_2_assembly(monkeypatch):
+    # the K samples of a Newton evaluation share one field-and-Jacobian
+    # assembly, and the certifying integration makes none at order 2:
+    # figure 1 at r = 0.1 makes 4, where one call per sample made 100.
+    # The spec is built first: evaluating its anchors and certifying its
+    # clusters makes 5 of its own
+    spec, orders = build_figure1_spec(0.1), []
+    raw = systems.assemble_interaction
+
+    def counting_assemble(*args, order=2, **kwargs):
+        orders.append(order)
+        return raw(*args, order=order, **kwargs)
+
+    monkeypatch.setattr(systems, "assemble_interaction", counting_assemble)
+    orbit = shoot(spec)
+    assert orders.count(2) == len(orbit.residuals) == 4
 
 
 @pytest.mark.parametrize("phase", [0.0, np.pi / 2], ids=["0", "pi/2"])

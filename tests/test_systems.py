@@ -31,7 +31,7 @@ from vortexlab import (
     perp,
     rotate_all,
 )
-from vortexlab.linalg import complex_points, pairs, real_blocks
+from vortexlab.linalg import complex_points, pairs, real_blocks, state_points
 from vortexlab.systems import kernel_offsets
 from conftest import (MU, build_figure1_spec, build_thomson3_spec,
                       random_disc_points, random_plane_points)
@@ -220,50 +220,57 @@ def _real_form(parts):
             None if LK is None else real_blocks(*LK))
 
 
-def _oracle_case(case, domain, ref_domain, scale, wall, rng):
-    """(complex assembly, reference assembly), each order -> (value,
-    D, (L, K)) and (value, grad, hess), for one case drawn by the oracle
-    test."""
-    if case in ("generic", "system"):
+def _oracle_case(case, domain, ref_domain, scale, wall, rng, rows):
+    """(complex assembly, reference assembly) of one case drawn by the
+    oracle test, over a batch of `rows` states: order -> the batch's
+    (value, D, (L, K)) from one call, and order -> each state's (value,
+    grad, hess)."""
+    def points():
         p = random_disc_points(rng, 5, min_sep=0.05)
         if wall:
             p[:2] = _wall_point(rng), _wall_point(rng)
+        return p
+
+    if case in ("generic", "system"):
+        p = np.array([points() for _ in range(rows)])
     if case == "generic":
         # a full diagonal, which must be ignored, and a masked pair
         # whose points coincide
         A = rng.normal(size=(5, 5))
         A = A + A.T
         A[2, 3] = A[3, 2] = 0.0
-        p[3] = p[2]
+        p[:, 3] = p[:, 2]
         B = rng.normal(size=(5, 5))
         B = B + B.T
         return (lambda k: assemble_interaction(complex_points(p), A, B, domain,
                                                _plane_frame(A), k),
-                lambda k: real_assembly.assemble_interaction(
-                    p, A, B, ref_domain, k))
+                lambda k: [real_assembly.assemble_interaction(
+                    q, A, B, ref_domain, k) for q in p])
     if case == "system":
         gam = rng.choice([-1.0, 1.0], size=5) * rng.uniform(0.5, 2.0, size=5)
         system = VortexSystem(tuple(gam), (1,) * 5, domain)
         return (lambda k: system._assemble(complex_points(p), k),
-                lambda k: real_assembly.assemble_interaction(
-                    p, system._A, -system._A, ref_domain, k))
+                lambda k: [real_assembly.assemble_interaction(
+                    q, system._A, -system._A, ref_domain, k) for q in p])
     # anchors off the critical point, where the coupling gradient vanishes
     anchor = random_disc_points(rng, 2, margin=0.3, min_sep=0.3)
     rs = RescaledSystem(VortexSystem((-1.0, -1.0, 1.0, 1.0), (2, 2), domain),
                         anchor, scale)
-    u = _pair_cluster_state(rng)
+    u = np.array([_pair_cluster_state(rng) for _ in range(rows)])
     if wall and scale > 0.0:
-        u[:2] = (_wall_point(rng) - rs.anchor[0]) / scale
+        for v in u:
+            v[:2] = (_wall_point(rng) - rs.anchor[0]) / scale
     if case == "rescaled":
-        return (lambda k: rs._assemble(complex_points(pairs(u)), k),
-                lambda k: real_assembly.assemble_interaction(
-                    pairs(u), rs._A, -rs._A, ref_domain, k,
-                    frame=real_assembly.real_frame(rs)))
+        return (lambda k: rs._assemble(state_points(u), k),
+                lambda k: [real_assembly.assemble_interaction(
+                    pairs(v), rs._A, -rs._A, ref_domain, k,
+                    frame=real_assembly.real_frame(rs)) for v in u])
     # at r = 0 the coupling's masked intra-cluster pairs coincide
     w = scale * u
     return (lambda k: rs._coupling_parts(w, k),
-            lambda k: real_assembly.assemble_interaction(
-                pairs(w) + rs._ahat, rs._A_cross, -rs._A, ref_domain, k))
+            lambda k: [real_assembly.assemble_interaction(
+                pairs(x) + rs._ahat, rs._A_cross, -rs._A, ref_domain, k)
+                for x in w])
 
 
 def _rows_agree(got, want, tol):
@@ -275,29 +282,33 @@ def _rows_agree(got, want, tol):
 @given(kind=st.sampled_from(sorted(ORACLE_DOMAINS)),
        case=st.sampled_from(["generic", "system", "rescaled", "coupling"]),
        scale=st.sampled_from([0.1, 1e-6, 0.0]), wall=st.booleans(),
-       seed=st.integers(0, 2**32 - 1))
+       rows=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
 def test_complex_assembly_matches_the_real_einsum_assembly(kind, case, scale,
-                                                           wall, seed):
-    # value, gradient and Hessian at orders 0, 1 and 2, written out in
-    # real form, against the (N, N, 2, 2) einsum assembly
-    # (tests/real_assembly.py).  With points at wall clearance 1e-6 the
-    # reference takes q exactly, and each row must agree to 1e-8 of its
-    # norm (measured: 3.5e-10); elsewhere to 1e-12 (measured: 8.2e-15)
+                                                           wall, rows, seed):
+    # value, gradient and Hessian at orders 0, 1 and 2 of a batch of
+    # states from one call, written out in real form, against the
+    # (N, N, 2, 2) einsum assembly of each state (tests/real_assembly.py).
+    # With points at wall clearance 1e-6 the reference takes q exactly,
+    # and each row must agree to 1e-8 of its norm (measured: 3.5e-10);
+    # elsewhere to 1e-12 (measured: 6.0e-15)
     rng = np.random.default_rng(seed)
     domain = ORACLE_DOMAINS[kind]
     tol = 1e-8 if wall else 1e-12
     got, want = _oracle_case(case, domain,
                              real_assembly.real_domain(domain, exact_q=wall),
-                             scale, wall, rng)
-    value, ref_value = got(0)[0], want(0)[0]
-    assert abs(value - ref_value) <= tol * max(1.0, abs(ref_value))
+                             scale, wall, rng, rows)
+    values = got(0)[0]
+    assert values.shape == (rows,)
+    for value, (ref_value, _, _) in zip(values, want(0)):
+        assert abs(value - ref_value) <= tol * max(1.0, abs(ref_value))
     for order in (1, 2):
         _, grad, hess = _real_form(got(order))
-        _, ref_grad, ref_hess = want(order)
-        assert _rows_agree(grad.reshape(-1, 2), ref_grad.reshape(-1, 2), tol)
         assert (hess is None) == (order == 1)
-        if order == 2:
-            assert _rows_agree(hess, ref_hess, tol)
+        for row, (_, ref_grad, ref_hess) in enumerate(want(order)):
+            assert _rows_agree(grad[row].reshape(-1, 2),
+                               ref_grad.reshape(-1, 2), tol)
+            if order == 2:
+                assert _rows_agree(hess[row], ref_hess, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -669,6 +680,69 @@ def test_a_system_without_rotation_reads_the_same_field_at_any_time(disc,
         assert np.array_equal(system.vector_field(z, t), field)
         assert np.array_equal(system.field_jacobian(z, t), jac)
         assert system.to_lab(t, z) is z and system.to_frame(t, z) is z
+
+
+# ---------------------------------------------------------------------------
+# batches of states
+# ---------------------------------------------------------------------------
+
+def _batch_case(domain, which, states):
+    """(system, its states) for the batch tests: figure 1's two pairs on
+    their anchors at r = 0.1, as the plain system at the physical states
+    of the rescaled states `states`, (..., 8), or as the rescaled system
+    without or with co-rotating frames."""
+    base = VortexSystem((-1.0, -1.0, 1.0, 1.0), (2, 2), domain)
+    anchor = np.array([[MU, 0.0], [-MU, 0.0]])
+    if which == "plain":
+        return base, 0.1 * states + np.repeat(anchor, 2, axis=0).reshape(-1)
+    omega = (-1.3, 0.7) if which == "rotating" else None
+    return RescaledSystem(base, anchor, 0.1, omega), states
+
+
+def _row_by_row(f, ys, *per_row):
+    """f of each state of the batch ys alone, with its own entries of
+    the arrays per_row, stacked back into the batch's shape."""
+    lead = ys.shape[:-1]
+    rows = zip(ys.reshape(-1, ys.shape[-1]),
+               *(np.reshape(a, -1) for a in per_row))
+    out = [f(*args) for args in rows]
+    if isinstance(out[0], tuple):
+        return tuple(np.reshape(part, (*lead, *np.shape(part[0])))
+                     for part in map(np.array, zip(*out)))
+    out = np.array(out)
+    return out.reshape(*lead, *out.shape[1:])
+
+
+def _bitwise_equal(got, want):
+    """Equal shapes and bits, part by part for a tuple."""
+    if isinstance(want, tuple):
+        return len(got) == len(want) and all(map(np.array_equal, got, want))
+    return np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLE_DOMAINS))
+@pytest.mark.parametrize("which", ["plain", "rescaled", "rotating"])
+@pytest.mark.parametrize("lead", [(1,), (2, 3)], ids=["one", "2x3"])
+def test_a_batch_of_states_equals_its_rows(rng, kind, which, lead):
+    # one assembly over a batch reads each state bit for bit as a call
+    # on that state alone does, for every quantity and at one time per
+    # state or one for all
+    states = np.array([_pair_cluster_state(rng) for _ in range(np.prod(lead))])
+    system, ys = _batch_case(ORACLE_DOMAINS[kind], which,
+                             states.reshape(*lead, -1))
+    ts = rng.uniform(-5.0, 5.0, size=lead)
+    for f in (system.hamiltonian, system.gradient, system.hessian,
+              system.gradient_and_hessian):
+        assert _bitwise_equal(f(ys), _row_by_row(f, ys))
+    for f in (system.vector_field, system.field_and_jacobian):
+        assert _bitwise_equal(f(ys, ts), _row_by_row(f, ys, ts))
+        assert _bitwise_equal(f(ys, 0.7),
+                              _row_by_row(f, ys, np.full(lead, 0.7)))
+    if which != "plain":
+        w = 0.1 * ys
+        for f in (system.coupling, system.coupling_grad,
+                  system.coupling_hess):
+            assert _bitwise_equal(f(w), _row_by_row(f, w))
 
 
 def test_zero_scale_decouples_clusters(rng):
