@@ -22,6 +22,7 @@ import configparser
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -107,7 +108,7 @@ def _points(text: str) -> np.ndarray:
     return np.array(points)
 
 
-_INTEGRATOR_KEYS = ("collision_tol", "boundary_margin")
+_INTEGRATOR_KEYS = tuple(f.name for f in fields(IntegratorSettings))
 #: the cluster keys catalog = custom reads; a named catalog reads params
 _CUSTOM_KEYS = ("strengths", "positions")
 #: the keys each section accepts; [cluster.N] and [certify] read "cluster"
@@ -190,12 +191,9 @@ def _domain_from(cfg: _Config):
 
 
 def _settings_from(cfg: _Config, section: str) -> IntegratorSettings:
-    kwargs = {}
-    for key in _INTEGRATOR_KEYS:
-        val = cfg.get(section, key, float)
-        if val is not None:
-            kwargs[key] = val
-    return IntegratorSettings(**kwargs)
+    return IntegratorSettings(**{f.name: cfg.get(section, f.name, float,
+                                                 f.default)
+                                 for f in fields(IntegratorSettings)})
 
 
 def _cluster_from(cfg: _Config, section: str, anchor_strength: float

@@ -30,21 +30,18 @@ O(1); the plain system covers the same orbit only with a step-size
 spread of order r^2.  The integrators are written against
 systems.FlowSystem, the base class of both.
 
-The default tolerance is rtol = atol = 1e-13.  DOP853's error estimate
-is sharp, so its global error sits close to the requested tolerance,
-where a 5(4) pair's pessimistic estimate buys an order of magnitude
-more accuracy than asked for.  At 1e-12 the flow-map monodromy of a
-hermite(3) cluster (entries near 3e4) is 4e-8 from the closed form; at
-1e-13 it is 1e-9.  The figure-1 reference orbit takes 32 steps per
-period at 1e-13 in its clusters' co-rotating frames, where DOP853
+DOP853 runs at rtol = atol = TOLERANCE = 1e-13, the tolerance the
+acceptance criteria are built on.  Its error estimate is sharp, so its
+global error sits close to the tolerance: at 1e-12 the flow-map
+monodromy of a hermite(3) cluster (entries near 3e4) is 4e-8 from the
+closed form; at 1e-13 it is 1e-9.  The figure-1 reference orbit takes
+32 steps per period in its clusters' co-rotating frames, where DOP853
 resolves only the O(r^2) motion on top of the rigid rotation (47 in the
-lab frame, whatever r is; RK45 took 385 at 1e-12), and Thomson-3's
-takes 5 (49).
+lab frame, whatever r is), and Thomson-3's takes 5 (49).
 
 No structural energy conservation: drift is recorded, not corrected.
-At the default tolerance it stays near roundoff (3e-14 over ten time
-units for a disc pair), so every integration runs one stepper from
-start to end.
+At TOLERANCE it stays near roundoff (3e-14 over ten time units for a
+disc pair), so every integration runs one stepper from start to end.
 """
 
 from __future__ import annotations
@@ -65,42 +62,32 @@ from .systems import COLLISION_TOL, FlowSystem, RescaledSystem
 
 #: dense-output screening points per accepted step
 GUARD_SAMPLES = 8
+#: DOP853's rtol and atol
+TOLERANCE = 1e-13
 
 
 @dataclass
 class IntegratorSettings:
-    """Tolerances and guard thresholds of one integration.
+    """Guard thresholds of one integration."""
 
-    The default rtol = atol = 1e-13 is the tolerance the acceptance
-    criteria are built on, and the one the CLI always uses:
-    periodic.shoot certifies orbits only at it or a tighter one and
-    refuses looser settings.  integrate and flow_with_jacobian take any
-    finite positive tolerance.
-    """
-
-    rtol: float = 1e-13
-    atol: float = 1e-13
     collision_tol: float = COLLISION_TOL
     boundary_margin: float = BOUNDARY_MARGIN
 
     def __post_init__(self):
         # every test is written to fail on NaN
-        if not (0.0 < self.rtol < np.inf and 0.0 < self.atol < np.inf):
-            raise ConstraintViolationError("tolerances must be finite and > 0")
         if not all(0.0 <= v < np.inf
                    for v in (self.collision_tol, self.boundary_margin)):
             raise ConstraintViolationError("guards must be finite and >= 0")
 
 
-def _stepper(fun, t0: float, y0, t_bound: float,
-             settings: IntegratorSettings):
+def _stepper(fun, t0: float, y0, t_bound: float):
     # a non-finite time or right-hand side makes a NaN first step, from
     # which step() never returns
     if not (np.isfinite(t0) and np.isfinite(t_bound)):
         raise ConstraintViolationError(
             f"time span ({t0}, {t_bound}) must be finite")
-    stepper = DOP853(fun, t0, y0, t_bound=t_bound, rtol=settings.rtol,
-                     atol=settings.atol)
+    stepper = DOP853(fun, t0, y0, t_bound=t_bound, rtol=TOLERANCE,
+                     atol=TOLERANCE)
     if not np.all(np.isfinite(stepper.f)):
         raise ConstraintViolationError(
             f"the right-hand side at t = {t0:.9g} must be finite")
@@ -261,7 +248,7 @@ def integrate(system: FlowSystem, z0, t_span,
     def field(t, v):
         return system.vector_field(v, t)
 
-    stepper = _stepper(field, t0, system.to_frame(t0, y0), t1, settings)
+    stepper = _stepper(field, t0, system.to_frame(t0, y0), t1)
     while stepper.status == "running":
         interp, sep = _step_and_screen(system, stepper, settings,
                                        "integrator")
@@ -304,7 +291,7 @@ def flow_with_jacobian(system: FlowSystem, z0, t_end: float,
         return np.concatenate([f, (J @ aug[d:].reshape(d, d)).reshape(-1)])
 
     aug0 = np.concatenate([y0, np.eye(d).reshape(-1)])
-    stepper = _stepper(rhs, 0.0, aug0, float(t_end), settings)
+    stepper = _stepper(rhs, 0.0, aug0, float(t_end))
 
     while stepper.status == "running":
         _step_and_screen(system, stepper, settings, "variational integration")

@@ -54,13 +54,10 @@ at t = 0 then certifies the orbit: its twisted residual
 closure and symmetry defect are checked, and it is the orbit's
 trajectory.  Orbit classes are told apart modulo the same symmetries.
 
-A residual <= SHOOT_TOL means an orbit only at the tolerance the
-acceptance criteria are built on, IntegratorSettings()'s rtol = atol =
-1e-13: at 1e-10 a closing integration reads 2.9e-11 where one at 1e-13
-reads 1.3e-9 from the same u0.  So shoot, continue_in_r and
-scan_phases refuse settings looser than the default with a
-ConstraintViolationError before they integrate; tighter ones are used
-as given.
+A residual <= SHOOT_TOL means an orbit only at dynamics.TOLERANCE,
+the one tolerance every integration runs at: at 1e-10 a closing
+integration reads 2.9e-11 where one at 1e-13 reads 1.3e-9 from the same
+u0.
 """
 
 from __future__ import annotations
@@ -79,8 +76,8 @@ from .dynamics import IntegratorSettings, Trajectory, integrate
 from .equilibria import RelativeEquilibrium, certify
 from .errors import (ConstraintViolationError, ConvergenceError,
                      ScaleTooLargeError, VortexError)
-from .linalg import (TWO_PI, aligned_distance, as_state, permutation_matrix,
-                     newton, permutation_order, perp, rotate_all)
+from .linalg import (TWO_PI, aligned_distance, permutation_matrix, newton,
+                     permutation_order, perp, rotate_all)
 from .stationary import (GRADIENT_TOL, StationaryPoint, kernel_generators,
                          m_gradient)
 from .systems import RescaledSystem, VortexSystem
@@ -408,40 +405,19 @@ def _symmetry_defect(spec: SuperpositionSpec, traj: Trajectory) -> float:
     return float(np.max(np.linalg.norm(defects, axis=1)))
 
 
-def _certifying(settings: Optional[IntegratorSettings]
-                ) -> IntegratorSettings:
-    """settings, or IntegratorSettings() when None; refused when its rtol
-    or atol is looser than the default's, at which alone a residual
-    <= SHOOT_TOL certifies an orbit."""
-    default = IntegratorSettings()
-    settings = settings or default
-    if settings.rtol > default.rtol or settings.atol > default.atol:
-        raise ConstraintViolationError(
-            f"shoot certifies orbits at rtol, atol <= {default.rtol:g}, "
-            f"{default.atol:g}; got {settings.rtol:g}, {settings.atol:g}")
-    return settings
-
-
-def _loop_integration(spec: SuperpositionSpec, rs: RescaledSystem, u0,
-                      settings: IntegratorSettings):
-    """(trajectory over tau from u0 at the settings' tolerance, twisted
-    residual |S_sigma phi_{2pi}(u0) - u0|, phi_{2pi} read from the dense
-    output)."""
+def _certified(spec: SuperpositionSpec, rs: RescaledSystem, u0,
+               settings: IntegratorSettings, residuals) -> PeriodicOrbit:
+    """The orbit through u0 once one integration over tau passes every
+    check: the twisted residual |S_sigma phi_{2pi}(u0) - u0|, phi_{2pi}
+    read from the dense output, the closure and the symmetry defect; else
+    ConvergenceError.  `residuals` are the collocation residuals that led
+    to u0."""
     traj = integrate(rs, u0, (0.0, spec.tau), settings)
     S = permutation_matrix(spec.sigma)
-    return traj, float(np.linalg.norm(S @ traj.sample(TWO_PI) - u0))
-
-
-def _certified(spec: SuperpositionSpec, u0, integration,
-               residuals=()) -> PeriodicOrbit:
-    """The orbit through u0 once its integration over tau, (trajectory,
-    twisted residual) from _loop_integration, passes every check, else
-    ConvergenceError; `residuals` are the collocation residuals that led
-    to u0, if any."""
-    traj, residual = integration
+    residual = float(np.linalg.norm(S @ traj.sample(TWO_PI) - u0))
     closure = float(np.linalg.norm(traj.final_state - u0))
     defect = _symmetry_defect(spec, traj)  # the residual when sigma = id
-    iterations = max(len(residuals) - 1, 0)
+    iterations = len(residuals) - 1
     for value, tol, what in (
             (residual, SHOOT_TOL, "twisted residual"),
             (closure, CLOSURE_TOL, "the full period does not close: closure"),
@@ -512,14 +488,13 @@ def _collocated_orbit(spec: SuperpositionSpec, rs: RescaledSystem, start,
             raise
         highest = np.abs(np.fft.fft(x.reshape(K, n), axis=0)[K // 2]).max() / K
         if highest <= COLLOCATION_TOL:
-            return _certified(spec, x[:n], _loop_integration(
-                spec, rs, x[:n], settings), residuals)
+            return _certified(spec, rs, x[:n], settings, residuals)
     raise ConvergenceError(
         f"{K} samples do not resolve the loop (highest mode {highest:.3e})",
         iterations=len(residuals) - 1, last_iterate=x[:n], residual=highest)
 
 
-def shoot(spec: SuperpositionSpec, u0_guess=None,
+def shoot(spec: SuperpositionSpec, guess=None,
           settings: Optional[IntegratorSettings] = None) -> PeriodicOrbit:
     """Polish a guess into a periodic orbit of the rescaled flow by
     trigonometric collocation, and certify it by one integration.
@@ -529,45 +504,36 @@ def shoot(spec: SuperpositionSpec, u0_guess=None,
     constant (_collocated_orbit); the orbit's iterations are the Newton
     steps of the accepted K, which is COLLOCATION_SAMPLES[0] unless the
     converged loop's highest mode exceeds COLLOCATION_TOL.  The start is
-    the torus loop when u0_guess is None.  A PeriodicOrbit at another
-    scale starts it from the torus plus that orbit's deviation from it,
-    scaled by (r / r_orbit)^2, as the superposition's deviation is
-    O(r^2).  A state is integrated over tau first: if that integration
-    certifies it, it is the orbit, with 0 iterations; else the torus
-    loop starts the collocation, as a state's own trajectory need not
-    close and starts it worse (a first residual of 0.80 against 0.038
-    from the torus, figure 1's r = 0.2 orbit state at r = 0.1).
+    the torus loop when guess is None.  A PeriodicOrbit of the same
+    problem (its spec.describe() equal to spec's but for the scale)
+    starts it from the torus plus that orbit's deviation from it, scaled
+    by (r / r_orbit)^2, as the superposition's deviation is O(r^2).  Any
+    other guess raises ConstraintViolationError before any integration.
 
-    The loop's state at t = 0 is u0, and one integration over tau at the
-    settings' tolerance certifies it: the twisted residual
-    |S_sigma phi_{2pi}(u0) - u0| must be <= SHOOT_TOL, the full-period
-    closure <= CLOSURE_TOL and, for nontrivial sigma, the symmetry
-    defect <= SYMMETRY_DEFECT_TOL.  That integration is the orbit's
-    trajectory.  Each failure is a ConvergenceError; there is no other
-    solver to fall back on.  Every collocation iterate meets the
-    settings' guard thresholds.
-
-    Settings whose rtol or atol is looser than IntegratorSettings()'s
-    raise ConstraintViolationError before any integration: the
-    certificate holds only at the default tolerance or a tighter one.
+    The loop's state at t = 0 is u0, and one integration over tau
+    certifies it: the twisted residual |S_sigma phi_{2pi}(u0) - u0| must
+    be <= SHOOT_TOL, the full-period closure <= CLOSURE_TOL and, for
+    nontrivial sigma, the symmetry defect <= SYMMETRY_DEFECT_TOL.  That
+    integration is the orbit's trajectory.  Each failure is a
+    ConvergenceError; there is no other solver to fall back on.  Every
+    collocation iterate meets the settings' guard thresholds.
     """
     if spec.scale <= 0.0:
         raise ConstraintViolationError("shooting requires scale > 0")
-    settings, rs = _certifying(settings), spec.rescaled()
-    if isinstance(u0_guess, PeriodicOrbit):
-        q, loop = (spec.scale / u0_guess.scale)**2, u0_guess.trajectory.sample
+    settings, rs = settings or IntegratorSettings(), spec.rescaled()
+    if guess is None:
+        build_initial_guess(spec)
+        return _collocated_orbit(spec, rs, spec.torus_samples, settings)
+    if not isinstance(guess, PeriodicOrbit) or dict(
+            guess.spec.describe(), scale=spec.scale) != spec.describe():
+        raise ConstraintViolationError(
+            "the guess must be None or an orbit of the same problem")
+    q, loop = (spec.scale / guess.scale)**2, guess.trajectory.sample
 
-        def start(ts):
-            torus = spec.torus_samples(ts)
-            return torus + q * (loop(ts) - torus)
-        return _collocated_orbit(spec, rs, start, settings)
-    if u0_guess is not None:
-        u0 = as_state(u0_guess).copy()
-        integration = _loop_integration(spec, rs, u0, settings)
-        if integration[1] <= SHOOT_TOL:
-            return _certified(spec, u0, integration)
-    build_initial_guess(spec)
-    return _collocated_orbit(spec, rs, spec.torus_samples, settings)
+    def start(ts):
+        torus = spec.torus_samples(ts)
+        return torus + q * (loop(ts) - torus)
+    return _collocated_orbit(spec, rs, start, settings)
 
 
 # ---------------------------------------------------------------------------
@@ -628,8 +594,7 @@ def continue_in_r(spec: SuperpositionSpec, r_list,
                   settings: Optional[IntegratorSettings] = None) -> list:
     """Shoot along a descending list of scales, each orbit after the
     first started from the one before (see shoot).  Returns the orbits
-    in r_list order.  Settings looser than the default are refused as
-    shoot refuses them."""
+    in r_list order."""
     rs = [float(r) for r in r_list]
     if not rs:
         raise ConstraintViolationError("r_list is empty")
@@ -749,10 +714,8 @@ def scan_phases(spec: SuperpositionSpec,
     are within IDENTIFICATION_TOL of each other.  With at most one
     nontrivial cluster the one start is the spec's own phases.  A shot
     that fails with a VortexError is recorded in the result, not raised;
-    any other exception propagates.  Settings looser than the default,
-    which shoot refuses, raise that ConstraintViolationError first.
+    any other exception propagates.
     """
-    _certifying(settings)
     phase_vectors = [spec.phases] if spec.l <= 1 else _critical_phases(spec)
     classes, failures = [], []
     for pv in phase_vectors:

@@ -344,33 +344,39 @@ def test_the_finer_collocation_starts_from_the_coarser_loop(monkeypatch,
 @pytest.mark.parametrize("case", ["figure1", "thomson3"])
 def test_a_certified_guess_is_its_own_orbit(monkeypatch, figure1_orbit,
                                             thomson3_orbit, case):
-    # the guess is integrated once; that integration certifies it, so it
-    # is returned with 0 iterations and no collocation
-    def forbidden(*args, **kwargs):
-        raise AssertionError("collocated a certified guess")
-
+    # the converged orbit as its own guess: its loop starts the
+    # collocation at its own residual (figure 1 at 7.4e-12, which one
+    # step takes to 2.3e-15; Thomson-3 at 2.1e-14, which takes none), and
+    # one integration certifies the loop's u0
     converged = {"figure1": figure1_orbit, "thomson3": thomson3_orbit}[case][0]
-    monkeypatch.setattr(periodic, "_collocated_orbit", forbidden)
     orbit, calls, _ = _traced_shoot(monkeypatch, converged.spec,
-                                    guess=converged.u0)
+                                    guess=converged)
     assert [name for name, *_ in calls] == ["integrate"]
-    assert orbit.iterations == 0 and orbit.residuals == ()
-    assert np.array_equal(orbit.u0, converged.u0)
+    assert orbit.iterations == {"figure1": 1, "thomson3": 0}[case]
+    assert np.max(np.abs(orbit.u0 - converged.u0)) <= {"figure1": 1e-13,
+                                                        "thomson3": 0.0}[case]
     assert orbit.residual <= periodic.SHOOT_TOL
 
 
-def test_an_uncertified_state_guess_starts_from_the_torus(
-        monkeypatch, figure1_orbit, figure1_continuation):
-    # the r = 0.2 orbit's u0 at r = 0.1: its integration does not close,
-    # so the collocation starts from the torus, as it does with no guess,
-    # and the certifying integration is the second one
-    reference = figure1_orbit[0]
-    guess = figure1_continuation[0][0].u0
-    orbit, calls, _ = _traced_shoot(monkeypatch, reference.spec, guess=guess)
-    assert [name for name, *_ in calls] == ["integrate", "integrate"]
-    assert orbit.trajectory is calls[-1][3]
-    assert orbit.iterations == reference.iterations == 3
-    assert np.array_equal(orbit.u0, reference.u0)
+def test_shoot_refuses_a_guess_of_another_problem(monkeypatch, figure1_orbit):
+    # only None or an orbit of the same problem at some scale starts the
+    # collocation.  Unchecked, figure 1's orbit as Thomson-3's guess
+    # failed in Trajectory.sample with a ValueError, and the phase-0
+    # orbit at r = 0.1 as the pi/2 class's guess at r = 0.05 converged
+    # off the branch, at d/r^2 = 23.5.  A bare state is refused too, not
+    # silently replaced by the torus
+    def forbidden(*args, **kwargs):
+        raise AssertionError("integrated or collocated a refused guess")
+
+    orbit = figure1_orbit[0]
+    for name in ("integrate", "flow_with_jacobian", "newton"):
+        monkeypatch.setattr(periodic, name, forbidden)
+    for spec, guess in (
+            (build_thomson3_spec(0.1), orbit),
+            (build_figure1_spec(0.05, phases=(np.pi / 2, 0.0)), orbit),
+            (orbit.spec, orbit.u0)):
+        with pytest.raises(ConstraintViolationError, match="same problem"):
+            shoot(spec, guess)
 
 
 @pytest.mark.parametrize("start", ["torus", "converged"])
@@ -378,28 +384,18 @@ def test_only_the_closing_integration_certifies_convergence(
         monkeypatch, thomson3_orbit, start):
     # Thomson-3 from the torus point: collocation (residuals 1.8e-7,
     # 4.6e-15), then one integration of its loop's u0 certifies it.  From
-    # the converged orbit's u0 the one integration certifies the guess
-    # itself.  Either way the orbit's residual is read from its trajectory
-    guess = {"torus": None, "converged": thomson3_orbit[0].u0}[start]
+    # the converged orbit the collocation takes no step, and the one
+    # integration certifies its u0.  Either way the orbit's residual is
+    # read from its trajectory
+    guess = {"torus": None, "converged": thomson3_orbit[0]}[start]
     orbit, calls, _ = _traced_shoot(monkeypatch, build_thomson3_spec(0.1),
                                     guess=guess)
     assert [name for name, *_ in calls] == ["integrate"]
+    assert orbit.iterations <= 1
     assert orbit.trajectory is calls[-1][3]
     S = permutation_matrix(orbit.spec.sigma)
     assert orbit.residual == np.linalg.norm(
         S @ orbit.trajectory.sample(TWO_PI) - orbit.u0)
-    assert orbit.residual <= periodic.SHOOT_TOL
-
-
-@pytest.mark.parametrize("tolerance", [1e-13, 5e-14], ids=["default", "tight"])
-def test_the_certifying_integration_runs_at_the_given_tolerance(
-        monkeypatch, tolerance):
-    # no flow at a looser tolerance: the one integration, Thomson-3's
-    # from the torus point, runs at the settings as given
-    settings = IntegratorSettings(rtol=tolerance, atol=tolerance)
-    orbit, calls, _ = _traced_shoot(monkeypatch, build_thomson3_spec(0.1),
-                                    settings)
-    assert [(name, s) for name, s, *_ in calls] == [("integrate", settings)]
     assert orbit.residual <= periodic.SHOOT_TOL
 
 
@@ -415,26 +411,6 @@ def test_corotating_frames_cut_the_accepted_steps(monkeypatch, case):
     assert [name for name, *_ in calls] == ["integrate"]
     assert calls[0][2] <= max_integration
     assert orbit.residual <= periodic.SHOOT_TOL
-
-
-@pytest.mark.parametrize("loose", [dict(rtol=1e-10, atol=1e-10),
-                                   dict(rtol=1e-12), dict(atol=1e-12)])
-def test_shoot_refuses_a_looser_tolerance(monkeypatch, loose):
-    # a residual <= SHOOT_TOL certifies an orbit only at the default
-    # tolerance: at 1e-10 figure 1 closes to 2.9e-11, but its u0 closes
-    # to 1.3e-9 at 1e-13.  Nothing is integrated before the refusal
-    def forbidden(*args, **kwargs):
-        raise AssertionError("integrated before refusing the settings")
-
-    monkeypatch.setattr(periodic, "flow_with_jacobian", forbidden)
-    monkeypatch.setattr(periodic, "integrate", forbidden)
-    settings = IntegratorSettings(**loose)
-    spec = build_figure1_spec(0.1)
-    for call in (lambda: shoot(spec, None, settings),
-                 lambda: continue_in_r(spec, [0.1, 0.05], settings),
-                 lambda: scan_phases(spec, settings)):
-        with pytest.raises(ConstraintViolationError, match="certifies"):
-            call()
 
 
 def test_shooting_jacobian_nulls_are_the_time_shift_and_the_rotation(
