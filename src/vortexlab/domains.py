@@ -34,15 +34,18 @@ and each real 2x2 derivative block is v -> alpha v + beta conj(v)
 alpha = conj(G_xyb) and beta = conj(G_xy).
 
 The energy assembly (`systems.assemble_interaction`) contracts these
-coefficients directly.  The real all-pairs tables (suffix _many) are
-expanded from them once, on the base class, and the scalar forms
-regular_part, grad_regular and hess_regular read their entries from
-those tables (g is symmetric, so the y-derivatives are x-derivatives
-with the arguments swapped).  Derivative layout: grad_regular returns
-(d_x g, d_y g) as two 2-vectors; hess_regular returns the 4x4 matrix
-[[d_x^2 g, d_y d_x g], [d_x d_y g, d_y^2 g]] in (x1, x2, y1, y2)
-coordinates.  Each domain writes its boundary geometry once, in
-boundary_clearance, which reads a batch of points in one call.
+coefficients directly: every energy weighs the pair (x_i, x_j) by
+Gamma_i Gamma_j, so each table is contracted with the strengths in one
+matrix-vector product over its last axis.  The real all-pairs tables
+(suffix _many) are expanded from them once, on the base class, and the
+scalar forms regular_part, grad_regular and hess_regular read their
+entries from those tables (g is symmetric, so the y-derivatives are
+x-derivatives with the arguments swapped).  Derivative layout:
+grad_regular returns (d_x g, d_y g) as two 2-vectors; hess_regular
+returns the 4x4 matrix [[d_x^2 g, d_y d_x g], [d_x d_y g, d_y^2 g]] in
+(x1, x2, y1, y2) coordinates.  Each domain writes its boundary
+geometry once, in boundary_clearance, which reads a batch of points in
+one call.
 """
 
 from __future__ import annotations

@@ -118,11 +118,13 @@ def closest_pair(p: np.ndarray, mask=None):
     with no allowed pair reads distance inf.
     """
     n = p.shape[-2]
-    # per coordinate: differencing (..., N, N, 2) is several times slower
-    dx, dy = (x[..., :, None] - x[..., None, :] for x in np.moveaxis(p, -1, 0))
-    d2 = (dx * dx + dy * dy).reshape(*p.shape[:-2], n * n)
-    skip = np.eye(n, dtype=bool) | (False if mask is None else ~mask)
-    d2[..., skip.ravel()] = np.inf
+    # as complex points: differencing (..., N, N, 2) is several times slower
+    z = complex_points(p)
+    d = (z[..., :, None] - z[..., None, :]).reshape(*p.shape[:-2], n * n)
+    d2 = np.square(d.real) + np.square(d.imag)
+    d2[..., ::n + 1] = np.inf
+    if mask is not None:
+        d2[..., ~mask.ravel()] = np.inf
     k = np.argmin(d2, axis=-1)
     return np.sqrt(np.min(d2, axis=-1))[()], np.stack(np.divmod(k, n), -1)
 

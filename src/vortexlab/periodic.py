@@ -342,6 +342,7 @@ class PeriodicOrbit:
     iterations: int
     trajectory: Trajectory = field(repr=False)
     residuals: tuple  # collocation residual of each Newton iterate
+    loop: np.ndarray = field(repr=False)  # collocated v_k, (K, 2N), u0 first
 
     @property
     def scale(self) -> float:
@@ -394,29 +395,32 @@ class PeriodicOrbit:
         }
 
 
-def _symmetry_defect(spec: SuperpositionSpec, traj: Trajectory) -> float:
-    """max over a grid of [0, tau - 2*pi] of || S_sigma u(t + 2*pi) -
-    u(t) ||; with the identity symmetry the grid is t = 0 alone, and the
-    defect is the plain closure."""
+def _symmetry_defects(spec: SuperpositionSpec, traj: Trajectory):
+    """|| S_sigma u(t + 2*pi) - u(t) || on a grid of [0, tau - 2*pi],
+    t = 0 alone with the identity symmetry.  The first, at t = 0, is the
+    twisted residual |S_sigma phi_{2pi}(u0) - u0|, and their max the
+    symmetry defect."""
     S = permutation_matrix(spec.sigma)
     grid = (np.zeros(1) if spec.order == 1
             else np.linspace(0.0, spec.tau - TWO_PI, GRID_SAMPLES + 1))
     defects = traj.sample(grid + TWO_PI) @ S.T - traj.sample(grid)
-    return float(np.max(np.linalg.norm(defects, axis=1)))
+    return np.linalg.norm(defects, axis=1)
 
 
-def _certified(spec: SuperpositionSpec, rs: RescaledSystem, u0,
+def _certified(spec: SuperpositionSpec, rs: RescaledSystem, loop,
                settings: IntegratorSettings, residuals) -> PeriodicOrbit:
-    """The orbit through u0 once one integration over tau passes every
-    check: the twisted residual |S_sigma phi_{2pi}(u0) - u0|, phi_{2pi}
-    read from the dense output, the closure and the symmetry defect; else
-    ConvergenceError.  `residuals` are the collocation residuals that led
-    to u0."""
+    """The orbit through u0 = loop[0], the first of the collocated
+    samples `loop`, once one integration over tau passes every check:
+    the twisted residual |S_sigma phi_{2pi}(u0) - u0|, the closure and
+    the symmetry defect, both twisted terms read from the dense output
+    by one `_symmetry_defects` (so with the identity symmetry the defect
+    is the residual); else ConvergenceError.  `residuals` are the
+    collocation residuals that led to the loop."""
+    u0 = loop[0]
     traj = integrate(rs, u0, (0.0, spec.tau), settings)
-    S = permutation_matrix(spec.sigma)
-    residual = float(np.linalg.norm(S @ traj.sample(TWO_PI) - u0))
+    defects = _symmetry_defects(spec, traj)
+    residual, defect = float(defects[0]), float(defects.max())
     closure = float(np.linalg.norm(traj.final_state - u0))
-    defect = _symmetry_defect(spec, traj)  # the residual when sigma = id
     iterations = len(residuals) - 1
     for value, tol, what in (
             (residual, SHOOT_TOL, "twisted residual"),
@@ -429,7 +433,7 @@ def _certified(spec: SuperpositionSpec, rs: RescaledSystem, u0,
         spec=spec, u0=u0, residual=residual, closure=closure,
         symmetry_defect=defect, energy_drift=traj.energy_drift(),
         distance_to_m=distance_to_M(spec, traj), iterations=iterations,
-        trajectory=traj, residuals=tuple(residuals))
+        trajectory=traj, residuals=tuple(residuals), loop=loop)
 
 
 def _collocated_orbit(spec: SuperpositionSpec, rs: RescaledSystem, start,
@@ -488,7 +492,7 @@ def _collocated_orbit(spec: SuperpositionSpec, rs: RescaledSystem, start,
             raise
         highest = np.abs(np.fft.fft(x.reshape(K, n), axis=0)[K // 2]).max() / K
         if highest <= COLLOCATION_TOL:
-            return _certified(spec, rs, x[:n], settings, residuals)
+            return _certified(spec, rs, x.reshape(K, n), settings, residuals)
     raise ConvergenceError(
         f"{K} samples do not resolve the loop (highest mode {highest:.3e})",
         iterations=len(residuals) - 1, last_iterate=x[:n], residual=highest)
@@ -506,9 +510,13 @@ def shoot(spec: SuperpositionSpec, guess=None,
     converged loop's highest mode exceeds COLLOCATION_TOL.  The start is
     the torus loop when guess is None.  A PeriodicOrbit of the same
     problem (its spec.describe() equal to spec's but for the scale)
-    starts it from the torus plus that orbit's deviation from it, scaled
-    by (r / r_orbit)^2, as the superposition's deviation is O(r^2).  Any
-    other guess raises ConstraintViolationError before any integration.
+    starts it from the torus plus its collocated loop's deviation from
+    it, scaled by (r / r_orbit)^2, as the superposition's deviation is
+    O(r^2): the loop's own samples when it has K of them, else its
+    trigonometric interpolant.  So a converged orbit given back as its
+    own guess starts at its own residual and is certified unchanged.
+    Any other guess raises ConstraintViolationError before any
+    integration.
 
     The loop's state at t = 0 is u0, and one integration over tau
     certifies it: the twisted residual |S_sigma phi_{2pi}(u0) - u0| must
@@ -528,11 +536,13 @@ def shoot(spec: SuperpositionSpec, guess=None,
             guess.spec.describe(), scale=spec.scale) != spec.describe():
         raise ConstraintViolationError(
             "the guess must be None or an orbit of the same problem")
-    q, loop = (spec.scale / guess.scale)**2, guess.trajectory.sample
+    q, loop = (spec.scale / guess.scale)**2, guess.loop
 
-    def start(ts):
+    def start(ts):  # the loop's times are ts when it has as many samples
         torus = spec.torus_samples(ts)
-        return torus + q * (loop(ts) - torus)
+        v = (loop if len(loop) == len(ts) else
+             _trigonometric_interpolant(loop, ts, spec.tau))
+        return torus + q * (rs.to_lab(ts, v) - torus)
     return _collocated_orbit(spec, rs, start, settings)
 
 

@@ -2,22 +2,28 @@
 
 All interaction energies here share one algebraic shape,
 
-    E(x) = sum_{i != j} A_ij * k(x_i, x_j) + sum_{i, j} B_ij * g(x_i, x_j),
+    E(x) = sum_{i != j, read} Gamma_i Gamma_j k(x_i, x_j)
+           - sum_{i, j} Gamma_i Gamma_j g(x_i, x_j),
 
-where k(x, y) = -(1/2pi) log|x - y| is the whole-plane kernel and g is a
-domain's regular part.  The double sums run over ordered pairs, so each
-unordered pair is counted twice; no factor of 2 ever appears inside k or
-g.  Choosing the coefficient matrices recovers:
+where k(x, y) = -(1/2pi) log|x - y| is the whole-plane kernel, g is a
+domain's regular part, and the kernel's sum runs over the pairs a
+frame reads.  The double sums run over ordered pairs, so each
+unordered pair is counted twice; no factor of 2 ever appears inside k
+or g.  Choosing the pairs and the frame recovers:
 
-* full Hamiltonian H:      A = Gamma Gamma^T (off-diagonal), B = -Gamma Gamma^T (full);
-  the diagonal of B supplies the -Gamma_i^2 h(x_i) self terms since h(x) = g(x, x).
-* cluster energy:          A = Gamma Gamma^T on intra-cluster off-diagonal pairs,
-  B = 0, evaluated with the plane kernel regardless of the ambient domain.
-* coupling term F:         positions shifted by the anchor, A on cross-cluster
-  pairs, B = -Gamma Gamma^T (full).
-* rescaled energy E_r:     the full Hamiltonian's coefficients, read in the
+* full Hamiltonian H:      every pair; the diagonal of the regular sum
+  supplies the -Gamma_i^2 h(x_i) self terms since h(x) = g(x, x).
+* coupling term F:         positions shifted by the anchor, the kernel
+  on cross-cluster pairs only.
+* rescaled energy E_r:     the full Hamiltonian's pairs, read in the
   rescaled system's frame (see RescaledSystem), so one assembly gives the
   value, or the field together with its Jacobian.
+
+Every coefficient is Gamma_i Gamma_j, a table of rank one, so the
+assembly contracts each pair table with the strengths in one
+matrix-vector product; `interaction_frame` folds the strengths, and
+the constants of the kernel and of the frame, into the vectors it
+contracts with, once per system.
 
 `assemble_interaction` evaluates the value or the gradient/Hessian of that
 shape in closed form (no finite differences anywhere outside the tests).
@@ -34,10 +40,10 @@ and the samples of Phi (`periodic`) make one call on all their states.
 
 Both systems derive from FlowSystem, which writes the energy and its
 derivatives, the vector field and its Jacobian, and the admissibility
-check once, on each subclass's energy coefficients, frame, energy
-offset `_offset` and `guard_geometry`; a gradient or Hessian is put in
-real form only where one is returned.  The check, `screen`, takes a step's
-screening samples in one call; `validate_state`, for start states and
+check once, on each subclass's energy frame, energy offset `_offset`
+and `guard_geometry`; a gradient or Hessian is put in real form only
+where one is returned.  The check, `screen`, takes a step's screening
+samples in one call; `validate_state`, for start states and
 Newton iterates, is its one-row case.  RescaledSystem routes
 `hamiltonian` and `vector_field` through `rescaled_hamiltonian` and
 `rescaled_field`, which keep their names (with `rescaled_field_jacobian`)
@@ -80,30 +86,59 @@ COLLISION_TOL = 1e-8
 # generic assembly
 # ---------------------------------------------------------------------------
 
-def kernel_offsets(A, C=0.0) -> np.ndarray:
+def kernel_offsets(mask, C=0j) -> np.ndarray:
     """A frame's complex pair offsets C, (N, N), set to inf on the pairs
-    the kernel does not read: the diagonal and the pairs where A is 0.
-    Their pair difference is inf, so its reciprocal reads 0."""
-    C = np.where(A != 0.0, C, np.inf).astype(complex)
-    np.fill_diagonal(C, np.inf)
-    return C
+    the kernel does not read: the diagonal and the pairs where the
+    boolean (N, N) mask is False.  Their pair difference is inf, so its
+    reciprocal reads 0."""
+    return np.where(mask & ~np.eye(len(mask), dtype=bool), C, np.inf)
 
 
-def assemble_interaction(z, A, B, domain: Domain, frame, order: int = 2):
-    """Evaluate the generic pairwise energy or its derivatives.
+def interaction_frame(gamma, mask, S=1.0, C=0j, s=1.0, b=0.0):
+    """The frame of an energy, formed once and read by
+    assemble_interaction: the tuple (S, C, C/S, s, b, Gamma, -Gamma/pi,
+    -2 s Gamma, -Gamma Gamma^T/pi, -2 s^2 Gamma Gamma^T).
+
+    The kernel reads the pair differences S_ij (z_i - z_j) + C_ij on the
+    pairs the boolean (N, N) mask marks, the regular part the points
+    s*z + b, and every pair's coefficient is Gamma_i Gamma_j, Gamma the
+    (N,) float strengths.  The rest folds the strengths and the
+    constants into the vectors and tables the pair tables are contracted
+    with.  C/S is inf where the kernel does not read a pair or S is 0,
+    so 1 / (z_i - z_j + C_ij/S_ij) is S_ij / w_ij on every pair.
+    """
+    C = kernel_offsets(mask, C)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        CS = np.where(np.isfinite(C) & (S != 0.0), C / S, np.inf)
+    a, c = gamma / -np.pi, -2.0 * s * gamma
+    return (S, C, CS, s, b, gamma, a.astype(complex), c.astype(complex),
+            np.outer(gamma, a), np.outer(s * c, gamma))
+
+
+def _contract(t, v):
+    """sum_j t_ij v_j over a pair table t, (..., N, N), or over the
+    constant table a scalar t stands for."""
+    return t @ v if np.ndim(t) else t * v.sum()
+
+
+def assemble_interaction(z, domain: Domain, frame, order: int = 2):
+    """Evaluate the pairwise energy or its derivatives.
 
     z: the complex points x1 + i x2, (..., N): one state, or a batch of
-    states along the leading axes, each assembled alone.  A: (N, N)
-    symmetric, diagonal ignored.  B: (N, N) symmetric, for the domain's
-    regular part g.  order: 0 value, 1 gradient, 2 gradient and Hessian.
-    Returns (value, D, (L, K)) with None for what was not requested: the
-    value, and with it g itself, is only evaluated at order 0.
+    states along the leading axes, each assembled alone.  order: 0
+    value, 1 gradient, 2 gradient and Hessian.  Returns (value, D, (L,
+    K)) with None for what was not requested: the value, and with it g
+    itself, is only evaluated at order 0.
 
-    frame: (S, C, s, b), the affine frame in which the energy is read.
-    The kernel reads the complex pair differences S_ij (z_i - z_j) + C_ij,
-    the regular part reads the points s*z + b, and derivatives are taken
-    with respect to z.  C comes from `kernel_offsets(A, ...)`, which
-    marks the pairs the kernel does not read.
+    frame: from `interaction_frame`, the affine frame in which the
+    energy is read, with its strengths folded in.  The kernel reads the
+    complex pair differences w_ij = S_ij (z_i - z_j) + C_ij on the pairs
+    its mask marks, the regular part reads the points p = s*z + b, and
+    derivatives are taken with respect to z.  Every coefficient is
+    Gamma_i Gamma_j, so each pair table is contracted with the strengths
+    by one matrix-vector product over the last axis: the kernel's table
+    E = S/w, and the regular part's G_x, give D, and the value is
+    Gamma . (log|w| @ (-Gamma/2pi) - g @ Gamma).
 
     Everything is in complex form (see `domains`): the kernel
     -(1/2pi) log|w| has G_x = -1/(2pi w); the gradient's complex form
@@ -111,45 +146,43 @@ def assemble_interaction(z, A, B, domain: Domain, frame, order: int = 2):
     z) and K = dD/dz are (..., N, N); `linalg.real_blocks` writes them
     out as the real Hessian.  L may come back (N, N), the same for every
     state, when the domain's G_xyb does not depend on the points.  The
-    value is (...,).  Pair sums run over the last axis, so each state's
-    numbers do not depend on the batch it is in.
+    value is (...,).  Orders 1 and 2 form D alike, and pair sums run
+    over the last axis, so each state's numbers depend neither on the
+    order nor on the batch it is in.
     """
-    S, C, s, b = frame
+    S, C, CS, s, b, gamma, a, c, P, Q = frame
     w = z[..., :, None] - z[..., None, :]
-    w *= S
-    w += C
     p = s * z + b
 
     if order == 0:
-        logs = np.log(np.abs(w))
+        logs = np.log(np.abs(S * w + C))
         logs[np.isposinf(logs)] = 0.0  # pairs the kernel does not read
-        value = np.sum(A * logs, axis=(-2, -1)) / -TWO_PI
-        value += np.sum(B * domain.regular_coefficients(p, p, 0),
-                        axis=(-2, -1))
-        return value, None, None
+        g = domain.regular_coefficients(p, p, 0)
+        value = logs @ (gamma / -TWO_PI) - _contract(g, gamma)
+        # a sum: a product would read a batch's rows as one matrix, and
+        # need not add each row up as it would alone
+        return (value * gamma).sum(axis=-1), None, None
 
-    # each ordered pair twice: D_i = -(1/pi) sum_j A_ij S_ij / w_ij
-    #                                + 2 s sum_j B_ij G_x(p_i, p_j)
-    Sr = S / w
-    ASr = A * Sr
-    D = ASr.sum(axis=-1) / -np.pi
-    c = domain.regular_coefficients(p, p, order)
-    D += 2.0 * s * (B * (c if order == 1 else c[0])).sum(axis=-1)
+    # D_i = Gamma_i sum_j (E_ij (-Gamma_j/pi) + G_x(p_i, p_j) (-2 s Gamma_j)),
+    # each ordered pair twice, with E = S/w the kernel's pair table
+    w += CS
+    E = np.reciprocal(w, out=w)
+    coef = domain.regular_coefficients(p, p, order)
+    D = gamma * (E @ a + _contract(coef if order == 1 else coef[0], c))
     if order == 1:
         return None, D, None
 
-    # K: the kernel's (1/pi) (diag(sum_j T_ij) - T) with T = A S^2 / w^2,
-    # B's G_xx summed on the diagonal and G_xy; L: B's G_xyb.  The self
-    # term B_ii g(x_i, x_i) puts G_xy and G_xyb on the diagonal too.
-    K = ASr * Sr
-    K /= -np.pi
+    # K: the kernel's Gamma_i Gamma_j E_ij^2 / -pi off the diagonal and
+    # minus its row sums on it, Q G_xy and, summed on the diagonal,
+    # Q G_xx; L: Q G_xyb (Q = -2 s^2 Gamma Gamma^T).  The self term
+    # -Gamma_i^2 g(x_i, x_i) puts G_xy and G_xyb on the diagonal too.
+    E *= E
+    K = E * P
+    _, gxx, gxy, gxyb = coef
+    K += Q * gxy
     diag = K.reshape(*K.shape[:-2], -1)[..., ::z.shape[-1] + 1]
-    diag -= K.sum(axis=-1)
-    _, gxx, gxy, gxyb = c
-    B2 = (2.0 * s * s) * B
-    K += B2 * gxy
-    diag += (B2 * gxx).sum(axis=-1)
-    return None, D, (B2 * gxyb, K)
+    diag += gamma * (_contract(gxx, s * c) - E @ a)
+    return None, D, (Q * gxyb, K)
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +192,12 @@ def assemble_interaction(z, A, B, domain: Domain, frame, order: int = 2):
 class FlowSystem:
     """Energy, flow and admissibility of a vortex system in its own
     coordinates.  A subclass provides n, gamma, domain, the energy's
-    coefficients `_A` (with B = -A) and `_frame`, formed once (see
-    assemble_interaction), `_offset`, `_ig` (the (N,) factors i/Gamma)
-    and `guard_geometry(ys)` -> (positions to guard, (..., N, 2), pair
-    mask or None, the domain whose wall they clear); a subclass that
-    integrates in co-rotating frames sets `_rotating` and `_iomega`, i
-    times each vortex's frame angular velocity, (N,).
+    `_frame`, formed once (see interaction_frame), `_offset`, `_ig` (the
+    (N,) factors i/Gamma) and `guard_geometry(ys)` -> (positions to
+    guard, (..., N, 2), pair mask or None, the domain whose wall they
+    clear); a subclass that integrates in co-rotating frames sets
+    `_rotating` and `_iomega`, i times each vortex's frame angular
+    velocity, (N,).
     """
 
     _offset = 0.0
@@ -215,8 +248,8 @@ class FlowSystem:
     # -- energy --------------------------------------------------------------
     def _assemble(self, u, order: int):
         """The energy's assembly at the complex points u, (..., N)."""
-        return assemble_interaction(u, self._A, -self._A, self.domain,
-                                    self._frame, order=order)
+        return assemble_interaction(u, self.domain, self._frame,
+                                    order=order)
 
     # each reads the states y, (..., 2N), and returns one result per state
     def hamiltonian(self, y):
@@ -345,7 +378,7 @@ class VortexSystem(FlowSystem):
     def n_clusters(self) -> int:
         return len(self.cluster_sizes)
 
-    # gamma and _A are read on every field call, so each is formed once
+    # gamma and _frame are read on every field call, so each is formed once
     @cached_property
     def gamma(self) -> np.ndarray:
         gam = np.array(self.strengths)
@@ -353,12 +386,8 @@ class VortexSystem(FlowSystem):
         return gam
 
     @cached_property
-    def _A(self) -> np.ndarray:
-        return np.outer(self.gamma, self.gamma)
-
-    @cached_property
     def _frame(self):
-        return 1.0, kernel_offsets(self._A), 1.0, 0.0
+        return interaction_frame(self.gamma, np.full((self.n, self.n), True))
 
     @cached_property
     def _ig(self) -> np.ndarray:
@@ -403,7 +432,7 @@ class RescaledSystem(FlowSystem):
     E_skeleton, the energy of one vortex of the summed strength per
     cluster at the anchor, is the `_offset` fixed at construction.
 
-    Coefficients, masks and both frames are formed once, at construction.
+    The pair mask and both frames are formed once, at construction.
     Each energy, gradient or Hessian is one assembly in the frame
     u -> (pair differences, physical points): cross-cluster pairs read
     r*(u_i - u_j) + (anchor_hat_i - anchor_hat_j) and the regular part g
@@ -447,21 +476,19 @@ class RescaledSystem(FlowSystem):
         object.__setattr__(self, "anchor", a)
         object.__setattr__(self, "scale", r)
         object.__setattr__(self, "omega", tuple(float(w) for w in omega))
-        ci = self.base.cluster_index
+        ci, gam = self.base.cluster_index, self.base.gamma
         intra = ci[:, None] == ci[None, :]
-        A = self.base._A
         ahat = np.repeat(a, self.base.cluster_sizes, axis=0)
         zhat = complex_points(ahat)
-        A_cross = np.where(intra, 0.0, A)
         dzhat = np.subtract.outer(zhat, zhat)
-        frame = (np.where(intra, 1.0, r), kernel_offsets(A, dzhat), r, zhat)
         ahat.flags.writeable = False
         for name, value in (("_offset", sk.hamiltonian(a.reshape(-1))),
-                            ("_intra", intra), ("_A", A),
-                            ("_A_cross", A_cross), ("_ahat", ahat),
-                            ("_frame", frame),
-                            ("_coupling_frame", (1.0, kernel_offsets(
-                                A_cross, dzhat), 1.0, zhat)),
+                            ("_intra", intra), ("_ahat", ahat),
+                            ("_frame", interaction_frame(
+                                gam, np.full_like(intra, True),
+                                np.where(intra, 1.0, r), dzhat, r, zhat)),
+                            ("_coupling_frame", interaction_frame(
+                                gam, ~intra, 1.0, dzhat, 1.0, zhat)),
                             ("_ig", self.base._ig),
                             ("_iomega", 1j * np.repeat(
                                 omega, self.base.cluster_sizes)),
@@ -491,8 +518,7 @@ class RescaledSystem(FlowSystem):
 
     # -- coupling term F -----------------------------------------------------
     def _coupling_parts(self, w, order: int):
-        return assemble_interaction(state_points(w), self._A_cross,
-                                    -self._A, self.domain,
+        return assemble_interaction(state_points(w), self.domain,
                                     self._coupling_frame, order=order)
 
     def coupling(self, w):

@@ -17,7 +17,7 @@ from vortexlab import (
 )
 from vortexlab.domains import BOUNDARY_MARGIN
 from vortexlab.linalg import complex_points
-from vortexlab.systems import kernel_offsets
+from vortexlab.systems import interaction_frame
 from conftest import MU, random_disc_points
 
 TWO_PI = 2.0 * np.pi
@@ -222,18 +222,18 @@ def test_many_variants_match_scalar_loops(disc, rng):
                          ids=["disc", "perturbed-disc", "plane"])
 def test_assembled_regular_gradient_is_the_contracted_table(domain, rng):
     # the assembly's regular-part gradient 2 sum_j W_ij d_x g(p_i, p_j),
-    # read from the complex coefficients without the (n, n, 2) table,
-    # with two points at clearance 1e-6, where terms of size
-    # 1/clearance^2 meet; each row must agree to 1e-8 of its norm
+    # W = -gamma gamma^T, read from the complex coefficients without the
+    # (n, n, 2) table, with two points at clearance 1e-6, where terms of
+    # size 1/clearance^2 meet; each row must agree to 1e-8 of its norm
     th = rng.uniform(0.0, 2.0 * np.pi, size=2)
     wall = (1.0 - 1e-6) * np.column_stack([np.cos(th), np.sin(th)])
     p = np.vstack([random_disc_points(rng, 5, min_sep=0.05), wall])
-    W = rng.normal(size=(len(p), len(p)))
-    W = W + W.T
+    gam = rng.choice([-1.0, 1.0], size=len(p)) * rng.uniform(0.5, 2.0, len(p))
+    W = -np.outer(gam, gam)
     want = 2.0 * np.einsum("ij,ija->ia", W, domain.grad_regular_many(p, p))
-    A = np.zeros_like(W)
-    _, D, _ = assemble_interaction(complex_points(p), A, W, domain,
-                                   (1.0, kernel_offsets(A), 1.0, 0.0), order=1)
+    # no kernel pair, so D is the regular part's alone
+    frame = interaction_frame(gam, np.full(W.shape, False))
+    _, D, _ = assemble_interaction(complex_points(p), domain, frame, order=1)
     err = np.linalg.norm(D.conj().view(float).reshape(-1, 2) - want, axis=1)
     assert np.all(err <= 1e-8 * np.linalg.norm(want, axis=1))
 

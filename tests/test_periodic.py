@@ -209,8 +209,9 @@ def test_closing_check_failures_report_the_newton_iterations(monkeypatch,
 
         monkeypatch.setattr(periodic, "integrate", nudged)
     else:
-        monkeypatch.setattr(periodic, "_symmetry_defect",
-                            lambda spec, traj: 1.0)
+        # the twisted residual, at t = 0, passes; the defect does not
+        monkeypatch.setattr(periodic, "_symmetry_defects",
+                            lambda spec, traj: np.array([0.0, 1.0]))
     with pytest.raises(ConvergenceError) as info:
         shoot(build_thomson3_spec(0.1))
     assert {"closure": "does not close",
@@ -344,17 +345,16 @@ def test_the_finer_collocation_starts_from_the_coarser_loop(monkeypatch,
 @pytest.mark.parametrize("case", ["figure1", "thomson3"])
 def test_a_certified_guess_is_its_own_orbit(monkeypatch, figure1_orbit,
                                             thomson3_orbit, case):
-    # the converged orbit as its own guess: its loop starts the
-    # collocation at its own residual (figure 1 at 7.4e-12, which one
-    # step takes to 2.3e-15; Thomson-3 at 2.1e-14, which takes none), and
-    # one integration certifies the loop's u0
+    # the converged orbit as its own guess: its collocated loop starts
+    # the collocation at its own residual (figure 1 at 3.4e-15, Thomson-3
+    # at 4.1e-15), so no Newton step is taken, and one integration
+    # certifies the loop's u0, the converged u0 bit for bit
     converged = {"figure1": figure1_orbit, "thomson3": thomson3_orbit}[case][0]
     orbit, calls, _ = _traced_shoot(monkeypatch, converged.spec,
                                     guess=converged)
     assert [name for name, *_ in calls] == ["integrate"]
-    assert orbit.iterations == {"figure1": 1, "thomson3": 0}[case]
-    assert np.max(np.abs(orbit.u0 - converged.u0)) <= {"figure1": 1e-13,
-                                                        "thomson3": 0.0}[case]
+    assert orbit.iterations == 0
+    assert np.array_equal(orbit.u0, converged.u0)
     assert orbit.residual <= periodic.SHOOT_TOL
 
 
@@ -386,7 +386,8 @@ def test_only_the_closing_integration_certifies_convergence(
     # 4.6e-15), then one integration of its loop's u0 certifies it.  From
     # the converged orbit the collocation takes no step, and the one
     # integration certifies its u0.  Either way the orbit's residual is
-    # read from its trajectory
+    # read from its trajectory, |S_sigma phi_{2pi}(u0) - u0| with u0 its
+    # dense output at t = 0, as the symmetry defect reads it
     guess = {"torus": None, "converged": thomson3_orbit[0]}[start]
     orbit, calls, _ = _traced_shoot(monkeypatch, build_thomson3_spec(0.1),
                                     guess=guess)
@@ -394,8 +395,9 @@ def test_only_the_closing_integration_certifies_convergence(
     assert orbit.iterations <= 1
     assert orbit.trajectory is calls[-1][3]
     S = permutation_matrix(orbit.spec.sigma)
-    assert orbit.residual == np.linalg.norm(
-        S @ orbit.trajectory.sample(TWO_PI) - orbit.u0)
+    start, period = orbit.trajectory.sample(np.array([0.0, TWO_PI]))
+    assert np.array_equal(start, orbit.u0)
+    assert orbit.residual == np.linalg.norm([period @ S.T - start], axis=1)[0]
     assert orbit.residual <= periodic.SHOOT_TOL
 
 
@@ -523,9 +525,10 @@ def test_choreography_orbit_respects_the_twisted_symmetry(thomson3_orbit):
 
 def test_symmetry_defect_is_the_twisted_residual_at_the_identity(
         figure1_orbit, thomson3_orbit):
-    # with sigma = id the defect is read at t = 0 alone, where it is the
-    # plain closure |phi_{2pi}(u0) - u0|; a choreography's grid spans
-    # [0, tau - 2 pi]
+    # the defects' first entry, at t = 0, is the twisted residual
+    # |S_sigma phi_{2pi}(u0) - u0| and their max the defect; with sigma =
+    # id the grid is t = 0 alone, so the two are one number.  A
+    # choreography's grid spans [0, tau - 2 pi]
     for (orbit, _), rows in ((figure1_orbit, 1),
                              (thomson3_orbit, periodic.GRID_SAMPLES + 1)):
         shapes = []
@@ -535,9 +538,11 @@ def test_symmetry_defect_is_the_twisted_residual_at_the_identity(
                 shapes.append(np.shape(t))
                 return orbit.trajectory.sample(t)
 
-        defect = periodic._symmetry_defect(orbit.spec, Recorded())
+        defects = periodic._symmetry_defects(orbit.spec, Recorded())
         assert shapes == [(rows,), (rows,)]
-        assert defect == orbit.symmetry_defect
+        assert defects.shape == (rows,)
+        assert defects[0] == orbit.residual
+        assert defects.max() == orbit.symmetry_defect
     orbit = figure1_orbit[0]
     assert orbit.spec.order == 1
     assert orbit.symmetry_defect == orbit.residual
