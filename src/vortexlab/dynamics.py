@@ -10,9 +10,11 @@ flow_with_jacobian share one step-and-screen helper: one evaluation of
 the interpolant per step gives the screening grid, whose samples the
 system's screen checks in one call, in time order, at the settings'
 thresholds; the initial state gets the same check from validate_state,
-its one-row case.  A guard tripped on a sample is refined to its
-crossing time by root bracketing and raised as a typed event carrying
-the time and the offending pair or vortex.  Every step's interpolant is
+its one-row case.  The grid has GUARD_SAMPLES points per step, or more
+where the system's `spacing` asks for them (a FlowSystem's is inf).  A
+guard tripped on a sample is refined to its crossing time by root
+bracketing and raised as a typed event carrying the time and the
+offending pair or vortex.  Every step's interpolant is
 scipy's own (DOP853.dense_output), screened on its first 2N components,
 the vortex positions: integrate's Trajectory joins them through scipy's
 OdeSolution, and flow_with_jacobian's extra stages evaluate the
@@ -28,16 +30,19 @@ Trajectory's states, energies and dense output, and flow_with_jacobian's
 Orbit-level work should integrate the rescaled system, whose period is
 O(1); the plain system covers the same orbit only with a step-size
 spread of order r^2.  The integrators are written against
-systems.FlowSystem, the base class of both.
+systems.FlowSystem, the base class of both, and use only its surface,
+which periodic's collocated-loop frame presents too.
 
 DOP853 runs at rtol = atol = TOLERANCE = 1e-13, the tolerance the
 acceptance criteria are built on.  Its error estimate is sharp, so its
 global error sits close to the tolerance: at 1e-12 the flow-map
 monodromy of a hermite(3) cluster (entries near 3e4) is 4e-8 from the
-closed form; at 1e-13 it is 1e-9.  The figure-1 reference orbit takes
-32 steps per period in its clusters' co-rotating frames, where DOP853
-resolves only the O(r^2) motion on top of the rigid rotation (47 in the
-lab frame, whatever r is), and Thomson-3's takes 5 (49).
+closed form; at 1e-13 it is 1e-9.  Over one period of the figure-1
+reference orbit DOP853 takes 47 steps in the lab frame, whatever r is,
+and 32 in its clusters' co-rotating frames, where it resolves only the
+O(r^2) motion on top of the rigid rotation; Thomson-3's takes 49 and 5.
+The certificate in periodic steps only the deviation from the orbit's
+collocated loop, and takes 5 and 4.
 
 No structural energy conservation: drift is recorded, not corrected.
 At TOLERANCE it stays near roundoff (3e-14 over ten time units for a
@@ -46,6 +51,7 @@ disc pair), so every integration runs one stepper from start to end.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -80,14 +86,14 @@ class IntegratorSettings:
             raise ConstraintViolationError("guards must be finite and >= 0")
 
 
-def _stepper(fun, t0: float, y0, t_bound: float):
+def _stepper(fun, t0: float, y0, t_bound: float, first_step=None):
     # a non-finite time or right-hand side makes a NaN first step, from
     # which step() never returns
     if not (np.isfinite(t0) and np.isfinite(t_bound)):
         raise ConstraintViolationError(
             f"time span ({t0}, {t_bound}) must be finite")
     stepper = DOP853(fun, t0, y0, t_bound=t_bound, rtol=TOLERANCE,
-                     atol=TOLERANCE)
+                     atol=TOLERANCE, first_step=first_step)
     if not np.all(np.isfinite(stepper.f)):
         raise ConstraintViolationError(
             f"the right-hand side at t = {t0:.9g} must be finite")
@@ -124,8 +130,10 @@ def _step_and_screen(system: FlowSystem, stepper,
                      settings: IntegratorSettings, what: str):
     """Take one step and screen scipy's interpolant of it on its first
     2N components, the co-rotating state whose right-hand side is
-    system.vector_field(v, t), on GUARD_SAMPLES points, turned back to
-    the system's states (system.to_lab), before the step is committed.
+    system.vector_field(v, t), turned back to the system's states
+    (system.to_lab), before the step is committed: on GUARD_SAMPLES
+    evenly spaced points, or on more where the step is longer than
+    GUARD_SAMPLES * system.spacing, so that no two are further apart.
 
     Returns (the step's interpolant, smallest guarded separation on the
     grid); raises ConvergenceError when the stepper fails and the
@@ -143,7 +151,9 @@ def _step_and_screen(system: FlowSystem, stepper,
     def state(t):
         return system.to_lab(t, interp(t)[:d].T)
 
-    times = np.linspace(stepper.t_old, stepper.t, GUARD_SAMPLES + 1)
+    h = abs(stepper.t - stepper.t_old)
+    samples = max(GUARD_SAMPLES, math.ceil(h / system.spacing))
+    times = np.linspace(stepper.t_old, stepper.t, samples + 1)
     try:
         seps = system.screen(state(times[1:]), times[1:],
                              settings.collision_tol, settings.boundary_margin)
@@ -222,8 +232,9 @@ def integrate(system: FlowSystem, z0, t_span,
               settings: Optional[IntegratorSettings] = None) -> Trajectory:
     """Integrate from z0 over t_span = (t0, t1); t1 < t0 runs backward.
 
-    The stepper advances the co-rotating state of system.to_frame, and
-    the trajectory reads the system's states.
+    The stepper advances the co-rotating state of system.to_frame, its
+    first step system.first_step (None: DOP853's own), and the
+    trajectory reads the system's states.
 
     Raises CollisionError / DomainViolationError when z0 is not
     admissible, CollisionEventError / BoundaryEventError when a guard
@@ -248,7 +259,8 @@ def integrate(system: FlowSystem, z0, t_span,
     def field(t, v):
         return system.vector_field(v, t)
 
-    stepper = _stepper(field, t0, system.to_frame(t0, y0), t1)
+    stepper = _stepper(field, t0, system.to_frame(t0, y0), t1,
+                       system.first_step)
     while stepper.status == "running":
         interp, sep = _step_and_screen(system, stepper, settings,
                                        "integrator")

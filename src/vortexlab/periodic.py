@@ -52,7 +52,13 @@ at t = 0 then certifies the orbit: its twisted residual
 
 (S_sigma the block permutation; plain tau-periodicity when sigma = id),
 closure and symmetry defect are checked, and it is the orbit's
-trajectory.  Orbit classes are told apart modulo the same symmetries.
+trajectory.  It integrates the same ODE in the frame of the collocated
+loop (_LoopFrame): only the deviation of the co-rotating state from the
+loop's trigonometric interpolant is stepped (Encke's method; Battin,
+Astrodynamics, ch. 10), so DOP853's steps are set by that deviation, not
+by the loop's own motion: 5 steps per figure-1 period, against 32 for
+the co-rotating state itself.  Orbit classes are told apart modulo the
+same symmetries.
 
 A residual <= SHOOT_TOL means an orbit only at dynamics.TOLERANCE,
 the one tolerance every integration runs at: at 1e-10 a closing
@@ -111,6 +117,11 @@ PHI_SAMPLES = 8
 PHI_TIMES = 32
 STRENGTH_MATCH_TOL = 1e-12
 GRID_SAMPLES = 256
+#: the certifying integration's first step, as a share of the period:
+#: from its zero start deviation DOP853's own first step is 1e-4, and its
+#: steps grow at most tenfold each.  No tier-1 orbit rejects tau / 8, and
+#: they take 4 (Thomson-3) to 5 (figure 1) steps, against 6 from tau / K
+FIRST_STEP_SHARE = 1 / 8
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +418,38 @@ def _symmetry_defects(spec: SuperpositionSpec, traj: Trajectory):
     return np.linalg.norm(defects, axis=1)
 
 
+class _LoopFrame:
+    """rs followed along a collocated loop (Encke's method): the state
+    the integrators step is the deviation w = v - v_r(t) of rs's
+    co-rotating state v from the reference v_r(t) = u0 + v_c(t) - v_c(0),
+    v_c the trigonometric interpolant of the loop's samples, (K, 2N), and
+    u0 = loop[0].  Its field is V(t, v_r + w) - v_r'(t), so w stays as
+    small as the loop's error and the steps grow.  w(0) = 0, the state
+    read at t = 0 is u0 bit for bit, and the first step is
+    FIRST_STEP_SHARE * tau.  Energies and guards are rs's, on the states
+    to_lab returns, screened at least GRID_SAMPLES times per period tau
+    (`spacing`)."""
+
+    def __init__(self, rs: RescaledSystem, loop, tau: float):
+        self.rs, self.n = rs, rs.n
+        self.first_step = FIRST_STEP_SHARE * tau
+        self.spacing = tau / GRID_SAMPLES
+        self.screen, self.guard_geometry = rs.screen, rs.guard_geometry
+        self.validate_state, self.hamiltonian = (rs.validate_state,
+                                                 rs.hamiltonian)
+        self._reference = _trigonometric_interpolant(loop, tau)
+
+    def vector_field(self, w, t):
+        v, dv = self._reference(t, derivative=True)
+        return self.rs.vector_field(v + w, t) - dv
+
+    def to_lab(self, t, ws) -> np.ndarray:
+        return self.rs.to_lab(t, self._reference(t) + ws)
+
+    def to_frame(self, t, us) -> np.ndarray:
+        return self.rs.to_frame(t, us) - self._reference(t)
+
+
 def _certified(spec: SuperpositionSpec, rs: RescaledSystem, loop,
                settings: IntegratorSettings, residuals) -> PeriodicOrbit:
     """The orbit through u0 = loop[0], the first of the collocated
@@ -414,10 +457,14 @@ def _certified(spec: SuperpositionSpec, rs: RescaledSystem, loop,
     the twisted residual |S_sigma phi_{2pi}(u0) - u0|, the closure and
     the symmetry defect, both twisted terms read from the dense output
     by one `_symmetry_defects` (so with the identity symmetry the defect
-    is the residual); else ConvergenceError.  `residuals` are the
-    collocation residuals that led to the loop."""
+    is the residual); else ConvergenceError.  The integration steps the
+    deviation from the loop (_LoopFrame), and every check reads the
+    states it gives back, so a loop that is no orbit fails as it would
+    in any frame.  `residuals` are the collocation residuals that led to
+    the loop."""
     u0 = loop[0]
-    traj = integrate(rs, u0, (0.0, spec.tau), settings)
+    traj = integrate(_LoopFrame(rs, loop, spec.tau), u0, (0.0, spec.tau),
+                     settings)
     defects = _symmetry_defects(spec, traj)
     residual, defect = float(defects[0]), float(defects.max())
     closure = float(np.linalg.norm(traj.final_state - u0))
@@ -463,7 +510,7 @@ def _collocated_orbit(spec: SuperpositionSpec, rs: RescaledSystem, start,
     for K in COLLOCATION_SAMPLES:
         ts = np.linspace(0.0, spec.tau, K, endpoint=False)
         v0 = (rs.to_frame(ts, start(ts)) if K == COLLOCATION_SAMPLES[0]
-              else _trigonometric_interpolant(x.reshape(-1, n), ts, spec.tau))
+              else _trigonometric_interpolant(x.reshape(-1, n), spec.tau)(ts))
         D = _spectral_derivative(np.eye(K), spec.tau)
         minus_d = np.kron(-D, np.eye(n))
 
@@ -518,11 +565,13 @@ def shoot(spec: SuperpositionSpec, guess=None,
     Any other guess raises ConstraintViolationError before any
     integration.
 
-    The loop's state at t = 0 is u0, and one integration over tau
-    certifies it: the twisted residual |S_sigma phi_{2pi}(u0) - u0| must
-    be <= SHOOT_TOL, the full-period closure <= CLOSURE_TOL and, for
-    nontrivial sigma, the symmetry defect <= SYMMETRY_DEFECT_TOL.  That
-    integration is the orbit's trajectory.  Each failure is a
+    The loop's state at t = 0 is u0, and one integration over tau, of
+    the deviation from the loop's trigonometric interpolant, certifies
+    it: the twisted residual |S_sigma phi_{2pi}(u0) - u0| must be <=
+    SHOOT_TOL, the full-period closure <= CLOSURE_TOL and, for nontrivial
+    sigma, the symmetry defect <= SYMMETRY_DEFECT_TOL.  That integration
+    is the orbit's trajectory: its states at u0 and at each accepted
+    step (6 on figure 1), and dense output in between.  Each failure is a
     ConvergenceError; there is no other solver to fall back on.  Every
     collocation iterate meets the settings' guard thresholds.
     """
@@ -541,7 +590,7 @@ def shoot(spec: SuperpositionSpec, guess=None,
     def start(ts):  # the loop's times are ts when it has as many samples
         torus = spec.torus_samples(ts)
         v = (loop if len(loop) == len(ts) else
-             _trigonometric_interpolant(loop, ts, spec.tau))
+             _trigonometric_interpolant(loop, spec.tau)(ts))
         return torus + q * (rs.to_lab(ts, v) - torus)
     return _collocated_orbit(spec, rs, start, settings)
 
@@ -550,14 +599,26 @@ def shoot(spec: SuperpositionSpec, guess=None,
 # distance to the phase torus
 # ---------------------------------------------------------------------------
 
-def _trigonometric_interpolant(samples: np.ndarray, times,
-                               period: float) -> np.ndarray:
-    """The trigonometric interpolant of an odd number K of uniformly
-    spaced periodic samples, (K, n), at the times: (len(times), n)."""
+def _trigonometric_interpolant(samples: np.ndarray, period: float):
+    """The trigonometric interpolant p of an odd number K = 2M + 1 of
+    uniformly spaced periodic samples, (K, n), from t = 0.
+
+    Returns a function of times t, a scalar or (k,), that gives p(t),
+    (n,) or (k, n), and with derivative=True (p(t), p'(t)), both from
+    one table of phase factors e^{i w_j t}, j = 1..M.  With c_j the
+    samples' Fourier coefficients, p = samples[0] + 2 Re sum_j c_j
+    (e^{i w_j t} - 1), so p(0) is samples[0] bit for bit.
+    """
     g = samples.shape[0]
-    freqs = np.fft.fftfreq(g, d=1.0 / g)
-    waves = np.exp(np.multiply.outer(times, 1j * freqs * (TWO_PI / period)))
-    return np.real(waves @ np.fft.fft(samples, axis=0)) / g
+    iw = 1j * np.arange(1, g // 2 + 1) * (TWO_PI / period)
+    c = 2.0 * np.fft.rfft(samples, axis=0)[1:] / g
+    dc = iw[:, None] * c
+
+    def at(t, derivative=False):
+        waves = np.exp(np.multiply.outer(t, iw))
+        p = samples[0] + ((waves - 1.0) @ c).real
+        return (p, (waves @ dc).real) if derivative else p
+    return at
 
 
 def _spectral_derivative(samples: np.ndarray, period: float) -> np.ndarray:

@@ -197,11 +197,16 @@ class FlowSystem:
     guard, (..., N, 2), pair mask or None, the domain whose wall they
     clear); a subclass that integrates in co-rotating frames sets
     `_rotating` and `_iomega`, i times each vortex's frame angular
-    velocity, (N,).
+    velocity, (N,).  For the integrators, `first_step` is the stepper's
+    first step (None: DOP853's own choice from the start state and its
+    field) and `spacing` the widest time between two screened states
+    (inf: dynamics.GUARD_SAMPLES per step).
     """
 
     _offset = 0.0
     _rotating = False
+    first_step = None
+    spacing = np.inf
 
     def screen(self, ys, times, collision_tol: float = COLLISION_TOL,
                boundary_margin: float = BOUNDARY_MARGIN) -> np.ndarray:

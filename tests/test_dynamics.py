@@ -15,7 +15,7 @@ from vortexlab import (BoundaryEventError, CollisionError,
                        RescaledSystem, VortexSystem,
                        check_rescaling_equivalence, flow_with_jacobian,
                        integrate, make_pair, rotate_all)
-from vortexlab import dynamics, systems
+from vortexlab import dynamics, periodic, systems
 
 from conftest import MU
 
@@ -524,3 +524,33 @@ def test_integrate_screens_each_sample_once(monkeypatch, disc_pair):
     # samples in one call
     assert sum(rows) == 1 + dynamics.GUARD_SAMPLES * steps
     assert rows == [1] + [dynamics.GUARD_SAMPLES] * steps
+
+
+@pytest.mark.parametrize("flow", ["integrate", "flow_with_jacobian"])
+def test_long_steps_of_a_flow_system_keep_eight_samples(monkeypatch,
+                                                        thomson3_spec_builder,
+                                                        flow):
+    # a FlowSystem's spacing is inf, so every step, however long, is
+    # screened at GUARD_SAMPLES points: Thomson-3's co-rotating steps
+    # over 2 pi reach 2.5 (integrate) and 0.50 (flow_with_jacobian),
+    # where its certificate's spacing, tau / 256 = 0.074, takes 35 and 7
+    spec = thomson3_spec_builder(0.1)
+    rs, u0 = spec.rescaled(), spec.torus_point()
+    rows, spans = [], []
+    raw_step, raw_screen = dynamics._step_and_screen, systems.FlowSystem.screen
+
+    def spied_step(system, stepper, *args):
+        out = raw_step(system, stepper, *args)
+        spans.append(abs(stepper.t - stepper.t_old))
+        return out
+
+    def counting_screen(self, ys, *args, **kwargs):
+        rows.append(len(ys))
+        return raw_screen(self, ys, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_step_and_screen", spied_step)
+    monkeypatch.setattr(systems.FlowSystem, "screen", counting_screen)
+    {"integrate": lambda: integrate(rs, u0, (0.0, TWO_PI)),
+     "flow_with_jacobian": lambda: flow_with_jacobian(rs, u0, TWO_PI)}[flow]()
+    assert max(spans) > 6 * spec.tau / periodic.GRID_SAMPLES
+    assert rows == [1] + [dynamics.GUARD_SAMPLES] * len(spans)

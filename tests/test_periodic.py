@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from vortexlab import (CollisionError, ConstraintViolationError,
+from vortexlab import (BoundaryEventError, CollisionError,
+                       ConstraintViolationError,
                        ConvergenceError, DomainViolationError,
                        IntegratorSettings, PerturbedDisc, ScaleTooLargeError,
                        SuperpositionSpec,
@@ -224,8 +225,8 @@ def _traced_shoot(monkeypatch, spec, settings=None, guess=None):
     """(orbit, calls, screens) of shoot(spec, guess, settings): each
     variational flow and integration recorded in calls as (name,
     settings, accepted steps, result), and each screening of
-    COLLOCATION_SAMPLES[0] states in screens as (states, times,
-    collision_tol, boundary_margin)."""
+    COLLOCATION_SAMPLES[0] states from t = 0 in screens as (states,
+    times, collision_tol, boundary_margin)."""
     calls, screens, steps = [], [], [0]
     raw_step, raw_screen = dynamics._step_and_screen, FlowSystem.screen
 
@@ -242,7 +243,8 @@ def _traced_shoot(monkeypatch, spec, settings=None, guess=None):
         return call
 
     def recorded_screen(self, ys, times, *tols):
-        if len(ys) == periodic.COLLOCATION_SAMPLES[0]:
+        # a certifying step's rows start after t = 0, a collocation's at it
+        if len(ys) == periodic.COLLOCATION_SAMPLES[0] and times[0] == 0.0:
             screens.append((np.array(ys), np.array(times), *tols))
         return raw_screen(self, ys, times, *tols)
 
@@ -404,15 +406,142 @@ def test_only_the_closing_integration_certifies_convergence(
 @pytest.mark.parametrize("case", ["figure1", "thomson3"])
 def test_corotating_frames_cut_the_accepted_steps(monkeypatch, case):
     # in each cluster's co-rotating frame DOP853 resolves only the O(r^2)
-    # motion on top of the rigid rotation.  Accepted steps of the
-    # certifying integration at 1e-13: 47 for figure 1 and 49 for
-    # Thomson-3 in the lab frame, 32 and 5 in the frames
-    build, max_integration = {"figure1": (build_figure1_spec, 35),
-                              "thomson3": (build_thomson3_spec, 10)}[case]
-    orbit, calls, _ = _traced_shoot(monkeypatch, build(0.1))
+    # motion on top of the rigid rotation, and along the collocated loop
+    # only the deviation from it.  Accepted steps of the certifying
+    # integration at 1e-13: 47 for figure 1 and 49 for Thomson-3 in the
+    # lab frame, 32 and 5 in the co-rotating frames, 5 and 4 along the loop
+    build = {"figure1": build_figure1_spec, "thomson3": build_thomson3_spec}
+    orbit, calls, _ = _traced_shoot(monkeypatch, build[case](0.1))
     assert [name for name, *_ in calls] == ["integrate"]
-    assert calls[0][2] <= max_integration
+    assert calls[0][2] <= 8
     assert orbit.residual <= periodic.SHOOT_TOL
+
+
+@pytest.mark.parametrize("case", ["figure1", "thomson3"])
+def test_a_loop_moved_off_its_orbit_fails_its_certificate(
+        figure1_orbit, thomson3_orbit, case):
+    # the certificate integrates the deviation from the loop's own
+    # interpolant, yet it is the same ODE: a loop whose u0 is moved 1e-8
+    # along the first coordinate is no orbit, and its twisted residual
+    # (9.1e-8 on figure 1, 2.6e-8 on Thomson-3) is the one a plain
+    # integration of the moved u0 reads
+    orbit = {"figure1": figure1_orbit, "thomson3": thomson3_orbit}[case][0]
+    spec, rs, loop = orbit.spec, orbit.spec.rescaled(), orbit.loop.copy()
+    loop[0, 0] += 1e-8
+    with pytest.raises(ConvergenceError, match="twisted residual") as info:
+        periodic._certified(spec, rs, loop, IntegratorSettings(),
+                            orbit.residuals)
+    S = permutation_matrix(spec.sigma)
+    plain = integrate(rs, loop[0], (0.0, TWO_PI)).final_state @ S.T - loop[0]
+    assert info.value.residual > 1e-8
+    assert info.value.residual == pytest.approx(np.linalg.norm(plain),
+                                                rel=0, abs=1e-12)
+    assert np.array_equal(info.value.last_iterate, loop[0])
+
+
+def test_the_loop_interpolant_starts_at_its_first_sample(rng):
+    # the certificate's reference: the trigonometric interpolant of K
+    # samples meets them, its derivative is their spectral derivative,
+    # and at t = 0 it is the first sample bit for bit, alone or among
+    # other times, so the certified trajectory starts at u0 exactly
+    K, tau = 25, 3 * TWO_PI
+    ts = np.linspace(0.0, tau, K, endpoint=False)
+    samples = rng.normal(size=(K, 6))
+    p = periodic._trigonometric_interpolant(samples, tau)
+    values, slopes = p(ts, derivative=True)
+    assert np.abs(values - samples).max() <= 1e-13
+    assert np.abs(slopes - periodic._spectral_derivative(samples, tau)
+                  ).max() <= 1e-13
+    assert np.array_equal(p(0.0), samples[0])
+    assert np.array_equal(p(np.array([0.0, 1.0]))[0], samples[0])
+    assert np.array_equal(p(0.0, derivative=True)[0], samples[0])
+
+
+def _screened_times(monkeypatch, certify):
+    """(result of certify(), the times FlowSystem.screen read during it,
+    in order)."""
+    times, raw = [], FlowSystem.screen
+
+    def recorded_screen(self, ys, ts, *tols):
+        times.extend(np.atleast_1d(ts))
+        return raw(self, ys, ts, *tols)
+
+    monkeypatch.setattr(FlowSystem, "screen", recorded_screen)
+    out = certify()
+    monkeypatch.setattr(FlowSystem, "screen", raw)
+    return out, np.array(times, dtype=float)
+
+
+@pytest.mark.parametrize("case", list(TIER1_ORBITS))
+def test_the_certificate_screens_at_least_the_grid_density(monkeypatch,
+                                                          case):
+    # along the loop each step is long (5 per period on figure 1), so it
+    # is screened at as many points as keep them tau / GRID_SAMPLES apart
+    # (8 per step left gaps up to 0.917 on Thomson-3); u0 is screened
+    # first, and the last sample is the period's end
+    spec = TIER1_ORBITS[case]()
+    orbit, rs = shoot(spec), spec.rescaled()
+    traj, times = _screened_times(monkeypatch, lambda: periodic._certified(
+        spec, rs, orbit.loop, IntegratorSettings(),
+        orbit.residuals).trajectory)
+    assert times[0] == 0.0 and times[-1] == spec.tau
+    assert np.all(np.diff(times) > 0.0)
+    assert np.diff(times).max() <= spec.tau / periodic.GRID_SAMPLES * (
+        1.0 + 1e-12)
+    steps = len(traj.times) - 1
+    assert len(times) > max(dynamics.GUARD_SAMPLES * steps,
+                            periodic.GRID_SAMPLES)
+
+
+def test_the_certificate_catches_a_grazing_pass_between_step_samples(
+        monkeypatch, figure1_orbit):
+    # figure 1's wall clearance dips at t = 0 and pi, a collocation time,
+    # so the loop is shifted by 0.7 to put its dips mid-step.  The margin
+    # sits halfway between the smallest clearance on the certificate's
+    # screening grid and on GUARD_SAMPLES points per step (1.1e-4 apart):
+    # eight per step would step over every dip, the finer grid trips the
+    # first, and the crossing is refined to where the clearance is the
+    # margin
+    orbit = figure1_orbit[0]
+    spec, rs, tau = orbit.spec, orbit.spec.rescaled(), orbit.spec.tau
+    ts = np.linspace(0.0, tau, len(orbit.loop), endpoint=False)
+    loop = rs.to_frame(ts, orbit.trajectory.sample((ts + 0.7) % tau))
+
+    def certify(settings):
+        return periodic._certified(spec, rs, loop, settings, orbit.residuals)
+
+    shifted, fine = _screened_times(monkeypatch,
+                                    lambda: certify(IntegratorSettings()))
+
+    def clearance(t):
+        p, _, domain = rs.guard_geometry(shifted.trajectory.sample(t))
+        return domain.boundary_clearance(p).min(axis=-1)
+
+    steps = shifted.trajectory.times
+    coarse = np.concatenate([np.linspace(a, b, dynamics.GUARD_SAMPLES + 1)
+                             for a, b in zip(steps, steps[1:])])
+    lowest_fine, lowest_coarse = clearance(fine).min(), clearance(coarse).min()
+    assert lowest_coarse - lowest_fine > 1e-5
+    margin = 0.5 * (lowest_fine + lowest_coarse)
+    with pytest.raises(BoundaryEventError) as info:
+        certify(IntegratorSettings(boundary_margin=margin))
+    t_star = info.value.time
+    assert 0.0 < t_star < tau
+    assert abs(clearance(t_star) - margin) <= 1e-12
+    # the first screened time below the margin is the first after t_star
+    below = fine[clearance(fine) < margin]
+    assert below[0] == fine[fine > t_star][0]
+    # at GUARD_SAMPLES per step, as a FlowSystem screens, the same
+    # certificate steps over both dips and passes
+    raw_init = periodic._LoopFrame.__init__
+
+    def eight_per_step(self, *args):
+        raw_init(self, *args)
+        self.spacing = np.inf
+
+    monkeypatch.setattr(periodic._LoopFrame, "__init__", eight_per_step)
+    assert certify(IntegratorSettings(boundary_margin=margin)).residual <= (
+        periodic.SHOOT_TOL)
 
 
 def test_shooting_jacobian_nulls_are_the_time_shift_and_the_rotation(
