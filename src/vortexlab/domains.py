@@ -36,16 +36,17 @@ alpha = conj(G_xyb) and beta = conj(G_xy).
 The energy assembly (`systems.assemble_interaction`) contracts these
 coefficients directly: every energy weighs the pair (x_i, x_j) by
 Gamma_i Gamma_j, so each table is contracted with the strengths in one
-matrix-vector product over its last axis.  The real all-pairs tables
-(suffix _many) are expanded from them once, on the base class, and the
-scalar forms regular_part, grad_regular and hess_regular read their
-entries from those tables (g is symmetric, so the y-derivatives are
-x-derivatives with the arguments swapped).  Derivative layout:
-grad_regular returns (d_x g, d_y g) as two 2-vectors; hess_regular
-returns the 4x4 matrix [[d_x^2 g, d_y d_x g], [d_x d_y g, d_y^2 g]] in
-(x1, x2, y1, y2) coordinates.  Each domain writes its boundary
-geometry once, in boundary_clearance, which reads a batch of points in
-one call.
+matrix-vector product over its last axis.  The scalar forms
+regular_part, grad_regular and hess_regular read the same
+coefficients, over the two points (x, y), after checking that both are
+interior: the entry at (x, y) gives the x-derivatives and, g being
+symmetric, the entry at (y, x) the y-derivatives; green and robin read
+regular_part, so all five refuse a point on or outside the wall, or a
+non-finite one, alike.  Derivative layout: grad_regular returns
+(d_x g, d_y g) as two 2-vectors; hess_regular returns the 4x4 matrix
+[[d_x^2 g, d_y d_x g], [d_x d_y g, d_y^2 g]] in (x1, x2, y1, y2)
+coordinates.  Each domain writes its boundary geometry once, in
+boundary_clearance, which reads a batch of points in one call.
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .errors import ConstraintViolationError, DomainViolationError
+from .errors import (CoincidentPointError, ConstraintViolationError,
+                     DomainViolationError)
 from .linalg import TWO_PI, complex_points, real_blocks
 
 #: default clearance at or below which a point is not admissible
@@ -102,65 +104,40 @@ class Domain(ABC):
         array or one that broadcasts to it: a scalar, or (n, m) when
         the coefficient does not depend on the points."""
 
-    # -- regular part, real all-pairs tables: expanded from it -----------
-    def _coefficient_tables(self, px, py, order):
-        zx = complex_points(np.atleast_2d(px))
-        zy = complex_points(np.atleast_2d(py))
-        c = self.regular_coefficients(zx, zy, order)
-        shape = (zx.size, zy.size)
-        if order < 2:
-            return np.broadcast_to(c, shape)
-        return [np.broadcast_to(t, shape) for t in c]
-
-    def regular_part_many(self, px, py) -> np.ndarray:
-        """(n, m) array of g(px[i], py[j])."""
-        return self._coefficient_tables(px, py, 0).copy()
-
-    def grad_regular_many(self, px, py) -> np.ndarray:
-        """(n, m, 2) array of d_x g(px[i], py[j])."""
-        gx = self._coefficient_tables(px, py, 1)
-        return np.stack([gx.real, -gx.imag], axis=-1)
-
-    def hess_regular_many(self, px, py):
-        """Pair of (n, m, 2, 2) arrays: d_x^2 g and d_y d_x g."""
-        _, gxx, gxy, gxyb = self._coefficient_tables(px, py, 2)
-        n, m = gxx.shape
-
-        def blocks(L, K):
-            return real_blocks(L, K).reshape(n, 2, m, 2).transpose(0, 2, 1, 3)
-
-        return blocks(0.0, gxx), blocks(gxyb, gxy)
-
-    # -- regular part, scalar: read from the all-pairs forms -------------
-    # g is symmetric, so derivatives in y are x-derivatives with the
-    # arguments swapped: entry [1, 0] over the points (x, y).
-    def regular_part(self, x, y) -> float:
-        """g(x, y)."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+    # -- regular part at two points: read from the coefficients ---------
+    def _pair_coefficients(self, x, y, order):
+        """regular_coefficients over the points z = (x, y), each
+        broadcast to (2, 2): entry [0, 1] is at (x, y), and g is
+        symmetric, so entry [1, 0] gives the y-derivatives."""
         self.check_interior(x)
         self.check_interior(y)
+        z = complex_points(np.array([x, y], dtype=float))
         with np.errstate(divide="ignore", invalid="ignore"):
-            g = float(self.regular_part_many(x, y)[0, 0])
-        if not np.isfinite(g):
-            raise DomainViolationError(f"g(x, y) = {g} is not finite at {x}, {y}")
-        return g
+            c = self.regular_coefficients(z, z, order)
+        c = [np.broadcast_to(t, (2, 2)) for t in (c if order == 2 else [c])]
+        if not all(np.isfinite(t).all() for t in c):
+            raise DomainViolationError(f"g is not finite at {x}, {y}")
+        return c
+
+    def regular_part(self, x, y) -> float:
+        """g(x, y)."""
+        (g,) = self._pair_coefficients(x, y, 0)
+        return float(g[0, 1])
 
     def grad_regular(self, x, y):
         """(d_x g, d_y g), each a 2-vector."""
-        p = np.array([x, y], dtype=float)
-        grads = self.grad_regular_many(p, p)
+        (gx,) = self._pair_coefficients(x, y, 1)
+        grads = np.stack([gx.real, -gx.imag], axis=-1)
         return grads[0, 1], grads[1, 0]
 
     def hess_regular(self, x, y) -> np.ndarray:
         """4x4 second-derivative block matrix of g at (x, y)."""
-        p = np.array([x, y], dtype=float)
-        h11, h21 = self.hess_regular_many(p, p)
-        H = np.empty((4, 4))
-        H[:2, :2] = h11[0, 1]
-        H[:2, 2:] = h21[0, 1]
-        H[2:, :2] = h21[0, 1].T
-        H[2:, 2:] = h11[1, 0]
+        _, gxx, gxy, gxyb = self._pair_coefficients(x, y, 2)
+        # d_x^2 g on the diagonal (g is harmonic in x), d_y d_x g off it
+        off = ~np.eye(2, dtype=bool)
+        H = real_blocks(np.where(off, gxyb, 0.0),
+                        np.where(off, gxy, gxx[:, ::-1]))
+        H[2:, :2] = H[:2, 2:].T
         return H
 
     # -- derived quantities ---------------------------------------------
@@ -170,11 +147,7 @@ class Domain(ABC):
         y = np.asarray(y, dtype=float)
         d = np.linalg.norm(x - y)
         if d == 0.0:
-            from .errors import CoincidentPointError
-
             raise CoincidentPointError("green() requires x != y")
-        self.check_interior(x)
-        self.check_interior(y)
         return -np.log(d) / TWO_PI - self.regular_part(x, y)
 
     def robin(self, x) -> float:

@@ -19,6 +19,7 @@ from vortexlab.domains import BOUNDARY_MARGIN
 from vortexlab.linalg import complex_points
 from vortexlab.systems import interaction_frame
 from conftest import MU, random_disc_points
+from real_assembly import real_domain
 
 TWO_PI = 2.0 * np.pi
 FOUR_PI = 4.0 * np.pi
@@ -191,30 +192,33 @@ def test_perturbed_disc_bump_scales_with_epsilon():
 
 
 # ---------------------------------------------------------------------------
-# batched evaluation
+# the scalar forms against the real-coordinate oracle
 # ---------------------------------------------------------------------------
 
-def test_many_variants_match_scalar_loops(disc, rng):
-    # the batched forms return all-pairs tables over (px[i], py[j])
+def test_many_variants_match_scalar_loops(rng):
+    # the scalar forms read the complex coefficients; the real-coordinate
+    # oracle's all-pairs tables over (px[i], py[j]) give the value, both
+    # gradients and all four Hessian blocks (g is symmetric, so the
+    # y-derivatives are the x-derivatives of the swapped tables)
     n, m = 7, 5
     px = random_disc_points(rng, n, min_sep=0.05)
     py = random_disc_points(rng, m, min_sep=0.05)
-    vals = disc.regular_part_many(px, py)
-    grads = disc.grad_regular_many(px, py)
-    h11, h21 = disc.hess_regular_many(px, py)
-    assert vals.shape == (n, m)
-    assert grads.shape == (n, m, 2)
-    assert h11.shape == h21.shape == (n, m, 2, 2)
-    for i in range(n):
-        for j in range(m):
-            full = disc.hess_regular(px[i], py[j])
-            assert vals[i, j] == pytest.approx(
-                disc.regular_part(px[i], py[j]), abs=1e-14)
-            assert np.allclose(grads[i, j],
-                               disc.grad_regular(px[i], py[j])[0],
-                               atol=1e-13)
-            assert np.allclose(h11[i, j], full[:2, :2], atol=1e-12)
-            assert np.allclose(h21[i, j], full[:2, 2:], atol=1e-12)
+    for domain in (UnitDisc(), PerturbedDisc(3e-2), WholePlane()):
+        real = real_domain(domain)
+        vals = real.regular_part_many(px, py)
+        gx, gy = real.grad_regular_many(px, py), real.grad_regular_many(py, px)
+        h11, h21 = real.hess_regular_many(px, py)
+        h22, _ = real.hess_regular_many(py, px)
+        for i in range(n):
+            for j in range(m):
+                x, y = px[i], py[j]
+                assert abs(domain.regular_part(x, y) - vals[i, j]) <= 1e-14
+                dx, dy = domain.grad_regular(x, y)
+                assert np.abs(dx - gx[i, j]).max() <= 1e-13
+                assert np.abs(dy - gy[j, i]).max() <= 1e-13
+                want = np.block([[h11[i, j], h21[i, j]],
+                                 [h21[i, j].T, h22[j, i]]])
+                assert np.abs(domain.hess_regular(x, y) - want).max() <= 1e-12
 
 
 @pytest.mark.parametrize("domain", [UnitDisc(), PerturbedDisc(3e-2),
@@ -230,7 +234,9 @@ def test_assembled_regular_gradient_is_the_contracted_table(domain, rng):
     p = np.vstack([random_disc_points(rng, 5, min_sep=0.05), wall])
     gam = rng.choice([-1.0, 1.0], size=len(p)) * rng.uniform(0.5, 2.0, len(p))
     W = -np.outer(gam, gam)
-    want = 2.0 * np.einsum("ij,ija->ia", W, domain.grad_regular_many(p, p))
+    # the oracle's q is exact: at clearance 1e-6 the float form loses 1e-4
+    table = real_domain(domain, exact_q=True).grad_regular_many(p, p)
+    want = 2.0 * np.einsum("ij,ija->ia", W, table)
     # no kernel pair, so D is the regular part's alone
     frame = interaction_frame(gam, np.full(W.shape, False))
     _, D, _ = assemble_interaction(complex_points(p), domain, frame, order=1)
@@ -296,3 +302,24 @@ def test_regular_part_raises_typed_error_for_nonpositive_q():
     disc.boundary_clearance = lambda x: 1.0
     with pytest.raises(DomainViolationError, match="not finite"):
         disc.regular_part([1.0, 0.0], [1.0, 0.0])
+
+
+BAD_POINTS = {"outside": [2.0, 0.0], "wall": [1.0, 0.0],
+              "nan": [np.nan, 0.0]}
+
+
+@pytest.mark.parametrize("where", list(BAD_POINTS))
+@pytest.mark.parametrize("form", ["regular_part", "grad_regular",
+                                  "hess_regular", "green", "robin"])
+def test_every_scalar_form_refuses_a_point_off_the_domain(form, where):
+    # all five read g through one check of both points, so a point
+    # outside, on the wall or not finite raises alike, with no warning
+    bad, good = np.array(BAD_POINTS[where]), np.array([0.5, 0.0])
+    domains = [UnitDisc(), PerturbedDisc()]
+    if where == "nan":
+        domains.append(WholePlane())
+    for domain in domains:
+        f = getattr(domain, form)
+        for args in [(bad,)] if form == "robin" else [(bad, good), (good, bad)]:
+            with pytest.raises(DomainViolationError):
+                f(*args)

@@ -1,4 +1,5 @@
-"""The benchmark's span tracer finds every name it wraps."""
+"""The benchmark's span tracer finds every name it wraps but the three
+retired real tables of the regular part."""
 
 import types
 from pathlib import Path
@@ -21,7 +22,13 @@ def test_every_traced_name_is_present_and_restored():
     spans = _load_spans()
     with spans.Tracer() as tracer:
         assert VortexSystem.vector_field is not FlowSystem.vector_field
-    assert tracer.absent == []
+    # the real all-pairs tables are gone from the package (the scalar
+    # forms read the complex coefficients, which the tracer does not
+    # wrap); every other target must still be found
+    assert tracer.absent == [
+        f"vortexlab.domains.UnitDisc.{name}: AttributeError"
+        for name in ("regular_part_many", "grad_regular_many",
+                     "hess_regular_many")]
     # names inherited from FlowSystem are wrapped on the subclass and
     # removed from it again on exit
     assert "vector_field" not in vars(VortexSystem)
