@@ -179,6 +179,29 @@ def test_newton_reports_a_singular_matrix():
     assert err.residual == np.linalg.norm(x0)
 
 
+@pytest.mark.parametrize("where, value", [("J", np.nan), ("J", np.inf),
+                                          ("F", np.nan)])
+def test_newton_refuses_a_non_finite_residual_or_matrix(where, value):
+    # the first step is admissible; the second iterate's residual or
+    # Jacobian holds one non-finite entry, and no step is taken from it
+    def fun(x):
+        F, J = x**2 - 2.0, np.diag(2.0 * x)
+        if not np.array_equal(x, x0):
+            {"F": F, "J": J}[where].flat[0] = value
+        return F, J, (), ()
+
+    x0 = np.array([1.0, 1.5])
+    checked = []
+    with pytest.raises(ConvergenceError, match="non-finite Newton residual "
+                       "or matrix after 1 steps") as info:
+        newton(fun, x0, checked.append, tol=1e-12, max_iterations=10)
+    err = info.value
+    assert err.iterations == 1 and len(checked) == 1
+    assert np.array_equal(err.last_iterate, checked[0])
+    assert np.array_equal(err.residual, np.linalg.norm(fun(checked[0])[0]),
+                          equal_nan=True)
+
+
 def test_newton_without_residual_takes_one_full_step_per_iterate():
     # no residual-only evaluation: every iterate is one fun call and one
     # full solve on that call's Jacobian
