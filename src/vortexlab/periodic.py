@@ -76,7 +76,6 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from . import dynamics
 from .domains import Domain, SymmetryClass
 from .dynamics import IntegratorSettings, Trajectory, integrate
 from .equilibria import RelativeEquilibrium, certify
@@ -87,10 +86,6 @@ from .linalg import (TWO_PI, aligned_distance, permutation_matrix, newton,
 from .stationary import (GRADIENT_TOL, StationaryPoint, kernel_generators,
                          m_gradient)
 from .systems import RescaledSystem, VortexSystem
-
-# not called here; perfbench/spans.py wraps this name, and
-# tests/test_trace_targets.py requires that it find every name it wraps
-flow_with_jacobian = dynamics.flow_with_jacobian
 
 SHOOT_TOL = 1e-10
 MAX_SHOOT_ITERATIONS = 50
@@ -143,7 +138,11 @@ class SuperpositionSpec:
     (each vortex's cluster's, (N,)), `sigma` (the clusters' permutations
     combined blockwise), and `relabellings` (each combination of the
     clusters' relabelling tables, combined the same way, the identity
-    first).
+    first).  The one system the spec fixes is formed there as well:
+    `rescaled`, the RescaledSystem at the spec's scale, integrated in
+    each cluster's co-rotating frame (trivial clusters do not turn), and
+    `system`, its base VortexSystem of all N vortices.  Every reader
+    takes these; `replace` builds a new spec, and with it new systems.
     """
 
     stationary: StationaryPoint
@@ -204,6 +203,11 @@ class SuperpositionSpec:
         self.scale = float(self.scale)
         if not 0.0 <= self.scale < np.inf:
             raise ConstraintViolationError("scale must be finite and >= 0")
+        self.rescaled = RescaledSystem(
+            VortexSystem(self.strengths, self.cluster_sizes, self.domain),
+            self.stationary.positions, self.scale,
+            tuple(eq.angular_velocity for eq in self.clusters))
+        self.system = self.rescaled.base
 
     # -- layout -------------------------------------------------------------
     @property
@@ -240,17 +244,6 @@ class SuperpositionSpec:
     def period(self) -> float:
         """Physical period T = tau * r^2."""
         return self.tau * self.scale**2
-
-    def system(self) -> VortexSystem:
-        return VortexSystem(self.strengths, self.cluster_sizes, self.domain)
-
-    def rescaled(self) -> RescaledSystem:
-        """The rescaled system at the spec's scale, integrated in each
-        cluster's co-rotating frame (trivial clusters do not turn)."""
-        return RescaledSystem(self.system(), self.stationary.positions,
-                              self.scale,
-                              tuple(eq.angular_velocity
-                                    for eq in self.clusters))
 
     def full_phases(self) -> np.ndarray:
         """Phase per cluster, zeros on trivial ones."""
@@ -308,9 +301,11 @@ class SuperpositionSpec:
 # ---------------------------------------------------------------------------
 
 def _scale_is_admissible(spec: SuperpositionSpec, u0, r: float) -> bool:
+    """Whether u0 is admissible at the scale r > 0: whether its physical
+    state r*u0 + anchor_hat clears spec.system's guards, as
+    RescaledSystem.guard_geometry reads u0 at that scale."""
     try:
-        RescaledSystem(spec.system(), spec.stationary.positions,
-                       r).validate_state(u0)
+        spec.system.validate_state(r * u0 + spec.rescaled.anchor_hat)
         return True
     except VortexError:
         return False
@@ -319,12 +314,14 @@ def _scale_is_admissible(spec: SuperpositionSpec, u0, r: float) -> bool:
 def build_initial_guess(spec: SuperpositionSpec) -> np.ndarray:
     """Rescaled initial state u0 = (theta*Z)(0) at the given phases.
 
-    Checks that the corresponding physical state is admissible at the
-    spec's scale; if not, raises ScaleTooLargeError carrying a bisection
-    estimate of the largest admissible scale.
+    Checks that u0 is admissible in spec.rescaled, at the spec's scale;
+    if not, raises ScaleTooLargeError carrying a bisection estimate of
+    the largest admissible scale.
     """
     u0 = spec.torus_point()
-    if not _scale_is_admissible(spec, u0, spec.scale):
+    try:
+        spec.rescaled.validate_state(u0)
+    except VortexError as exc:
         lo, hi = 0.0, spec.scale  # bisection
         for _ in range(48):
             mid = 0.5 * (lo + hi)
@@ -333,7 +330,7 @@ def build_initial_guess(spec: SuperpositionSpec) -> np.ndarray:
         raise ScaleTooLargeError(
             f"scale {spec.scale} places the superposed state outside the "
             f"admissible set (largest admissible scale est. {lo:.6g})",
-            max_admissible=lo)
+            max_admissible=lo) from exc
     return u0
 
 
@@ -368,7 +365,7 @@ class PeriodicOrbit:
         return self.spec.period
 
     def physical_initial_state(self) -> np.ndarray:
-        return self.spec.rescaled().to_physical(self.u0)
+        return self.spec.rescaled.to_physical(self.u0)
 
     def physical_arrays(self):
         """(times, states, energies) of the orbit in physical variables.
@@ -379,9 +376,9 @@ class PeriodicOrbit:
         """
         times = self.scale**2 * self.trajectory.times
         states = (self.scale * self.trajectory.states
-                  + self.spec.rescaled().anchor_hat)
+                  + self.spec.rescaled.anchor_hat)
         energies = self.trajectory.energies
-        shift = self.spec.system().hamiltonian(states[0]) - energies[0]
+        shift = self.spec.system.hamiltonian(states[0]) - energies[0]
         return times, states, energies + shift
 
     def physical_trajectory_csv(self, target):
@@ -450,8 +447,8 @@ class _LoopFrame:
         return self.rs.to_frame(t, us) - self._reference(t)
 
 
-def _certified(spec: SuperpositionSpec, rs: RescaledSystem, loop,
-               settings: IntegratorSettings, residuals) -> PeriodicOrbit:
+def _certified(spec: SuperpositionSpec, loop, settings: IntegratorSettings,
+               residuals) -> PeriodicOrbit:
     """The orbit through u0 = loop[0], the first of the collocated
     samples `loop`, once one integration over tau passes every check:
     the twisted residual |S_sigma phi_{2pi}(u0) - u0|, the closure and
@@ -463,8 +460,8 @@ def _certified(spec: SuperpositionSpec, rs: RescaledSystem, loop,
     in any frame.  `residuals` are the collocation residuals that led to
     the loop."""
     u0 = loop[0]
-    traj = integrate(_LoopFrame(rs, loop, spec.tau), u0, (0.0, spec.tau),
-                     settings)
+    traj = integrate(_LoopFrame(spec.rescaled, loop, spec.tau), u0,
+                     (0.0, spec.tau), settings)
     defects = _symmetry_defects(spec, traj)
     residual, defect = float(defects[0]), float(defects.max())
     closure = float(np.linalg.norm(traj.final_state - u0))
@@ -483,7 +480,7 @@ def _certified(spec: SuperpositionSpec, rs: RescaledSystem, loop,
         trajectory=traj, residuals=tuple(residuals), loop=loop)
 
 
-def _collocated_orbit(spec: SuperpositionSpec, rs: RescaledSystem, start,
+def _collocated_orbit(spec: SuperpositionSpec, start,
                       settings: IntegratorSettings) -> PeriodicOrbit:
     """The orbit collocated from the lab-frame loop start(ts), (K, 2N),
     and certified by one integration of its u0.
@@ -503,9 +500,11 @@ def _collocated_orbit(spec: SuperpositionSpec, rs: RescaledSystem, start,
     columns are the gradients of the first integrals those generate,
     Gamma perp(G): the energy and, on a rotational domain, the angular
     impulse.  With G as the columns the matrix is singular (Hamiltonian
-    Jordan blocks).  Each iterate's samples are screened in the lab
-    frame at the settings' thresholds.
+    Jordan blocks).  The start's samples and each iterate's are screened
+    in the lab frame at the settings' thresholds, so a start inside them
+    raises the guard's own error, as a start state does in `integrate`.
     """
+    rs = spec.rescaled
     n, center = 2 * spec.n, rs.anchor_hat / spec.scale
     for K in COLLOCATION_SAMPLES:
         ts = np.linspace(0.0, spec.tau, K, endpoint=False)
@@ -530,6 +529,7 @@ def _collocated_orbit(spec: SuperpositionSpec, rs: RescaledSystem, start,
             rs.screen(rs.to_lab(ts, x.reshape(K, n)), ts,
                       settings.collision_tol, settings.boundary_margin)
 
+        admissible(v0.reshape(-1))
         try:
             x, residuals = newton(
                 residual_and_bordered_jacobian, v0.reshape(-1), admissible,
@@ -539,7 +539,7 @@ def _collocated_orbit(spec: SuperpositionSpec, rs: RescaledSystem, start,
             raise
         highest = np.abs(np.fft.fft(x.reshape(K, n), axis=0)[K // 2]).max() / K
         if highest <= COLLOCATION_TOL:
-            return _certified(spec, rs, x.reshape(K, n), settings, residuals)
+            return _certified(spec, x.reshape(K, n), settings, residuals)
     raise ConvergenceError(
         f"{K} samples do not resolve the loop (highest mode {highest:.3e})",
         iterations=len(residuals) - 1, last_iterate=x[:n], residual=highest)
@@ -572,15 +572,17 @@ def shoot(spec: SuperpositionSpec, guess=None,
     sigma, the symmetry defect <= SYMMETRY_DEFECT_TOL.  That integration
     is the orbit's trajectory: its states at u0 and at each accepted
     step (6 on figure 1), and dense output in between.  Each failure is a
-    ConvergenceError; there is no other solver to fall back on.  Every
-    collocation iterate meets the settings' guard thresholds.
+    ConvergenceError; there is no other solver to fall back on.  The
+    start loop and every collocation iterate meet the settings' guard
+    thresholds: a start inside them raises CollisionError or
+    DomainViolationError, an iterate ConvergenceError.
     """
     if spec.scale <= 0.0:
         raise ConstraintViolationError("shooting requires scale > 0")
-    settings, rs = settings or IntegratorSettings(), spec.rescaled()
+    settings = settings or IntegratorSettings()
     if guess is None:
         build_initial_guess(spec)
-        return _collocated_orbit(spec, rs, spec.torus_samples, settings)
+        return _collocated_orbit(spec, spec.torus_samples, settings)
     if not isinstance(guess, PeriodicOrbit) or dict(
             guess.spec.describe(), scale=spec.scale) != spec.describe():
         raise ConstraintViolationError(
@@ -591,8 +593,8 @@ def shoot(spec: SuperpositionSpec, guess=None,
         torus = spec.torus_samples(ts)
         v = (loop if len(loop) == len(ts) else
              _trigonometric_interpolant(loop, spec.tau)(ts))
-        return torus + q * (rs.to_lab(ts, v) - torus)
-    return _collocated_orbit(spec, rs, start, settings)
+        return torus + q * (spec.rescaled.to_lab(ts, v) - torus)
+    return _collocated_orbit(spec, start, settings)
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +697,7 @@ def _orbit_distance(a: PeriodicOrbit, b: PeriodicOrbit) -> float:
     shift and relabelling are the best of a grid; the shift is refined
     on the offset from it."""
     tau = a.rescaled_period
-    c = a.spec.rescaled().anchor_hat / a.scale
+    c = a.spec.rescaled.anchor_hat / a.scale
     relabelled = np.array([permutation_matrix(pi) @ b.u0
                            for pi in a.spec.relabellings])
 
@@ -735,14 +737,14 @@ def _critical_phases(spec: SuperpositionSpec) -> list:
     coupling call), converged at SHOOT_TOL of the gradient's bound.  A
     seed whose Newton fails adds none, and points within
     IDENTIFICATION_TOL modulo the domain are one."""
-    rs, free = spec.rescaled(), list(spec.nontrivial_indices[:-1])
+    free = list(spec.nontrivial_indices[:-1])
     period = np.array([spec.clusters[k].period
                        / len(spec.clusters[k].relabellings) for k in free])
     index = np.indices((PHI_SAMPLES,) * len(free)).reshape(len(free), -1).T
     grid = index * (period / PHI_SAMPLES)
     phases = grid @ np.eye(spec.m)[free]  # zero on the other clusters
     ts = np.linspace(0.0, spec.tau, PHI_TIMES, endpoint=False)
-    values = rs.coupling(spec.scale * spec.torus_samples(
+    values = spec.rescaled.coupling(spec.scale * spec.torus_samples(
         ts, phases[:, None])).mean(axis=-1)
     coef = np.fft.fftn((values - values.mean()).reshape(
         (PHI_SAMPLES,) * len(free))).reshape(-1) / len(grid)

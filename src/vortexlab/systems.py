@@ -46,8 +46,8 @@ where one is returned.  The check, `screen`, takes a step's screening
 samples in one call; `validate_state`, for start states and
 Newton iterates, is its one-row case.  RescaledSystem routes
 `hamiltonian` and `vector_field` through `rescaled_hamiltonian` and
-`rescaled_field`, which keep their names (with `rescaled_field_jacobian`)
-because the benchmark's tracer counts calls to them.
+`rescaled_field`, which keep their names because the benchmark's tracer
+counts calls to them; its Jacobian is FlowSystem's `field_jacobian`.
 
 States are flat float64 vectors (x1, y1, ..., xN, yN).  The equations of
 motion are  M ż = P ∇H(z)  with M = diag(Gamma_i I_2) and P the blockwise
@@ -536,16 +536,13 @@ class RescaledSystem(FlowSystem):
         return real_blocks(*self._coupling_parts(w, 2)[2])
 
     # -- rescaled energy E_r and its flow --------------------------------------
-    # the benchmark's tracer wraps these three names, so the energy and
+    # the benchmark's tracer wraps these two names, so the energy and
     # the field the integrators call go through them
     def rescaled_hamiltonian(self, u):
         return super().hamiltonian(u)
 
     def rescaled_field(self, u, t=None) -> np.ndarray:
         return super().vector_field(u, t)
-
-    def rescaled_field_jacobian(self, u, t=None) -> np.ndarray:
-        return super().field_jacobian(u, t)
 
     def hamiltonian(self, u):
         return self.rescaled_hamiltonian(u)

@@ -191,5 +191,5 @@ def figure1_rescaling(figure1_orbit, figure1_continuation):
     deviations = {}
     for orbit in orbits:
         deviations[orbit.scale] = check_rescaling_equivalence(
-            orbit.spec.rescaled(), orbit.u0, orbit.period)
+            orbit.spec.rescaled, orbit.u0, orbit.period)
     return deviations, time.perf_counter() - start

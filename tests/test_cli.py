@@ -551,6 +551,17 @@ def test_newton_step_inside_the_collision_tol_uses_the_convergence_code(
     assert "left the admissible set" in err
 
 
+def test_periodic_start_inside_the_collision_tol_uses_the_precondition_code(
+        tmp_path, capsys):
+    # the guess's closest pair is 0.0798 apart, already inside the
+    # threshold: the start is refused before any Newton step
+    path, _ = figure1_config(tmp_path, "r = 0.1\ncollision_tol = 0.09")
+    assert main(["run", path]) == 3
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "precondition violated: vortices" in err
+
+
 def test_zero_sum_cluster_uses_the_precondition_code(tmp_path, capsys):
     path, _ = figure1_config(tmp_path, "r = 0.1",
                              cluster1="pair\nparams = 1, -1")

@@ -435,9 +435,9 @@ def test_flow_map_is_the_physical_flow_mapped_by_the_rescaling(
     # and 1.0e-15 from their own at 1e-15)
     spec = {"figure1": figure1_spec_builder,
             "thomson3": thomson3_spec_builder}[case](0.1)
-    rs, u0, r = spec.rescaled(), spec.torus_point(), spec.scale
+    rs, u0, r = spec.rescaled, spec.torus_point(), spec.scale
     phi, W = flow_with_jacobian(rs, u0, TWO_PI)
-    zT, Wz = flow_with_jacobian(spec.system(), rs.to_physical(u0),
+    zT, Wz = flow_with_jacobian(spec.system, rs.to_physical(u0),
                                 TWO_PI * r**2)
     assert np.max(np.abs((zT - rs.anchor_hat) / r - phi)) <= 1e-12
     assert np.max(np.abs(Wz - W)) <= 2e-11
@@ -453,7 +453,7 @@ def test_screening_never_perturbs_the_step_sequence(
     # DOP853 loop over one rescaled period, turned back to the lab
     spec = {"figure1": figure1_spec_builder,
             "thomson3": thomson3_spec_builder}[case](0.1)
-    rs, u0 = spec.rescaled(), spec.torus_point()
+    rs, u0 = spec.rescaled, spec.torus_point()
     d, settings = u0.size, IntegratorSettings()
 
     def bare(fun, y0):
@@ -535,7 +535,7 @@ def test_long_steps_of_a_flow_system_keep_eight_samples(monkeypatch,
     # over 2 pi reach 2.5 (integrate) and 0.50 (flow_with_jacobian),
     # where its certificate's spacing, tau / 256 = 0.074, takes 35 and 7
     spec = thomson3_spec_builder(0.1)
-    rs, u0 = spec.rescaled(), spec.torus_point()
+    rs, u0 = spec.rescaled, spec.torus_point()
     rows, spans = [], []
     raw_step, raw_screen = dynamics._step_and_screen, systems.FlowSystem.screen
 

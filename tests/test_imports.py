@@ -9,7 +9,10 @@ an annotation never runs, so only a parse finds it.  The package's
 package module imports a private module, one whose dotted path has a
 `_`-prefixed component: its contents may change in any release of the
 library that owns it.  No package module imports `scipy.sparse`: every
-linear solve is dense, so there is one solver path.
+linear solve is dense, so there is one solver path.  `periodic` builds
+a system only where a SuperpositionSpec forms its own, in its
+`__post_init__`: a spec fixes one rescaled system, and every reader
+takes that one.
 """
 
 import ast
@@ -124,3 +127,33 @@ def test_no_package_module_imports_scipy_sparse():
     sparse = [f"{where} {dotted}" for where, dotted in _package_imports()
               if dotted == "scipy.sparse" or dotted.startswith("scipy.sparse.")]
     assert sparse == []
+
+
+def _constructions(tree, classes):
+    """(enclosing class or function path, class name) of each call of
+    one of the classes in the module, by name or as an attribute."""
+    calls = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if name in classes:
+                    calls.append((".".join(scope), name))
+            visit(child, scope)
+
+    visit(tree, ())
+    return calls
+
+
+def test_periodic_builds_systems_only_in_the_spec():
+    path = ROOT / "src" / "vortexlab" / "periodic.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert sorted(_constructions(tree, {"RescaledSystem", "VortexSystem"})) \
+        == [("SuperpositionSpec.__post_init__", "RescaledSystem"),
+            ("SuperpositionSpec.__post_init__", "VortexSystem")]

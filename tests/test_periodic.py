@@ -13,7 +13,7 @@ from vortexlab import (BoundaryEventError, CollisionError,
                        ConstraintViolationError,
                        ConvergenceError, DomainViolationError,
                        IntegratorSettings, PerturbedDisc, ScaleTooLargeError,
-                       SuperpositionSpec,
+                       RescaledSystem, SuperpositionSpec, VortexSystem,
                        build_initial_guess, cluster_winding_numbers,
                        continue_in_r, distance_to_M, evaluate_point,
                        integrate, make_equilateral, make_pair, make_trivial,
@@ -21,8 +21,8 @@ from vortexlab import (BoundaryEventError, CollisionError,
                        winding_number)
 from vortexlab import dynamics, periodic, systems
 from vortexlab.systems import FlowSystem
-from vortexlab.periodic import (IDENTIFICATION_TOL, _orbit_distance,
-                                _scale_is_admissible)
+from vortexlab.periodic import (IDENTIFICATION_TOL, _critical_phases,
+                                _orbit_distance, _scale_is_admissible)
 
 from conftest import (MU, build_figure1_spec, build_perturbed_disc_spec,
                       build_three_anchor_spec, build_thomson3_spec)
@@ -131,8 +131,8 @@ def test_guess_applies_the_phase_shift_per_cluster():
 def test_guess_positions_are_admissible_and_centered_on_the_anchors():
     spec = build_figure1_spec(0.1)
     u0 = build_initial_guess(spec)
-    physical = spec.rescaled().to_physical(u0).reshape(4, 2)
-    spec.system().validate_state(physical.reshape(-1))
+    physical = spec.rescaled.to_physical(u0).reshape(4, 2)
+    spec.system.validate_state(physical.reshape(-1))
     assert np.allclose(physical[:2].mean(axis=0), [MU, 0.0], atol=1e-12)
     assert np.allclose(physical[2:].mean(axis=0), [-MU, 0.0], atol=1e-12)
 
@@ -166,10 +166,47 @@ def test_shoot_requires_a_positive_scale():
         shoot(build_figure1_spec(0.0))
 
 
+def test_a_spec_builds_its_systems_once(monkeypatch, figure1_orbit):
+    # a spec fixes one rescaled system, formed at construction; shooting,
+    # the physical state and arrays, the class distance, the critical
+    # phases and the scale bisection read it, and build no other
+    spec, scan_spec = build_figure1_spec(0.1), build_three_anchor_spec(0.05)
+    too_large, built = build_figure1_spec(1.5), []
+    for cls in (RescaledSystem, VortexSystem):
+        def counted(self, raw=cls.__post_init__, name=cls.__name__):
+            built.append(name)
+            raw(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    orbit = shoot(spec)
+    orbit.physical_initial_state()
+    orbit.physical_arrays()
+    _orbit_distance(orbit, figure1_orbit[0])
+    _critical_phases(scan_spec)
+    with pytest.raises(ScaleTooLargeError):
+        build_initial_guess(too_large)
+    assert built == []
+    assert orbit.spec.system is orbit.spec.rescaled.base
+
+
+@pytest.mark.parametrize("change", [{"scale": 0.05},
+                                    {"phases": (np.pi / 2, 0.0)}],
+                         ids=["scale", "phases"])
+def test_a_replaced_spec_builds_its_own_matching_systems(change):
+    spec = build_figure1_spec(0.1)
+    new = spec.replace(**change)
+    rs = new.rescaled
+    assert rs is not spec.rescaled and new.system is rs.base
+    assert rs.scale == new.scale
+    assert np.array_equal(rs.anchor, new.stationary.positions)
+    assert rs.omega == tuple(eq.angular_velocity for eq in new.clusters)
+    assert (rs.base.strengths, rs.base.cluster_sizes, rs.domain) == (
+        new.strengths, new.cluster_sizes, new.domain)
+
+
 def _guard_gaps(spec, u):
     """(smallest wall clearance, smallest pair distance) of u's
     physical state."""
-    p = spec.rescaled().to_physical(u).reshape(-1, 2)
+    p = spec.rescaled.to_physical(u).reshape(-1, 2)
     i, j = np.triu_indices(len(p), 1)
     return (min(spec.domain.boundary_clearance(x) for x in p),
             float(np.min(np.linalg.norm(p[i] - p[j], axis=1))))
@@ -195,6 +232,25 @@ def test_newton_iterate_inside_the_user_thresholds_is_a_convergence_error(
     assert info.value.iterations == 1
     assert isinstance(info.value.__cause__, cause)
     assert np.array_equal(info.value.last_iterate, u0)
+
+
+@pytest.mark.parametrize("guard, spec, cause, threshold", [
+    ("boundary_margin", build_thomson3_spec(0.3), DomainViolationError, 0.84),
+    ("collision_tol", build_figure1_spec(0.1), CollisionError, 0.09),
+], ids=["boundary_margin", "collision_tol"])
+def test_a_start_inside_the_user_thresholds_is_the_guards_own_error(
+        guard, spec, cause, threshold):
+    # the guess clears the default thresholds, but not the user's: the
+    # Thomson ring at r = 0.3 has a vortex 0.831 from the wall, figure 1
+    # at r = 0.1 a pair 0.0798 apart.  The start loop is screened at the
+    # user's thresholds before any Newton step, so the guard's own error
+    # is raised at its first sample, as a start state is refused in
+    # `integrate`, not a ConvergenceError for a Newton step
+    assert _guard_gaps(spec, build_initial_guess(spec))[
+        guard == "collision_tol"] < threshold
+    with pytest.raises(cause) as info:
+        shoot(spec, settings=IntegratorSettings(**{guard: threshold}))
+    assert info.value.time == 0.0
 
 
 @pytest.mark.parametrize("check", ["closure", "symmetry"])
@@ -250,9 +306,10 @@ def _traced_shoot(monkeypatch, spec, settings=None, guess=None):
 
     monkeypatch.setattr(dynamics, "_step_and_screen", counted_step)
     monkeypatch.setattr(FlowSystem, "screen", recorded_screen)
-    for module in (dynamics, periodic):
-        monkeypatch.setattr(module, "flow_with_jacobian",
-                            traced("flow", module.flow_with_jacobian))
+    # periodic imports no variational flow, so this is its one binding
+    assert not hasattr(periodic, "flow_with_jacobian")
+    monkeypatch.setattr(dynamics, "flow_with_jacobian",
+                        traced("flow", dynamics.flow_with_jacobian))
     monkeypatch.setattr(periodic, "integrate",
                         traced("integrate", periodic.integrate))
     return shoot(spec, guess, settings), calls, screens
@@ -274,8 +331,9 @@ def test_tier1_orbits_make_no_flow_and_one_integration(monkeypatch, case):
     # collocation from the torus: no variational flow, at most 4 Newton
     # evaluations (figure 1 reads 3.8e-2, 2.2e-4, 1.3e-9, 3.0e-15), and
     # one integration at the settings certifies the loop's u0 and is
-    # the orbit's trajectory.  Each new iterate's samples are screened
-    # once, in the lab frame, at the user's guard thresholds
+    # the orbit's trajectory.  The start loop's samples and each new
+    # iterate's are screened once, in the lab frame, at the user's guard
+    # thresholds
     settings = IntegratorSettings(collision_tol=2e-8, boundary_margin=2e-3)
     orbit, calls, screens = _traced_shoot(monkeypatch, TIER1_ORBITS[case](),
                                           settings)
@@ -287,7 +345,7 @@ def test_tier1_orbits_make_no_flow_and_one_integration(monkeypatch, case):
     if case == "figure1":
         assert orbit.iterations == 3
     K = periodic.COLLOCATION_SAMPLES[0]
-    assert len(screens) == orbit.iterations
+    assert len(screens) == orbit.iterations + 1
     for states, times, collision_tol, boundary_margin in screens:
         assert states.shape == (K, 2 * orbit.spec.n)
         assert np.array_equal(times, np.linspace(0.0, orbit.spec.tau, K,
@@ -371,7 +429,9 @@ def test_shoot_refuses_a_guess_of_another_problem(monkeypatch, figure1_orbit):
         raise AssertionError("integrated or collocated a refused guess")
 
     orbit = figure1_orbit[0]
-    for name in ("integrate", "flow_with_jacobian", "newton"):
+    assert not hasattr(periodic, "flow_with_jacobian")
+    monkeypatch.setattr(dynamics, "flow_with_jacobian", forbidden)
+    for name in ("integrate", "newton"):
         monkeypatch.setattr(periodic, name, forbidden)
     for spec, guess in (
             (build_thomson3_spec(0.1), orbit),
@@ -426,10 +486,10 @@ def test_a_loop_moved_off_its_orbit_fails_its_certificate(
     # (9.1e-8 on figure 1, 2.6e-8 on Thomson-3) is the one a plain
     # integration of the moved u0 reads
     orbit = {"figure1": figure1_orbit, "thomson3": thomson3_orbit}[case][0]
-    spec, rs, loop = orbit.spec, orbit.spec.rescaled(), orbit.loop.copy()
+    spec, rs, loop = orbit.spec, orbit.spec.rescaled, orbit.loop.copy()
     loop[0, 0] += 1e-8
     with pytest.raises(ConvergenceError, match="twisted residual") as info:
-        periodic._certified(spec, rs, loop, IntegratorSettings(),
+        periodic._certified(spec, loop, IntegratorSettings(),
                             orbit.residuals)
     S = permutation_matrix(spec.sigma)
     plain = integrate(rs, loop[0], (0.0, TWO_PI)).final_state @ S.T - loop[0]
@@ -480,10 +540,9 @@ def test_the_certificate_screens_at_least_the_grid_density(monkeypatch,
     # (8 per step left gaps up to 0.917 on Thomson-3); u0 is screened
     # first, and the last sample is the period's end
     spec = TIER1_ORBITS[case]()
-    orbit, rs = shoot(spec), spec.rescaled()
+    orbit = shoot(spec)
     traj, times = _screened_times(monkeypatch, lambda: periodic._certified(
-        spec, rs, orbit.loop, IntegratorSettings(),
-        orbit.residuals).trajectory)
+        spec, orbit.loop, IntegratorSettings(), orbit.residuals).trajectory)
     assert times[0] == 0.0 and times[-1] == spec.tau
     assert np.all(np.diff(times) > 0.0)
     assert np.diff(times).max() <= spec.tau / periodic.GRID_SAMPLES * (
@@ -503,12 +562,12 @@ def test_the_certificate_catches_a_grazing_pass_between_step_samples(
     # first, and the crossing is refined to where the clearance is the
     # margin
     orbit = figure1_orbit[0]
-    spec, rs, tau = orbit.spec, orbit.spec.rescaled(), orbit.spec.tau
+    spec, rs, tau = orbit.spec, orbit.spec.rescaled, orbit.spec.tau
     ts = np.linspace(0.0, tau, len(orbit.loop), endpoint=False)
     loop = rs.to_frame(ts, orbit.trajectory.sample((ts + 0.7) % tau))
 
     def certify(settings):
-        return periodic._certified(spec, rs, loop, settings, orbit.residuals)
+        return periodic._certified(spec, loop, settings, orbit.residuals)
 
     shifted, fine = _screened_times(monkeypatch,
                                     lambda: certify(IntegratorSettings()))
@@ -638,7 +697,7 @@ def test_reference_orbit_matches_the_tracked_golden_orbit(figure1_orbit):
 
 def test_reference_orbit_closes_in_physical_coordinates(figure1_orbit):
     orbit, _ = figure1_orbit
-    system = orbit.spec.system()
+    system = orbit.spec.system
     z0 = orbit.physical_initial_state()
     traj = integrate(system, z0, (0.0, orbit.period))
     assert np.linalg.norm(traj.final_state - z0) <= 1e-8
@@ -702,7 +761,7 @@ def test_orbit_exports_rescaled_and_physical_trajectories(figure1_orbit):
     last = np.array([float(c) for c in p_lines[-1].split(",")])
     assert last[0] == pytest.approx(orbit.period)
     # the batch map gives the floats of the row-by-row map
-    rs = orbit.spec.rescaled()
+    rs = orbit.spec.rescaled
     _, states, _ = orbit.physical_arrays()
     assert np.array_equal(states, [rs.to_physical(u)
                                    for u in orbit.trajectory.states])
@@ -711,7 +770,7 @@ def test_orbit_exports_rescaled_and_physical_trajectories(figure1_orbit):
 def test_physical_energy_column_matches_the_physical_hamiltonian(
         figure1_orbit):
     orbit, _ = figure1_orbit
-    system = orbit.spec.system()
+    system = orbit.spec.system
     _, states, energies = orbit.physical_arrays()
     direct = np.array([system.hamiltonian(z) for z in states])
     scale = max(1.0, np.max(np.abs(direct)))
@@ -884,7 +943,7 @@ def test_reduced_functional_critical_points_on_figure1():
     phases = sorted(periodic._critical_phases(spec))
     assert np.allclose(phases, [(0.0, 0.0), (np.pi / 2, 0.0)],
                        rtol=0.0, atol=1e-9)
-    rs = spec.rescaled()
+    rs = spec.rescaled
     ts = np.linspace(0.0, spec.tau, periodic.GRID_SAMPLES, endpoint=False)
     thetas = np.arange(periodic.PHI_SAMPLES) * (np.pi / periodic.PHI_SAMPLES)
     phi = np.array([np.mean([rs.coupling(spec.scale * w) for w in
@@ -951,7 +1010,7 @@ def test_time_shifted_replicas_identify_as_the_same_class(figure1_orbit,
     # turned about the disc center, at -anchor_hat / r in rescaled
     # coordinates, a replica is the same class; about the origin it is not
     orbit, _ = figure1_orbit
-    c = orbit.spec.rescaled().anchor_hat / orbit.scale
+    c = orbit.spec.rescaled.anchor_hat / orbit.scale
     replica = orbit.trajectory.sample(1.234)
     turned = dataclasses.replace(orbit, u0=rotate_all(replica + c, 0.5) - c)
     assert _orbit_distance(orbit, turned) < IDENTIFICATION_TOL
