@@ -86,6 +86,13 @@ class IntegratorSettings:
             raise ConstraintViolationError("guards must be finite and >= 0")
 
 
+def relative_drift(energies) -> float:
+    """max |H(t) - H(0)| / max(1, |H(0)|) over energies H(t) in time
+    order, H(0) the first."""
+    h0 = energies[0]
+    return float(np.max(np.abs(energies - h0)) / max(1.0, abs(h0)))
+
+
 def _stepper(fun, t0: float, y0, t_bound: float, first_step=None):
     # a non-finite time or right-hand side makes a NaN first step, from
     # which step() never returns
@@ -194,9 +201,8 @@ class Trajectory:
         return self.states[-1]
 
     def energy_drift(self) -> float:
-        """max |H(t) - H(0)| / max(1, |H(0)|) over the samples."""
-        h0 = self.energies[0]
-        return float(np.max(np.abs(self.energies - h0)) / max(1.0, abs(h0)))
+        """relative_drift of the energies at the accepted steps."""
+        return relative_drift(self.energies)
 
     def sample(self, t) -> np.ndarray:
         """Dense-output state at t: (dim,) for a scalar time, one row per

@@ -37,7 +37,10 @@ module returns, trajectories included, is in u.
 shoot finds an orbit by trigonometric collocation: Newton (linalg.newton)
 on K samples v_k of the co-rotating loop at t_k = k tau / K, with
 residual V(t_k, v_k) - (D v)_k, D the Fourier differentiation matrix of
-_spectral_derivative.  The Jacobian blockdiag(DV_k) - D (x) I has null
+_spectral_derivative.  It starts from a loop in the same frames: the
+torus point u0 = (theta*Z)(0) alone, since a point of M stands still
+there, or a converged orbit's loop at another scale, its deviation from
+that point rescaled.  The Jacobian blockdiag(DV_k) - D (x) I has null
 directions along the time shift and the domain's symmetries (the
 rotation about the center of a disc).  Each is a border row of the
 square Newton matrix (the phase conditions of Doedel, Keller and
@@ -52,13 +55,14 @@ at t = 0 then certifies the orbit: its twisted residual
 
 (S_sigma the block permutation; plain tau-periodicity when sigma = id),
 closure and symmetry defect are checked, and it is the orbit's
-trajectory.  It integrates the same ODE in the frame of the collocated
-loop (_LoopFrame): only the deviation of the co-rotating state from the
-loop's trigonometric interpolant is stepped (Encke's method; Battin,
-Astrodynamics, ch. 10), so DOP853's steps are set by that deviation, not
-by the loop's own motion: 5 steps per figure-1 period, against 32 for
-the co-rotating state itself.  Orbit classes are told apart modulo the
-same symmetries.
+trajectory, sampled once at GRID_SAMPLES uniform times for the energy
+drift and the distance to M.  It integrates the same ODE in the frame
+of the collocated loop (_LoopFrame): only the deviation of the
+co-rotating state from the loop's trigonometric interpolant is stepped
+(Encke's method; Battin, Astrodynamics, ch. 10), so DOP853's steps are
+set by that deviation, not by the loop's own motion: 5 steps per
+figure-1 period, against 32 for the co-rotating state itself.  Orbit
+classes are told apart modulo the same symmetries.
 
 A residual <= SHOOT_TOL means an orbit only at dynamics.TOLERANCE,
 the one tolerance every integration runs at: at 1e-10 a closing
@@ -77,7 +81,8 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .domains import Domain, SymmetryClass
-from .dynamics import IntegratorSettings, Trajectory, integrate
+from .dynamics import (IntegratorSettings, Trajectory, integrate,
+                       relative_drift)
 from .equilibria import RelativeEquilibrium, certify
 from .errors import (ConstraintViolationError, ConvergenceError,
                      ScaleTooLargeError, VortexError)
@@ -312,7 +317,9 @@ def _scale_is_admissible(spec: SuperpositionSpec, u0, r: float) -> bool:
 
 
 def build_initial_guess(spec: SuperpositionSpec) -> np.ndarray:
-    """Rescaled initial state u0 = (theta*Z)(0) at the given phases.
+    """Rescaled initial state u0 = (theta*Z)(0) at the given phases: the
+    torus point, constant in the clusters' co-rotating frames, and the
+    one-sample start loop shoot collocates from when its guess is None.
 
     Checks that u0 is admissible in spec.rescaled, at the spec's scale;
     if not, raises ScaleTooLargeError carrying a bisection estimate of
@@ -340,6 +347,19 @@ def build_initial_guess(spec: SuperpositionSpec) -> np.ndarray:
 
 @dataclass
 class PeriodicOrbit:
+    """A certified orbit of spec.rescaled, in u (see _certified).
+
+    u0 is the state at t = 0, the first of the collocated samples
+    `loop`, and `trajectory` the certifying integration, whose states are
+    u0 and each accepted step.  residual, closure and symmetry_defect are
+    the certificate's checks; iterations are the Newton steps at the
+    accepted sample count, and `residuals` their collocation residuals.
+    energy_drift (dynamics.relative_drift of the rescaled energy) and
+    distance_to_m (distance_to_M) read one sample of the trajectory at
+    GRID_SAMPLES uniform times of the period, so a drift between
+    accepted steps is seen too.
+    """
+
     spec: SuperpositionSpec = field(repr=False)
     u0: np.ndarray
     residual: float
@@ -458,10 +478,13 @@ def _certified(spec: SuperpositionSpec, loop, settings: IntegratorSettings,
     deviation from the loop (_LoopFrame), and every check reads the
     states it gives back, so a loop that is no orbit fails as it would
     in any frame.  `residuals` are the collocation residuals that led to
-    the loop."""
-    u0 = loop[0]
-    traj = integrate(_LoopFrame(spec.rescaled, loop, spec.tau), u0,
-                     (0.0, spec.tau), settings)
+    the loop.  Once certified, the trajectory is sampled once at
+    GRID_SAMPLES uniform times of [0, tau); the energy drift and
+    distance_to_M read those samples, the energies from one batched
+    hamiltonian call."""
+    u0, tau = loop[0], spec.tau
+    traj = integrate(_LoopFrame(spec.rescaled, loop, tau), u0, (0.0, tau),
+                     settings)
     defects = _symmetry_defects(spec, traj)
     residual, defect = float(defects[0]), float(defects.max())
     closure = float(np.linalg.norm(traj.final_state - u0))
@@ -473,43 +496,49 @@ def _certified(spec: SuperpositionSpec, loop, settings: IntegratorSettings,
         if value > tol:
             raise ConvergenceError(f"{what} {value:.3e}", last_iterate=u0,
                                    iterations=iterations, residual=value)
+    samples = traj.sample(np.linspace(0.0, tau, GRID_SAMPLES, endpoint=False))
     return PeriodicOrbit(
         spec=spec, u0=u0, residual=residual, closure=closure,
-        symmetry_defect=defect, energy_drift=traj.energy_drift(),
-        distance_to_m=distance_to_M(spec, traj), iterations=iterations,
+        symmetry_defect=defect,
+        energy_drift=relative_drift(spec.rescaled.hamiltonian(samples)),
+        distance_to_m=distance_to_M(spec, samples), iterations=iterations,
         trajectory=traj, residuals=tuple(residuals), loop=loop)
 
 
-def _collocated_orbit(spec: SuperpositionSpec, start,
+def _collocated_orbit(spec: SuperpositionSpec, loop,
                       settings: IntegratorSettings) -> PeriodicOrbit:
-    """The orbit collocated from the lab-frame loop start(ts), (K, 2N),
-    and certified by one integration of its u0.
+    """The orbit collocated from `loop`, an odd number of samples, (J, 2N),
+    of a loop in the clusters' co-rotating frames at t_j = j tau / J, and
+    certified by one integration of its u0.
 
     linalg.newton solves for the loop's co-rotating samples v_k at t_k =
     k tau / K, K = COLLOCATION_SAMPLES[0], or the next count while the
-    converged loop's highest mode exceeds COLLOCATION_TOL, started from
-    the trigonometric interpolant of the loop converged at the count
-    before (_trigonometric_interpolant); u0 is v_0, where the frames
-    agree with the lab.  The residual is V(t_k, v_k) - (D v)_k, D the
-    Fourier differentiation matrix, and the Jacobian blockdiag(DV_k) -
-    D (x) I: each evaluation takes V and DV at all K samples from one
-    batched field_and_jacobian call, and adds DV's blocks to a copy of
-    -D (x) I, formed once per K.  Its rows G are the time shift, the lab
-    field turned into the frames, V_k - i omega v_k, and the domain's
-    kernel_generators about u + anchor_hat / r turned likewise; its
-    columns are the gradients of the first integrals those generate,
-    Gamma perp(G): the energy and, on a rotational domain, the angular
-    impulse.  With G as the columns the matrix is singular (Hamiltonian
-    Jordan blocks).  The start's samples and each iterate's are screened
-    in the lab frame at the settings' thresholds, so a start inside them
-    raises the guard's own error, as a start state does in `integrate`.
+    converged loop's highest mode exceeds COLLOCATION_TOL.  At each K it
+    starts from `loop` resampled at the t_k: its own samples when it has
+    K, else its trigonometric interpolant (_trigonometric_interpolant),
+    which repeats a single sample, a constant loop, bit for bit.  The
+    converged samples are then the loop the next K starts from.  u0 is
+    v_0, where the frames agree with the lab.  The residual is
+    V(t_k, v_k) - (D v)_k, D the Fourier differentiation matrix, and the
+    Jacobian blockdiag(DV_k) - D (x) I: each evaluation takes V and DV
+    at all K samples from one batched field_and_jacobian call, and adds
+    DV's blocks to a copy of -D (x) I, formed once per K.  Its rows G are
+    the time shift, the lab field turned into the frames, V_k - i omega
+    v_k, and the domain's kernel_generators about u + anchor_hat / r
+    turned likewise; its columns are the gradients of the first integrals
+    those generate, Gamma perp(G): the energy and, on a rotational
+    domain, the angular impulse.  With G as the columns the matrix is
+    singular (Hamiltonian Jordan blocks).  The start's samples and each
+    iterate's are screened in the lab frame at the settings' thresholds,
+    so a start inside them raises the guard's own error, as a start
+    state does in `integrate`.
     """
     rs = spec.rescaled
     n, center = 2 * spec.n, rs.anchor_hat / spec.scale
     for K in COLLOCATION_SAMPLES:
         ts = np.linspace(0.0, spec.tau, K, endpoint=False)
-        v0 = (rs.to_frame(ts, start(ts)) if K == COLLOCATION_SAMPLES[0]
-              else _trigonometric_interpolant(x.reshape(-1, n), spec.tau)(ts))
+        v0 = (loop if len(loop) == K
+              else _trigonometric_interpolant(loop, spec.tau)(ts))
         D = _spectral_derivative(np.eye(K), spec.tau)
         minus_d = np.kron(-D, np.eye(n))
 
@@ -537,12 +566,13 @@ def _collocated_orbit(spec: SuperpositionSpec, start,
         except ConvergenceError as exc:
             exc.last_iterate = exc.last_iterate[:n]  # its u0
             raise
-        highest = np.abs(np.fft.fft(x.reshape(K, n), axis=0)[K // 2]).max() / K
+        loop = x.reshape(K, n)
+        highest = np.abs(np.fft.fft(loop, axis=0)[K // 2]).max() / K
         if highest <= COLLOCATION_TOL:
-            return _certified(spec, x.reshape(K, n), settings, residuals)
+            return _certified(spec, loop, settings, residuals)
     raise ConvergenceError(
         f"{K} samples do not resolve the loop (highest mode {highest:.3e})",
-        iterations=len(residuals) - 1, last_iterate=x[:n], residual=highest)
+        iterations=len(residuals) - 1, last_iterate=loop[0], residual=highest)
 
 
 def shoot(spec: SuperpositionSpec, guess=None,
@@ -555,15 +585,19 @@ def shoot(spec: SuperpositionSpec, guess=None,
     constant (_collocated_orbit); the orbit's iterations are the Newton
     steps of the accepted K, which is COLLOCATION_SAMPLES[0] unless the
     converged loop's highest mode exceeds COLLOCATION_TOL.  The start is
-    the torus loop when guess is None.  A PeriodicOrbit of the same
-    problem (its spec.describe() equal to spec's but for the scale)
-    starts it from the torus plus its collocated loop's deviation from
-    it, scaled by (r / r_orbit)^2, as the superposition's deviation is
-    O(r^2): the loop's own samples when it has K of them, else its
-    trigonometric interpolant.  So a converged orbit given back as its
-    own guess starts at its own residual and is certified unchanged.
-    Any other guess raises ConstraintViolationError before any
-    integration.
+    a loop in those frames.  When guess is None it is the torus point p =
+    build_initial_guess(spec), one sample: a point of M is constant in
+    the frames.  A PeriodicOrbit of the same problem (its
+    spec.describe() equal to spec's but for the scale) gives the loop
+    p + (r / r_orbit)^2 (guess.loop - p), its collocated loop's
+    deviation from p scaled as the superposition's deviation, O(r^2).
+    So a converged orbit of COLLOCATION_SAMPLES[0] samples, given back as
+    its own guess, starts at its own residual, takes no Newton step and
+    is certified with its u0 bit for bit.  One of COLLOCATION_SAMPLES[1]
+    samples is resampled at the first count and solved there again, and
+    the finer Newton starts from that loop: figure 1 at r = 0.2 takes one
+    step, and its u0 moves by 2e-14.  Any other guess raises
+    ConstraintViolationError before any integration.
 
     The loop's state at t = 0 is u0, and one integration over tau, of
     the deviation from the loop's trigonometric interpolant, certifies
@@ -571,7 +605,9 @@ def shoot(spec: SuperpositionSpec, guess=None,
     SHOOT_TOL, the full-period closure <= CLOSURE_TOL and, for nontrivial
     sigma, the symmetry defect <= SYMMETRY_DEFECT_TOL.  That integration
     is the orbit's trajectory: its states at u0 and at each accepted
-    step (6 on figure 1), and dense output in between.  Each failure is a
+    step (6 on figure 1), and dense output in between; the orbit's
+    energy drift and distance to M read it at GRID_SAMPLES uniform times
+    of the period (see PeriodicOrbit).  Each failure is a
     ConvergenceError; there is no other solver to fall back on.  The
     start loop and every collocation iterate meet the settings' guard
     thresholds: a start inside them raises CollisionError or
@@ -581,20 +617,15 @@ def shoot(spec: SuperpositionSpec, guess=None,
         raise ConstraintViolationError("shooting requires scale > 0")
     settings = settings or IntegratorSettings()
     if guess is None:
-        build_initial_guess(spec)
-        return _collocated_orbit(spec, spec.torus_samples, settings)
+        return _collocated_orbit(spec, build_initial_guess(spec)[None],
+                                 settings)
     if not isinstance(guess, PeriodicOrbit) or dict(
             guess.spec.describe(), scale=spec.scale) != spec.describe():
         raise ConstraintViolationError(
             "the guess must be None or an orbit of the same problem")
-    q, loop = (spec.scale / guess.scale)**2, guess.loop
-
-    def start(ts):  # the loop's times are ts when it has as many samples
-        torus = spec.torus_samples(ts)
-        v = (loop if len(loop) == len(ts) else
-             _trigonometric_interpolant(loop, spec.tau)(ts))
-        return torus + q * (spec.rescaled.to_lab(ts, v) - torus)
-    return _collocated_orbit(spec, start, settings)
+    p = spec.torus_point()
+    return _collocated_orbit(
+        spec, p + (spec.scale / guess.scale)**2 * (guess.loop - p), settings)
 
 
 # ---------------------------------------------------------------------------
@@ -635,18 +666,16 @@ def _spectral_derivative(samples: np.ndarray, period: float) -> np.ndarray:
 def distance_to_M(spec: SuperpositionSpec, u) -> float:
     """Discrete H^1 distance from a periodic loop to the phase torus.
 
-    `u` is a Trajectory over one rescaled period or a (g, 2N) array
-    sampled uniformly on [0, tau).  Derivatives are spectral, the
-    quadrature is the periodic trapezoid rule.  A cluster's phase enters
-    only as one global rotation of its block of the torus samples, so
-    each cluster's phase minimum is the rotation fit `aligned_distance`
-    of its stacked (z, z') samples at zero phase to the stacked (u, u').
+    `u` is a (g, 2N) array of the loop's states in u, sampled uniformly
+    on [0, tau) from t = 0 (a certified orbit passes its trajectory's
+    GRID_SAMPLES samples).  Derivatives are spectral, the quadrature is
+    the periodic trapezoid rule.  A cluster's phase enters only as one
+    global rotation of its block of the torus samples, so each cluster's
+    phase minimum is the rotation fit `aligned_distance` of its stacked
+    (z, z') samples at zero phase to the stacked (u, u').
     """
-    tau = spec.tau
-    if isinstance(u, Trajectory):
-        u = u.sample(np.linspace(0.0, tau, GRID_SAMPLES, endpoint=False))
     samples = np.asarray(u, dtype=float)
-    g = samples.shape[0]
+    g, tau = len(samples), spec.tau
     ts = np.linspace(0.0, tau, g, endpoint=False)
 
     def h1(w):  # values and spectral derivatives, stacked along time

@@ -12,7 +12,10 @@ library that owns it.  No package module imports `scipy.sparse`: every
 linear solve is dense, so there is one solver path.  `periodic` builds
 a system only where a SuperpositionSpec forms its own, in its
 `__post_init__`: a spec fixes one rescaled system, and every reader
-takes that one.
+takes that one.  The collocation starts from one loop of samples in
+the clusters' co-rotating frames: no caller hands `_collocated_orbit` a
+function, and the torus is sampled only where a point, the distance
+to it, or the reduced functional is formed.
 """
 
 import ast
@@ -129,9 +132,9 @@ def test_no_package_module_imports_scipy_sparse():
     assert sparse == []
 
 
-def _constructions(tree, classes):
-    """(enclosing class or function path, class name) of each call of
-    one of the classes in the module, by name or as an attribute."""
+def _calls(tree, names):
+    """(enclosing class or function path, name) of each call of one of
+    the names in the module, by name or as an attribute."""
     calls = []
 
     def visit(node, scope):
@@ -143,7 +146,7 @@ def _constructions(tree, classes):
             if isinstance(child, ast.Call):
                 func = child.func
                 name = getattr(func, "id", getattr(func, "attr", None))
-                if name in classes:
+                if name in names:
                     calls.append((".".join(scope), name))
             visit(child, scope)
 
@@ -151,9 +154,33 @@ def _constructions(tree, classes):
     return calls
 
 
-def test_periodic_builds_systems_only_in_the_spec():
+def _periodic_tree():
     path = ROOT / "src" / "vortexlab" / "periodic.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
-    assert sorted(_constructions(tree, {"RescaledSystem", "VortexSystem"})) \
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def test_periodic_builds_systems_only_in_the_spec():
+    assert sorted(_calls(_periodic_tree(),
+                         {"RescaledSystem", "VortexSystem"})) \
         == [("SuperpositionSpec.__post_init__", "RescaledSystem"),
             ("SuperpositionSpec.__post_init__", "VortexSystem")]
+
+
+def test_periodic_collocates_from_sample_arrays_only():
+    tree = _periodic_tree()
+    functions = {node.name for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "_collocated_orbit"]
+    passed = [ast.unparse(arg) for call in calls
+              for arg in call.args + [k.value for k in call.keywords]
+              if isinstance(arg, ast.Lambda) or getattr(
+                  arg, "id", getattr(arg, "attr", None)) in functions]
+    assert len(calls) == 2 and passed == []
+
+
+def test_periodic_samples_the_torus_in_three_places():
+    scopes = {scope for scope, _ in _calls(_periodic_tree(),
+                                            {"torus_samples"})}
+    assert scopes == {"SuperpositionSpec.torus_point", "distance_to_M",
+                      "_critical_phases"}

@@ -418,6 +418,74 @@ def test_a_certified_guess_is_its_own_orbit(monkeypatch, figure1_orbit,
     assert orbit.residual <= periodic.SHOOT_TOL
 
 
+def test_a_finer_certified_guess_is_solved_again_at_the_first_count(
+        monkeypatch, figure1_continuation):
+    # at r = 0.2 the figure-1 loop has 49 samples.  Given back as its own
+    # guess it is resampled at 25 and solved there again, and the
+    # 49-sample Newton starts from that loop: one step, and u0 moves by
+    # 2e-14
+    converged = figure1_continuation[0][0]
+    assert len(converged.loop) == periodic.COLLOCATION_SAMPLES[1]
+    orbit, calls, _ = _traced_shoot(monkeypatch, converged.spec,
+                                    guess=converged)
+    assert [name for name, *_ in calls] == ["integrate"]
+    assert orbit.iterations <= 1
+    assert np.abs(orbit.u0 - converged.u0).max() <= 1e-13
+    assert orbit.residual <= periodic.SHOOT_TOL
+
+
+class _Started(Exception):
+    """Raised in place of the collocation's Newton, carrying its start."""
+
+
+def _first_iterate(monkeypatch, spec, guess=None) -> np.ndarray:
+    """Newton's first iterate in shoot(spec, guess), as (K, 2N) samples;
+    no Newton step is taken."""
+    def started(fun, x0, *args, **kwargs):
+        raise _Started(x0.copy())
+
+    monkeypatch.setattr(periodic, "newton", started)
+    with pytest.raises(_Started) as info:
+        shoot(spec, guess)
+    return info.value.args[0].reshape(-1, 2 * spec.n)
+
+
+@pytest.mark.parametrize("build, scale", [
+    (build_figure1_spec, 0.1), (build_thomson3_spec, 0.1),
+    (build_three_anchor_spec, 0.05)], ids=["figure1", "thomson3",
+                                           "three-anchor"])
+def test_the_torus_start_is_the_torus_point_at_every_sample(monkeypatch,
+                                                            build, scale):
+    # a point of M stands still in the clusters' co-rotating frames, so
+    # the collocation starts from the torus point itself at every sample,
+    # bit for bit.  The lab torus turned into the frames is up to 1.1e-16
+    # away from it (5.6e-17 on figure 1 and at the three-anchor phase
+    # origin)
+    spec = build(scale)
+    K = periodic.COLLOCATION_SAMPLES[0]
+    assert np.array_equal(_first_iterate(monkeypatch, spec),
+                          np.tile(spec.torus_point(), (K, 1)))
+
+
+def test_an_orbit_guess_starts_from_its_loop_rescaled_about_the_torus_point(
+        monkeypatch, figure1_orbit, figure1_continuation):
+    # the guess's loop deviates from the torus point by O(r^2), so its
+    # deviation is scaled by (r / r_orbit)^2 in the frames; a loop of
+    # another sample count starts the collocation from its interpolant
+    assert [len(figure1_orbit[0].loop), len(figure1_continuation[0][0].loop)
+            ] == list(periodic.COLLOCATION_SAMPLES)
+    for guess, r in ((figure1_orbit[0], 0.07),
+                     (figure1_continuation[0][0], 0.1)):
+        spec = guess.spec.replace(scale=r)
+        p = spec.torus_point()
+        loop = p + (spec.scale / guess.scale)**2 * (guess.loop - p)
+        K = periodic.COLLOCATION_SAMPLES[0]
+        if len(loop) != K:
+            loop = periodic._trigonometric_interpolant(loop, spec.tau)(
+                np.linspace(0.0, spec.tau, K, endpoint=False))
+        assert np.array_equal(_first_iterate(monkeypatch, spec, guess), loop)
+
+
 def test_shoot_refuses_a_guess_of_another_problem(monkeypatch, figure1_orbit):
     # only None or an orbit of the same problem at some scale starts the
     # collocation.  Unchecked, figure 1's orbit as Thomson-3's guess
@@ -651,6 +719,26 @@ def test_reference_orbit_meets_every_tolerance(figure1_orbit):
     assert orbit.rescaled_period == TWO_PI
     assert orbit.u0.shape == (8,)
     assert orbit.distance_to_m > 0.0
+
+
+@pytest.mark.parametrize("case", ["figure1", "thomson3"])
+def test_the_energy_drift_and_distance_read_one_uniform_sample(
+        figure1_orbit, thomson3_orbit, case):
+    # the certificate takes 5 (figure 1) and 4 (Thomson-3) steps per
+    # period, so its accepted steps alone miss a drift between them
+    # (figure 1's read 3.00e-15, its states at GRID_SAMPLES uniform times
+    # 3.11e-15).  The drift and distance_to_M read those uniform states;
+    # a Trajectory's own drift reads its accepted steps by the same
+    # formula
+    orbit = {"figure1": figure1_orbit, "thomson3": thomson3_orbit}[case][0]
+    grid = np.linspace(0.0, orbit.rescaled_period, periodic.GRID_SAMPLES,
+                       endpoint=False)
+    samples = orbit.trajectory.sample(grid)
+    assert orbit.energy_drift == dynamics.relative_drift(
+        orbit.spec.rescaled.hamiltonian(samples))
+    assert orbit.distance_to_m == distance_to_M(orbit.spec, samples)
+    assert orbit.trajectory.energy_drift() == dynamics.relative_drift(
+        orbit.trajectory.energies)
 
 
 def test_reference_orbit_period_is_exactly_tau_r_squared(figure1_orbit):
