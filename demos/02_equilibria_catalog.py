@@ -7,10 +7,10 @@ blocks the superposition machinery accepts.
 """
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
-from vortexlab import (IntegratorSettings, VortexSystem, WholePlane, certify,
-                       flow_with_jacobian, make_collinear_hermite,
-                       make_equilateral, make_pair, make_thomson, monodromy)
+from vortexlab import (certify, make_collinear_hermite, make_equilateral,
+                       make_pair, make_thomson, monodromy)
 
 entries = [
     ("pair(1, 1)", make_pair(1.0, 1.0)),
@@ -48,10 +48,21 @@ print(f"\nhermite(4): |Phi| = {norm:.1e}, counts "
       f"nondegenerate={report.nondegenerate}")
 
 # cross-check one fundamental matrix against direct integration of the
-# variational system along the actual orbit
+# variational system W' = DV W, W(0) = I, along the actual orbit, with
+# plain scipy: the state and W side by side, the field and its Jacobian
+# from one call
 eq = make_pair(1.0, 1.0)
-system = VortexSystem(eq.strengths, (eq.n,), WholePlane())
-_, W = flow_with_jacobian(system, eq.positions.reshape(-1), 2.0 * np.pi,
-                          IntegratorSettings())
+system, d = eq.system, 2 * eq.n
+
+
+def variational(t, y):
+    f, J = system.field_and_jacobian(y[:d])
+    return np.concatenate([f, (J @ y[d:].reshape(d, d)).reshape(-1)])
+
+
+sol = solve_ivp(variational, (0.0, 2.0 * np.pi),
+                np.concatenate([eq.flat(), np.eye(d).reshape(-1)]),
+                method="DOP853", rtol=1e-13, atol=1e-13)
+W = sol.y[d:, -1].reshape(d, d)
 gap = np.max(np.abs(W - monodromy(eq, 2.0 * np.pi)))
 print(f"\npair monodromy vs integrated fundamental matrix: {gap:.2e}")

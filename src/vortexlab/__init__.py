@@ -7,16 +7,14 @@ Layers, bottom up:
 * systems    -- interaction energies, vector fields, rescaled coordinates
 * equilibria -- catalog of rigidly rotating clusters and their certification
 * stationary -- critical anchor configurations and their classification
-* dynamics   -- guarded adaptive integration and flow Jacobians
+* dynamics   -- guarded adaptive integration
 * periodic   -- superposition guesses, shooting, continuation, phase scans
 * cli        -- batch front end (`vortexlab run/certify/version`)
 """
 
 from .domains import (Domain, PerturbedDisc, SymmetryClass, UnitDisc,
                       WholePlane, make_domain)
-from .dynamics import (IntegratorSettings, Trajectory,
-                       check_rescaling_equivalence, flow_with_jacobian,
-                       integrate)
+from .dynamics import IntegratorSettings, Trajectory, integrate
 from .equilibria import (CertificationReport, RelativeEquilibrium, certify,
                          from_catalog, make_collinear_hermite,
                          make_equilateral, make_pair, make_thomson,
@@ -70,7 +68,6 @@ __all__ = [
     "assemble_interaction",
     "build_initial_guess",
     "certify",
-    "check_rescaling_equivalence",
     "classify",
     "cluster_winding_numbers",
     "continue_in_r",
@@ -78,7 +75,6 @@ __all__ = [
     "distance_to_M",
     "evaluate_point",
     "find_critical_point",
-    "flow_with_jacobian",
     "from_catalog",
     "integrate",
     "m_gradient",

@@ -5,43 +5,40 @@ and Wanner, Solving ODEs I, II.5-6): an 8th-order embedded 8(5,3) pair,
 whose error estimate combines its 5th- and 3rd-order companions, with a
 7th-order dense interpolant.  This module owns the driver loop so that
 every accepted step is screened for collisions and boundary approach on
-the interpolant before it is committed.  integrate and
-flow_with_jacobian share one step-and-screen helper: one evaluation of
-the interpolant per step gives the screening grid, whose samples the
-system's screen checks in one call, in time order, at the settings'
-thresholds; the initial state gets the same check from validate_state,
-its one-row case.  The grid has GUARD_SAMPLES points per step, or more
-where the system's `spacing` asks for them (a FlowSystem's is inf).  A
-guard tripped on a sample is refined to its crossing time by root
-bracketing and raised as a typed event carrying the time and the
-offending pair or vortex.  Every step's interpolant is
-scipy's own (DOP853.dense_output), screened on its first 2N components,
-the vortex positions: integrate's Trajectory joins them through scipy's
-OdeSolution, and flow_with_jacobian's extra stages evaluate the
-augmented right-hand side.
+the interpolant before it is committed.  integrate takes each step
+through one step-and-screen helper: one evaluation of scipy's own
+interpolant (DOP853.dense_output) per step gives the screening grid,
+whose samples the system's screen checks in one call, in time order, at
+the settings' thresholds; the initial state gets the same check from
+validate_state, its one-row case.  The grid has GUARD_SAMPLES points
+per step, or more where the system's `spacing` asks for them (a
+FlowSystem's is inf).  A guard tripped on a sample is refined to its
+crossing time by root bracketing and raised as a typed event carrying
+the time and the offending pair or vortex.  Trajectory joins the
+steps' interpolants through scipy's OdeSolution.
 
 The stepper advances the co-rotating state v of systems.FlowSystem
 (v = exp(i omega t) u per vortex, omega its cluster frame's angular
 velocity; v = u for a VortexSystem), whose field V(t, v) depends on t.
-Everything the integrators hand back reads u: screening samples,
-Trajectory's states, energies and dense output, and flow_with_jacobian's
-(phi, Dphi), turned back at t_end.
+Everything integrate hands back reads u: screening samples, and
+Trajectory's states, energies and dense output.
 
 Orbit-level work should integrate the rescaled system, whose period is
 O(1); the plain system covers the same orbit only with a step-size
-spread of order r^2.  The integrators are written against
-systems.FlowSystem, the base class of both, and use only its surface,
+spread of order r^2.  integrate is written against
+systems.FlowSystem, the base class of both, and uses only its surface,
 which periodic's collocated-loop frame presents too.
 
 DOP853 runs at rtol = atol = TOLERANCE = 1e-13, the tolerance the
 acceptance criteria are built on.  Its error estimate is sharp, so its
-global error sits close to the tolerance: at 1e-12 the flow-map
-monodromy of a hermite(3) cluster (entries near 3e4) is 4e-8 from the
-closed form; at 1e-13 it is 1e-9.  Over one period of the figure-1
-reference orbit DOP853 takes 47 steps in the lab frame, whatever r is,
-and 32 in its clusters' co-rotating frames, where it resolves only the
-O(r^2) motion on top of the rigid rotation; Thomson-3's takes 49 and 5.
-The certificate in periodic steps only the deviation from the orbit's
+global error sits close to the tolerance: at 1e-12 a direct
+integration of a hermite(3) cluster's variational equation over one
+turn (entries near 3e4) is 4e-8 from its closed-form monodromy; at
+1e-13 it is 1e-9.  Over one period of the figure-1 reference orbit
+DOP853 takes 47 steps in the lab frame, whatever r is, and 32 in its
+clusters' co-rotating frames, where it resolves only the O(r^2) motion
+on top of the rigid rotation; Thomson-3's takes 49 and 5.  The
+certificate in periodic steps only the deviation from the orbit's
 collocated loop, and takes 5 and 4.
 
 No structural energy conservation: drift is recorded, not corrected.
@@ -64,7 +61,7 @@ from .errors import (BoundaryEventError, CollisionError,
                      ConvergenceError, DomainViolationError)
 from .domains import BOUNDARY_MARGIN
 from .linalg import as_state
-from .systems import COLLISION_TOL, FlowSystem, RescaledSystem
+from .systems import COLLISION_TOL, FlowSystem
 
 #: dense-output screening points per accepted step
 GUARD_SAMPLES = 8
@@ -134,29 +131,28 @@ def _refine_and_raise(system, state, t_ok, t_bad, exc, settings):
 
 
 def _step_and_screen(system: FlowSystem, stepper,
-                     settings: IntegratorSettings, what: str):
-    """Take one step and screen scipy's interpolant of it on its first
-    2N components, the co-rotating state whose right-hand side is
-    system.vector_field(v, t), turned back to the system's states
-    (system.to_lab), before the step is committed: on GUARD_SAMPLES
-    evenly spaced points, or on more where the step is longer than
-    GUARD_SAMPLES * system.spacing, so that no two are further apart.
+                     settings: IntegratorSettings):
+    """Take one step and screen scipy's interpolant of it, the
+    co-rotating state whose right-hand side is system.vector_field(v, t),
+    turned back to the system's states (system.to_lab), before the step
+    is committed: on GUARD_SAMPLES evenly spaced points, or on more
+    where the step is longer than GUARD_SAMPLES * system.spacing, so
+    that no two are further apart.
 
     Returns (the step's interpolant, smallest guarded separation on the
     grid); raises ConvergenceError when the stepper fails and the
     refined event when a guard trips.
     """
-    d = 2 * system.n
     message = stepper.step()
     if stepper.status == "failed":
         raise ConvergenceError(
-            f"{what} failed at t = {stepper.t:.9g}: {message}",
-            iterations=stepper.nfev, last_iterate=stepper.y[:d].copy(),
+            f"integrator failed at t = {stepper.t:.9g}: {message}",
+            iterations=stepper.nfev, last_iterate=stepper.y.copy(),
             residual=np.nan)
     interp = stepper.dense_output()
 
     def state(t):
-        return system.to_lab(t, interp(t)[:d].T)
+        return system.to_lab(t, interp(t).T)
 
     h = abs(stepper.t - stepper.t_old)
     samples = max(GUARD_SAMPLES, math.ceil(h / system.spacing))
@@ -268,8 +264,7 @@ def integrate(system: FlowSystem, z0, t_span,
     stepper = _stepper(field, t0, system.to_frame(t0, y0), t1,
                        system.first_step)
     while stepper.status == "running":
-        interp, sep = _step_and_screen(system, stepper, settings,
-                                       "integrator")
+        interp, sep = _step_and_screen(system, stepper, settings)
         min_sep = min(min_sep, sep)
         times.append(stepper.t)
         # scipy replaces stepper.y each step, never writes into it
@@ -281,64 +276,3 @@ def integrate(system: FlowSystem, z0, t_span,
     return Trajectory(np.array(times), np.array(states), np.array(energies),
                       float(min_sep),
                       lambda t: system.to_lab(t, dense(t).T))
-
-
-def flow_with_jacobian(system: FlowSystem, z0, t_end: float,
-                       settings: Optional[IntegratorSettings] = None):
-    """Flow map and its state derivative at time t_end.
-
-    Co-integrates the matrix variational equation W' = DV(t, v(t)) W,
-    W(0) = I, of the co-rotating state v (system.to_frame, v = z at
-    t = 0) through one shared step sequence with it, so the pair
-    (phi_t(z0), Dphi_t(z0)) is internally consistent; both are turned
-    back to the system's states at t_end.  Each right-hand side takes
-    the field and its Jacobian from one assembly, the 3 extra stages of
-    each step's interpolant included; the steps are screened on that
-    interpolant's first 2N components, v.
-    """
-    settings = settings or IntegratorSettings()
-    y0 = as_state(z0).copy()
-    d = y0.size
-    system.validate_state(y0, 0.0, settings.collision_tol,
-                          settings.boundary_margin)
-    if t_end == 0.0:
-        return y0, np.eye(d)
-
-    def rhs(t, aug):
-        f, J = system.field_and_jacobian(aug[:d], t)
-        return np.concatenate([f, (J @ aug[d:].reshape(d, d)).reshape(-1)])
-
-    aug0 = np.concatenate([y0, np.eye(d).reshape(-1)])
-    stepper = _stepper(rhs, 0.0, aug0, float(t_end))
-
-    while stepper.status == "running":
-        _step_and_screen(system, stepper, settings, "variational integration")
-
-    # the turn is linear, so it turns each column of W as it turns v
-    zT = system.to_lab(t_end, stepper.y[:d])
-    WT = system.to_lab(t_end, stepper.y[d:].reshape(d, d).T).T
-    return zT, WT
-
-
-def check_rescaling_equivalence(rs: RescaledSystem, u0, t_span: float,
-                                settings: Optional[IntegratorSettings] = None
-                                ) -> float:
-    """Max deviation between the physical flow and the rescaled flow
-    transported back to physical variables.
-
-    Integrates u under rs, in its clusters' co-rotating frames, over
-    [0, t_span/r^2] and z under rs.base from r*u0 + anchor_hat over
-    [0, t_span], then compares  z(t)  against  r*u(t/r^2) + anchor_hat
-    on a shared grid.
-    """
-    r = rs.scale
-    if r <= 0.0:
-        raise ConstraintViolationError("equivalence check needs r > 0")
-    u0 = as_state(u0)
-    z0 = rs.to_physical(u0)
-    traj_u = integrate(rs, u0, (0.0, float(t_span) / r**2), settings)
-    traj_z = integrate(rs.base, z0, (0.0, float(t_span)), settings)
-    ahat = rs.anchor_hat
-    grid = np.linspace(0.0, float(t_span), 257)
-    zu = r * traj_u.sample(grid / r**2) + ahat
-    return float(np.max(np.linalg.norm(traj_z.sample(grid) - zu, axis=1)))

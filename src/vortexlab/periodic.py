@@ -437,7 +437,7 @@ def _symmetry_defects(spec: SuperpositionSpec, traj: Trajectory):
 
 class _LoopFrame:
     """rs followed along a collocated loop (Encke's method): the state
-    the integrators step is the deviation w = v - v_r(t) of rs's
+    the integrator steps is the deviation w = v - v_r(t) of rs's
     co-rotating state v from the reference v_r(t) = u0 + v_c(t) - v_c(0),
     v_c the trigonometric interpolant of the loop's samples, (K, 2N), and
     u0 = loop[0].  Its field is V(t, v_r + w) - v_r'(t), so w stays as

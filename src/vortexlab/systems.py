@@ -34,7 +34,7 @@ holds two, for E_r and for F).  The points are (..., N): leading axes
 are a batch of states, each assembled as it would be alone, bit for
 bit, and a single state has no leading axis.  So every energy, field
 and Jacobian below reads states (..., 2N) and returns one result per
-state; the integrators call them one state at a time, as DOP853's
+state; the integrator calls them one state at a time, as DOP853's
 stages follow one another, while the collocation of a periodic orbit
 and the samples of Phi (`periodic`) make one call on all their states.
 
@@ -56,7 +56,7 @@ form that is the field c o conj(D): D the gradient's complex form from
 the assembly, c = -i/Gamma one factor per vortex, and the Jacobian is
 `real_blocks` of L and K scaled by conj(c) = i/Gamma on the rows.
 
-The integrators advance each vortex in a co-rotating frame: v = exp(i
+The integrator advances each vortex in a co-rotating frame: v = exp(i
 omega t) u, omega the angular velocity of its cluster's frame
 (RescaledSystem's `omega`; 0 in VortexSystem, whose v is u).  The field
 of v, V(t, v) = exp(i omega t) F(exp(-i omega t) v) + i omega v, is the
@@ -197,7 +197,7 @@ class FlowSystem:
     guard, (..., N, 2), pair mask or None, the domain whose wall they
     clear); a subclass that integrates in co-rotating frames sets
     `_rotating` and `_iomega`, i times each vortex's frame angular
-    velocity, (N,).  For the integrators, `first_step` is the stepper's
+    velocity, (N,).  For the integrator, `first_step` is the stepper's
     first step (None: DOP853's own choice from the start state and its
     field) and `spacing` the widest time between two screened states
     (inf: dynamics.GUARD_SAMPLES per step).
@@ -448,7 +448,7 @@ class RescaledSystem(FlowSystem):
     which adds anchor_hat to w.
 
     omega, one angular velocity per cluster (None: all 0), sets each
-    cluster's co-rotating frame, in which the integrators advance the
+    cluster's co-rotating frame, in which the integrator advances the
     state (`FlowSystem.to_lab`): with each cluster's own relative-
     equilibrium angular velocity, v stays within O(r^2) of its start
     along a superposed orbit.  It changes no energy and no lab-frame
@@ -529,15 +529,9 @@ class RescaledSystem(FlowSystem):
     def coupling(self, w):
         return self._coupling_parts(w, 0)[0]
 
-    def coupling_grad(self, w) -> np.ndarray:
-        return self._coupling_parts(w, 1)[1].conj().view(float)
-
-    def coupling_hess(self, w) -> np.ndarray:
-        return real_blocks(*self._coupling_parts(w, 2)[2])
-
     # -- rescaled energy E_r and its flow --------------------------------------
     # the benchmark's tracer wraps these two names, so the energy and
-    # the field the integrators call go through them
+    # the field the integrator calls go through them
     def rescaled_hamiltonian(self, u):
         return super().hamiltonian(u)
 

@@ -16,11 +16,11 @@ from vortexlab import (
     SuperpositionSpec,
     UnitDisc,
     WholePlane,
-    check_rescaling_equivalence,
     continue_in_r,
     disc_dipole,
     evaluate_point,
     find_critical_point,
+    integrate,
     make_pair,
     make_thomson,
     scan_phases,
@@ -180,6 +180,23 @@ def thomson3_orbit():
     start = time.perf_counter()
     orbit = shoot(spec)
     return orbit, time.perf_counter() - start
+
+
+def check_rescaling_equivalence(rs, u0, t_span: float) -> float:
+    """Max deviation between the physical flow and the rescaled flow
+    transported back to physical variables.
+
+    Integrates u under rs, in its clusters' co-rotating frames, over
+    [0, t_span/r^2] and z under rs.base from r*u0 + anchor_hat over
+    [0, t_span], then compares  z(t)  against  r*u(t/r^2) + anchor_hat
+    on a shared grid of 257 times.
+    """
+    r = rs.scale
+    traj_u = integrate(rs, u0, (0.0, t_span / r**2))
+    traj_z = integrate(rs.base, rs.to_physical(u0), (0.0, t_span))
+    grid = np.linspace(0.0, t_span, 257)
+    zu = r * traj_u.sample(grid / r**2) + rs.anchor_hat
+    return float(np.max(np.linalg.norm(traj_z.sample(grid) - zu, axis=1)))
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
-"""Integration driver: accuracy, guards, variational flow, rescaling."""
+"""Integration driver: accuracy, guards, rescaling; the variational-flow
+oracle checked against the driver."""
 
 import io
 
@@ -6,18 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import DOP853
 from scipy.optimize import minimize_scalar
 
 from vortexlab import (BoundaryEventError, CollisionError,
                        CollisionEventError, ConstraintViolationError,
                        DomainViolationError, IntegratorSettings,
-                       RescaledSystem, VortexSystem,
-                       check_rescaling_equivalence, flow_with_jacobian,
-                       integrate, make_pair, rotate_all)
+                       RescaledSystem, VortexSystem, integrate, make_pair,
+                       rotate_all)
 from vortexlab import dynamics, periodic, systems
 
-from conftest import MU
+from conftest import check_rescaling_equivalence
+from oracles import dop853_steps, flow_with_jacobian
 
 TWO_PI = 2.0 * np.pi
 
@@ -233,11 +233,12 @@ def test_settings_validation():
 
 @pytest.mark.parametrize("run", [
     lambda system, z0, s: integrate(system, z0, (0.0, 1.0), s),
-    lambda system, z0, s: flow_with_jacobian(system, z0, 1.0, s),
-], ids=["integrate", "flow_with_jacobian"])
+    lambda system, z0, s: integrate(system, z0, (0.0, -1.0), s),
+], ids=["integrate", "integrate-backward"])
 def test_start_inside_the_boundary_margin_is_a_domain_violation(disc, run):
     # vortex 0 starts 0.05 from the wall, inside the 0.1 margin: the
-    # start is refused, not reported as a crossing at a later time
+    # start is refused, not reported as a crossing at a later time, in
+    # either direction
     system = VortexSystem((1.0, -1.0), (1, 1), disc)
     with pytest.raises(DomainViolationError) as info:
         run(system, [0.95, 0.0, -0.5, 0.0],
@@ -247,23 +248,21 @@ def test_start_inside_the_boundary_margin_is_a_domain_violation(disc, run):
     assert info.value.index == 0
 
 
-@pytest.mark.parametrize("run", [
-    lambda system, z0, s: integrate(system, z0, (0.0, 25.0), s),
-    lambda system, z0, s: flow_with_jacobian(system, z0, 25.0, s),
-], ids=["integrate", "flow_with_jacobian"])
-def test_start_collision_is_refused_and_a_crossing_is_an_event(plane, run):
+def test_start_collision_is_refused_and_a_crossing_is_an_event(plane):
     # the slip-through dipoles: the trailing pair starts 0.4 apart and
     # contracts to ~0.20 mid-flight.  Inside a 0.5 threshold the start
     # is refused; a 0.3 threshold is crossed later, an event
     system = VortexSystem((1.0, -1.0, 1.0, -1.0), (1, 1, 1, 1), plane)
     z0 = [-1.0, 0.5, -1.0, -0.5, -2.5, 0.2, -2.5, -0.2]
     with pytest.raises(CollisionError) as start:
-        run(system, z0, IntegratorSettings(collision_tol=0.5))
+        integrate(system, z0, (0.0, 25.0),
+                  IntegratorSettings(collision_tol=0.5))
     assert type(start.value) is CollisionError
     assert start.value.time == 0.0
     assert start.value.pair == (2, 3)
     with pytest.raises(CollisionEventError) as event:
-        run(system, z0, IntegratorSettings(collision_tol=0.3))
+        integrate(system, z0, (0.0, 25.0),
+                  IntegratorSettings(collision_tol=0.3))
     assert isinstance(event.value, CollisionError)
     assert event.value.pair == (2, 3)
     assert event.value.time > 0.0
@@ -288,8 +287,7 @@ def test_non_finite_plane_position_is_a_domain_violation(plane, bad):
 @pytest.mark.parametrize("run", [
     lambda system, z0, t: integrate(system, z0, (0.0, t)),
     lambda system, z0, t: integrate(system, z0, (t, 0.0)),
-    lambda system, z0, t: flow_with_jacobian(system, z0, t),
-], ids=["integrate-end", "integrate-start", "flow_with_jacobian"])
+], ids=["integrate-end", "integrate-start"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_time_span_is_refused(disc_pair, run, bad):
     system, z0 = disc_pair
@@ -307,7 +305,7 @@ def test_start_with_an_overflowing_field_is_refused(disc):
 
 
 # ---------------------------------------------------------------------------
-# variational flow
+# the variational-flow oracle (tests/oracles.py)
 # ---------------------------------------------------------------------------
 
 def test_zero_time_flow_is_the_identity(disc_pair):
@@ -361,14 +359,6 @@ def test_rescaling_equivalence_on_the_reference_orbits(figure1_rescaling):
         assert dev <= 1e-8, r
 
 
-def test_rescaling_check_requires_positive_scale(plane):
-    base = VortexSystem((1.0, 1.0), (2,), plane)
-    with pytest.raises(ConstraintViolationError):
-        check_rescaling_equivalence(
-            RescaledSystem(base, np.zeros((1, 2)), 0.0),
-            [0.5, 0.0, -0.5, 0.0], 1.0)
-
-
 # ---------------------------------------------------------------------------
 # CSV export
 # ---------------------------------------------------------------------------
@@ -386,40 +376,6 @@ def test_csv_round_trips_exactly(disc_pair):
         assert cells[0] == traj.times[k]
         assert np.array_equal(cells[1:5], traj.states[k])
         assert cells[5] == traj.energies[k]
-
-
-@pytest.mark.parametrize("rescaled", [False, True], ids=["plain", "rescaled"])
-def test_variational_rhs_assembles_once(monkeypatch, disc, rescaled):
-    # one order-2 assembly per augmented right-hand side, the 3 extra
-    # stages of each step's interpolant among them, and no other assembly
-    calls = {"rhs": 0, 0: 0, 1: 0, 2: 0}
-
-    class CountingDOP853(DOP853):
-        def __init__(self, fun, *args, **kwargs):
-            def counted(t, y):
-                calls["rhs"] += 1
-                return fun(t, y)
-            super().__init__(counted, *args, **kwargs)
-
-    raw = systems.assemble_interaction
-
-    def counting_assemble(*args, order=2, **kwargs):
-        calls[order] += 1
-        return raw(*args, order=order, **kwargs)
-
-    base = VortexSystem((-1.0, -1.0, 1.0, 1.0), (2, 2), disc)
-    rs = RescaledSystem(base, np.array([[MU, 0.0], [-MU, 0.0]]), 0.1)
-    u0 = np.array([0.4, 0.0, -0.4, 0.0, 0.4, 0.1, -0.4, -0.1])
-    # the same stretch of orbit in rescaled and in physical time
-    system, y0, t_end = ((rs, u0, 1.0) if rescaled
-                         else (base, rs.to_physical(u0), 0.01))
-    monkeypatch.setattr(dynamics, "DOP853", CountingDOP853)
-    monkeypatch.setattr(systems, "assemble_interaction", counting_assemble)
-    flow_with_jacobian(system, y0, t_end)
-    assert calls["rhs"] > 0
-    assert calls[2] == calls["rhs"]
-    assert calls[1] == 0
-    assert calls[0] == 0
 
 
 @pytest.mark.parametrize("case", ["figure1", "thomson3"])
@@ -448,63 +404,17 @@ def test_flow_map_is_the_physical_flow_mapped_by_the_rescaling(
 @pytest.mark.parametrize("case", ["figure1", "thomson3"])
 def test_screening_never_perturbs_the_step_sequence(
         case, figure1_spec_builder, thomson3_spec_builder):
-    # integrate and flow_with_jacobian read scipy's interpolant of each
-    # step and never write into the stepper, so both are bitwise a bare
-    # DOP853 loop over one rescaled period, turned back to the lab
+    # integrate reads scipy's interpolant of each step and never writes
+    # into the stepper, so it is bitwise a bare DOP853 loop over one
+    # rescaled period, turned back to the lab
     spec = {"figure1": figure1_spec_builder,
             "thomson3": thomson3_spec_builder}[case](0.1)
     rs, u0 = spec.rescaled, spec.torus_point()
-    d, settings = u0.size, IntegratorSettings()
-
-    def bare(fun, y0):
-        stepper = DOP853(fun, 0.0, y0, TWO_PI, rtol=dynamics.TOLERANCE,
-                         atol=dynamics.TOLERANCE)
-        ts, ys = [0.0], [y0]
-        while stepper.status == "running":
-            stepper.step()
-            ts.append(stepper.t)
-            ys.append(stepper.y)
-        return np.array(ts), np.array(ys)
-
-    def rhs(t, aug):
-        f, J = rs.field_and_jacobian(aug[:d], t)
-        return np.concatenate([f, (J @ aug[d:].reshape(d, d)).reshape(-1)])
-
-    traj = integrate(rs, u0, (0.0, TWO_PI), settings)
-    ts, vs = bare(lambda t, v: rs.vector_field(v, t), rs.to_frame(0.0, u0))
+    traj = integrate(rs, u0, (0.0, TWO_PI))
+    ts, vs = dop853_steps(lambda t, v: rs.vector_field(v, t),
+                          rs.to_frame(0.0, u0), TWO_PI)
     assert np.array_equal(traj.times, ts)
     assert np.array_equal(traj.states, rs.to_lab(ts, vs))
-
-    phi, W = flow_with_jacobian(rs, u0, TWO_PI, settings)
-    _, augs = bare(rhs, np.concatenate([u0, np.eye(d).reshape(-1)]))
-    assert np.array_equal(phi, rs.to_lab(TWO_PI, augs[-1, :d]))
-    assert np.array_equal(
-        W, rs.to_lab(TWO_PI, augs[-1, d:].reshape(d, d).T).T)
-
-
-def test_flow_with_jacobian_refines_a_grazing_collision_like_integrate(plane):
-    # the grazing pass of test_guard_catches_a_grazing_pass_just_below_
-    # the_threshold, with the threshold 0.1 % above the closest screened
-    # separation: both integrators trip the guard at the same time
-    d, offset, weak = 0.1, 0.8, 5e-3
-    dipole = np.array([0.0, d / 2, 0.0, -d / 2])
-    v = VortexSystem((1.0, -1.0), (1, 1), plane).vector_field(dipole)[:2]
-    speed = np.linalg.norm(v)
-    ahead, side = v / speed, np.array([-v[1], v[0]]) / speed
-    z0 = np.concatenate([np.tile(-1.5 * ahead, 2) + dipole,
-                         offset * d / 2 * side])
-    system = VortexSystem((1.0, -1.0, weak), (1, 1, 1), plane)
-    t1 = 3.0 / speed
-    closest = integrate(system, z0, (0.0, t1)).min_separation
-    settings = IntegratorSettings(collision_tol=closest * (1.0 + 1e-3))
-    with pytest.raises(CollisionError) as plain:
-        integrate(system, z0, (0.0, t1), settings)
-    with pytest.raises(CollisionError) as variational:
-        flow_with_jacobian(system, z0, t1, settings)
-    assert variational.value.pair == plain.value.pair
-    assert 0.0 < plain.value.time < t1
-    assert variational.value.time == pytest.approx(plain.value.time,
-                                                   rel=0, abs=1e-9)
 
 
 def test_integrate_screens_each_sample_once(monkeypatch, disc_pair):
@@ -526,14 +436,15 @@ def test_integrate_screens_each_sample_once(monkeypatch, disc_pair):
     assert rows == [1] + [dynamics.GUARD_SAMPLES] * steps
 
 
-@pytest.mark.parametrize("flow", ["integrate", "flow_with_jacobian"])
+@pytest.mark.parametrize("t_end", [TWO_PI, -TWO_PI],
+                         ids=["integrate", "integrate-backward"])
 def test_long_steps_of_a_flow_system_keep_eight_samples(monkeypatch,
                                                         thomson3_spec_builder,
-                                                        flow):
+                                                        t_end):
     # a FlowSystem's spacing is inf, so every step, however long, is
     # screened at GUARD_SAMPLES points: Thomson-3's co-rotating steps
-    # over 2 pi reach 2.5 (integrate) and 0.50 (flow_with_jacobian),
-    # where its certificate's spacing, tau / 256 = 0.074, takes 35 and 7
+    # over 2 pi, forward or backward, reach 2.5, where its certificate's
+    # spacing, tau / 256 = 0.074, takes 35
     spec = thomson3_spec_builder(0.1)
     rs, u0 = spec.rescaled, spec.torus_point()
     rows, spans = [], []
@@ -550,7 +461,6 @@ def test_long_steps_of_a_flow_system_keep_eight_samples(monkeypatch,
 
     monkeypatch.setattr(dynamics, "_step_and_screen", spied_step)
     monkeypatch.setattr(systems.FlowSystem, "screen", counting_screen)
-    {"integrate": lambda: integrate(rs, u0, (0.0, TWO_PI)),
-     "flow_with_jacobian": lambda: flow_with_jacobian(rs, u0, TWO_PI)}[flow]()
+    integrate(rs, u0, (0.0, t_end))
     assert max(spans) > 6 * spec.tau / periodic.GRID_SAMPLES
     assert rows == [1] + [dynamics.GUARD_SAMPLES] * len(spans)

@@ -12,7 +12,6 @@ from vortexlab import (
     RelativeEquilibrium,
     ZeroTotalStrengthError,
     certify,
-    flow_with_jacobian,
     from_catalog,
     make_collinear_hermite,
     make_equilateral,
@@ -23,6 +22,8 @@ from vortexlab import (
     normalize,
     permutation_matrix,
 )
+
+from oracles import flow_with_jacobian
 
 PI = np.pi
 

@@ -15,12 +15,20 @@ a system only where a SuperpositionSpec forms its own, in its
 takes that one.  The collocation starts from one loop of samples in
 the clusters' co-rotating frames: no caller hands `_collocated_orbit` a
 function, and the torus is sampled only where a point, the distance
-to it, or the reduced functional is formed.
+to it, or the reduced functional is formed.  The package keeps only
+what it runs or offers: every function and method it defines is read
+by other package code or exported in `__all__`, but for the public
+per-point methods of `PER_POINT`; what only the tests read lives in
+`tests/` (the variational flow and the coupling derivatives in
+`oracles.py`, the rescaling check in `conftest.py`).
 """
 
 import ast
 import builtins
+from collections import Counter
 from pathlib import Path
+
+from vortexlab import __all__ as EXPORTED
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "vortexlab").glob("*.py"))
@@ -184,3 +192,45 @@ def test_periodic_samples_the_torus_in_three_places():
                                             {"torus_samples"})}
     assert scopes == {"SuperpositionSpec.torus_point", "distance_to_M",
                       "_critical_phases"}
+
+
+#: public methods that read the scalar Green's function at one or two
+#: points, and a cluster's rigid rotation at given times, which no
+#: package code calls
+PER_POINT = {"Domain.green", "Domain.robin", "Domain.grad_regular",
+             "Domain.hess_regular", "RelativeEquilibrium.solution"}
+
+
+def _reads(node) -> Counter:
+    """How often node reads each name, bare or as an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute))
+                   and isinstance(n.ctx, ast.Load))
+
+
+def _definitions(node, scope=()):
+    """(dotted path of enclosing classes and functions, node) of every
+    function and method defined in node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield ".".join(scope + (child.name,)), child
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                              ast.AsyncFunctionDef)):
+            yield from _definitions(child, scope + (child.name,))
+        else:
+            yield from _definitions(child, scope)
+
+
+def test_every_package_function_is_read_or_exported():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in PACKAGE}
+    reads = sum(map(_reads, trees.values()), Counter())
+    unread = [f"{name}:{node.lineno} {path}"
+              for name, tree in trees.items()
+              for path, node in _definitions(tree)
+              if not node.name.startswith("__")
+              and path not in set(EXPORTED) | PER_POINT
+              # read anywhere but in its own body
+              and reads[node.name] == _reads(node)[node.name]]
+    assert unread == []

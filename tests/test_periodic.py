@@ -279,10 +279,9 @@ def test_closing_check_failures_report_the_newton_iterations(monkeypatch,
 
 def _traced_shoot(monkeypatch, spec, settings=None, guess=None):
     """(orbit, calls, screens) of shoot(spec, guess, settings): each
-    variational flow and integration recorded in calls as (name,
-    settings, accepted steps, result), and each screening of
-    COLLOCATION_SAMPLES[0] states from t = 0 in screens as (states,
-    times, collision_tol, boundary_margin)."""
+    integration recorded in calls as (name, settings, accepted steps,
+    result), and each screening of COLLOCATION_SAMPLES[0] states from
+    t = 0 in screens as (states, times, collision_tol, boundary_margin)."""
     calls, screens, steps = [], [], [0]
     raw_step, raw_screen = dynamics._step_and_screen, FlowSystem.screen
 
@@ -306,10 +305,6 @@ def _traced_shoot(monkeypatch, spec, settings=None, guess=None):
 
     monkeypatch.setattr(dynamics, "_step_and_screen", counted_step)
     monkeypatch.setattr(FlowSystem, "screen", recorded_screen)
-    # periodic imports no variational flow, so this is its one binding
-    assert not hasattr(periodic, "flow_with_jacobian")
-    monkeypatch.setattr(dynamics, "flow_with_jacobian",
-                        traced("flow", dynamics.flow_with_jacobian))
     monkeypatch.setattr(periodic, "integrate",
                         traced("integrate", periodic.integrate))
     return shoot(spec, guess, settings), calls, screens
@@ -497,8 +492,6 @@ def test_shoot_refuses_a_guess_of_another_problem(monkeypatch, figure1_orbit):
         raise AssertionError("integrated or collocated a refused guess")
 
     orbit = figure1_orbit[0]
-    assert not hasattr(periodic, "flow_with_jacobian")
-    monkeypatch.setattr(dynamics, "flow_with_jacobian", forbidden)
     for name in ("integrate", "newton"):
         monkeypatch.setattr(periodic, name, forbidden)
     for spec, guess in (
