@@ -43,6 +43,7 @@ orbit = shoot(spec)
 print(f"\nshoot at r = {spec.scale}:")
 print(f"  residual        {orbit.residual:.2e}")
 print(f"  closure         {orbit.closure:.2e}")
+print(f"  loop deviation  {orbit.loop_deviation:.2e}")
 print(f"  energy drift    {orbit.energy_drift:.2e}")
 print(f"  distance to M   {orbit.distance_to_m:.6f}")
 print(f"  iterations      {orbit.iterations}")

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .domains import make_domain
-from .dynamics import IntegratorSettings, integrate
+from .dynamics import IntegratorSettings, integrate, write_csv
 from .equilibria import (RelativeEquilibrium, certify, from_catalog,
                          make_trivial)
 from .errors import (BoundaryEventError, CollisionEventError,
@@ -265,12 +265,12 @@ def _fmt_r(r: float) -> str:
 
 def _write_orbit(orbit, outdir: str, echo: dict):
     tag = _fmt_r(orbit.scale)
-    doc = orbit.as_dict()
-    doc["config"] = echo
-    _dump_json(doc, os.path.join(outdir, f"orbit_r{tag}.json"))
-    orbit.physical_trajectory_csv(os.path.join(outdir, f"traj_r{tag}.csv"))
-    orbit.trajectory.to_csv(
-        os.path.join(outdir, f"traj_r{tag}_rescaled.csv"))
+    _dump_json(dict(orbit.as_dict(), config=echo),
+               os.path.join(outdir, f"orbit_r{tag}.json"))
+    write_csv(os.path.join(outdir, f"traj_r{tag}.csv"),
+              *orbit.physical_arrays())
+    write_csv(os.path.join(outdir, f"traj_r{tag}_rescaled.csv"),
+              *orbit.rescaled_arrays())
 
 
 def _task_simulate(cfg: _Config, domain, outdir, rng, echo) -> int:
@@ -282,7 +282,8 @@ def _task_simulate(cfg: _Config, domain, outdir, rng, echo) -> int:
     settings = _settings_from(cfg, "simulate")
     system = VortexSystem(tuple(strengths), (len(strengths),), domain)
     traj = integrate(system, positions.reshape(-1), (0.0, t_end), settings)
-    traj.to_csv(os.path.join(outdir, "trajectory.csv"))
+    write_csv(os.path.join(outdir, "trajectory.csv"), traj.times,
+              traj.states, traj.energies)
     _dump_json({
         "config": echo,
         "t_end": t_end,

@@ -15,7 +15,8 @@ per step, or more where the system's `spacing` asks for them (a
 FlowSystem's is inf).  A guard tripped on a sample is refined to its
 crossing time by root bracketing and raised as a typed event carrying
 the time and the offending pair or vortex.  Trajectory joins the
-steps' interpolants through scipy's OdeSolution.
+steps' interpolants through scipy's OdeSolution.  write_csv writes
+rows of times, states and energies, whoever formed them.
 
 The stepper advances the co-rotating state v of systems.FlowSystem
 (v = exp(i omega t) u per vortex, omega its cluster frame's angular
@@ -212,22 +213,16 @@ class Trajectory:
             return np.tile(self.states[0], t.shape + (1,))
         return self._dense(t)
 
-    def to_csv(self, target):
-        """Write `t,x1,y1,...,H` rows with round-trip float formatting."""
-        n = self.states.shape[1] // 2
-        header = "t," + ",".join(f"x{i+1},y{i+1}" for i in range(n)) + ",H"
-        lines = [header]
-        for t, z, h in zip(self.times, self.states, self.energies):
-            cells = [repr(float(t))]
-            cells += [repr(float(v)) for v in z]
-            cells.append(repr(float(h)))
-            lines.append(",".join(cells))
-        text = "\n".join(lines) + "\n"
-        if hasattr(target, "write"):
-            target.write(text)
-        else:
-            with open(target, "w") as fh:
-                fh.write(text)
+
+def write_csv(target, times, states, energies):
+    """Write `t,x1,y1,...,H` rows, one per time, to the path target,
+    with round-trip float formatting."""
+    n = np.shape(states)[1] // 2
+    header = "t," + ",".join(f"x{i+1},y{i+1}" for i in range(n)) + ",H"
+    rows = np.column_stack((times, states, energies)).tolist()
+    with open(target, "w") as fh:
+        fh.write("\n".join([header] + [",".join(map(repr, row))
+                                       for row in rows]) + "\n")
 
 
 def integrate(system: FlowSystem, z0, t_span,

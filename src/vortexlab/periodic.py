@@ -32,7 +32,7 @@ cluster is followed in its co-rotating frame (SuperpositionSpec.rescaled),
 where only the O(r^2) motion on top of its rigid rotation is left: along
 an orbit near M the co-rotating loop v(t) is nearly constant, and its
 Fourier modes reach roundoff by about the twelfth.  Everything this
-module returns, trajectories included, is in u.
+module returns, orbit states included, is in u.
 
 shoot finds an orbit by trigonometric collocation: Newton (linalg.newton)
 on K samples v_k of the co-rotating loop at t_k = k tau / K, with
@@ -54,15 +54,19 @@ at t = 0 then certifies the orbit: its twisted residual
     S_sigma phi_{2pi}(u0) - u0
 
 (S_sigma the block permutation; plain tau-periodicity when sigma = id),
-closure and symmetry defect are checked, and it is the orbit's
-trajectory, sampled once at GRID_SAMPLES uniform times for the energy
-drift and the distance to M.  It integrates the same ODE in the frame
-of the collocated loop (_LoopFrame): only the deviation of the
-co-rotating state from the loop's trigonometric interpolant is stepped
-(Encke's method; Battin, Astrodynamics, ch. 10), so DOP853's steps are
-set by that deviation, not by the loop's own motion: 5 steps per
-figure-1 period, against 32 for the co-rotating state itself.  Orbit
-classes are told apart modulo the same symmetries.
+closure and symmetry defect are checked, and its states at GRID_SAMPLES
+uniform times must stay within CLOSURE_TOL of the loop; those states
+give the energy drift and the distance to M.  It integrates the same
+ODE in the frame of the collocated loop (_LoopFrame): only the
+deviation of the co-rotating state from the loop's trigonometric
+interpolant is stepped (Encke's method; Battin, Astrodynamics, ch. 10),
+so DOP853's steps are set by that deviation, not by the loop's own
+motion: 5 steps per figure-1 period, against 32 for the co-rotating
+state itself.  The certificate is the one reader of that integration:
+the certified loop is the orbit, and every later reader (the class
+distance, winding numbers, the orbit CSVs) evaluates the loop's
+interpolant through PeriodicOrbit.states.  Orbit classes are told apart
+modulo the same symmetries.
 
 A residual <= SHOOT_TOL means an orbit only at dynamics.TOLERANCE,
 the one tolerance every integration runs at: at 1e-10 a closing
@@ -105,6 +109,9 @@ COLLOCATION_SAMPLES = (25, 49)
 #: several times either (1.2e-10 from a residual of 4.6e-11 on figure 1),
 #: and one more quadratic step costs less than an integration that fails
 COLLOCATION_TOL = 1e-2 * SHOOT_TOL
+#: largest full-period closure |u(tau) - u0| of a certified orbit, and
+#: largest distance of its integrated states from its loop, of which the
+#: closure is the one at tau
 CLOSURE_TOL = 1e-9
 SYMMETRY_DEFECT_TOL = 1e-8
 IDENTIFICATION_TOL = 1e-6
@@ -349,14 +356,15 @@ def build_initial_guess(spec: SuperpositionSpec) -> np.ndarray:
 class PeriodicOrbit:
     """A certified orbit of spec.rescaled, in u (see _certified).
 
-    u0 is the state at t = 0, the first of the collocated samples
-    `loop`, and `trajectory` the certifying integration, whose states are
-    u0 and each accepted step.  residual, closure and symmetry_defect are
-    the certificate's checks; iterations are the Newton steps at the
-    accepted sample count, and `residuals` their collocation residuals.
+    The orbit is its collocated loop: `loop` holds its K co-rotating
+    samples at t_k = k tau / K, and `states` evaluates the loop's
+    trigonometric interpolant in the lab, u0 = loop[0] at t = 0.
+    residual, closure, symmetry_defect and loop_deviation are the
+    certificate's checks; iterations are the Newton steps at the accepted
+    sample count, and `residuals` their collocation residuals.
     energy_drift (dynamics.relative_drift of the rescaled energy) and
-    distance_to_m (distance_to_M) read one sample of the trajectory at
-    GRID_SAMPLES uniform times of the period, so a drift between
+    distance_to_m (distance_to_M) read the certifying integration at
+    GRID_SAMPLES uniform times of the period, so a drift between its
     accepted steps is seen too.
     """
 
@@ -367,8 +375,8 @@ class PeriodicOrbit:
     symmetry_defect: float
     energy_drift: float
     distance_to_m: float
+    loop_deviation: float
     iterations: int
-    trajectory: Trajectory = field(repr=False)
     residuals: tuple  # collocation residual of each Newton iterate
     loop: np.ndarray = field(repr=False)  # collocated v_k, (K, 2N), u0 first
 
@@ -387,24 +395,31 @@ class PeriodicOrbit:
     def physical_initial_state(self) -> np.ndarray:
         return self.spec.rescaled.to_physical(self.u0)
 
+    def states(self, t) -> np.ndarray:
+        """The orbit's states in u at times t, a scalar or (k,): the
+        loop's trigonometric interpolant turned to the lab."""
+        return self.spec.rescaled.to_lab(
+            t, _trigonometric_interpolant(self.loop, self.spec.tau)(t))
+
+    def rescaled_arrays(self):
+        """(times, states, energies) of the orbit at its K collocation
+        times of one period, in u, with the rescaled energies E_r."""
+        times = np.linspace(0.0, self.spec.tau, len(self.loop),
+                            endpoint=False)
+        states = self.states(times)
+        return times, states, self.spec.rescaled.hamiltonian(states)
+
     def physical_arrays(self):
-        """(times, states, energies) of the orbit in physical variables.
+        """rescaled_arrays in physical variables.
 
         H(r u + anchor_hat) - E_r(u) is one constant along the orbit
         (grad E_r(u) = r grad H(r u + anchor_hat)), so the energies are
-        the recorded E_r shifted by that constant, taken at u0.
+        the rows' E_r shifted by that constant, taken at u0.
         """
-        times = self.scale**2 * self.trajectory.times
-        states = (self.scale * self.trajectory.states
-                  + self.spec.rescaled.anchor_hat)
-        energies = self.trajectory.energies
+        times, states, energies = self.rescaled_arrays()
+        states = self.scale * states + self.spec.rescaled.anchor_hat
         shift = self.spec.system.hamiltonian(states[0]) - energies[0]
-        return times, states, energies + shift
-
-    def physical_trajectory_csv(self, target):
-        times, states, energies = self.physical_arrays()
-        Trajectory(times, states, energies,
-                   self.trajectory.min_separation).to_csv(target)
+        return self.scale**2 * times, states, energies + shift
 
     def as_dict(self) -> dict:
         return {
@@ -419,6 +434,7 @@ class PeriodicOrbit:
             "symmetry_defect": float(self.symmetry_defect),
             "energy_drift": float(self.energy_drift),
             "distance_to_m": float(self.distance_to_m),
+            "loop_deviation": float(self.loop_deviation),
             "iterations": int(self.iterations),
         }
 
@@ -469,40 +485,47 @@ class _LoopFrame:
 
 def _certified(spec: SuperpositionSpec, loop, settings: IntegratorSettings,
                residuals) -> PeriodicOrbit:
-    """The orbit through u0 = loop[0], the first of the collocated
-    samples `loop`, once one integration over tau passes every check:
-    the twisted residual |S_sigma phi_{2pi}(u0) - u0|, the closure and
-    the symmetry defect, both twisted terms read from the dense output
-    by one `_symmetry_defects` (so with the identity symmetry the defect
-    is the residual); else ConvergenceError.  The integration steps the
-    deviation from the loop (_LoopFrame), and every check reads the
-    states it gives back, so a loop that is no orbit fails as it would
-    in any frame.  `residuals` are the collocation residuals that led to
-    the loop.  Once certified, the trajectory is sampled once at
-    GRID_SAMPLES uniform times of [0, tau); the energy drift and
-    distance_to_M read those samples, the energies from one batched
-    hamiltonian call."""
+    """The orbit of the collocated samples `loop`, through u0 = loop[0],
+    once one integration over tau passes every check: the twisted
+    residual |S_sigma phi_{2pi}(u0) - u0|, the closure and the symmetry
+    defect, both twisted terms read from the dense output by one
+    `_symmetry_defects` (so with the identity symmetry the defect is the
+    residual), and the loop deviation, the largest |w| of the state's
+    deviation w from the loop's interpolant over GRID_SAMPLES uniform
+    times of [0, tau); else ConvergenceError.  The integration steps w
+    (_LoopFrame), and every check reads the states it gives back, so a
+    loop that is no orbit, or whose samples leave the orbit through u0,
+    fails as it would in any frame.  The closure is |w(tau)|, so the
+    deviation is held to CLOSURE_TOL as well.  `residuals` are the
+    collocation residuals that led to the loop.  The energy drift and
+    distance_to_M read the same uniform samples, the energies from one
+    batched hamiltonian call.  This is the one reader of the
+    integration: the orbit returned reads only its loop."""
     u0, tau = loop[0], spec.tau
-    traj = integrate(_LoopFrame(spec.rescaled, loop, tau), u0, (0.0, tau),
-                     settings)
+    frame = _LoopFrame(spec.rescaled, loop, tau)
+    traj = integrate(frame, u0, (0.0, tau), settings)
     defects = _symmetry_defects(spec, traj)
     residual, defect = float(defects[0]), float(defects.max())
     closure = float(np.linalg.norm(traj.final_state - u0))
+    grid = np.linspace(0.0, tau, GRID_SAMPLES, endpoint=False)
+    samples = traj.sample(grid)
+    deviation = float(np.linalg.norm(frame.to_frame(grid, samples),
+                                     axis=1).max())
     iterations = len(residuals) - 1
     for value, tol, what in (
             (residual, SHOOT_TOL, "twisted residual"),
             (closure, CLOSURE_TOL, "the full period does not close: closure"),
-            (defect, SYMMETRY_DEFECT_TOL, "twisted symmetry defect")):
+            (defect, SYMMETRY_DEFECT_TOL, "twisted symmetry defect"),
+            (deviation, CLOSURE_TOL, "off the orbit: loop deviation")):
         if value > tol:
             raise ConvergenceError(f"{what} {value:.3e}", last_iterate=u0,
                                    iterations=iterations, residual=value)
-    samples = traj.sample(np.linspace(0.0, tau, GRID_SAMPLES, endpoint=False))
     return PeriodicOrbit(
         spec=spec, u0=u0, residual=residual, closure=closure,
         symmetry_defect=defect,
         energy_drift=relative_drift(spec.rescaled.hamiltonian(samples)),
-        distance_to_m=distance_to_M(spec, samples), iterations=iterations,
-        trajectory=traj, residuals=tuple(residuals), loop=loop)
+        distance_to_m=distance_to_M(spec, samples), loop_deviation=deviation,
+        iterations=iterations, residuals=tuple(residuals), loop=loop)
 
 
 def _collocated_orbit(spec: SuperpositionSpec, loop,
@@ -602,12 +625,13 @@ def shoot(spec: SuperpositionSpec, guess=None,
     The loop's state at t = 0 is u0, and one integration over tau, of
     the deviation from the loop's trigonometric interpolant, certifies
     it: the twisted residual |S_sigma phi_{2pi}(u0) - u0| must be <=
-    SHOOT_TOL, the full-period closure <= CLOSURE_TOL and, for nontrivial
-    sigma, the symmetry defect <= SYMMETRY_DEFECT_TOL.  That integration
-    is the orbit's trajectory: its states at u0 and at each accepted
-    step (6 on figure 1), and dense output in between; the orbit's
-    energy drift and distance to M read it at GRID_SAMPLES uniform times
-    of the period (see PeriodicOrbit).  Each failure is a
+    SHOOT_TOL, the full-period closure and the loop deviation (the
+    integrated states' distance from the loop at GRID_SAMPLES uniform
+    times) <= CLOSURE_TOL and, for nontrivial sigma, the symmetry defect
+    <= SYMMETRY_DEFECT_TOL.  The orbit's energy drift and distance to M
+    read that integration at the same uniform times (see _certified);
+    the orbit keeps only the certified loop, and its states are the
+    loop's (PeriodicOrbit.states).  Each failure is a
     ConvergenceError; there is no other solver to fall back on.  The
     start loop and every collocation iterate meet the settings' guard
     thresholds: a start inside them raises CollisionError or
@@ -667,7 +691,7 @@ def distance_to_M(spec: SuperpositionSpec, u) -> float:
     """Discrete H^1 distance from a periodic loop to the phase torus.
 
     `u` is a (g, 2N) array of the loop's states in u, sampled uniformly
-    on [0, tau) from t = 0 (a certified orbit passes its trajectory's
+    on [0, tau) from t = 0 (the certificate passes its integration's
     GRID_SAMPLES samples).  Derivatives are spectral, the quadrature is
     the periodic trapezoid rule.  A cluster's phase enters only as one
     global rotation of its block of the torus samples, so each cluster's
@@ -731,7 +755,7 @@ def _orbit_distance(a: PeriodicOrbit, b: PeriodicOrbit) -> float:
                            for pi in a.spec.relabellings])
 
     def dists(times, targets):  # (len(times), len(targets))
-        s = a.trajectory.sample(np.atleast_1d(times) % tau)[:, None]
+        s = a.states(np.atleast_1d(times))[:, None]
         if a.spec.domain.symmetry == SymmetryClass.ROTATIONAL:
             return aligned_distance(s + c, targets + c)
         return np.linalg.norm(s - targets, axis=-1)
@@ -853,6 +877,6 @@ def cluster_winding_numbers(orbit: PeriodicOrbit) -> list:
     vector (member 1 minus member 0) over the full rescaled period."""
     spec = orbit.spec
     ts = np.linspace(0.0, orbit.rescaled_period, 2 * GRID_SAMPLES + 1)
-    samples = orbit.trajectory.sample(ts)
+    samples = orbit.states(ts)
     blocks = [samples[:, spec.blocks[k]] for k in spec.nontrivial_indices]
     return [winding_number(b[:, 2:4] - b[:, :2]) for b in blocks]

@@ -15,7 +15,10 @@ a system only where a SuperpositionSpec forms its own, in its
 takes that one.  The collocation starts from one loop of samples in
 the clusters' co-rotating frames: no caller hands `_collocated_orbit` a
 function, and the torus is sampled only where a point, the distance
-to it, or the reduced functional is formed.  The package keeps only
+to it, or the reduced functional is formed.  The certificate reads the
+integration and everything after it reads the loop: in `periodic` only
+`_certified` and `_symmetry_defects` sample dense output, and no package
+module reads an attribute named `trajectory`.  The package keeps only
 what it runs or offers: every function and method it defines is read
 by other package code or exported in `__all__`, but for the public
 per-point methods of `PER_POINT`; what only the tests read lives in
@@ -192,6 +195,18 @@ def test_periodic_samples_the_torus_in_three_places():
                                             {"torus_samples"})}
     assert scopes == {"SuperpositionSpec.torus_point", "distance_to_M",
                       "_critical_phases"}
+
+
+def test_periodic_samples_dense_output_only_in_the_certificate():
+    scopes = {scope for scope, _ in _calls(_periodic_tree(), {"sample"})}
+    assert scopes == {"_certified", "_symmetry_defects"}
+
+
+def test_no_package_module_reads_a_trajectory_attribute():
+    reads = [f"{path.name}:{node.lineno}" for path in PACKAGE
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "trajectory"]
+    assert reads == []
 
 
 #: public methods that read the scalar Green's function at one or two

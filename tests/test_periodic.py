@@ -1,7 +1,6 @@
 """Superposed periodic orbits: guesses, shooting, continuation, scans."""
 
 import dataclasses
-import io
 import json
 import os
 
@@ -277,25 +276,35 @@ def test_closing_check_failures_report_the_newton_iterations(monkeypatch,
     assert 0 < info.value.iterations < periodic.MAX_SHOOT_ITERATIONS
 
 
-def _traced_shoot(monkeypatch, spec, settings=None, guess=None):
-    """(orbit, calls, screens) of shoot(spec, guess, settings): each
-    integration recorded in calls as (name, settings, accepted steps,
-    result), and each screening of COLLOCATION_SAMPLES[0] states from
-    t = 0 in screens as (states, times, collision_tol, boundary_margin)."""
-    calls, screens, steps = [], [], [0]
-    raw_step, raw_screen = dynamics._step_and_screen, FlowSystem.screen
+def _integrations(monkeypatch) -> list:
+    """The list each later periodic.integrate is recorded in, as (name,
+    settings, accepted steps, result): the certificate's integration,
+    which the orbit does not keep."""
+    calls, steps = [], [0]
+    raw_step, raw = dynamics._step_and_screen, periodic.integrate
 
     def counted_step(*args, **kwargs):
         steps[0] += 1
         return raw_step(*args, **kwargs)
 
-    def traced(name, raw):
-        def call(*args):
-            steps[0] = 0
-            out = raw(*args)
-            calls.append((name, args[3], steps[0], out))
-            return out
-        return call
+    def traced(*args):
+        steps[0] = 0
+        out = raw(*args)
+        calls.append(("integrate", args[3], steps[0], out))
+        return out
+
+    monkeypatch.setattr(dynamics, "_step_and_screen", counted_step)
+    monkeypatch.setattr(periodic, "integrate", traced)
+    return calls
+
+
+def _traced_shoot(monkeypatch, spec, settings=None, guess=None):
+    """(orbit, calls, screens) of shoot(spec, guess, settings): each
+    integration recorded in calls (_integrations), and each screening of
+    COLLOCATION_SAMPLES[0] states from t = 0 in screens as (states,
+    times, collision_tol, boundary_margin)."""
+    calls, screens = _integrations(monkeypatch), []
+    raw_screen = FlowSystem.screen
 
     def recorded_screen(self, ys, times, *tols):
         # a certifying step's rows start after t = 0, a collocation's at it
@@ -303,10 +312,7 @@ def _traced_shoot(monkeypatch, spec, settings=None, guess=None):
             screens.append((np.array(ys), np.array(times), *tols))
         return raw_screen(self, ys, times, *tols)
 
-    monkeypatch.setattr(dynamics, "_step_and_screen", counted_step)
     monkeypatch.setattr(FlowSystem, "screen", recorded_screen)
-    monkeypatch.setattr(periodic, "integrate",
-                        traced("integrate", periodic.integrate))
     return shoot(spec, guess, settings), calls, screens
 
 
@@ -325,15 +331,25 @@ TIER1_ORBITS = {
 def test_tier1_orbits_make_no_flow_and_one_integration(monkeypatch, case):
     # collocation from the torus: no variational flow, at most 4 Newton
     # evaluations (figure 1 reads 3.8e-2, 2.2e-4, 1.3e-9, 3.0e-15), and
-    # one integration at the settings certifies the loop's u0 and is
-    # the orbit's trajectory.  The start loop's samples and each new
+    # one integration at the settings certifies the loop.  Its states
+    # stay on the loop: the loop deviation, read in the loop's frame, is
+    # their lab distance from the orbit's states to roundoff (6.4e-14 on
+    # figure 1, 1.5e-13 on its pi/2 class, 4.2e-14 on Thomson-3, at most
+    # 2.8e-14 on the others).  The start loop's samples and each new
     # iterate's are screened once, in the lab frame, at the user's guard
     # thresholds
     settings = IntegratorSettings(collision_tol=2e-8, boundary_margin=2e-3)
     orbit, calls, screens = _traced_shoot(monkeypatch, TIER1_ORBITS[case](),
                                           settings)
     assert [(name, s) for name, s, *_ in calls] == [("integrate", settings)]
-    assert orbit.trajectory is calls[0][3]
+    traj = calls[0][3]
+    assert orbit.closure == np.linalg.norm(traj.final_state - orbit.u0)
+    grid = np.linspace(0.0, orbit.spec.tau, periodic.GRID_SAMPLES,
+                       endpoint=False)
+    gaps = np.linalg.norm(traj.sample(grid) - orbit.states(grid), axis=1)
+    assert orbit.loop_deviation == pytest.approx(gaps.max(), rel=0,
+                                                 abs=1e-15)
+    assert orbit.loop_deviation <= periodic.CLOSURE_TOL
     assert orbit.residual <= periodic.SHOOT_TOL
     assert len(orbit.residuals) <= 4
     assert orbit.iterations == len(orbit.residuals) - 1
@@ -509,16 +525,15 @@ def test_only_the_closing_integration_certifies_convergence(
     # 4.6e-15), then one integration of its loop's u0 certifies it.  From
     # the converged orbit the collocation takes no step, and the one
     # integration certifies its u0.  Either way the orbit's residual is
-    # read from its trajectory, |S_sigma phi_{2pi}(u0) - u0| with u0 its
-    # dense output at t = 0, as the symmetry defect reads it
+    # read from that integration, |S_sigma phi_{2pi}(u0) - u0| with u0
+    # its dense output at t = 0, as the symmetry defect reads it
     guess = {"torus": None, "converged": thomson3_orbit[0]}[start]
     orbit, calls, _ = _traced_shoot(monkeypatch, build_thomson3_spec(0.1),
                                     guess=guess)
     assert [name for name, *_ in calls] == ["integrate"]
     assert orbit.iterations <= 1
-    assert orbit.trajectory is calls[-1][3]
     S = permutation_matrix(orbit.spec.sigma)
-    start, period = orbit.trajectory.sample(np.array([0.0, TWO_PI]))
+    start, period = calls[-1][3].sample(np.array([0.0, TWO_PI]))
     assert np.array_equal(start, orbit.u0)
     assert orbit.residual == np.linalg.norm([period @ S.T - start], axis=1)[0]
     assert orbit.residual <= periodic.SHOOT_TOL
@@ -558,6 +573,16 @@ def test_a_loop_moved_off_its_orbit_fails_its_certificate(
     assert info.value.residual == pytest.approx(np.linalg.norm(plain),
                                                 rel=0, abs=1e-12)
     assert np.array_equal(info.value.last_iterate, loop[0])
+    # a loop moved 1e-8 at its sixth sample, u0 kept: the integration
+    # from u0 is the orbit's (residual 1.5e-13 on figure 1, 7.3e-13 on
+    # Thomson-3), and only the loop deviation, 1.0e-8, sees the move
+    loop = orbit.loop.copy()
+    loop[5, 0] += 1e-8
+    with pytest.raises(ConvergenceError, match="loop deviation") as info:
+        periodic._certified(spec, loop, IntegratorSettings(),
+                            orbit.residuals)
+    assert 0.9e-8 <= info.value.residual <= 1.1e-8
+    assert np.array_equal(info.value.last_iterate, orbit.u0)
 
 
 def test_the_loop_interpolant_starts_at_its_first_sample(rng):
@@ -601,9 +626,10 @@ def test_the_certificate_screens_at_least_the_grid_density(monkeypatch,
     # (8 per step left gaps up to 0.917 on Thomson-3); u0 is screened
     # first, and the last sample is the period's end
     spec = TIER1_ORBITS[case]()
-    orbit = shoot(spec)
-    traj, times = _screened_times(monkeypatch, lambda: periodic._certified(
-        spec, orbit.loop, IntegratorSettings(), orbit.residuals).trajectory)
+    orbit, calls = shoot(spec), _integrations(monkeypatch)
+    _, times = _screened_times(monkeypatch, lambda: periodic._certified(
+        spec, orbit.loop, IntegratorSettings(), orbit.residuals))
+    traj = calls[-1][3]
     assert times[0] == 0.0 and times[-1] == spec.tau
     assert np.all(np.diff(times) > 0.0)
     assert np.diff(times).max() <= spec.tau / periodic.GRID_SAMPLES * (
@@ -614,30 +640,36 @@ def test_the_certificate_screens_at_least_the_grid_density(monkeypatch,
 
 
 def test_the_certificate_catches_a_grazing_pass_between_step_samples(
-        monkeypatch, figure1_orbit):
+        monkeypatch):
     # figure 1's wall clearance dips at t = 0 and pi, a collocation time,
-    # so the loop is shifted by 0.7 to put its dips mid-step.  The margin
-    # sits halfway between the smallest clearance on the certificate's
-    # screening grid and on GUARD_SAMPLES points per step (1.1e-4 apart):
-    # eight per step would step over every dip, the finer grid trips the
-    # first, and the crossing is refined to where the clearance is the
-    # margin
-    orbit = figure1_orbit[0]
+    # so the loop is shifted by 0.7 to put its dips mid-step.  The
+    # certificate's steps follow the loop's error at roundoff: from the
+    # shifted states of figure 1's own certificate (3e-14 off the loop)
+    # it takes 5 steps with both dips mid-step, from the loop's
+    # interpolant 4, one of whose samples falls 0.01 from a dip.  The
+    # margin sits halfway between the smallest clearance on the
+    # certificate's screening grid and on GUARD_SAMPLES points per step
+    # (1.1e-4 apart): eight per step would step over every dip, the finer
+    # grid trips the first, and the crossing is refined to where the
+    # clearance is the margin
+    calls = _integrations(monkeypatch)
+    orbit = shoot(build_figure1_spec(0.1))
     spec, rs, tau = orbit.spec, orbit.spec.rescaled, orbit.spec.tau
     ts = np.linspace(0.0, tau, len(orbit.loop), endpoint=False)
-    loop = rs.to_frame(ts, orbit.trajectory.sample((ts + 0.7) % tau))
+    loop = rs.to_frame(ts, calls[0][3].sample((ts + 0.7) % tau))
 
     def certify(settings):
         return periodic._certified(spec, loop, settings, orbit.residuals)
 
-    shifted, fine = _screened_times(monkeypatch,
-                                    lambda: certify(IntegratorSettings()))
+    _, fine = _screened_times(monkeypatch,
+                              lambda: certify(IntegratorSettings()))
+    shifted = calls[-1][3]
 
     def clearance(t):
-        p, _, domain = rs.guard_geometry(shifted.trajectory.sample(t))
+        p, _, domain = rs.guard_geometry(shifted.sample(t))
         return domain.boundary_clearance(p).min(axis=-1)
 
-    steps = shifted.trajectory.times
+    steps = shifted.times
     coarse = np.concatenate([np.linspace(a, b, dynamics.GUARD_SAMPLES + 1)
                              for a, b in zip(steps, steps[1:])])
     lowest_fine, lowest_coarse = clearance(fine).min(), clearance(coarse).min()
@@ -715,23 +747,24 @@ def test_reference_orbit_meets_every_tolerance(figure1_orbit):
 
 
 @pytest.mark.parametrize("case", ["figure1", "thomson3"])
-def test_the_energy_drift_and_distance_read_one_uniform_sample(
-        figure1_orbit, thomson3_orbit, case):
+def test_the_energy_drift_and_distance_read_one_uniform_sample(monkeypatch,
+                                                               case):
     # the certificate takes 5 (figure 1) and 4 (Thomson-3) steps per
     # period, so its accepted steps alone miss a drift between them
     # (figure 1's read 3.00e-15, its states at GRID_SAMPLES uniform times
     # 3.11e-15).  The drift and distance_to_M read those uniform states;
     # a Trajectory's own drift reads its accepted steps by the same
     # formula
-    orbit = {"figure1": figure1_orbit, "thomson3": thomson3_orbit}[case][0]
+    build = {"figure1": build_figure1_spec, "thomson3": build_thomson3_spec}
+    orbit, calls, _ = _traced_shoot(monkeypatch, build[case](0.1))
+    traj = calls[0][3]
     grid = np.linspace(0.0, orbit.rescaled_period, periodic.GRID_SAMPLES,
                        endpoint=False)
-    samples = orbit.trajectory.sample(grid)
+    samples = traj.sample(grid)
     assert orbit.energy_drift == dynamics.relative_drift(
         orbit.spec.rescaled.hamiltonian(samples))
     assert orbit.distance_to_m == distance_to_M(orbit.spec, samples)
-    assert orbit.trajectory.energy_drift() == dynamics.relative_drift(
-        orbit.trajectory.energies)
+    assert traj.energy_drift() == dynamics.relative_drift(traj.energies)
 
 
 def test_reference_orbit_period_is_exactly_tau_r_squared(figure1_orbit):
@@ -755,14 +788,14 @@ def test_reference_orbit_matches_the_tracked_golden_orbit(figure1_orbit):
     # u0 with the nearest point of this orbit over the full period, the
     # best of a grid refined by a bounded search on the offset from it
     tau = orbit.rescaled_period
-    traj = orbit.trajectory
     grid = np.linspace(0.0, tau, 4096, endpoint=False)
-    k = int(np.argmin(np.max(np.abs(traj.sample(grid) - golden["u0"]),
+    k = int(np.argmin(np.max(np.abs(orbit.states(grid) - golden["u0"]),
                              axis=1)))
     h = tau / grid.size
 
     def gap(ds):
-        return np.max(np.abs(traj.sample((grid[k] + ds) % tau) - golden["u0"]))
+        return np.max(np.abs(orbit.states((grid[k] + ds) % tau)
+                             - golden["u0"]))
 
     best = minimize_scalar(gap, bounds=(-h, h), method="bounded",
                            options={"xatol": 1e-14})
@@ -793,26 +826,26 @@ def test_choreography_orbit_respects_the_twisted_symmetry(thomson3_orbit):
 
 
 def test_symmetry_defect_is_the_twisted_residual_at_the_identity(
-        figure1_orbit, thomson3_orbit):
+        monkeypatch):
     # the defects' first entry, at t = 0, is the twisted residual
     # |S_sigma phi_{2pi}(u0) - u0| and their max the defect; with sigma =
     # id the grid is t = 0 alone, so the two are one number.  A
     # choreography's grid spans [0, tau - 2 pi]
-    for (orbit, _), rows in ((figure1_orbit, 1),
-                             (thomson3_orbit, periodic.GRID_SAMPLES + 1)):
-        shapes = []
+    calls = _integrations(monkeypatch)
+    for build, rows in ((build_thomson3_spec, periodic.GRID_SAMPLES + 1),
+                        (build_figure1_spec, 1)):
+        orbit, shapes = shoot(build(0.1)), []
 
         class Recorded:
-            def sample(self, t, orbit=orbit):
+            def sample(self, t, traj=calls[-1][3]):
                 shapes.append(np.shape(t))
-                return orbit.trajectory.sample(t)
+                return traj.sample(t)
 
         defects = periodic._symmetry_defects(orbit.spec, Recorded())
         assert shapes == [(rows,), (rows,)]
         assert defects.shape == (rows,)
         assert defects[0] == orbit.residual
         assert defects.max() == orbit.symmetry_defect
-    orbit = figure1_orbit[0]
     assert orbit.spec.order == 1
     assert orbit.symmetry_defect == orbit.residual
 
@@ -828,24 +861,32 @@ def test_orbit_serializes_to_json(figure1_orbit):
     assert data["spec"]["domain"] == "unit-disc"
 
 
-def test_orbit_exports_rescaled_and_physical_trajectories(figure1_orbit):
+def test_orbit_exports_rescaled_and_physical_trajectories(figure1_orbit,
+                                                          tmp_path):
+    # both files hold the orbit's states at its K collocation times of
+    # one period, u0 first: the collocated samples turned to the lab
     orbit, _ = figure1_orbit
-    rescaled, physical = io.StringIO(), io.StringIO()
-    orbit.trajectory.to_csv(rescaled)
-    orbit.physical_trajectory_csv(physical)
-    r_lines = rescaled.getvalue().strip().split("\n")
-    p_lines = physical.getvalue().strip().split("\n")
-    assert r_lines[0] == p_lines[0] == "t,x1,y1,x2,y2,x3,y3,x4,y4,H"
-    first = np.array([float(c) for c in p_lines[1].split(",")])
-    assert first[0] == 0.0
-    assert np.array_equal(first[1:9], orbit.physical_initial_state())
-    last = np.array([float(c) for c in p_lines[-1].split(",")])
-    assert last[0] == pytest.approx(orbit.period)
+    rs, K = orbit.spec.rescaled, len(orbit.loop)
+    rows = {}
+    for name, arrays in (("rescaled", orbit.rescaled_arrays()),
+                         ("physical", orbit.physical_arrays())):
+        dynamics.write_csv(tmp_path / name, *arrays)
+        lines = (tmp_path / name).read_text().strip().split("\n")
+        assert lines[0] == "t,x1,y1,x2,y2,x3,y3,x4,y4,H"
+        rows[name] = np.array([[float(c) for c in line.split(",")]
+                               for line in lines[1:]])
+        assert rows[name].shape == (K, 10)
+    times = np.linspace(0.0, orbit.rescaled_period, K, endpoint=False)
+    assert np.array_equal(rows["rescaled"][:, 0], times)
+    assert np.array_equal(rows["rescaled"][:, 1:9], orbit.states(times))
+    assert np.abs(rows["rescaled"][:, 1:9]
+                  - rs.to_lab(times, orbit.loop)).max() <= 1e-13
+    assert np.array_equal(rows["physical"][:, 0], orbit.scale**2 * times)
+    assert np.array_equal(rows["physical"][0, 1:9],
+                          orbit.physical_initial_state())
     # the batch map gives the floats of the row-by-row map
-    rs = orbit.spec.rescaled
-    _, states, _ = orbit.physical_arrays()
-    assert np.array_equal(states, [rs.to_physical(u)
-                                   for u in orbit.trajectory.states])
+    assert np.array_equal(rows["physical"][:, 1:9],
+                          [rs.to_physical(u) for u in orbit.states(times)])
 
 
 def test_physical_energy_column_matches_the_physical_hamiltonian(
@@ -1085,14 +1126,13 @@ def test_time_shifted_replicas_identify_as_the_same_class(figure1_orbit,
     # time, so its tolerance does not grow with the shift
     for (orbit, _), shift in ((figure1_orbit, 1.234), (figure1_orbit, 6.0),
                               (thomson3_orbit, 15.0)):
-        replica = dataclasses.replace(orbit,
-                                      u0=orbit.trajectory.sample(shift))
+        replica = dataclasses.replace(orbit, u0=orbit.states(shift))
         assert _orbit_distance(orbit, replica) <= 1e-10, shift
     # turned about the disc center, at -anchor_hat / r in rescaled
     # coordinates, a replica is the same class; about the origin it is not
     orbit, _ = figure1_orbit
     c = orbit.spec.rescaled.anchor_hat / orbit.scale
-    replica = orbit.trajectory.sample(1.234)
+    replica = orbit.states(1.234)
     turned = dataclasses.replace(orbit, u0=rotate_all(replica + c, 0.5) - c)
     assert _orbit_distance(orbit, turned) < IDENTIFICATION_TOL
     off_center = dataclasses.replace(orbit, u0=rotate_all(replica, 0.5))
@@ -1103,7 +1143,7 @@ def test_relabelled_replicas_identify_as_the_same_class(figure1_orbit):
     # swapping the members of either pair, or both, is a symmetry of the
     # equations; the swapped orbit is the same class
     orbit, _ = figure1_orbit
-    replica = orbit.trajectory.sample(1.234)
+    replica = orbit.states(1.234)
     for pi in [(1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2)]:
         swapped = dataclasses.replace(
             orbit, u0=permutation_matrix(pi) @ replica)
